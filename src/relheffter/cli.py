@@ -295,18 +295,19 @@ def cmd_embed(args: argparse.Namespace) -> int:
     ordering = orientation_to_orderings(array, orientation)
     try:
         rho0 = build_rho0(array, ordering)
+        graph = CayleyGraph.from_entries(array)
+        report = trace_faces(graph, rho0)
+        two_colorable = two_color_check(report, array, ordering)
+
+        d_col = develop_and_verify(base_cycles(array, ordering, by="col"), graph)
+        rev_rows = orientation_to_orderings(array, Orientation(
+            tuple(-x for x in orientation.r), orientation.c))
+        d_row = develop_and_verify(base_cycles(array, rev_rows, by="row"), graph)
     except CertificationError as exc:
         _emit({"input": args.input, "status": "violation", "error": str(exc)})
         return EXIT_VIOLATION
-
-    graph = CayleyGraph.from_entries(array)
-    report = trace_faces(graph, rho0)
-    two_colorable = two_color_check(report, array, ordering)
-
-    d_col = develop_and_verify(base_cycles(array, ordering, by="col"), graph)
-    rev_rows = orientation_to_orderings(array, Orientation(
-        tuple(-x for x in orientation.r), orientation.c))
-    d_row = develop_and_verify(base_cycles(array, rev_rows, by="row"), graph)
+    except ValueError as exc:  # e.g. repeated entries: no entry-level orderings
+        raise UsageError(str(exc)) from exc
     orthogonal = verify_orthogonal(d_row, d_col)
 
     payload = {

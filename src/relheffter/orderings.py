@@ -7,7 +7,7 @@ from itertools import product
 from math import lcm
 from typing import Sequence
 
-from .group import GroupElement, sum_elements
+from .group import GroupElement
 from .pfarray import Cell, PFArray, Skeleton, skeleton_from_diagonals
 
 ArrayLike = PFArray | Skeleton
@@ -380,7 +380,3 @@ def nine_diagonal_orientation(n: int) -> Orientation:
     if n < 21 or n % 14 != 7:
         raise ValueError(f"n must be 7 (mod 14) and >= 21, got {n}")
     return Orientation((1,) * n, (-1,) * 8 + (1,) * (n - 8))
-
-
-def verify_cells_sum(array: PFArray) -> GroupElement:
-    return sum_elements(array.spec, array.entry_list)

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
+from collections import Counter
 from dataclasses import dataclass, field
 
 from .group import GroupElement, GroupSpec, neg, subgroup_of_order
@@ -11,6 +11,34 @@ from .pfarray import PFArray
 
 Edge = frozenset  # frozenset of two GroupElements
 DirectedEdge = tuple  # (tail: GroupElement, head: GroupElement)
+
+# The kernels below work on int codes. An element's code is its index in
+# spec.elements() order (mixed radix, first factor most significant), so int
+# order is coords order. The undirected edge {x, y} with codes x < y has code
+# x * |G| + y.
+
+
+def _code(g: GroupElement) -> int:
+    x = 0
+    for c, o in zip(g.coords, g.spec.orders):
+        x = x * o + c
+    return x
+
+
+def _shift_table(g: GroupElement) -> list[int]:
+    """table[x] is the code of x + g, for every code x (digit arithmetic)."""
+    table = [0]
+    for c, o in zip(g.coords, g.spec.orders):
+        digits = [(d + c) % o for d in range(o)]
+        table = [t * o + d for t in table for d in digits]
+    return table
+
+
+def _edge_columns(cycle: Cycle, v: int) -> list[list[int]]:
+    """For each edge of the cycle, the codes of that edge in cycle + g, indexed by g."""
+    tables = [_shift_table(x) for x in cycle.vertices]
+    return [[p * v + q if p < q else q * v + p for p, q in zip(a, b)]
+            for a, b in zip(tables, tables[1:] + tables[:1])]
 
 
 class CertificationError(ValueError):
@@ -117,20 +145,29 @@ def base_cycles(array: PFArray, ordering: Ordering, by: str = "col") -> list[Cyc
 
 @dataclass
 class DecompositionCertificate:
-    """A verified G-regular cycle decomposition: all translates of the base cycles."""
+    """A verified G-regular cycle decomposition: all translates of the base cycles.
+
+    Cycle number g * len(base) + i is base[i] + g, where g is an element code;
+    ``owner`` maps every edge code to the number of the cycle that covers it.
+    """
 
     graph: CayleyGraph
     base: list[Cycle]
-    cycles: list[Cycle] = field(default_factory=list)
+    owner: dict[int, int] = field(default_factory=dict, repr=False)
+
+    @property
+    def cycles(self) -> list[Cycle]:
+        return [c.translate(g) for g in self.graph.spec.elements() for c in self.base]
 
     @property
     def cycle_lengths(self) -> Counter:
-        return Counter(len(c) for c in self.cycles)
+        size = self.graph.spec.size
+        return Counter({n: k * size for n, k in Counter(len(c) for c in self.base).items()})
 
     def to_json(self) -> dict:
         return {
             "num_base_cycles": len(self.base),
-            "num_cycles": len(self.cycles),
+            "num_cycles": len(self.base) * self.graph.spec.size,
             "cycle_lengths": dict(sorted(self.cycle_lengths.items())),
             "num_edges": self.graph.num_edges,
         }
@@ -152,43 +189,37 @@ def develop_and_verify(base: list[Cycle], graph: CayleyGraph) -> DecompositionCe
             f"difference list != connection set (missing={missing}, extra={extra})"
         )
 
-    cert = DecompositionCertificate(graph, base)
-    seen: dict[Edge, tuple[int, GroupElement]] = {}
-    for g in graph.spec.elements():
-        for idx, cycle in enumerate(base):
-            t = cycle.translate(g)
-            cert.cycles.append(t)
-            for edge in t.edges():
-                if edge in seen:
+    v = graph.spec.size
+    nb = len(base)
+    columns = [_edge_columns(cycle, v) for cycle in base]
+    owner: dict[int, int] = {}
+    for g in range(v):
+        for idx, edge_columns in enumerate(columns):
+            number = g * nb + idx
+            for column in edge_columns:
+                e = column[g]
+                if e in owner:
+                    elements = list(graph.spec.elements())
+                    first, g0 = owner[e] % nb, elements[owner[e] // nb]
                     raise CertificationError(
-                        f"edge {sorted(v.coords for v in edge)} covered twice "
-                        f"(base {seen[edge][0]} + {seen[edge][1].coords} and base {idx} + {g.coords})"
+                        f"edge {[elements[e // v].coords, elements[e % v].coords]} covered twice "
+                        f"(base {first} + {g0.coords} and base {idx} + {elements[g].coords})"
                     )
-                seen[edge] = (idx, g)
-    if len(seen) != graph.num_edges:
+                owner[e] = number
+    if len(owner) != graph.num_edges:
         raise CertificationError(
-            f"covered {len(seen)} edges, graph has {graph.num_edges}"
+            f"covered {len(owner)} edges, graph has {graph.num_edges}"
         )
-    return cert
+    return DecompositionCertificate(graph, base, owner)
 
 
 def verify_orthogonal(d1: DecompositionCertificate, d2: DecompositionCertificate) -> bool:
     """True iff every cycle of d1 shares at most one edge with every cycle of d2."""
     if d1 is d2:
         raise ValueError("orthogonality is defined across two distinct decompositions")
-    owner1: dict[Edge, int] = {}
-    for i, cycle in enumerate(d1.cycles):
-        for edge in cycle.edges():
-            owner1[edge] = i
-    pair_counts: Counter = Counter()
-    for j, cycle in enumerate(d2.cycles):
-        for edge in cycle.edges():
-            i = owner1.get(edge)
-            if i is not None:
-                pair_counts[(i, j)] += 1
-                if pair_counts[(i, j)] > 1:
-                    return False
-    return True
+    owner1 = d1.owner
+    shared = [(owner1[e], j) for e, j in d2.owner.items() if e in owner1]
+    return len(set(shared)) == len(shared)
 
 
 @dataclass(frozen=True)
@@ -257,6 +288,8 @@ class EmbeddingReport:
     genus: int
     color_of_face: list[int] | None = None
     formula_genus: int | None = None
+    # the vertex codes along each face, aligned with faces; set by trace_faces
+    face_codes: list[list[int]] | None = field(default=None, repr=False, compare=False)
 
     def to_json(self) -> dict:
         data = {"V": self.V, "S": self.S, "F": self.F, "genus": self.genus}
@@ -278,40 +311,53 @@ def heffter_genus_formula(m: int, n: int, s: int, k: int, t: int) -> int:
 def trace_faces(graph: CayleyGraph, rho0: RotationMap) -> EmbeddingReport:
     """Faces as orbits of rho o tau on directed edges, where
     rho((x, x+a)) = (x, x + rho0(a)) and tau swaps the directions."""
-    if rho0.domain != set(graph.connection):
+    connection = graph.connection
+    if rho0.domain != set(connection):
         raise ValueError("rotation domain must equal the connection set")
-    vertices = list(graph.spec.elements())
-    directed = [(x, x + a) for x in vertices for a in graph.connection]
-    unvisited = set(directed)
-    faces: list[tuple[DirectedEdge, ...]] = []
-    while unvisited:
-        start = next(iter(unvisited))
-        face = []
-        cur = start
-        while True:
-            face.append(cur)
-            unvisited.discard(cur)
-            tail, head = cur
-            # tau then rho: (head, tail) = (head, head + (tail - head))
-            cur = (head, head + rho0(tail - head))
-            if cur == start:
-                break
-        faces.append(_canonical_rotation(tuple(face)))
+    if set(rho0.mapping.values()) != connection:
+        raise ValueError("rotation must permute the connection set")
+    spec = graph.spec
+    v = spec.size
+    conn = list(connection)
+    index = {a: i for i, a in enumerate(conn)}
+    shifts = [_shift_table(a) for a in conn]
+    # the dart (x, x + a) is its directed edge code x * v + (x + a); tau then
+    # rho sends it to (x + a, x + a + rho0(-a))
+    nxt = [0] * (v * v)
+    done = bytearray(b"\x01") * (v * v)  # 0 only for darts not yet walked
+    for a, shift in zip(conn, shifts):
+        back = shifts[index[rho0(neg(a))]]
+        for x, h in enumerate(shift):
+            d = x * v + h
+            nxt[d] = h * v + back[h]
+            done[d] = 0
 
-    V = len(vertices)
-    S = len(directed) // 2
+    # scanning codes upwards meets every face first at its least directed
+    # edge, so faces come out canonically rotated and in sorted order
+    codes: list[list[int]] = []
+    start = done.find(0)
+    while start >= 0:
+        tails = []
+        d = start
+        while not done[d]:
+            done[d] = 1
+            tails.append(d // v)
+            d = nxt[d]
+        codes.append(tails)
+        start = done.find(0, start + 1)
+
+    elements = list(spec.elements())
+    faces: list[tuple[DirectedEdge, ...]] = []
+    for tails in codes:
+        vs = [elements[x] for x in tails]
+        faces.append(tuple(zip(vs, vs[1:] + vs[:1])))
+    V = v
+    S = len(conn) * v // 2
     F = len(faces)
     euler = V - S + F
     if (2 - euler) % 2 != 0:
         raise CertificationError(f"Euler characteristic {euler} gives a non-integer genus")
-    faces.sort(key=lambda f: (f[0][0].coords, f[0][1].coords))
-    return EmbeddingReport(V, S, F, faces, (2 - euler) // 2)
-
-
-def _canonical_rotation(face: tuple[DirectedEdge, ...]) -> tuple[DirectedEdge, ...]:
-    """Rotate so the lexicographically least directed edge comes first."""
-    key = min(range(len(face)), key=lambda i: (face[i][0].coords, face[i][1].coords))
-    return face[key:] + face[:key]
+    return EmbeddingReport(V, S, F, faces, (2 - euler) // 2, face_codes=codes)
 
 
 def two_color_check(report: EmbeddingReport, array: PFArray, ordering: Ordering) -> bool:
@@ -326,33 +372,33 @@ def two_color_check(report: EmbeddingReport, array: PFArray, ordering: Ordering)
         {i: tuple(reversed(cells)) for i, cells in ordering.row_orders.items()},
         ordering.col_orders,
     )
-    col_sets = _developed_edge_sets(array, ordering, "col")
-    row_sets = _developed_edge_sets(array, reversed_rows, "row")
+    col_base = base_cycles(array, ordering, by="col")
+    row_base = base_cycles(array, reversed_rows, by="row")
+    v = array.spec.size
+    color_of: dict[frozenset[int], int] = {}
+    # columns go in last, so a face in both classes gets class 1
+    for color, base in ((2, row_base), (1, col_base)):
+        for cycle in base:
+            color_of.update(dict.fromkeys(map(frozenset, zip(*_edge_columns(cycle, v))), color))
 
+    codes = report.face_codes
+    if codes is None:
+        index = {g: _code(g) for g in array.spec.elements()}
+        codes = [[index[tail] for tail, _ in face] for face in report.faces]
     colors: list[int] = []
-    edge_classes: dict[Edge, list[int]] = defaultdict(list)
-    for face in report.faces:
-        face_edges = frozenset(frozenset(e) for e in face)
-        if face_edges in col_sets:
-            color = 1
-        elif face_edges in row_sets:
-            color = 2
-        else:
+    seen = {1: set(), 2: set()}
+    incidences = {1: 0, 2: 0}
+    for tails in codes:
+        face_edges = frozenset(p * v + q if p < q else q * v + p
+                               for p, q in zip(tails, tails[1:] + tails[:1]))
+        color = color_of.get(face_edges)
+        if color is None:
             return False
         colors.append(color)
-        for e in face_edges:
-            edge_classes[e].append(color)
-    for classes in edge_classes.values():
-        if sorted(classes) != [1, 2]:
-            return False
+        seen[color].update(face_edges)
+        incidences[color] += len(face_edges)
+    # every edge on exactly one face of each class
+    if seen[1] != seen[2] or any(incidences[c] != len(seen[c]) for c in (1, 2)):
+        return False
     report.color_of_face = colors
     return True
-
-
-def _developed_edge_sets(array: PFArray, ordering: Ordering, by: str) -> set[frozenset[Edge]]:
-    graph = CayleyGraph.from_entries(array)
-    out: set[frozenset[Edge]] = set()
-    for cycle in base_cycles(array, ordering, by=by):
-        for g in graph.spec.elements():
-            out.add(cycle.translate(g).canonical_edge_set())
-    return out

@@ -128,6 +128,33 @@ def test_embed_incompatible_orientation_exit_1(tmp_path, capsys):
     assert code == 1 and payload["status"] == "violation"
 
 
+def _write_array(path, orders, rows):
+    cells = [{"r": r, "c": c, "v": [x]} for r, row in enumerate(rows, 1)
+             for c, x in enumerate(row, 1) if x is not None]
+    path.write_text(json.dumps({"m": len(rows), "n": len(rows[0]),
+                                "group": {"orders": orders}, "cells": cells}))
+    return str(path)
+
+
+def test_embed_repeated_entries_is_usage_error(tmp_path, capsys):
+    path = _write_array(tmp_path / "rep.json", [5], [[1, 4], [4, 1]])
+    code = main(["embed", path, "--orientation", "++,++"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and "not distinct" in err
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_embed_certification_error_is_violation_payload(tmp_path, capsys):
+    # rho0 is cyclic on a single row, but every column has one cell, so the
+    # column base cycles do not exist
+    path = _write_array(tmp_path / "row.json", [13], [[1, 2, 4]])
+    code, payload = run(capsys, "embed", path, "--orientation", "+,+++")
+    assert code == 1
+    assert payload == {"input": path, "status": "violation",
+                       "error": "col 1 has fewer than 3 filled cells"}
+
+
 def test_determinism(tmp_path, capsys):
     outputs = []
     for tag in ("x", "y"):

@@ -1,5 +1,7 @@
 """Cayley graphs, developed decompositions, rotations, face tracing, two-coloring."""
 
+import signal
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -15,6 +17,7 @@ from relheffter.topology import (
     CayleyGraph,
     CertificationError,
     Cycle,
+    RotationMap,
     base_cycles,
     build_rho0,
     develop_and_verify,
@@ -174,11 +177,29 @@ def test_two_color_check_fails_on_shuffled_rotation():
     a = h3()
     ordering = knight_ordering(a)
     rho0 = build_rho0(a, ordering)
-    from relheffter.topology import RotationMap
     keys = sorted(rho0.mapping, key=lambda e: e.coords)
     rotated = {keys[i]: keys[(i + 1) % len(keys)] for i in range(len(keys))}
     report = trace_faces(CayleyGraph.from_entries(a), RotationMap(rotated))
     assert not two_color_check(report, a, ordering)
+
+
+def test_trace_faces_rejects_non_bijective_rotation():
+    a = h3()
+    graph = CayleyGraph.from_entries(a)
+    conn = sorted(graph.connection, key=lambda e: e.coords)
+
+    def hung(signum, frame):
+        raise TimeoutError("trace_faces did not return on a non-bijective rotation")
+
+    # a face walk that never returns to its first dart would hang: fail instead
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.setitimer(signal.ITIMER_REAL, 10)
+    try:
+        with pytest.raises(ValueError, match="permute"):
+            trace_faces(graph, RotationMap({x: conn[0] for x in conn}))
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def test_genus_formula_values():
