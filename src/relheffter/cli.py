@@ -6,7 +6,9 @@ import argparse
 import json
 import os
 import sys
+from contextlib import contextmanager
 from pathlib import Path
+from typing import Iterator
 
 from . import constructions as cons
 from .group import GroupError
@@ -50,26 +52,40 @@ class UsageError(Exception):
     pass
 
 
+@contextmanager
+def _parsing(path: Path) -> Iterator[None]:
+    """Report a malformed input file as a usage error that names the file."""
+    try:
+        yield
+    except KeyError as exc:
+        raise UsageError(f"{path}: missing key {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise UsageError(f"{path}: {exc}") from exc
+
+
 def _load_array(path: Path, v: int | None = None) -> PFArray:
     text = path.read_text()
-    if path.suffix == ".json":
-        data = json.loads(text)
-        if "cells" in data and data["cells"] and "v" not in data["cells"][0]:
-            raise UsageError(f"{path} looks like a skeleton file, not an array")
-        return PFArray.from_json(data)
-    if path.suffix == ".csv":
-        if v is None:
-            raise UsageError("CSV input requires --v (the group order)")
-        return PFArray.from_csv(text, v)
+    with _parsing(path):
+        if path.suffix == ".json":
+            data = json.loads(text)
+            if "cells" in data and data["cells"] and "v" not in data["cells"][0]:
+                raise UsageError(f"{path} looks like a skeleton file, not an array")
+            return PFArray.from_json(data)
+        if path.suffix == ".csv":
+            if v is None:
+                raise UsageError("CSV input requires --v (the group order)")
+            return PFArray.from_csv(text, v)
     raise UsageError(f"unsupported input format: {path}")
 
 
 def _load_array_or_skeleton(path: Path, v: int | None = None) -> PFArray | Skeleton:
     if path.suffix == ".json":
-        data = json.loads(path.read_text())
-        if "group" not in data:
-            return Skeleton.from_json(data)
-        return PFArray.from_json(data)
+        text = path.read_text()
+        with _parsing(path):
+            data = json.loads(text)
+            if "group" not in data:
+                return Skeleton.from_json(data)
+            return PFArray.from_json(data)
     return _load_array(path, v)
 
 
@@ -220,6 +236,8 @@ def _parse_orientation(text: str) -> Orientation:
 def cmd_knight(args: argparse.Namespace) -> int:
     obj = _load_array_or_skeleton(Path(args.input), args.v)
     skel = obj if isinstance(obj, Skeleton) else obj.skeleton
+    if not skel.cells:
+        raise UsageError(f"{args.input} has no filled cells")
     payload: dict = {"input": args.input, "filled_cells": len(skel.cells)}
 
     if args.search:

@@ -119,8 +119,11 @@ def symmetric_rep(a: GroupElement) -> int:
     """The representative of a in [-floor(v/2), floor(v/2)]; v/2 maps to +v/2 for even v."""
     if not a.spec.is_cyclic_single:
         raise GroupError("symmetric representatives are defined for single-factor groups only")
-    v = a.spec.orders[0]
-    x = a.coords[0]
+    return symmetric_residue(a.coords[0], a.spec.orders[0])
+
+
+def symmetric_residue(x: int, v: int) -> int:
+    """symmetric_rep of the canonical residue x of Z_v."""
     return x if x <= v // 2 else x - v
 
 
@@ -129,8 +132,14 @@ def from_symmetric(v: int, x: int) -> GroupElement:
     return GroupSpec.cyclic(v).element(x)
 
 
+def sum_coords(orders: tuple[int, ...], coords: Sequence[tuple[int, ...]]) -> tuple[int, ...]:
+    """Coordinates of the sum of the elements with the given coordinates: one
+    integer sum per factor, reduced once (sum(x) % v in a cyclic group)."""
+    return tuple(sum(c[f] for c in coords) % o for f, o in enumerate(orders))
+
+
 def sum_elements(spec: GroupSpec, elems: Sequence[GroupElement]) -> GroupElement:
-    total = spec.identity
     for e in elems:
-        total = add(total, e)
-    return total
+        if e.spec != spec:
+            raise GroupError(f"group mismatch: {spec} vs {e.spec}")
+    return GroupElement(spec, sum_coords(spec.orders, [e.coords for e in elems]))

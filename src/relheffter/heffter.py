@@ -5,7 +5,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 
-from .group import neg, subgroup_of_order, sum_elements, symmetric_rep
+from .group import subgroup_of_order, sum_coords, symmetric_residue
 from .pfarray import PFArray
 
 
@@ -65,8 +65,10 @@ class VerificationReport:
         }
 
 
-def verify_relative_heffter(array: PFArray, params: HeffterParams) -> VerificationReport:
-    """Check conditions (a), (b), (c) of the relative Heffter array definition."""
+def _relative_heffter(
+    array: PFArray, params: HeffterParams
+) -> tuple[VerificationReport, list[list[int]], list[list[int]]]:
+    """The report of verify_relative_heffter and the residue lines it checked."""
     if (array.m, array.n) != (params.m, params.n):
         raise ValueError(
             f"array is {array.m}x{array.n}, params expect {params.m}x{params.n}"
@@ -76,55 +78,59 @@ def verify_relative_heffter(array: PFArray, params: HeffterParams) -> Verificati
 
     report = VerificationReport()
     v, t = params.v, params.t
-    forbidden = subgroup_of_order(v, t)
+    forbidden = {e.coords[0] for e in subgroup_of_order(v, t)}
+    rows = [[e.coords[0] for e in array.row(i)] for i in range(1, params.m + 1)]
+    cols = [[e.coords[0] for e in array.col(j)] for j in range(1, params.n + 1)]
 
-    for i in range(1, params.m + 1):
-        row = array.row(i)
+    for i, row in enumerate(rows, start=1):
         if len(row) != params.s:
             report.flag("row-count", f"row {i} has {len(row)} filled cells, expected {params.s}")
-    for j in range(1, params.n + 1):
-        col = array.col(j)
+    for j, col in enumerate(cols, start=1):
         if len(col) != params.k:
             report.flag("col-count", f"column {j} has {len(col)} filled cells, expected {params.k}")
 
-    entries = array.entry_list
-    counts = Counter(entries)
-    for e, c in sorted(counts.items(), key=lambda ec: ec[0].coords):
-        if c > 1:
-            report.flag("duplicate", f"entry {symmetric_rep(e)} appears {c} times")
-    present = set(counts)
-    for e in sorted(present, key=lambda e: e.coords):
-        if e in forbidden:
-            report.flag("subgroup-hit", f"entry {symmetric_rep(e)} lies in the order-{t} subgroup")
-        if neg(e) == e and not e.is_identity:
+    counts = Counter(x for row in rows for x in row)
+    present = sorted(counts)
+    for x in present:
+        if counts[x] > 1:
+            report.flag("duplicate", f"entry {symmetric_residue(x, v)} appears {counts[x]} times")
+    for x in present:
+        rep = symmetric_residue(x, v)
+        if x in forbidden:
+            report.flag("subgroup-hit", f"entry {rep} lies in the order-{t} subgroup")
+        if 2 * x == v:
             # a self-negative entry (v/2) makes |±E(A)| < 2nk, breaking coverage
-            report.flag("coverage", f"self-negative entry {symmetric_rep(e)}")
-        elif neg(e) in present and not e.is_identity:
-            if symmetric_rep(e) > 0:  # flag each pair once
-                report.flag("coverage", f"both {symmetric_rep(e)} and its negative appear")
-    if len(entries) != params.n * params.k:
-        report.flag("coverage", f"|E(A)| = {len(entries)}, expected nk = {params.n * params.k}")
+            report.flag("coverage", f"self-negative entry {rep}")
+        elif rep > 0 and v - x in counts:  # flag each pair once
+            report.flag("coverage", f"both {rep} and its negative appear")
+    total = sum(counts.values())
+    if total != params.n * params.k:
+        report.flag("coverage", f"|E(A)| = {total}, expected nk = {params.n * params.k}")
 
-    for i in range(1, params.m + 1):
-        row = array.row(i)
-        if row and not sum_elements(array.spec, row).is_identity:
+    for i, row in enumerate(rows, start=1):
+        if row and sum(row) % v:
             report.flag("row-sum", f"row {i} does not sum to 0 in Z_{v}")
-    for j in range(1, params.n + 1):
-        col = array.col(j)
-        if col and not sum_elements(array.spec, col).is_identity:
+    for j, col in enumerate(cols, start=1):
+        if col and sum(col) % v:
             report.flag("col-sum", f"column {j} does not sum to 0 in Z_{v}")
-    return report
+    return report, rows, cols
+
+
+def verify_relative_heffter(array: PFArray, params: HeffterParams) -> VerificationReport:
+    """Check conditions (a), (b), (c) of the relative Heffter array definition."""
+    return _relative_heffter(array, params)[0]
 
 
 def verify_integer(array: PFArray, params: HeffterParams) -> VerificationReport:
     """verify_relative_heffter plus zero row/column sums over the integers."""
-    report = verify_relative_heffter(array, params)
-    for i in range(1, params.m + 1):
-        total = sum(symmetric_rep(e) for e in array.row(i))
+    report, rows, cols = _relative_heffter(array, params)
+    v = params.v
+    for i, row in enumerate(rows, start=1):
+        total = sum(symmetric_residue(x, v) for x in row)
         if total != 0:
             report.flag("integer-sum", f"row {i} sums to {total} over Z")
-    for j in range(1, params.n + 1):
-        total = sum(symmetric_rep(e) for e in array.col(j))
+    for j, col in enumerate(cols, start=1):
+        total = sum(symmetric_residue(x, v) for x in col)
         if total != 0:
             report.flag("integer-sum", f"column {j} sums to {total} over Z")
     return report
@@ -187,25 +193,25 @@ def verify_archdeacon(array: PFArray) -> VerificationReport:
     would forbid it since 0 = -0.
     """
     report = VerificationReport()
-    entries = array.entry_list
-    counts = Counter(entries)
-    for e, c in sorted(counts.items(), key=lambda ec: ec[0].coords):
-        if c > 1:
-            report.flag("duplicate", f"entry {e.coords} appears {c} times")
-    present = set(counts)
-    for e in sorted(present, key=lambda e: e.coords):
-        if e.is_identity:
+    orders = array.spec.orders
+    rows = [[e.coords for e in array.row(i)] for i in range(1, array.m + 1)]
+    cols = [[e.coords for e in array.col(j)] for j in range(1, array.n + 1)]
+    counts = Counter(c for row in rows for c in row)
+    present = sorted(counts)
+    for c in present:
+        if counts[c] > 1:
+            report.flag("duplicate", f"entry {c} appears {counts[c]} times")
+    for c in present:
+        negative = tuple(-x % o for x, o in zip(c, orders))
+        if not any(c):
             report.flag("zero-entry", "the identity appears as an entry")
-        elif neg(e) in present:
-            if neg(e) == e or e.coords < neg(e).coords:
-                report.flag("antisymmetric", f"both {e.coords} and its negative appear")
-    for i in range(1, array.m + 1):
-        row = array.row(i)
-        if row and not sum_elements(array.spec, row).is_identity:
+        elif negative in counts and c <= negative:  # flag each pair once
+            report.flag("antisymmetric", f"both {c} and its negative appear")
+    for i, row in enumerate(rows, start=1):
+        if row and any(sum_coords(orders, row)):
             report.flag("row-sum", f"row {i} does not sum to 0")
-    for j in range(1, array.n + 1):
-        col = array.col(j)
-        if col and not sum_elements(array.spec, col).is_identity:
+    for j, col in enumerate(cols, start=1):
+        if col and any(sum_coords(orders, col)):
             report.flag("col-sum", f"column {j} does not sum to 0")
     return report
 

@@ -7,7 +7,7 @@ from itertools import product
 from math import lcm
 from typing import Sequence
 
-from .group import GroupElement
+from .group import GroupElement, GroupError
 from .pfarray import Cell, PFArray, Skeleton, skeleton_from_diagonals
 
 ArrayLike = PFArray | Skeleton
@@ -35,41 +35,42 @@ def partial_sums(seq: Sequence[GroupElement]) -> list[GroupElement]:
 def is_simple(seq: Sequence[GroupElement]) -> bool:
     """True iff all partial sums are pairwise distinct, i.e. no proper nonempty
     run of consecutive elements sums to zero."""
-    sums = partial_sums(seq)
-    return len(set(sums)) == len(sums)
+    if not seq:
+        raise ValueError("partial sums of an empty sequence")
+    spec = seq[0].spec
+    for e in seq:
+        if e.spec != spec:
+            raise GroupError(f"group mismatch: {spec} vs {e.spec}")
+    return _simple_coords(spec.orders, [e.coords for e in seq])
+
+
+def _simple_coords(orders: tuple[int, ...], line: Sequence[tuple[int, ...]]) -> bool:
+    """is_simple on coordinate tuples: running sums kept as residues (tuples of
+    residues for product groups) until the first repeat."""
+    seen: set = set()
+    if len(orders) == 1:
+        v, total = orders[0], 0
+        for x, in line:
+            total = (total + x) % v
+            if total in seen:
+                return False
+            seen.add(total)
+        return True
+    totals = (0,) * len(orders)
+    for c in line:
+        totals = tuple((a + x) % o for a, x, o in zip(totals, c, orders))
+        if totals in seen:
+            return False
+        seen.add(totals)
+    return True
 
 
 def is_globally_simple(array: PFArray) -> bool:
     """True iff every row (left to right) and column (top to bottom) is simple."""
-    for i in range(1, array.m + 1):
-        row = array.row(i)
-        if row and not is_simple(row):
-            return False
-    for j in range(1, array.n + 1):
-        col = array.col(j)
-        if col and not is_simple(col):
-            return False
-    return True
-
-
-def remark_fastpath(seq: Sequence[GroupElement]) -> bool:
-    """Simplicity check that skips index pairs at distance <= 2.
-
-    Valid only for rows/columns of a relative Heffter array, where nonzero
-    entries and the absence of +-x pairs make the nearby partial sums
-    automatically distinct; refuses sequences outside that scope.
-    """
-    if any(e.is_identity for e in seq):
-        raise ValueError("zero entry: sequence is not a Heffter row/column")
-    for a, b in zip(seq, seq[1:]):
-        if (a + b).is_identity:
-            raise ValueError("adjacent entries cancel: not a Heffter row/column")
-    sums = partial_sums(seq)
-    for b in range(len(sums)):
-        for c in range(b + 3, len(sums)):
-            if sums[b] == sums[c]:
-                return False
-    return True
+    orders = array.spec.orders
+    lines = [array.row(i) for i in range(1, array.m + 1)]
+    lines += [array.col(j) for j in range(1, array.n + 1)]
+    return all(_simple_coords(orders, [e.coords for e in line]) for line in lines)
 
 
 # -- orderings ----------------------------------------------------------

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import io
 from dataclasses import dataclass, field
+from functools import cached_property
+from types import MappingProxyType
 from typing import Iterable, Mapping
 
 from .group import GroupElement, GroupError, GroupSpec, symmetric_rep
@@ -50,19 +52,26 @@ class Skeleton:
 
 @dataclass(frozen=True)
 class PFArray:
-    """An m x n partially filled array over a GroupSpec; empty cells are absent keys."""
+    """An m x n partially filled array over a GroupSpec; empty cells are absent keys.
+
+    The array keeps a read-only copy of the entries it is given, so the row and
+    column index it builds on first use cannot go stale."""
 
     m: int
     n: int
     spec: GroupSpec
     entries: Mapping[Cell, GroupElement] = field(default_factory=dict)
+    _cells: dict[Cell, GroupElement] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        for (r, c), e in self.entries.items():
+        cells = dict(self.entries)
+        for (r, c), e in cells.items():
             if not (1 <= r <= self.m and 1 <= c <= self.n):
                 raise ValueError(f"cell {(r, c)} outside {self.m}x{self.n}")
             if e.spec != self.spec:
                 raise GroupError(f"entry at {(r, c)} belongs to a different group")
+        object.__setattr__(self, "_cells", cells)
+        object.__setattr__(self, "entries", MappingProxyType(cells))
 
     @property
     def skeleton(self) -> Skeleton:
@@ -71,19 +80,30 @@ class PFArray:
     @property
     def entry_list(self) -> list[GroupElement]:
         """E(A): the entries in row-major cell order."""
-        return [self.entries[c] for c in sorted(self.entries)]
+        return [self._cells[c] for c in sorted(self._cells)]
+
+    @cached_property
+    def _lines(self) -> tuple[dict[int, list[GroupElement]], dict[int, list[GroupElement]]]:
+        """Entries of each nonempty row and column in natural order, from one
+        pass over the cells in row-major order."""
+        rows: dict[int, list[GroupElement]] = {}
+        cols: dict[int, list[GroupElement]] = {}
+        for cell in sorted(self._cells):
+            e = self._cells[cell]
+            rows.setdefault(cell[0], []).append(e)
+            cols.setdefault(cell[1], []).append(e)
+        return rows, cols
 
     def row(self, i: int) -> list[GroupElement]:
         """Entries of row i in the natural (left to right) order."""
-        return [self.entries[c] for c in sorted(self.entries) if c[0] == i]
+        return list(self._lines[0].get(i, ()))
 
     def col(self, j: int) -> list[GroupElement]:
         """Entries of column j in the natural (top to bottom) order."""
-        return [self.entries[c] for c in sorted(self.entries, key=lambda c: (c[1], c[0]))
-                if c[1] == j]
+        return list(self._lines[1].get(j, ()))
 
     def with_entries(self, extra: Mapping[Cell, GroupElement]) -> "PFArray":
-        merged = dict(self.entries)
+        merged = dict(self._cells)
         for cell, e in extra.items():
             if cell in merged:
                 raise ConstructionError(f"cell {cell} already filled")
@@ -98,18 +118,25 @@ class PFArray:
             "n": self.n,
             "group": self.spec.to_json(),
             "cells": [
-                {"r": r, "c": c, "v": list(self.entries[(r, c)].coords)}
-                for r, c in sorted(self.entries)
+                {"r": r, "c": c, "v": list(self._cells[(r, c)].coords)}
+                for r, c in sorted(self._cells)
             ],
         }
 
     @classmethod
     def from_json(cls, data: dict) -> "PFArray":
+        """Parse the JSON array format; coordinates must be canonical residues,
+        one per factor, and no cell may be listed twice."""
         spec = GroupSpec.from_json(data["group"])
-        entries = {
-            (int(cell["r"]), int(cell["c"])): spec.element(*cell["v"])
-            for cell in data["cells"]
-        }
+        entries: dict[Cell, GroupElement] = {}
+        for cell in data["cells"]:
+            key = (int(cell["r"]), int(cell["c"]))
+            coords = cell["v"]
+            if not isinstance(coords, list) or not all(type(x) is int for x in coords):
+                raise GroupError(f"cell {key}: coordinates {coords!r} are not a list of integers")
+            if key in entries:
+                raise ValueError(f"cell {key} listed twice")
+            entries[key] = GroupElement(spec, tuple(coords))
         return cls(int(data["m"]), int(data["n"]), spec, entries)
 
     def to_csv(self) -> str:
@@ -120,7 +147,7 @@ class PFArray:
         for r in range(1, self.m + 1):
             fields = []
             for c in range(1, self.n + 1):
-                e = self.entries.get((r, c))
+                e = self._cells.get((r, c))
                 fields.append("" if e is None else str(symmetric_rep(e)))
             out.write(",".join(fields))
             out.write("\n")
@@ -128,14 +155,25 @@ class PFArray:
 
     @classmethod
     def from_csv(cls, text: str, v: int) -> "PFArray":
+        """Parse the grid CSV format: every row has the same number of fields,
+        each empty or an integer, which is reduced mod v."""
         spec = GroupSpec.cyclic(v)
         entries: dict[Cell, GroupElement] = {}
         rows = [line.split(",") for line in text.splitlines()]
-        n = max(len(r) for r in rows)
+        if not rows:
+            raise ValueError("empty CSV")
+        n = len(rows[0])
         for i, fields in enumerate(rows, start=1):
+            if len(fields) != n:
+                raise ValueError(f"CSV row {i} has {len(fields)} fields, row 1 has {n}")
             for j, f in enumerate(fields, start=1):
-                if f.strip():
-                    entries[(i, j)] = spec.element(int(f))
+                if not f.strip():
+                    continue
+                try:
+                    x = int(f)
+                except ValueError:
+                    raise ValueError(f"CSV row {i}, field {j}: {f!r} is not an integer") from None
+                entries[(i, j)] = spec.element(x)
         return cls(len(rows), n, spec, entries)
 
 

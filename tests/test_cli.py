@@ -3,6 +3,8 @@
 import json
 from pathlib import Path
 
+import pytest
+
 from relheffter.cli import main
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -153,6 +155,44 @@ def test_embed_certification_error_is_violation_payload(tmp_path, capsys):
     assert code == 1
     assert payload == {"input": path, "status": "violation",
                        "error": "col 1 has fewer than 3 filled cells"}
+
+
+def _cells(*values):
+    return [{"r": 1, "c": c, "v": v} for c, v in enumerate(values, 1)]
+
+
+MALFORMED = {
+    "missing-group": ("a.json", {"m": 1, "n": 2, "cells": _cells([1], [4])}, ["--archdeacon"]),
+    "cell-outside": ("a.json", {"m": 1, "n": 2, "group": {"orders": [5]},
+                                "cells": _cells([1], [4], [2])}, ["--archdeacon"]),
+    "truncated-coords": ("a.json", {"m": 1, "n": 2, "group": {"orders": [5]},
+                                    "cells": _cells([1, 2], [4])}, ["--archdeacon"]),
+    "non-canonical": ("a.json", {"m": 1, "n": 2, "group": {"orders": [5]},
+                                 "cells": _cells([7], [4])}, ["--archdeacon"]),
+    "non-integer-csv": ("a.csv", "1,2,x\n", ["--v", "5", "--archdeacon"]),
+    "ragged-csv": ("a.csv", "1,-1\n-1,1,0\n", ["--v", "5", "--archdeacon"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_input_is_usage_error(tmp_path, capsys, case):
+    name, content, flags = MALFORMED[case]
+    path = tmp_path / name
+    path.write_text(content if isinstance(content, str) else json.dumps(content))
+    code = main(["verify", str(path), *flags])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith(f"error: {path}")
+    assert len(captured.err.strip().splitlines()) == 1
+
+
+def test_knight_empty_skeleton_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps({"m": 2, "n": 2, "cells": []}))
+    code = main(["knight", str(path), "--search"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == f"error: {path} has no filled cells\n"
 
 
 def test_determinism(tmp_path, capsys):

@@ -21,7 +21,6 @@ from relheffter.orderings import (
     natural_ordering,
     orientation_to_orderings,
     partial_sums,
-    remark_fastpath,
     search_lift_shape,
 )
 from relheffter.pfarray import Skeleton
@@ -50,15 +49,6 @@ def test_is_simple():
 def test_is_globally_simple_constructions():
     assert is_globally_simple(build_h7(7))
     assert is_globally_simple(build_h9(11))
-
-
-def test_remark_fastpath_agrees_with_full_check():
-    row = [e for e in build_h7(11).row(1)]
-    assert remark_fastpath(row) == is_simple(row)
-    with pytest.raises(ValueError):
-        remark_fastpath(seq(21, 0, 1, 2))
-    with pytest.raises(ValueError):
-        remark_fastpath(seq(21, 1, -1, 2))
 
 
 def test_natural_ordering_and_validate():

@@ -3,7 +3,9 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from relheffter.group import GroupSpec, symmetric_rep
+from relheffter.group import GroupError, GroupSpec, symmetric_rep
+from relheffter.heffter import verify_archdeacon
+from relheffter.orderings import is_globally_simple
 from relheffter.pfarray import (
     ConstructionError,
     DiagSpec,
@@ -158,3 +160,48 @@ def test_entry_order_conventions():
     assert [symmetric_rep(e) for e in a.row(2)] == [2, 3]
     assert [symmetric_rep(e) for e in a.col(2)] == [1, 3, 4]
     assert [symmetric_rep(e) for e in a.entry_list] == [1, 2, 3, 4]
+
+
+def test_from_json_is_strict():
+    def load(cells, orders=(5,)):
+        return PFArray.from_json({"m": 2, "n": 2, "group": {"orders": list(orders)},
+                                  "cells": cells})
+
+    assert load([{"r": 1, "c": 1, "v": [4]}]).entries[(1, 1)].coords == (4,)
+    for v in ([1, 2], [], [7], [-1], [1.0], ["1"], 1):
+        with pytest.raises(GroupError):
+            load([{"r": 1, "c": 1, "v": v}])
+    with pytest.raises(GroupError):
+        load([{"r": 1, "c": 1, "v": [3]}], orders=(5, 3))
+    with pytest.raises(ValueError, match="listed twice"):
+        load([{"r": 1, "c": 1, "v": [1]}, {"r": 1, "c": 1, "v": [2]}])
+
+
+def test_from_csv_is_strict():
+    assert PFArray.from_csv("-3, 12\n,\n", 21).entries == {
+        (1, 1): GroupSpec.cyclic(21).element(18), (1, 2): GroupSpec.cyclic(21).element(12)}
+    for text in ("1,-1\n-1,1,0\n", "1,2,x\n", "1,2.0\n", "1,0x3\n", ""):
+        with pytest.raises(ValueError):
+            PFArray.from_csv(text, 21)
+
+
+def test_index_does_not_go_stale():
+    spec = GroupSpec.cyclic(23)
+    rows = [[1, 2, 20], [4, 9, 10], [18, 12, 16]]
+    entries = {(i, j): spec.element(x)
+               for i, row in enumerate(rows, 1) for j, x in enumerate(row, 1)}
+    a = PFArray(3, 3, spec, entries)
+    before = ([a.row(i) for i in (1, 2, 3)], [a.col(j) for j in (1, 2, 3)],
+              verify_archdeacon(a).to_json(), is_globally_simple(a))
+    assert before[2]["valid"] and before[3]
+
+    entries[(1, 1)] = spec.element(5)
+    del entries[(2, 2)]
+    a.row(1).append(spec.element(7))
+    a.col(1).clear()
+    with pytest.raises(TypeError):
+        a.entries[(1, 1)] = spec.element(5)
+    after = ([a.row(i) for i in (1, 2, 3)], [a.col(j) for j in (1, 2, 3)],
+             verify_archdeacon(a).to_json(), is_globally_simple(a))
+    assert after == before
+    assert a == PFArray(3, 3, spec, dict(a.entries))
