@@ -8,26 +8,10 @@ import json
 import sys
 from dataclasses import dataclass
 
-from relheffter.constructions import build_h7, build_h9, build_h_2n_3, build_h_n_3
+from relheffter.constructions import FAMILIES
 from relheffter.heffter import HeffterParams, verify_integer
-from relheffter.orderings import Orientation, knight_search, orientation_to_orderings
-from relheffter.topology import (
-    CayleyGraph,
-    base_cycles,
-    build_rho0,
-    develop_and_verify,
-    heffter_genus_formula,
-    trace_faces,
-    two_color_check,
-    verify_orthogonal,
-)
-
-BUILDERS = {
-    "h-n-3": (build_h_n_3, 3, lambda n: n),
-    "h-2n-3": (build_h_2n_3, 3, lambda n: 2 * n),
-    "h7": (build_h7, 7, lambda n: 7),
-    "h9": (build_h9, 9, lambda n: 9),
-}
+from relheffter.orderings import knight_search
+from relheffter.topology import certify_biembedding, heffter_genus_formula
 
 
 @dataclass
@@ -38,49 +22,31 @@ class PipelineConfig:
 
 
 def run(config: PipelineConfig) -> dict:
-    build, k, t_of_n = BUILDERS[config.family]
-    n, t = config.n, t_of_n(config.n)
-    array = build(n)
-    params = HeffterParams.square(n, k, t)
-    assert verify_integer(array, params).valid
+    family = FAMILIES[config.family]
+    n, k, t = config.n, family.k, family.t(config.n)
+    array = family.builder(n)
+    result = {"family": config.family, "n": n}
+    verification = verify_integer(array, HeffterParams.square(n, k, t))
+    if not verification.valid:
+        return {**result, "status": "violation", "verification": verification.to_json()}
 
     solution = knight_search(array)
     if solution is None:
-        return {"family": config.family, "n": n, "status": "no-knight-solution"}
-    ordering = orientation_to_orderings(array, solution)
-
-    rho0 = build_rho0(array, ordering)
-    graph = CayleyGraph.from_entries(array)
-    report = trace_faces(graph, rho0)
-    report.formula_genus = heffter_genus_formula(n, n, k, k, t)
-    colored = two_color_check(report, array, ordering)
-
-    cols = develop_and_verify(base_cycles(array, ordering, by="col"), graph)
-    reversed_rows = orientation_to_orderings(
-        array, Orientation(tuple(-x for x in solution.r), solution.c)
-    )
-    rows = develop_and_verify(base_cycles(array, reversed_rows, by="row"), graph)
-
-    result = {
-        "family": config.family,
-        "n": n,
-        "t": t,
-        "orientation": solution.to_strings(),
-        "embedding": report.to_json(),
-        "two_colorable": colored,
-        "orthogonal": verify_orthogonal(rows, cols),
-        "status": "ok" if colored and report.genus == report.formula_genus else "violation",
-    }
+        return {**result, "status": "no-knight-solution"}
+    cert = certify_biembedding(array, solution)
+    cert.embedding.formula_genus = heffter_genus_formula(n, n, k, k, t)
+    result.update(cert.to_json(), t=t, orientation=solution.to_strings(),
+                  status="ok" if cert.ok else "violation")
     if config.emit_faces:
         result["faces"] = [
-            [[list(x.coords) for x in e] for e in face] for face in report.faces
+            [[list(x.coords) for x in e] for e in face] for face in cert.embedding.faces
         ]
     return result
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("family", choices=list(BUILDERS))
+    parser.add_argument("family", choices=list(FAMILIES))
     parser.add_argument("n", type=int)
     parser.add_argument("--emit-faces", action="store_true")
     args = parser.parse_args()

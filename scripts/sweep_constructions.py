@@ -5,43 +5,11 @@ verification, support, diagonal structure, and global simplicity."""
 import argparse
 import sys
 import time
-from dataclasses import dataclass
 
-from relheffter.constructions import (
-    build_h7,
-    build_h9,
-    build_h_2n_3,
-    build_h_n_3,
-    h7_support,
-    h9_support,
-    h_2n_3_support,
-    h_n_3_support,
-)
+from relheffter.constructions import FAMILIES
 from relheffter.heffter import HeffterParams, verify_integer
 from relheffter.orderings import is_globally_simple
 from relheffter.pfarray import classify_diagonals, support
-
-
-@dataclass(frozen=True)
-class Family:
-    name: str
-    build: callable
-    expected_support: callable
-    k: int
-    t_of_n: callable
-    admissible: callable
-
-
-FAMILIES = {
-    "h-n-3": Family("h-n-3", build_h_n_3, h_n_3_support, 3,
-                    lambda n: n, lambda n: n >= 3 and n % 2 == 1),
-    "h-2n-3": Family("h-2n-3", build_h_2n_3, h_2n_3_support, 3,
-                     lambda n: 2 * n, lambda n: n >= 3 and n % 2 == 1),
-    "h7": Family("h7", build_h7, h7_support, 7,
-                 lambda n: 7, lambda n: n >= 7 and n % 4 == 3),
-    "h9": Family("h9", build_h9, h9_support, 9,
-                 lambda n: 9, lambda n: n >= 11 and n % 4 == 3),
-}
 
 
 def main() -> int:
@@ -59,10 +27,10 @@ def main() -> int:
         for n in range(3, args.max_n + 1):
             if not fam.admissible(n):
                 continue
-            a = fam.build(n)
-            report = verify_integer(a, HeffterParams.square(n, fam.k, fam.t_of_n(n)))
+            a = fam.builder(n)
+            report = verify_integer(a, HeffterParams.square(n, fam.k, fam.t(n)))
             ok = (report.valid
-                  and support(a) == fam.expected_support(n)
+                  and support(a) == fam.support(n)
                   and is_globally_simple(a)
                   and classify_diagonals(a).is_k_diagonal)
             count += 1

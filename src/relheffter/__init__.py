@@ -38,6 +38,7 @@ from .heffter import (
     verify_relative_heffter,
 )
 from .constructions import (
+    FAMILIES,
     build_archdeacon_composite,
     build_B,
     build_h7,
@@ -65,6 +66,7 @@ from .orderings import (
     search_lift_shape,
 )
 from .topology import (
+    BiembeddingCertificate,
     CayleyGraph,
     CertificationError,
     Cycle,
@@ -72,6 +74,7 @@ from .topology import (
     EmbeddingReport,
     base_cycles,
     build_rho0,
+    certify_biembedding,
     develop_and_verify,
     heffter_genus_formula,
     trace_faces,

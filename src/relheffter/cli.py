@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from contextlib import contextmanager
 from pathlib import Path
@@ -27,21 +26,10 @@ from .orderings import (
     knight_tour,
     nine_diagonal_orientation,
     lift_solution,
-    orientation_to_orderings,
     search_lift_shape,
 )
 from .pfarray import PFArray, Skeleton
-from .topology import (
-    CayleyGraph,
-    CertificationError,
-    base_cycles,
-    build_rho0,
-    develop_and_verify,
-    heffter_genus_formula,
-    trace_faces,
-    two_color_check,
-    verify_orthogonal,
-)
+from .topology import CertificationError, certify_biembedding, heffter_genus_formula
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -130,20 +118,14 @@ def cmd_construct(args: argparse.Namespace) -> int:
     report: VerificationReport | None = None
     payload: dict = {"family": family}
 
-    if family in ("h-n-3", "h-2n-3", "h7", "h9"):
+    if family in cons.FAMILIES:
         if args.n is None:
             raise UsageError("--n is required")
-        builder = {
-            "h-n-3": (cons.build_h_n_3, lambda n: n),
-            "h-2n-3": (cons.build_h_2n_3, lambda n: 2 * n),
-            "h7": (cons.build_h7, lambda n: 7),
-            "h9": (cons.build_h9, lambda n: 9),
-        }[family]
         try:
-            array = builder[0](args.n)
+            array = cons.FAMILIES[family].builder(args.n)
         except ValueError as exc:
             raise UsageError(str(exc)) from exc
-        t = builder[1](args.n)
+        t = cons.FAMILIES[family].t(args.n)
         report = verify_integer(array, _square_params(array, t))
         payload["t"] = t
         payload["globally_simple"] = is_globally_simple(array)
@@ -310,44 +292,22 @@ def cmd_embed(args: argparse.Namespace) -> int:
     if not is_globally_simple(array):
         raise UsageError("input array is not globally simple")
 
-    ordering = orientation_to_orderings(array, orientation)
     try:
-        rho0 = build_rho0(array, ordering)
-        graph = CayleyGraph.from_entries(array)
-        report = trace_faces(graph, rho0)
-        two_colorable = two_color_check(report, array, ordering)
-
-        d_col = develop_and_verify(base_cycles(array, ordering, by="col"), graph)
-        rev_rows = orientation_to_orderings(array, Orientation(
-            tuple(-x for x in orientation.r), orientation.c))
-        d_row = develop_and_verify(base_cycles(array, rev_rows, by="row"), graph)
+        cert = certify_biembedding(array, orientation)
     except CertificationError as exc:
         _emit({"input": args.input, "status": "violation", "error": str(exc)})
         return EXIT_VIOLATION
     except ValueError as exc:  # e.g. repeated entries: no entry-level orderings
         raise UsageError(str(exc)) from exc
-    orthogonal = verify_orthogonal(d_row, d_col)
-
-    payload = {
-        "input": args.input,
-        "embedding": report.to_json(),
-        "two_colorable": two_colorable,
-        "row_decomposition": d_row.to_json(),
-        "col_decomposition": d_col.to_json(),
-        "orthogonal": orthogonal,
-    }
     if args.t is not None:
         params = _square_params(array, args.t)
-        payload["embedding"]["formula_genus"] = heffter_genus_formula(
+        cert.embedding.formula_genus = heffter_genus_formula(
             params.m, params.n, params.s, params.k, params.t
         )
-        report.formula_genus = payload["embedding"]["formula_genus"]
-    ok = two_colorable and orthogonal and (
-        report.formula_genus is None or report.formula_genus == report.genus
-    )
-    payload["status"] = "ok" if ok else "violation"
+    payload = {"input": args.input, **cert.to_json()}
+    payload["status"] = "ok" if cert.ok else "violation"
     _emit(payload)
-    return EXIT_OK if ok else EXIT_VIOLATION
+    return EXIT_OK if cert.ok else EXIT_VIOLATION
 
 
 # -- parser -------------------------------------------------------------
@@ -358,15 +318,11 @@ def build_parser() -> argparse.ArgumentParser:
         prog="relheffter",
         description="Construct, verify, and certify relative Heffter and Archdeacon arrays.",
     )
-    parser.add_argument(
-        "--jobs", type=int, default=int(os.environ.get("HEFFTER_JOBS", "1")),
-        help="worker hint for search/certification loops (current implementation is serial)",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("construct", help="build an array family and verify it")
     p.add_argument("family", choices=[
-        "h-n-3", "h-2n-3", "h7", "h9", "B", "archdeacon-composite", "skeleton-cor39",
+        *cons.FAMILIES, "B", "archdeacon-composite", "skeleton-cor39",
     ])
     p.add_argument("--n", type=int)
     p.add_argument("--m", type=int)

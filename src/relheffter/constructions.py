@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+from typing import Callable
+
 from .group import GroupSpec
 from .pfarray import (
     Cell,
@@ -10,6 +13,7 @@ from .pfarray import (
     Skeleton,
     classify_diagonals,
     cyclic_row_shift,
+    cyclic_runs,
     diag,
     direct_sum,
     skeleton_from_diagonals,
@@ -140,6 +144,28 @@ def h9_support(n: int) -> set[int]:
     return set(range(1, 9 * n + 5)) - {2 * n + 1, 4 * n + 2, 6 * n + 3, 8 * n + 4}
 
 
+@dataclass(frozen=True)
+class Family:
+    """A direct family of integer globally simple H_t(n; k) over Z_{2nk+t}."""
+
+    name: str
+    builder: Callable[[int], PFArray]
+    support: Callable[[int], set[int]]
+    k: int
+    t: Callable[[int], int]
+    admissible: Callable[[int], bool]
+
+
+FAMILIES = {f.name: f for f in (
+    Family("h-n-3", build_h_n_3, h_n_3_support, 3,
+           lambda n: n, lambda n: n >= 3 and n % 2 == 1),
+    Family("h-2n-3", build_h_2n_3, h_2n_3_support, 3,
+           lambda n: 2 * n, lambda n: n >= 3 and n % 2 == 1),
+    Family("h7", build_h7, h7_support, 7, lambda n: 7, lambda n: n >= 7 and n % 4 == 3),
+    Family("h9", build_h9, h9_support, 9, lambda n: 9, lambda n: n >= 11 and n % 4 == 3),
+)}
+
+
 def build_B(m: int, n: int, d: int, i1: int, i2: int, j1: int, j2: int) -> PFArray:
     """The four-cell gadget B_{m,n,d}(i1, i2; j1, j2) over Z_d with entries +-1."""
     if d <= 2:
@@ -162,23 +188,8 @@ def relabel_to_leading_diagonals(array: PFArray) -> PFArray:
     report = classify_diagonals(array)
     if not report.is_cyclically_k_diagonal:
         raise ValueError("array is not cyclically k-diagonal")
-    n = array.n
-    filled = report.filled_diagonal_indices
-    if filled == set(range(1, len(filled) + 1)):
-        return array
-    # the filled run starts just after the single empty strip ends
-    empties = sorted(set(range(1, n + 1)) - filled)
-    runs: list[list[int]] = []
-    for i in empties:
-        if runs and runs[-1][-1] == i - 1:
-            runs[-1].append(i)
-        else:
-            runs.append([i])
-    if len(runs) == 2 and runs[0][0] == 1 and runs[-1][-1] == n:
-        runs = [runs[1] + runs[0]]
-    assert len(runs) == 1
-    start = runs[0][-1] % n + 1
-    return cyclic_row_shift(array, 1 - start)
+    (run,) = cyclic_runs(report.filled_diagonal_indices, array.n)
+    return cyclic_row_shift(array, 1 - run[0])
 
 
 def build_archdeacon_composite(array: PFArray, d: int) -> PFArray:
@@ -203,8 +214,7 @@ def build_skeleton_cor39(n: int, k: int) -> Skeleton:
         raise ValueError(f"k must be 3 (mod 4) and >= 3, got {k}")
     if n % 4 != 1 or n < k:
         raise ValueError(f"n must be 1 (mod 4) and >= k, got {n}")
-    indices = list(range(1, k - 2)) + [k - 1, k, k + 1]
-    return skeleton_from_diagonals(n, indices)
+    return skeleton_from_diagonals(n, cor39_diagonal_indices(k))
 
 
 def cor39_diagonal_indices(k: int) -> list[int]:

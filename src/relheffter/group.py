@@ -54,7 +54,10 @@ class GroupSpec:
 
     @classmethod
     def from_json(cls, data: dict) -> "GroupSpec":
-        return cls(tuple(int(o) for o in data["orders"]))
+        orders = data["orders"]
+        if not isinstance(orders, list) or not all(type(o) is int for o in orders):
+            raise GroupError(f"orders {orders!r} are not a list of integers")
+        return cls(tuple(orders))
 
 
 @dataclass(frozen=True)

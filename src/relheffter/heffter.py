@@ -6,7 +6,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from .group import subgroup_of_order, sum_coords, symmetric_residue
-from .pfarray import PFArray
+from .pfarray import PFArray, Skeleton
 
 
 @dataclass(frozen=True)
@@ -227,7 +227,10 @@ def check_compatibility_parity(m: int, n: int, s: int, k: int, t: int) -> bool:
     return False
 
 
-def skeleton_parity_ok(array: PFArray) -> bool:
+def skeleton_parity_ok(array: PFArray | Skeleton) -> bool:
     """|skel(A)| == m + n - 1 (mod 2): required for compatible orderings when no
-    row or column of A is empty."""
-    return len(array.entries) % 2 == (array.m + array.n - 1) % 2
+    row or column of A is empty, so True whenever one is."""
+    cells = array.cells if isinstance(array, Skeleton) else array.entries
+    if len({r for r, _ in cells}) < array.m or len({c for _, c in cells}) < array.n:
+        return True
+    return len(cells) % 2 == (array.m + array.n - 1) % 2

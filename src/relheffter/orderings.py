@@ -5,9 +5,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 from math import lcm
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .group import GroupElement, GroupError
+from .heffter import skeleton_parity_ok
 from .pfarray import Cell, PFArray, Skeleton, skeleton_from_diagonals
 
 ArrayLike = PFArray | Skeleton
@@ -73,6 +74,17 @@ def is_globally_simple(array: PFArray) -> bool:
     return all(_simple_coords(orders, [e.coords for e in line]) for line in lines)
 
 
+def orbit(step: Callable, start) -> list:
+    """The cycle of the permutation step through start, beginning at start; the
+    permutation is a single cycle iff this covers its whole domain."""
+    out = [start]
+    cur = step(start)
+    while cur != start:
+        out.append(cur)
+        cur = step(cur)
+    return out
+
+
 # -- orderings ----------------------------------------------------------
 
 
@@ -101,6 +113,12 @@ class Ordering:
 
     def col_entries(self, array: PFArray, j: int) -> list[GroupElement]:
         return [array.entries[c] for c in self.col_orders[j]]
+
+    def with_reversed_rows(self) -> "Ordering":
+        """Every row ordering reversed (omega_r inverse), the columns unchanged."""
+        return Ordering(
+            {i: cells[::-1] for i, cells in self.row_orders.items()}, self.col_orders
+        )
 
 
 def natural_ordering(array: ArrayLike) -> Ordering:
@@ -171,13 +189,7 @@ def compose_orderings(array: ArrayLike, ordering: Ordering) -> tuple[dict[Cell, 
     perm = {cell: col_next[row_next[cell]] for cell in skel.cells}
     if not perm:
         return perm, False
-    start = min(perm)
-    length = 1
-    cur = perm[start]
-    while cur != start:
-        cur = perm[cur]
-        length += 1
-    return perm, length == len(skel.cells)
+    return perm, len(orbit(perm.__getitem__, min(perm))) == len(skel.cells)
 
 
 # -- the Crazy Knight's Tour map ----------------------------------------
@@ -216,12 +228,8 @@ def knight_tour(array: ArrayLike, o: Orientation, start: Cell) -> tuple[list[Cel
     skel = _skel(array)
     if not skel.cells:
         raise ValueError("empty array")
-    orbit = [start]
-    cur = knight_step(skel, o, start)
-    while cur != start:
-        orbit.append(cur)
-        cur = knight_step(skel, o, cur)
-    return orbit, len(orbit) == len(skel.cells)
+    cells = orbit(lambda cell: knight_step(skel, o, cell), start)
+    return cells, len(cells) == len(skel.cells)
 
 
 class _FastTour:
@@ -273,7 +281,7 @@ def knight_search(array: ArrayLike, parity_prefilter: bool = True) -> Orientatio
     skel = _skel(array)
     if not skel.cells:
         raise ValueError("empty array")
-    if parity_prefilter and _parity_infeasible(skel):
+    if parity_prefilter and not skeleton_parity_ok(skel):
         return None
     tour = _FastTour(skel)
     m, n = skel.m, skel.n
@@ -283,15 +291,6 @@ def knight_search(array: ArrayLike, parity_prefilter: bool = True) -> Orientatio
         if tour.is_solution(r, c):
             return Orientation(r, c)
     return None
-
-
-def _parity_infeasible(skel: Skeleton) -> bool:
-    """The parity obstruction applies only when no row or column is empty."""
-    rows = {r for r, _ in skel.cells}
-    cols = {c for _, c in skel.cells}
-    if len(rows) < skel.m or len(cols) < skel.n:
-        return False
-    return len(skel.cells) % 2 != (skel.m + skel.n - 1) % 2
 
 
 # -- lifting (enlarging a diagonal-family solution) ---------------------

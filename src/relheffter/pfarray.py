@@ -22,6 +22,13 @@ def _reduce_index(x: int, n: int) -> int:
     return (x - 1) % n + 1
 
 
+def _int(value: object, name: str) -> int:
+    """A JSON integer field, taken as is: floats, strings and booleans are rejected."""
+    if type(value) is not int:
+        raise ValueError(f"{name} {value!r} is not an integer")
+    return value
+
+
 @dataclass(frozen=True)
 class Skeleton:
     """The set of filled positions of an m x n partially filled array."""
@@ -46,8 +53,8 @@ class Skeleton:
 
     @classmethod
     def from_json(cls, data: dict) -> "Skeleton":
-        return cls(int(data["m"]), int(data["n"]),
-                   frozenset((int(r), int(c)) for r, c in data["cells"]))
+        return cls(_int(data["m"], "m"), _int(data["n"], "n"),
+                   frozenset((_int(r, "r"), _int(c, "c")) for r, c in data["cells"]))
 
 
 @dataclass(frozen=True)
@@ -130,14 +137,14 @@ class PFArray:
         spec = GroupSpec.from_json(data["group"])
         entries: dict[Cell, GroupElement] = {}
         for cell in data["cells"]:
-            key = (int(cell["r"]), int(cell["c"]))
+            key = (_int(cell["r"], "r"), _int(cell["c"], "c"))
             coords = cell["v"]
             if not isinstance(coords, list) or not all(type(x) is int for x in coords):
                 raise GroupError(f"cell {key}: coordinates {coords!r} are not a list of integers")
             if key in entries:
                 raise ValueError(f"cell {key} listed twice")
             entries[key] = GroupElement(spec, tuple(coords))
-        return cls(int(data["m"]), int(data["n"]), spec, entries)
+        return cls(_int(data["m"], "m"), _int(data["n"], "n"), spec, entries)
 
     def to_csv(self) -> str:
         """Grid CSV with symmetric representatives; empty string for empty cells."""
@@ -245,30 +252,27 @@ def classify_diagonals(array: PFArray | Skeleton) -> DiagonalReport:
         union.update(diagonal_cells(n, i))
     is_k_diagonal = bool(filled) and union == set(skel)
 
-    # consecutive mod n: the filled indices form one cyclic run
-    if filled == set(range(1, n + 1)):
-        cyclic = is_k_diagonal
-        strips: list[int] = []
-    elif filled:
-        empties = sorted(set(range(1, n + 1)) - filled)
-        # maximal cyclic runs of empty diagonals
-        runs: list[list[int]] = []
-        for i in empties:
-            if runs and runs[-1][-1] == i - 1:
-                runs[-1].append(i)
-            else:
-                runs.append([i])
-        if len(runs) >= 2 and runs[0][0] == 1 and runs[-1][-1] == n:
-            runs[0] = runs.pop() + runs[0]
-        strips = [len(r) for r in runs]
-        cyclic = is_k_diagonal and len(runs) == 1
-    else:
-        cyclic = False
-        strips = []
-
-    widths = tuple(sorted(strips))
+    # consecutive mod n: the filled indices form one cyclic run, so the empty
+    # ones form at most one
+    strips = cyclic_runs(set(range(1, n + 1)) - filled, n) if filled else []
+    cyclic = is_k_diagonal and len(strips) <= 1
+    widths = tuple(sorted(len(r) for r in strips))
     uniform = widths[0] if widths and len(set(widths)) == 1 else None
     return DiagonalReport(filled, is_k_diagonal, cyclic, widths, uniform)
+
+
+def cyclic_runs(indices: Iterable[int], n: int) -> list[list[int]]:
+    """Maximal runs of consecutive indices in 1..n, where n is followed by 1; a
+    run through n and 1 is one run, listed first."""
+    runs: list[list[int]] = []
+    for i in sorted(indices):
+        if runs and runs[-1][-1] == i - 1:
+            runs[-1].append(i)
+        else:
+            runs.append([i])
+    if len(runs) >= 2 and runs[0][0] == 1 and runs[-1][-1] == n:
+        runs[0] = runs.pop() + runs[0]
+    return runs
 
 
 def direct_sum(a: PFArray, b: PFArray) -> PFArray:

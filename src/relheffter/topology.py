@@ -6,7 +6,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from .group import GroupElement, GroupSpec, neg, subgroup_of_order
-from .orderings import Ordering, partial_sums
+from .orderings import Ordering, Orientation, orbit, orientation_to_orderings, partial_sums
 from .pfarray import PFArray
 
 Edge = frozenset  # frozenset of two GroupElements
@@ -263,12 +263,7 @@ def build_rho0(array: PFArray, ordering: Ordering) -> RotationMap:
     for a in entries:
         mapping[a] = neg(omega_r[a])
         mapping[neg(a)] = omega_c[a]
-    start = next(iter(mapping))
-    length = 1
-    cur = mapping[start]
-    while cur != start:
-        cur = mapping[cur]
-        length += 1
+    length = len(orbit(mapping.__getitem__, next(iter(mapping))))
     if length != len(mapping):
         raise CertificationError(
             f"rho0 is not cyclic on +-E(A): orbit {length} of {len(mapping)} "
@@ -366,15 +361,21 @@ def two_color_check(report: EmbeddingReport, array: PFArray, ordering: Ordering)
 
     Stores the coloring into the report on success.
     """
+    col_base, row_base = _bases(array, ordering)
+    return _two_color(report, array.spec, col_base, row_base)
+
+
+def _bases(array: PFArray, ordering: Ordering) -> tuple[list[Cycle], list[Cycle]]:
+    """The column base cycles and the base cycles of the reversed rows."""
     # class 2 follows the REVERSED row orderings (omega_r inverse): reversing
     # the ordering negates every partial-sum cycle's edge set
-    reversed_rows = Ordering(
-        {i: tuple(reversed(cells)) for i, cells in ordering.row_orders.items()},
-        ordering.col_orders,
-    )
-    col_base = base_cycles(array, ordering, by="col")
-    row_base = base_cycles(array, reversed_rows, by="row")
-    v = array.spec.size
+    return (base_cycles(array, ordering, by="col"),
+            base_cycles(array, ordering.with_reversed_rows(), by="row"))
+
+
+def _two_color(report: EmbeddingReport, spec: GroupSpec,
+               col_base: list[Cycle], row_base: list[Cycle]) -> bool:
+    v = spec.size
     color_of: dict[frozenset[int], int] = {}
     # columns go in last, so a face in both classes gets class 1
     for color, base in ((2, row_base), (1, col_base)):
@@ -383,7 +384,7 @@ def two_color_check(report: EmbeddingReport, array: PFArray, ordering: Ordering)
 
     codes = report.face_codes
     if codes is None:
-        index = {g: _code(g) for g in array.spec.elements()}
+        index = {g: _code(g) for g in spec.elements()}
         codes = [[index[tail] for tail, _ in face] for face in report.faces]
     colors: list[int] = []
     seen = {1: set(), 2: set()}
@@ -402,3 +403,48 @@ def two_color_check(report: EmbeddingReport, array: PFArray, ordering: Ordering)
         return False
     report.color_of_face = colors
     return True
+
+
+@dataclass
+class BiembeddingCertificate:
+    """The certified biembedding of one array under one orientation."""
+
+    embedding: EmbeddingReport
+    two_colorable: bool
+    row_decomposition: DecompositionCertificate
+    col_decomposition: DecompositionCertificate
+    orthogonal: bool
+
+    @property
+    def ok(self) -> bool:
+        """Two-colourable, orthogonal, and of the formula genus when one is set."""
+        formula = self.embedding.formula_genus
+        return (self.two_colorable and self.orthogonal
+                and (formula is None or formula == self.embedding.genus))
+
+    def to_json(self) -> dict:
+        return {
+            "embedding": self.embedding.to_json(),
+            "two_colorable": self.two_colorable,
+            "row_decomposition": self.row_decomposition.to_json(),
+            "col_decomposition": self.col_decomposition.to_json(),
+            "orthogonal": self.orthogonal,
+        }
+
+
+def certify_biembedding(array: PFArray, orientation: Orientation) -> BiembeddingCertificate:
+    """The whole chain: the orientation's orderings, rho0 as one cycle on +-E(A),
+    the traced faces, their two-colouring, the exact development of the column
+    and reversed-row decompositions, and their orthogonality.
+
+    Raises CertificationError with a witness when a stage cannot be certified,
+    and ValueError when the entries are not distinct."""
+    ordering = orientation_to_orderings(array, orientation)
+    rho0 = build_rho0(array, ordering)
+    graph = CayleyGraph.from_entries(array)
+    report = trace_faces(graph, rho0)
+    col_base, row_base = _bases(array, ordering)
+    two_colorable = _two_color(report, array.spec, col_base, row_base)
+    cols = develop_and_verify(col_base, graph)
+    rows = develop_and_verify(row_base, graph)
+    return BiembeddingCertificate(report, two_colorable, rows, cols, verify_orthogonal(rows, cols))

@@ -171,6 +171,21 @@ MALFORMED = {
                                  "cells": _cells([7], [4])}, ["--archdeacon"]),
     "non-integer-csv": ("a.csv", "1,2,x\n", ["--v", "5", "--archdeacon"]),
     "ragged-csv": ("a.csv", "1,-1\n-1,1,0\n", ["--v", "5", "--archdeacon"]),
+    "float-m": ("a.json", {"m": 1.0, "n": 2, "group": {"orders": [5]},
+                           "cells": _cells([1], [4])}, ["--archdeacon"]),
+    "float-n": ("a.json", {"m": 1, "n": 2.9, "group": {"orders": [5]},
+                           "cells": _cells([1], [4])}, ["--archdeacon"]),
+    "float-r": ("a.json", {"m": 1, "n": 2, "group": {"orders": [5]},
+                           "cells": [{"r": 1.7, "c": 1, "v": [1]},
+                                     {"r": 1, "c": 2, "v": [4]}]}, ["--archdeacon"]),
+    "string-c": ("a.json", {"m": 1, "n": 2, "group": {"orders": [5]},
+                            "cells": [{"r": 1, "c": 1, "v": [1]},
+                                      {"r": 1, "c": "2", "v": [4]}]}, ["--archdeacon"]),
+    "bool-r": ("a.json", {"m": 1, "n": 2, "group": {"orders": [5]},
+                          "cells": [{"r": True, "c": 1, "v": [1]},
+                                    {"r": 1, "c": 2, "v": [4]}]}, ["--archdeacon"]),
+    "float-orders": ("a.json", {"m": 1, "n": 2, "group": {"orders": [5.5]},
+                                "cells": _cells([1], [4])}, ["--archdeacon"]),
 }
 
 
@@ -183,6 +198,22 @@ def test_malformed_input_is_usage_error(tmp_path, capsys, case):
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert captured.err.startswith(f"error: {path}")
+    assert len(captured.err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("skeleton", [
+    {"m": 2.0, "n": 2, "cells": [[1, 1], [2, 2]]},
+    {"m": 2, "n": "2", "cells": [[1, 1], [2, 2]]},
+    {"m": 2, "n": 2, "cells": [[1.5, 1], [2, 2]]},
+    {"m": 2, "n": 2, "cells": [[1, 1], [2, True]]},
+], ids=["float-m", "string-n", "float-r", "bool-c"])
+def test_malformed_skeleton_is_usage_error(tmp_path, capsys, skeleton):
+    path = tmp_path / "skel.json"
+    path.write_text(json.dumps(skeleton))
+    code = main(["knight", str(path), "--search"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith(f"error: {path}: ")
     assert len(captured.err.strip().splitlines()) == 1
 
 
@@ -214,6 +245,8 @@ def test_round_trip_construct_verify(tmp_path, capsys):
         capsys.readouterr()
 
 
-def test_jobs_flag_accepted(capsys):
-    code, payload = run(capsys, "--jobs", "4", "construct", "h-n-3", "--n", "3")
-    assert code == 0
+def test_jobs_flag_rejected(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--jobs", "4", "construct", "h-n-3", "--n", "3"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""

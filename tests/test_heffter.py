@@ -211,3 +211,7 @@ def test_skeleton_parity():
     spec = GroupSpec.cyclic(50)
     a = PFArray(2, 2, spec, {(1, 1): spec.element(1), (2, 2): spec.element(2)})
     assert not skeleton_parity_ok(a)  # 2 filled vs 2+2-1 odd
+    # no obstruction when a row or column is empty, for arrays and skeletons
+    empty_row = PFArray(2, 2, spec, {(1, 1): spec.element(1), (1, 2): spec.element(2)})
+    assert skeleton_parity_ok(empty_row) and skeleton_parity_ok(empty_row.skeleton)
+    assert not skeleton_parity_ok(a.skeleton)

@@ -9,14 +9,7 @@ from pathlib import Path
 from hypothesis import example, given, settings, strategies as st
 
 import heffter_oracle as oracle
-from relheffter.constructions import (
-    build_archdeacon_composite,
-    build_B,
-    build_h7,
-    build_h9,
-    build_h_2n_3,
-    build_h_n_3,
-)
+from relheffter.constructions import FAMILIES, build_archdeacon_composite, build_B, build_h_n_3
 from relheffter.group import GroupElement, GroupSpec
 from relheffter.heffter import (
     HeffterParams,
@@ -28,13 +21,6 @@ from relheffter.orderings import is_globally_simple
 from relheffter.pfarray import PFArray
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
-# family -> (builder, t)
-HEFFTER = {
-    "h-n-3": (build_h_n_3, lambda n: n),
-    "h-2n-3": (build_h_2n_3, lambda n: 2 * n),
-    "h7": (build_h7, lambda n: 7),
-    "h9": (build_h9, lambda n: 9),
-}
 Z51xZ3 = ("fixture", "archdeacon_8x8_z51xz3.json")
 Z60xZ3 = ("fixture", "archdeacon_7x7_z60xz3.json")
 CASES = [("h-n-3", 3), ("h-n-3", 5), ("h-2n-3", 3), ("h-2n-3", 5), ("h7", 7), ("h9", 11),
@@ -52,10 +38,8 @@ def instance(family: str, n):
         return build_B(n, n, 4, 1, 3, 2, 4), None
     if family == "composite":
         return build_archdeacon_composite(build_h_n_3(n), 3), None
-    builder, t_of = HEFFTER[family]
-    array = builder(n)
-    k = len(array.row(1))
-    return array, HeffterParams.square(n, k, t_of(n))
+    fam = FAMILIES[family]
+    return fam.builder(n), HeffterParams.square(n, fam.k, fam.t(n))
 
 
 def outcome(f, *args):

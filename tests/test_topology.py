@@ -1,13 +1,17 @@
 """Cayley graphs, developed decompositions, rotations, face tracing, two-coloring."""
 
+import dataclasses
+import json
 import signal
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from relheffter.constructions import build_h_n_3
+from relheffter.constructions import FAMILIES, build_h_n_3
 from relheffter.group import GroupSpec, neg, subgroup_of_order
 from relheffter.orderings import (
+    Orientation,
     knight_search,
     natural_ordering,
     orientation_to_orderings,
@@ -20,6 +24,7 @@ from relheffter.topology import (
     RotationMap,
     base_cycles,
     build_rho0,
+    certify_biembedding,
     develop_and_verify,
     entry_successor_maps,
     heffter_genus_formula,
@@ -220,3 +225,54 @@ def test_euler_integrality_on_h_n_3(n):
     report = trace_faces(CayleyGraph.from_entries(a), build_rho0(a, ordering))
     # V - S + F must be even (orientable genus is an integer)
     assert (report.V - report.S + report.F) % 2 == 0
+
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+
+
+def stage_by_stage(a, o):
+    """The biembedding chain wired by hand from the public stage functions."""
+    ordering = orientation_to_orderings(a, o)
+    graph = CayleyGraph.from_entries(a)
+    report = trace_faces(graph, build_rho0(a, ordering))
+    two_colorable = two_color_check(report, a, ordering)
+    cols = develop_and_verify(base_cycles(a, ordering, by="col"), graph)
+    reversed_rows = orientation_to_orderings(a, Orientation(tuple(-x for x in o.r), o.c))
+    rows = develop_and_verify(base_cycles(a, reversed_rows, by="row"), graph)
+    return {
+        "embedding": report.to_json(),
+        "two_colorable": two_colorable,
+        "row_decomposition": rows.to_json(),
+        "col_decomposition": cols.to_json(),
+        "orthogonal": verify_orthogonal(rows, cols),
+    }
+
+
+def certify_cases():
+    for family in FAMILIES.values():
+        n = next(n for n in range(3, 20) if family.admissible(n))
+        yield family.name, family.builder(n)
+    data = json.loads((FIXTURES / "archdeacon_8x8_z51xz3.json").read_text())
+    yield "archdeacon_8x8_z51xz3", PFArray.from_json(data)
+
+
+@pytest.mark.parametrize("name,array", list(certify_cases()))
+def test_certify_biembedding_matches_stage_by_stage(name, array):
+    o = knight_search(array)
+    assert o is not None
+    cert = certify_biembedding(array, o)
+    assert cert.to_json() == stage_by_stage(array, o)
+    assert cert.ok
+    assert cert.embedding.color_of_face is not None
+
+
+def test_certificate_not_ok_without_every_check():
+    a = h3()
+    cert = certify_biembedding(a, knight_search(a))
+    assert cert.ok
+    assert not dataclasses.replace(cert, orthogonal=False).ok
+    assert not dataclasses.replace(cert, two_colorable=False).ok
+    cert.embedding.formula_genus = cert.embedding.genus + 1
+    assert not cert.ok
+    cert.embedding.formula_genus = heffter_genus_formula(3, 3, 3, 3, 3)
+    assert cert.ok

@@ -9,7 +9,7 @@ from pathlib import Path
 from hypothesis import example, given, settings, strategies as st
 
 import topology_oracle as oracle
-from relheffter.constructions import build_h7, build_h_2n_3, build_h_n_3
+from relheffter.constructions import FAMILIES
 from relheffter.orderings import Orientation, knight_search, orientation_to_orderings
 from relheffter.pfarray import PFArray
 from relheffter.topology import (
@@ -26,7 +26,6 @@ from relheffter.topology import (
 )
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
-BUILDERS = {"h-n-3": build_h_n_3, "h-2n-3": build_h_2n_3, "h7": build_h7}
 Z51xZ3 = ("fixture", "archdeacon_8x8_z51xz3.json")
 Z60xZ3 = ("fixture", "archdeacon_7x7_z60xz3.json")
 CASES = [("h-n-3", 3), ("h-n-3", 5), ("h-n-3", 7), ("h-2n-3", 3), ("h-2n-3", 5), ("h7", 7),
@@ -39,7 +38,7 @@ def instance(family: str, n):
     if family == "fixture":
         array = PFArray.from_json(json.loads((FIXTURES / n).read_text()))
     else:
-        array = BUILDERS[family](n)
+        array = FAMILIES[family].builder(n)
     return array, knight_search(array)
 
 
