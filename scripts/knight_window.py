@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
 """Search the base window of a k-diagonal family for liftable Knight's Tour
-solutions: all rows forward, free column prefix, then lift once to confirm."""
+solutions: all rows forward, free column prefix, then lift once to confirm.
+The time printed for each size is the CPU time of its search."""
 
 import argparse
 import sys
@@ -26,9 +27,9 @@ def run(config: WindowConfig) -> dict:
     for n in range(config.start, end + 1):
         if n % config.modulus != config.residue:
             continue
-        t0 = time.time()
+        t0 = time.process_time()
         sol = search_lift_shape(spec, n)
-        elapsed = time.time() - t0
+        elapsed = time.process_time() - t0
         if sol is None:
             config.results[n] = None
             print(f"n={n}: no liftable solution ({elapsed:.2f}s)")

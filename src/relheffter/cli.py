@@ -226,16 +226,15 @@ def cmd_knight(args: argparse.Namespace) -> int:
         if args.lift:
             try:
                 spec = LiftSpec(tuple(int(x) for x in args.lift.split(",")))
-                sol = search_lift_shape(spec, skel.n)
+                orientation = search_lift_shape(spec, skel.n)
             except ValueError as exc:
                 raise UsageError(str(exc)) from exc
         else:
-            sol = knight_search(skel, parity_prefilter=not args.no_parity_filter)
-        if sol is None:
+            orientation = knight_search(skel, parity_prefilter=not args.no_parity_filter)
+        if orientation is None:
             payload.update(status="violation", solution=None)
             _emit(payload)
             return EXIT_VIOLATION
-        orientation = sol
     elif args.lemma410:
         if skel.m != skel.n:
             raise UsageError("--lemma410 requires a square input")
@@ -252,33 +251,22 @@ def cmd_knight(args: argparse.Namespace) -> int:
 
     if args.lift:
         try:
-            indices = tuple(int(x) for x in args.lift.split(","))
-            spec = LiftSpec(indices)
-            lifted = lift_solution(spec, skel.n, orientation)
+            spec = LiftSpec(tuple(int(x) for x in args.lift.split(",")))
+            orientation = lift_solution(spec, skel.n, orientation)
         except ValueError as exc:
             raise UsageError(str(exc)) from exc
-        big_skel = spec.skeleton(skel.n + spec.M)
-        orbit, ok = knight_tour(big_skel, lifted, min(big_skel.cells))
-        rs, cs = lifted.to_strings()
-        payload.update(
-            lifted_n=skel.n + spec.M, orientation_rows=rs, orientation_cols=cs,
-            orbit_length=len(orbit), is_solution=ok,
-        )
-        if args.emit_orbit:
-            payload["orbit"] = [[r, c] for r, c in orbit]
-    else:
-        orbit, ok = knight_tour(skel, orientation, min(skel.cells))
-        rs, cs = orientation.to_strings()
-        payload.update(
-            orientation_rows=rs, orientation_cols=cs,
-            orbit_length=len(orbit), is_solution=ok,
-        )
-        if args.emit_orbit:
-            payload["orbit"] = [[r, c] for r, c in orbit]
-
-    payload["status"] = "ok" if payload["is_solution"] else "violation"
+        skel = spec.skeleton(skel.n + spec.M)
+        payload["lifted_n"] = skel.n
+    orbit, ok = knight_tour(skel, orientation, min(skel.cells))
+    rs, cs = orientation.to_strings()
+    payload.update(
+        orientation_rows=rs, orientation_cols=cs, orbit_length=len(orbit), is_solution=ok,
+    )
+    if args.emit_orbit:
+        payload["orbit"] = [[r, c] for r, c in orbit]
+    payload["status"] = "ok" if ok else "violation"
     _emit(payload)
-    return EXIT_OK if payload["is_solution"] else EXIT_VIOLATION
+    return EXIT_OK if ok else EXIT_VIOLATION
 
 
 # -- embed --------------------------------------------------------------
@@ -291,6 +279,7 @@ def cmd_embed(args: argparse.Namespace) -> int:
         raise UsageError("orientation length does not match the array")
     if not is_globally_simple(array):
         raise UsageError("input array is not globally simple")
+    params = None if args.t is None else _square_params(array, args.t)
 
     try:
         cert = certify_biembedding(array, orientation)
@@ -299,8 +288,7 @@ def cmd_embed(args: argparse.Namespace) -> int:
         return EXIT_VIOLATION
     except ValueError as exc:  # e.g. repeated entries: no entry-level orderings
         raise UsageError(str(exc)) from exc
-    if args.t is not None:
-        params = _square_params(array, args.t)
+    if params is not None:
         cert.embedding.formula_genus = heffter_genus_formula(
             params.m, params.n, params.s, params.k, params.t
         )

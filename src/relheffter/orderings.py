@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 from math import lcm
 from typing import Callable, Sequence
 
@@ -96,16 +95,14 @@ class Ordering:
     col_orders: dict[int, tuple[Cell, ...]]
 
     def validate(self, array: ArrayLike) -> None:
-        skel = _skel(array)
+        rows, cols = _skel(array).lines
         for i, cells in self.row_orders.items():
-            if sorted(cells) != skel.row_cells(i):
+            if tuple(sorted(cells)) != rows.get(i, ()):
                 raise ValueError(f"row {i} ordering is not a permutation of its filled cells")
         for j, cells in self.col_orders.items():
-            if sorted(cells) != skel.col_cells(j):
+            if tuple(sorted(cells)) != cols.get(j, ()):
                 raise ValueError(f"column {j} ordering is not a permutation of its filled cells")
-        rows_with = {r for r, _ in skel.cells}
-        cols_with = {c for _, c in skel.cells}
-        if set(self.row_orders) != rows_with or set(self.col_orders) != cols_with:
+        if self.row_orders.keys() != rows.keys() or self.col_orders.keys() != cols.keys():
             raise ValueError("ordering does not cover exactly the nonempty rows/columns")
 
     def row_entries(self, array: PFArray, i: int) -> list[GroupElement]:
@@ -122,13 +119,8 @@ class Ordering:
 
 
 def natural_ordering(array: ArrayLike) -> Ordering:
-    skel = _skel(array)
-    rows = {r for r, _ in skel.cells}
-    cols = {c for _, c in skel.cells}
-    return Ordering(
-        {i: tuple(skel.row_cells(i)) for i in rows},
-        {j: tuple(sorted(skel.col_cells(j), key=lambda cell: cell[0])) for j in cols},
-    )
+    rows, cols = _skel(array).lines
+    return Ordering(dict(rows), dict(cols))
 
 
 @dataclass(frozen=True)
@@ -159,18 +151,11 @@ class Orientation:
 
 def orientation_to_orderings(array: ArrayLike, o: Orientation) -> Ordering:
     """Row i ordered left to right iff r_i = +1; column j top to bottom iff c_j = +1."""
-    skel = _skel(array)
-    rows = {r for r, _ in skel.cells}
-    cols = {c for _, c in skel.cells}
-    row_orders = {}
-    for i in rows:
-        cells = skel.row_cells(i)
-        row_orders[i] = tuple(cells if o.r[i - 1] == 1 else reversed(cells))
-    col_orders = {}
-    for j in cols:
-        cells = sorted(skel.col_cells(j), key=lambda cell: cell[0])
-        col_orders[j] = tuple(cells if o.c[j - 1] == 1 else reversed(cells))
-    return Ordering(row_orders, col_orders)
+    rows, cols = _skel(array).lines
+    return Ordering(
+        {i: cells if o.r[i - 1] == 1 else cells[::-1] for i, cells in rows.items()},
+        {j: cells if o.c[j - 1] == 1 else cells[::-1] for j, cells in cols.items()},
+    )
 
 
 def compose_orderings(array: ArrayLike, ordering: Ordering) -> tuple[dict[Cell, Cell], bool]:
@@ -232,65 +217,96 @@ def knight_tour(array: ArrayLike, o: Orientation, start: Cell) -> tuple[list[Cel
     return cells, len(cells) == len(skel.cells)
 
 
-class _FastTour:
-    """Precomputed successor tables for repeated orbit walks over one skeleton."""
+def _least_orientation(
+    skel: Skeleton, fixed: Sequence[int], free: Sequence[int]
+) -> Orientation | None:
+    """The lexicographically least solution (+1 before -1) over the signs of the
+    free variables, with the fixed ones and all others +1; or None.
 
-    def __init__(self, skel: Skeleton):
-        self.skel = skel
-        cells = sorted(skel.cells)
-        self.cells = cells
-        index = {cell: i for i, cell in enumerate(cells)}
-        self.size = len(cells)
-        row_cols: dict[int, list[int]] = {}
-        col_rows: dict[int, list[int]] = {}
-        for r, c in cells:
-            row_cols.setdefault(r, []).append(c)
-            col_rows.setdefault(c, []).append(r)
-        for v in row_cols.values():
-            v.sort()
-        for v in col_rows.values():
-            v.sort()
-        # row landing cell for each direction, then its column; column steps
-        self.row_p = [index[(r, _cyclic_next(row_cols[r], c, 1))] for r, c in cells]
-        self.row_m = [index[(r, _cyclic_next(row_cols[r], c, -1))] for r, c in cells]
-        self.col_p = [index[(_cyclic_next(col_rows[c], r, 1), c)] for r, c in cells]
-        self.col_m = [index[(_cyclic_next(col_rows[c], r, -1), c)] for r, c in cells]
-        self.col_of = [c - 1 for _, c in cells]
+    Variable i - 1 is the sign of row i, variable m + j - 1 that of column j.
+    A depth-first search sets the fixed variables, then the free ones in order.
+    The move through cell y (row step into y, column step out of it) is fixed
+    once y's row and column signs are set. Fixed moves form path fragments
+    (start of the path ending at a cell, end of the path starting at a cell,
+    length at the start), so each is added in O(1). A branch is pruned when a
+    cycle shorter than |skel| closes and accepted when one through every cell
+    does."""
+    m = skel.m
+    cells = sorted(skel.cells)
+    size = len(cells)
+    index = {cell: x for x, cell in enumerate(cells)}
+    rows, cols = skel.lines
+    lines = [[index[cell] for cell in rows.get(i, ())] for i in range(1, m + 1)]
+    lines += [[index[cell] for cell in cols.get(j, ())] for j in range(1, skel.n + 1)]
+    row_step: dict[int, list[int]] = {1: [0] * size, -1: [0] * size}
+    col_step: dict[int, list[int]] = {1: [0] * size, -1: [0] * size}
+    for v, line in enumerate(lines):
+        step = row_step if v < m else col_step
+        for p, x in enumerate(line):
+            step[1][x] = line[(p + 1) % len(line)]
+            step[-1][x] = line[p - 1]
+    row_var = [r - 1 for r, _ in cells]
+    col_var = [m + c - 1 for _, c in cells]
 
-    def is_solution(self, r_signs: Sequence[int], c_signs: Sequence[int]) -> bool:
-        """Walk the orbit of cell 0; True iff it has full length."""
-        row_step = [self.row_p[x] if r_signs[self.cells[x][0] - 1] == 1 else self.row_m[x]
-                    for x in range(self.size)]
-        col_p, col_m, col_of = self.col_p, self.col_m, self.col_of
-        count = 0
-        x = 0
-        size = self.size
-        while True:
-            y = row_step[x]
-            x = col_p[y] if c_signs[col_of[y]] == 1 else col_m[y]
-            count += 1
-            if x == 0:
-                return count == size
-            if count >= size:
-                return False
+    sign = [0] * len(lines)
+    start = list(range(size))
+    end = list(range(size))
+    length = [1] * size
+    links: list[tuple[int, int]] = []
+    order = [*fixed, *free]
+    # a line of at most two cells steps the same way under both signs
+    plus_only = [len(line) <= 2 for line in lines]
+    for v in fixed:
+        plus_only[v] = True
+    trail: list[tuple[int, int]] = []  # (sign, links before it) of each variable set
+    s = 1
+    while True:
+        v = order[len(trail)]
+        trail.append((s, len(links)))
+        sign[v] = s
+        closed = 0  # the length of a cycle that a new move closes
+        for y in lines[v]:
+            r, c = sign[row_var[y]], sign[col_var[y]]
+            if r and c:
+                x, z = row_step[-r][y], col_step[c][y]
+                a, b = start[x], end[z]
+                if a == z:
+                    closed = length[a]
+                    break
+                end[a], start[b] = b, a
+                length[a] += length[z]
+                links.append((x, z))
+        if closed == size:
+            signs = [x or 1 for x in sign]
+            return Orientation(tuple(signs[:m]), tuple(signs[m:]))
+        if not closed and len(trail) < len(order):
+            s = 1
+            continue
+        while True:  # back up to the deepest variable that can still take -1
+            s, mark = trail.pop()
+            v = order[len(trail)]
+            sign[v] = 0
+            while len(links) > mark:
+                x, z = links.pop()
+                a, b = start[x], end[z]
+                length[a] -= length[z]
+                end[a], start[b] = x, z
+            if s == 1 and not plus_only[v]:
+                break
+            if not trail:
+                return None
+        s = -1
 
 
 def knight_search(array: ArrayLike, parity_prefilter: bool = True) -> Orientation | None:
-    """Exhaustive search over orientations with r_1 = +1 fixed; returns the
-    lexicographically least solution (with +1 before -1), or None."""
+    """The lexicographically least solution (with +1 before -1) over orientations
+    with r_1 = +1, by pruned depth-first search over r_2..r_m, c_1..c_n; or None."""
     skel = _skel(array)
     if not skel.cells:
         raise ValueError("empty array")
     if parity_prefilter and not skeleton_parity_ok(skel):
         return None
-    tour = _FastTour(skel)
-    m, n = skel.m, skel.n
-    for rest in product((1, -1), repeat=m + n - 1):
-        r = (1,) + rest[: m - 1]
-        c = rest[m - 1:]
-        if tour.is_solution(r, c):
-            return Orientation(r, c)
-    return None
+    return _least_orientation(skel, [0], range(1, skel.m + skel.n))
 
 
 # -- lifting (enlarging a diagonal-family solution) ---------------------
@@ -352,15 +368,8 @@ def search_lift_shape(spec: LiftSpec, n: int) -> Orientation | None:
     """Search only orientations of the liftable shape: R all ones, free C prefix
     of length n - l_k + 1, ones after. Returns the lexicographically least."""
     skel = spec.skeleton(n)
-    tour = _FastTour(skel)
-    lk = spec.diagonal_indices[-1]
-    free = n - lk + 1
-    r = (1,) * n
-    suffix = (1,) * (n - free)
-    for prefix in product((1, -1), repeat=free):
-        if tour.is_solution(r, prefix + suffix):
-            return Orientation(r, prefix + suffix)
-    return None
+    free = n - spec.diagonal_indices[-1] + 1
+    return _least_orientation(skel, [*range(n), *range(n + free, 2 * n)], range(n, n + free))
 
 
 # -- the explicit 9-diagonal family solution ----------------------------

@@ -42,19 +42,37 @@ class Skeleton:
             if not (1 <= r <= self.m and 1 <= c <= self.n):
                 raise ValueError(f"cell {(r, c)} outside {self.m}x{self.n}")
 
+    @cached_property
+    def lines(self) -> tuple[Mapping[int, tuple[Cell, ...]], Mapping[int, tuple[Cell, ...]]]:
+        """The cells of each nonempty row (left to right) and of each nonempty
+        column (top to bottom), keyed in increasing order."""
+        rows: dict[int, list[Cell]] = {}
+        cols: dict[int, list[Cell]] = {}
+        for cell in sorted(self.cells):
+            rows.setdefault(cell[0], []).append(cell)
+            cols.setdefault(cell[1], []).append(cell)
+        return (MappingProxyType({i: tuple(v) for i, v in rows.items()}),
+                MappingProxyType({j: tuple(cols[j]) for j in sorted(cols)}))
+
     def row_cells(self, i: int) -> list[Cell]:
-        return sorted(c for c in self.cells if c[0] == i)
+        return list(self.lines[0].get(i, ()))
 
     def col_cells(self, j: int) -> list[Cell]:
-        return sorted(c for c in self.cells if c[1] == j)
+        return list(self.lines[1].get(j, ()))
 
     def to_json(self) -> dict:
         return {"m": self.m, "n": self.n, "cells": [[r, c] for r, c in sorted(self.cells)]}
 
     @classmethod
     def from_json(cls, data: dict) -> "Skeleton":
-        return cls(_int(data["m"], "m"), _int(data["n"], "n"),
-                   frozenset((_int(r, "r"), _int(c, "c")) for r, c in data["cells"]))
+        """Parse the JSON skeleton format; no cell may be listed twice."""
+        cells: set[Cell] = set()
+        for r, c in data["cells"]:
+            cell = (_int(r, "r"), _int(c, "c"))
+            if cell in cells:
+                raise ValueError(f"cell {cell} listed twice")
+            cells.add(cell)
+        return cls(_int(data["m"], "m"), _int(data["n"], "n"), frozenset(cells))
 
 
 @dataclass(frozen=True)

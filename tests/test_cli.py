@@ -157,6 +157,15 @@ def test_embed_certification_error_is_violation_payload(tmp_path, capsys):
                        "error": "col 1 has fewer than 3 filled cells"}
 
 
+def test_embed_wrong_t_is_usage_error_before_certification(tmp_path, capsys):
+    # the same array fails certification, but Z_13 is not Z_{2nk+t} for t = 5
+    path = _write_array(tmp_path / "row.json", [13], [[1, 2, 4]])
+    code = main(["embed", path, "--orientation", "+,+++", "--t", "5"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "error: array group (13,) is not Z_{2nk+t} = Z_11\n"
+
+
 def _cells(*values):
     return [{"r": 1, "c": c, "v": v} for c, v in enumerate(values, 1)]
 
@@ -206,7 +215,8 @@ def test_malformed_input_is_usage_error(tmp_path, capsys, case):
     {"m": 2, "n": "2", "cells": [[1, 1], [2, 2]]},
     {"m": 2, "n": 2, "cells": [[1.5, 1], [2, 2]]},
     {"m": 2, "n": 2, "cells": [[1, 1], [2, True]]},
-], ids=["float-m", "string-n", "float-r", "bool-c"])
+    {"m": 2, "n": 2, "cells": [[1, 1], [1, 1], [2, 2], [1, 2], [2, 1]]},
+], ids=["float-m", "string-n", "float-r", "bool-c", "repeated-cell"])
 def test_malformed_skeleton_is_usage_error(tmp_path, capsys, skeleton):
     path = tmp_path / "skel.json"
     path.write_text(json.dumps(skeleton))
