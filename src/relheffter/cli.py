@@ -274,6 +274,8 @@ def cmd_knight(args: argparse.Namespace) -> int:
 
 def cmd_embed(args: argparse.Namespace) -> int:
     array = _load_array(Path(args.input), args.v)
+    if not array.entries:
+        raise UsageError(f"{args.input} has no filled cells")
     orientation = _parse_orientation(args.orientation)
     if len(orientation.r) != array.m or len(orientation.c) != array.n:
         raise UsageError("orientation length does not match the array")

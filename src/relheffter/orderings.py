@@ -75,11 +75,17 @@ def is_globally_simple(array: PFArray) -> bool:
 
 def orbit(step: Callable, start) -> list:
     """The cycle of the permutation step through start, beginning at start; the
-    permutation is a single cycle iff this covers its whole domain."""
+    permutation is a single cycle iff this covers its whole domain. Raises
+    ValueError when the walk from start runs into a cycle without start, which
+    only a map that is no permutation does."""
     out = [start]
+    seen = {start}
     cur = step(start)
     while cur != start:
+        if cur in seen:
+            raise ValueError(f"{start!r} lies on no cycle: the map is not a permutation")
         out.append(cur)
+        seen.add(cur)
         cur = step(cur)
     return out
 
@@ -368,6 +374,8 @@ def search_lift_shape(spec: LiftSpec, n: int) -> Orientation | None:
     """Search only orientations of the liftable shape: R all ones, free C prefix
     of length n - l_k + 1, ones after. Returns the lexicographically least."""
     skel = spec.skeleton(n)
+    if not skeleton_parity_ok(skel):
+        return None
     free = n - spec.diagonal_indices[-1] + 1
     return _least_orientation(skel, [*range(n), *range(n + free, 2 * n)], range(n, n + free))
 

@@ -1,44 +1,36 @@
-"""Cayley graphs, developed cycle decompositions, rotation systems, and face tracing."""
+"""Cayley graphs, G-regular cycle decompositions, rotation systems, and faces."""
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
+from math import gcd, lcm
+from typing import Sequence
 
-from .group import GroupElement, GroupSpec, neg, subgroup_of_order
+from .group import GroupElement, GroupSpec, neg, subgroup_of_order, sum_elements
 from .orderings import Ordering, Orientation, orbit, orientation_to_orderings, partial_sums
 from .pfarray import PFArray
 
 Edge = frozenset  # frozenset of two GroupElements
 DirectedEdge = tuple  # (tail: GroupElement, head: GroupElement)
 
-# The kernels below work on int codes. An element's code is its index in
-# spec.elements() order (mixed radix, first factor most significant), so int
-# order is coords order. The undirected edge {x, y} with codes x < y has code
-# x * |G| + y.
+# Everything is certified on the quotient: the connection set C and the base
+# cycles, never the |G|-fold developed graph. The rotation and both
+# decompositions commute with translation, so each face, cycle and edge is a
+# translate of one read off C (face lifting: Gross & Tucker, Topological
+# Graph Theory, 1987).
 
 
-def _code(g: GroupElement) -> int:
-    x = 0
-    for c, o in zip(g.coords, g.spec.orders):
-        x = x * o + c
-    return x
+def _order(g: GroupElement) -> int:
+    return lcm(*(o // gcd(c, o) for c, o in zip(g.coords, g.spec.orders)))
 
 
-def _shift_table(g: GroupElement) -> list[int]:
-    """table[x] is the code of x + g, for every code x (digit arithmetic)."""
-    table = [0]
-    for c, o in zip(g.coords, g.spec.orders):
-        digits = [(d + c) % o for d in range(o)]
-        table = [t * o + d for t in table for d in digits]
-    return table
-
-
-def _edge_columns(cycle: Cycle, v: int) -> list[list[int]]:
-    """For each edge of the cycle, the codes of that edge in cycle + g, indexed by g."""
-    tables = [_shift_table(x) for x in cycle.vertices]
-    return [[p * v + q if p < q else q * v + p for p, q in zip(a, b)]
-            for a, b in zip(tables, tables[1:] + tables[:1])]
+def _rotation_key(seq: Sequence[GroupElement]) -> tuple:
+    """The least rotation of the sequence: equal for two sequences iff one is a
+    rotation of the other."""
+    coords = [g.coords for g in seq]
+    return min(tuple(coords[i:] + coords[:i]) for i in range(len(coords)))
 
 
 class CertificationError(ValueError):
@@ -83,13 +75,6 @@ class CayleyGraph:
     def num_edges(self) -> int:
         return self.spec.size * len(self.connection) // 2
 
-    def edges(self) -> set[Edge]:
-        out: set[Edge] = set()
-        for x in self.spec.elements():
-            for a in self.connection:
-                out.add(frozenset((x, x + a)))
-        return out
-
 
 @dataclass(frozen=True)
 class Cycle:
@@ -121,9 +106,6 @@ class Cycle:
     def translate(self, g: GroupElement) -> "Cycle":
         return Cycle(tuple(v + g for v in self.vertices))
 
-    def canonical_edge_set(self) -> frozenset[Edge]:
-        return frozenset(self.edges())
-
 
 def base_cycles(array: PFArray, ordering: Ordering, by: str = "col") -> list[Cycle]:
     """Partial-sum cycles of each row (by='row') or column (by='col') ordering."""
@@ -147,13 +129,15 @@ def base_cycles(array: PFArray, ordering: Ordering, by: str = "col") -> list[Cyc
 class DecompositionCertificate:
     """A verified G-regular cycle decomposition: all translates of the base cycles.
 
-    Cycle number g * len(base) + i is base[i] + g, where g is an element code;
-    ``owner`` maps every edge code to the number of the cycle that covers it.
+    ``cycles`` lists base[0] + g, base[1] + g, ... for each g in elements() order.
+    ``offsets[d]`` is (i, u) for the one edge (u, u + d) of difference d in the
+    base cycles, which lies on base[i]; so the edge {x, x + d} lies on
+    base[i] + (x - u).
     """
 
     graph: CayleyGraph
     base: list[Cycle]
-    owner: dict[int, int] = field(default_factory=dict, repr=False)
+    offsets: dict[GroupElement, tuple[int, GroupElement]] = field(repr=False)
 
     @property
     def cycles(self) -> list[Cycle]:
@@ -174,10 +158,19 @@ class DecompositionCertificate:
 
 
 def develop_and_verify(base: list[Cycle], graph: CayleyGraph) -> DecompositionCertificate:
-    """Develop the base cycles by every g in G and certify an exact edge partition."""
+    """Certify that the translates of the base cycles partition the edges of the graph.
+
+    They do iff the differences of the base cycles list every element of the
+    connection set exactly once: the edge {x, x + d} then lies on exactly one
+    translate, and the translates cover |C|/2 * |G| edges."""
     diffs: list[GroupElement] = []
-    for cycle in base:
-        diffs.extend(cycle.differences())
+    offsets: dict[GroupElement, tuple[int, GroupElement]] = {}
+    for i, cycle in enumerate(base):
+        vs = cycle.vertices
+        for u, w in zip(vs, vs[1:] + vs[:1]):
+            d = w - u
+            diffs += [d, neg(d)]
+            offsets[d], offsets[neg(d)] = (i, u), (i, w)
     counts = Counter(diffs)
     for d, c in counts.items():
         if c > 1:
@@ -188,38 +181,22 @@ def develop_and_verify(base: list[Cycle], graph: CayleyGraph) -> DecompositionCe
         raise CertificationError(
             f"difference list != connection set (missing={missing}, extra={extra})"
         )
-
-    v = graph.spec.size
-    nb = len(base)
-    columns = [_edge_columns(cycle, v) for cycle in base]
-    owner: dict[int, int] = {}
-    for g in range(v):
-        for idx, edge_columns in enumerate(columns):
-            number = g * nb + idx
-            for column in edge_columns:
-                e = column[g]
-                if e in owner:
-                    elements = list(graph.spec.elements())
-                    first, g0 = owner[e] % nb, elements[owner[e] // nb]
-                    raise CertificationError(
-                        f"edge {[elements[e // v].coords, elements[e % v].coords]} covered twice "
-                        f"(base {first} + {g0.coords} and base {idx} + {elements[g].coords})"
-                    )
-                owner[e] = number
-    if len(owner) != graph.num_edges:
-        raise CertificationError(
-            f"covered {len(owner)} edges, graph has {graph.num_edges}"
-        )
-    return DecompositionCertificate(graph, base, owner)
+    return DecompositionCertificate(graph, base, offsets)
 
 
 def verify_orthogonal(d1: DecompositionCertificate, d2: DecompositionCertificate) -> bool:
-    """True iff every cycle of d1 shares at most one edge with every cycle of d2."""
+    """True iff every cycle of d1 shares at most one edge with every cycle of d2.
+
+    The edge {x, x + d} lies on base1[i] + (x - u1) and base2[j] + (x - u2), so
+    two edges lie on the same two cycles iff their differences give the same
+    (i, j, u2 - u1). Both signs of one difference give the same triple."""
     if d1 is d2:
         raise ValueError("orthogonality is defined across two distinct decompositions")
-    owner1 = d1.owner
-    shared = [(owner1[e], j) for e, j in d2.owner.items() if e in owner1]
-    return len(set(shared)) == len(shared)
+    pairs = set()
+    for d, (i, u1) in d1.offsets.items():
+        j, u2 = d2.offsets[d]
+        pairs.add((i, j, u2 - u1))
+    return 2 * len(pairs) == len(d1.offsets)
 
 
 @dataclass(frozen=True)
@@ -230,10 +207,6 @@ class RotationMap:
 
     def __call__(self, a: GroupElement) -> GroupElement:
         return self.mapping[a]
-
-    @property
-    def domain(self) -> set[GroupElement]:
-        return set(self.mapping)
 
 
 def entry_successor_maps(
@@ -263,7 +236,10 @@ def build_rho0(array: PFArray, ordering: Ordering) -> RotationMap:
     for a in entries:
         mapping[a] = neg(omega_r[a])
         mapping[neg(a)] = omega_c[a]
-    length = len(orbit(mapping.__getitem__, next(iter(mapping))))
+    try:
+        length = len(orbit(mapping.__getitem__, next(iter(mapping))))
+    except ValueError as exc:  # only when +-E(A) has repeats, so some entries collided
+        raise ValueError("rho0 is no permutation: an entry is 0 or the negative of an entry") from exc
     if length != len(mapping):
         raise CertificationError(
             f"rho0 is not cyclic on +-E(A): orbit {length} of {len(mapping)} "
@@ -274,24 +250,66 @@ def build_rho0(array: PFArray, ordering: Ordering) -> RotationMap:
 
 @dataclass
 class EmbeddingReport:
-    """Faces of the embedding induced by rho0, with Euler-characteristic genus."""
+    """The embedding induced by rho0, with Euler-characteristic genus.
+
+    It is stored as the cycles of pi(a) = rho0(-a) on C. A pi-cycle
+    (a_0, ..., a_{L-1}) with net voltage s = a_0 + ... + a_{L-1} lifts to
+    |G| / ord(s) faces of length L * ord(s): the face through the dart
+    (x, x + a_0) runs x, x + a_0, x + a_0 + a_1, ... and closes after ord(s)
+    laps. ``faces`` and ``color_of_face`` are developed from them when read.
+    """
 
     V: int
     S: int
     F: int
-    faces: list[tuple[DirectedEdge, ...]]
     genus: int
-    color_of_face: list[int] | None = None
+    spec: GroupSpec = field(repr=False)
+    pi_cycles: list[tuple[GroupElement, ...]] = field(repr=False)
+    orders: list[int] = field(repr=False)  # ord(net voltage) of each pi-cycle
+    pi_colors: list[int] | None = None  # the class of each pi-cycle; set by two_color_check
     formula_genus: int | None = None
-    # the vertex codes along each face, aligned with faces; set by trace_faces
-    face_codes: list[list[int]] | None = field(default=None, repr=False, compare=False)
+
+    @cached_property
+    def _lifted(self) -> list[tuple[tuple[DirectedEdge, ...], int]]:
+        """Every face with the number of its pi-cycle, rotated to start at its
+        least directed edge, in sorted order."""
+        lifted = []
+        for number, (cycle, order) in enumerate(zip(self.pi_cycles, self.orders)):
+            covered: set[GroupElement] = set()  # tails of the a_0 darts already walked
+            for x in self.spec.elements():
+                if x in covered:
+                    continue
+                darts, y = [], x
+                for _ in range(order):
+                    covered.add(y)
+                    for a in cycle:
+                        darts.append((y, y + a))
+                        y = y + a
+                least = min(range(len(darts)),
+                            key=lambda i: (darts[i][0].coords, darts[i][1].coords))
+                lifted.append((tuple(darts[least:] + darts[:least]), number))
+        lifted.sort(key=lambda f: (f[0][0][0].coords, f[0][0][1].coords))
+        return lifted
+
+    @property
+    def faces(self) -> list[tuple[DirectedEdge, ...]]:
+        return [face for face, _ in self._lifted]
+
+    @property
+    def color_of_face(self) -> list[int] | None:
+        """The class of each face, aligned with faces; None until two_color_check succeeds."""
+        if self.pi_colors is None:
+            return None
+        return [self.pi_colors[number] for _, number in self._lifted]
 
     def to_json(self) -> dict:
         data = {"V": self.V, "S": self.S, "F": self.F, "genus": self.genus}
         if self.formula_genus is not None:
             data["formula_genus"] = self.formula_genus
-        if self.color_of_face is not None:
-            data["color_class_sizes"] = dict(sorted(Counter(self.color_of_face).items()))
+        if self.pi_colors is not None:
+            # a coloured pi-cycle has voltage 0, so it lifts to |G| faces
+            data["color_class_sizes"] = {c: k * self.V
+                                         for c, k in sorted(Counter(self.pi_colors).items())}
         return data
 
 
@@ -305,54 +323,29 @@ def heffter_genus_formula(m: int, n: int, s: int, k: int, t: int) -> int:
 
 def trace_faces(graph: CayleyGraph, rho0: RotationMap) -> EmbeddingReport:
     """Faces as orbits of rho o tau on directed edges, where
-    rho((x, x+a)) = (x, x + rho0(a)) and tau swaps the directions."""
+    rho((x, x+a)) = (x, x + rho0(a)) and tau swaps the directions.
+
+    rho o tau sends (x, x + a) to (x + a, x + a + pi(a)) with pi(a) = rho0(-a),
+    so the faces are the lifts of the cycles of pi on C: O(|C|), not O(|G| |C|)."""
     connection = graph.connection
-    if rho0.domain != set(connection):
+    if set(rho0.mapping) != connection:
         raise ValueError("rotation domain must equal the connection set")
     if set(rho0.mapping.values()) != connection:
         raise ValueError("rotation must permute the connection set")
-    spec = graph.spec
-    v = spec.size
-    conn = list(connection)
-    index = {a: i for i, a in enumerate(conn)}
-    shifts = [_shift_table(a) for a in conn]
-    # the dart (x, x + a) is its directed edge code x * v + (x + a); tau then
-    # rho sends it to (x + a, x + a + rho0(-a))
-    nxt = [0] * (v * v)
-    done = bytearray(b"\x01") * (v * v)  # 0 only for darts not yet walked
-    for a, shift in zip(conn, shifts):
-        back = shifts[index[rho0(neg(a))]]
-        for x, h in enumerate(shift):
-            d = x * v + h
-            nxt[d] = h * v + back[h]
-            done[d] = 0
-
-    # scanning codes upwards meets every face first at its least directed
-    # edge, so faces come out canonically rotated and in sorted order
-    codes: list[list[int]] = []
-    start = done.find(0)
-    while start >= 0:
-        tails = []
-        d = start
-        while not done[d]:
-            done[d] = 1
-            tails.append(d // v)
-            d = nxt[d]
-        codes.append(tails)
-        start = done.find(0, start + 1)
-
-    elements = list(spec.elements())
-    faces: list[tuple[DirectedEdge, ...]] = []
-    for tails in codes:
-        vs = [elements[x] for x in tails]
-        faces.append(tuple(zip(vs, vs[1:] + vs[:1])))
-    V = v
-    S = len(conn) * v // 2
-    F = len(faces)
+    cycles: list[tuple[GroupElement, ...]] = []
+    seen: set[GroupElement] = set()
+    for a in sorted(connection, key=lambda g: g.coords):
+        if a not in seen:
+            cycles.append(tuple(orbit(lambda b: rho0(neg(b)), a)))
+            seen.update(cycles[-1])
+    orders = [_order(sum_elements(graph.spec, cycle)) for cycle in cycles]
+    V = graph.num_vertices
+    S = graph.num_edges
+    F = sum(V // order for order in orders)
     euler = V - S + F
     if (2 - euler) % 2 != 0:
         raise CertificationError(f"Euler characteristic {euler} gives a non-integer genus")
-    return EmbeddingReport(V, S, F, faces, (2 - euler) // 2, face_codes=codes)
+    return EmbeddingReport(V, S, F, (2 - euler) // 2, graph.spec, cycles, orders)
 
 
 def two_color_check(report: EmbeddingReport, array: PFArray, ordering: Ordering) -> bool:
@@ -362,7 +355,7 @@ def two_color_check(report: EmbeddingReport, array: PFArray, ordering: Ordering)
     Stores the coloring into the report on success.
     """
     col_base, row_base = _bases(array, ordering)
-    return _two_color(report, array.spec, col_base, row_base)
+    return _two_color(report, col_base, row_base)
 
 
 def _bases(array: PFArray, ordering: Ordering) -> tuple[list[Cycle], list[Cycle]]:
@@ -373,35 +366,31 @@ def _bases(array: PFArray, ordering: Ordering) -> tuple[list[Cycle], list[Cycle]
             base_cycles(array, ordering.with_reversed_rows(), by="row"))
 
 
-def _two_color(report: EmbeddingReport, spec: GroupSpec,
-               col_base: list[Cycle], row_base: list[Cycle]) -> bool:
-    v = spec.size
-    color_of: dict[frozenset[int], int] = {}
+def _two_color(report: EmbeddingReport, col_base: list[Cycle], row_base: list[Cycle]) -> bool:
+    """Per pi-cycle: its faces are translates of a base cycle B traversed once iff
+    its steps are those of B up to rotation, or those of B reversed and negated
+    (steps that sum to 0, so the faces close after one lap; a face of more laps
+    repeats its steps, which a cycle of distinct entries never does). The edge
+    {x, x + a} has one side on a face of a's pi-cycle and the other on a face of
+    -a's."""
+    class_of_steps: dict[tuple, int] = {}
     # columns go in last, so a face in both classes gets class 1
     for color, base in ((2, row_base), (1, col_base)):
         for cycle in base:
-            color_of.update(dict.fromkeys(map(frozenset, zip(*_edge_columns(cycle, v))), color))
-
-    codes = report.face_codes
-    if codes is None:
-        index = {g: _code(g) for g in spec.elements()}
-        codes = [[index[tail] for tail, _ in face] for face in report.faces]
-    colors: list[int] = []
-    seen = {1: set(), 2: set()}
-    incidences = {1: 0, 2: 0}
-    for tails in codes:
-        face_edges = frozenset(p * v + q if p < q else q * v + p
-                               for p, q in zip(tails, tails[1:] + tails[:1]))
-        color = color_of.get(face_edges)
+            vs = cycle.vertices
+            steps = [w - u for u, w in zip(vs[-1:] + vs[:-1], vs)]
+            class_of_steps[_rotation_key(steps)] = color
+            class_of_steps[_rotation_key([neg(a) for a in reversed(steps)])] = color
+    colors = []
+    for cycle in report.pi_cycles:
+        color = class_of_steps.get(_rotation_key(cycle))
         if color is None:
             return False
         colors.append(color)
-        seen[color].update(face_edges)
-        incidences[color] += len(face_edges)
-    # every edge on exactly one face of each class
-    if seen[1] != seen[2] or any(incidences[c] != len(seen[c]) for c in (1, 2)):
+    class_of = {a: color for cycle, color in zip(report.pi_cycles, colors) for a in cycle}
+    if any(class_of[a] == class_of[neg(a)] for a in class_of):
         return False
-    report.color_of_face = colors
+    report.pi_colors = colors
     return True
 
 
@@ -444,7 +433,7 @@ def certify_biembedding(array: PFArray, orientation: Orientation) -> Biembedding
     graph = CayleyGraph.from_entries(array)
     report = trace_faces(graph, rho0)
     col_base, row_base = _bases(array, ordering)
-    two_colorable = _two_color(report, array.spec, col_base, row_base)
+    two_colorable = _two_color(report, col_base, row_base)
     cols = develop_and_verify(col_base, graph)
     rows = develop_and_verify(row_base, graph)
     return BiembeddingCertificate(report, two_colorable, rows, cols, verify_orthogonal(rows, cols))

@@ -236,6 +236,15 @@ def test_knight_empty_skeleton_is_usage_error(tmp_path, capsys):
     assert captured.err == f"error: {path} has no filled cells\n"
 
 
+def test_embed_empty_array_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps({"m": 2, "n": 2, "group": {"orders": [7]}, "cells": []}))
+    code = main(["embed", str(path), "--orientation", "++,++"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == f"error: {path} has no filled cells\n"
+
+
 def test_determinism(tmp_path, capsys):
     outputs = []
     for tag in ("x", "y"):

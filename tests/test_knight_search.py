@@ -4,6 +4,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import knight_oracle as oracle
+from relheffter import orderings
 from relheffter.orderings import LiftSpec, knight_search, search_lift_shape
 from relheffter.pfarray import Skeleton
 
@@ -56,3 +57,18 @@ def test_search_lift_shape_matches_exhaustive(indices, sizes, solvable):
     answers = {n: strings(search_lift_shape(spec, n)) for n in sizes}
     assert answers == {n: strings(oracle.search_lift_shape(spec, n)) for n in sizes}
     assert any(answers.values()) == solvable
+
+
+def test_search_lift_shape_skips_sizes_that_fail_parity(monkeypatch):
+    spec = LiftSpec((2, 3, 4))  # 3n cells against 2n - 1: every even size fails parity
+    odd = [5, 7, 9]
+    assert {n: strings(search_lift_shape(spec, n)) for n in odd} == {
+        n: strings(oracle.search_lift_shape(spec, n)) for n in odd}
+
+    def refuse(*args):
+        raise AssertionError("searched a size that fails parity")
+
+    monkeypatch.setattr(orderings, "_least_orientation", refuse)
+    for n in (6, 8, 10):
+        assert search_lift_shape(spec, n) is None
+        assert oracle.search_lift_shape(spec, n) is None

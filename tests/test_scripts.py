@@ -8,8 +8,11 @@ from pathlib import Path
 
 import pytest
 
+import topology_oracle as oracle
 from relheffter.constructions import FAMILIES, build_h_n_3
+from relheffter.orderings import knight_search, orientation_to_orderings
 from relheffter.pfarray import PFArray
+from relheffter.topology import CayleyGraph, build_rho0
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -30,6 +33,18 @@ def test_biembedding_report(monkeypatch, capsys):
     assert result["embedding"]["genus"] == result["embedding"]["formula_genus"]
     for key in ("row_decomposition", "col_decomposition"):
         assert result[key]["num_cycles"] == 5 * 35
+
+
+@pytest.mark.parametrize("family, n", [("h-n-3", 5), ("h7", 7)])
+def test_biembedding_report_emits_the_traced_faces(monkeypatch, capsys, family, n):
+    code, out = run_script(monkeypatch, capsys, "biembedding_report.py", family, str(n),
+                           "--emit-faces")
+    assert code == 0
+    array = FAMILIES[family].builder(n)
+    ordering = orientation_to_orderings(array, knight_search(array))
+    traced = oracle.trace_faces(CayleyGraph.from_entries(array), build_rho0(array, ordering))
+    assert json.loads(out)["faces"] == [
+        [[list(x.coords) for x in dart] for dart in face] for face in traced.faces]
 
 
 def test_biembedding_report_rejects_an_invalid_array(monkeypatch, capsys):

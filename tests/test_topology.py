@@ -147,6 +147,17 @@ def test_rho0_cyclic_iff_compatible():
         build_rho0(a, natural_ordering(a))  # natural orderings are incompatible here
 
 
+def test_rho0_rejects_an_entry_and_its_negative():
+    # +-E(A) has a repeat, so rho0 is no permutation and its walk from the
+    # first entry never returns: it must raise, not hang
+    a = h3()
+    entries = dict(a.entries)
+    first, second = sorted(entries)[:2]
+    entries[second] = neg(entries[first])
+    with pytest.raises(ValueError, match="no permutation"):
+        build_rho0(PFArray(a.m, a.n, a.spec, entries), knight_ordering(a))
+
+
 def test_rho0_squared_composes_successors():
     a = h3()
     ordering = knight_ordering(a)

@@ -1,9 +1,11 @@
-"""Object-level reference implementations of the topology kernels.
+"""Object-level reference implementations of the topology certificate.
 
 These are the straightforward versions of ``trace_faces``, ``two_color_check``,
-``develop_and_verify`` and ``verify_orthogonal`` over ``GroupElement`` vertices,
-frozenset edges and ``(tail, head)`` darts. The library runs int-coded kernels;
-the tests compare the two on the same inputs.
+``develop_and_verify`` and ``verify_orthogonal`` over the developed graph:
+``GroupElement`` vertices, frozenset edges, ``(tail, head)`` darts and every
+translate of every base cycle. The library certifies on the quotient (the
+connection set and the base cycles); the tests compare the two on the same
+inputs.
 """
 
 from __future__ import annotations
@@ -20,10 +22,27 @@ from relheffter.topology import (
     Cycle,
     DirectedEdge,
     Edge,
-    EmbeddingReport,
     RotationMap,
     base_cycles,
 )
+
+
+@dataclass
+class Report:
+    """The faces of an embedding, traced dart by dart."""
+
+    V: int
+    S: int
+    F: int
+    faces: list[tuple[DirectedEdge, ...]]
+    genus: int
+    color_of_face: list[int] | None = None
+
+    def to_json(self) -> dict:
+        data = {"V": self.V, "S": self.S, "F": self.F, "genus": self.genus}
+        if self.color_of_face is not None:
+            data["color_class_sizes"] = dict(sorted(Counter(self.color_of_face).items()))
+        return data
 
 
 @dataclass
@@ -101,10 +120,10 @@ def verify_orthogonal(d1, d2) -> bool:
     return True
 
 
-def trace_faces(graph: CayleyGraph, rho0: RotationMap) -> EmbeddingReport:
+def trace_faces(graph: CayleyGraph, rho0: RotationMap) -> Report:
     """Loops forever when rho0 does not permute the connection set; callers
     pass only bijective rotations."""
-    if rho0.domain != set(graph.connection):
+    if set(rho0.mapping) != graph.connection:
         raise ValueError("rotation domain must equal the connection set")
     vertices = list(graph.spec.elements())
     directed = [(x, x + a) for x in vertices for a in graph.connection]
@@ -130,7 +149,7 @@ def trace_faces(graph: CayleyGraph, rho0: RotationMap) -> EmbeddingReport:
     if (2 - euler) % 2 != 0:
         raise CertificationError(f"Euler characteristic {euler} gives a non-integer genus")
     faces.sort(key=lambda f: (f[0][0].coords, f[0][1].coords))
-    return EmbeddingReport(V, S, F, faces, (2 - euler) // 2)
+    return Report(V, S, F, faces, (2 - euler) // 2)
 
 
 def _canonical_rotation(face: tuple[DirectedEdge, ...]) -> tuple[DirectedEdge, ...]:
@@ -138,7 +157,7 @@ def _canonical_rotation(face: tuple[DirectedEdge, ...]) -> tuple[DirectedEdge, .
     return face[key:] + face[:key]
 
 
-def two_color_check(report: EmbeddingReport, array: PFArray, ordering: Ordering) -> bool:
+def two_color_check(report: Report, array: PFArray, ordering: Ordering) -> bool:
     reversed_rows = Ordering(
         {i: tuple(reversed(cells)) for i, cells in ordering.row_orders.items()},
         ordering.col_orders,
@@ -171,5 +190,5 @@ def _developed_edge_sets(array: PFArray, ordering: Ordering, by: str) -> set[fro
     out: set[frozenset[Edge]] = set()
     for cycle in base_cycles(array, ordering, by=by):
         for g in graph.spec.elements():
-            out.add(cycle.translate(g).canonical_edge_set())
+            out.add(frozenset(cycle.translate(g).edges()))
     return out
