@@ -6,7 +6,6 @@ two cycle decompositions."""
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 
 from relheffter.constructions import FAMILIES
 from relheffter.heffter import HeffterParams, verify_integer
@@ -14,18 +13,11 @@ from relheffter.orderings import knight_search
 from relheffter.topology import certify_biembedding, heffter_genus_formula
 
 
-@dataclass
-class PipelineConfig:
-    family: str
-    n: int
-    emit_faces: bool = False
-
-
-def run(config: PipelineConfig) -> dict:
-    family = FAMILIES[config.family]
-    n, k, t = config.n, family.k, family.t(config.n)
-    array = family.builder(n)
-    result = {"family": config.family, "n": n}
+def run(family: str, n: int, emit_faces: bool = False) -> dict:
+    entry = FAMILIES[family]
+    k, t = entry.k, entry.t(n)
+    array = entry.builder(n)
+    result = {"family": family, "n": n}
     verification = verify_integer(array, HeffterParams.square(n, k, t))
     if not verification.valid:
         return {**result, "status": "violation", "verification": verification.to_json()}
@@ -37,7 +29,7 @@ def run(config: PipelineConfig) -> dict:
     cert.embedding.formula_genus = heffter_genus_formula(n, n, k, k, t)
     result.update(cert.to_json(), t=t, orientation=solution.to_strings(),
                   status="ok" if cert.ok else "violation")
-    if config.emit_faces:
+    if emit_faces:
         result["faces"] = [
             [[list(x.coords) for x in e] for e in face] for face in cert.embedding.faces
         ]
@@ -50,7 +42,7 @@ def main() -> int:
     parser.add_argument("n", type=int)
     parser.add_argument("--emit-faces", action="store_true")
     args = parser.parse_args()
-    result = run(PipelineConfig(args.family, args.n, args.emit_faces))
+    result = run(args.family, args.n, args.emit_faces)
     json.dump(result, sys.stdout, indent=2, sort_keys=True)
     print()
     return 0 if result["status"] == "ok" else 1

@@ -6,42 +6,27 @@ The time printed for each size is the CPU time of its search."""
 import argparse
 import sys
 import time
-from dataclasses import dataclass, field
 
 from relheffter.orderings import LiftSpec, lift_solution, search_lift_shape
 
 
-@dataclass
-class WindowConfig:
-    diagonal_indices: tuple
-    start: int
-    modulus: int = 4
-    residue: int = 1
-    lift_check: bool = True
-    results: dict = field(default_factory=dict)
-
-
-def run(config: WindowConfig) -> dict:
-    spec = LiftSpec(config.diagonal_indices)
-    end = config.start + spec.M
-    for n in range(config.start, end + 1):
-        if n % config.modulus != config.residue:
+def run(spec: LiftSpec, start: int, all_sizes: bool) -> dict:
+    """Search every size n = 1 (mod 4), or every size, of [start, start + M]."""
+    results = {}
+    for n in range(start, start + spec.M + 1):
+        if not all_sizes and n % 4 != 1:
             continue
         t0 = time.process_time()
         sol = search_lift_shape(spec, n)
         elapsed = time.process_time() - t0
+        results[n] = sol
         if sol is None:
-            config.results[n] = None
             print(f"n={n}: no liftable solution ({elapsed:.2f}s)")
             continue
+        lift_solution(spec, n, sol)  # raises if the enlarged solution fails
         rows, cols = sol.to_strings()
-        note = ""
-        if config.lift_check:
-            lift_solution(spec, n, sol)  # raises if the enlarged solution fails
-            note = f" -> lifts to n={n + spec.M}"
-        config.results[n] = sol
-        print(f"n={n}: R={rows} C={cols} ({elapsed:.2f}s){note}")
-    return config.results
+        print(f"n={n}: R={rows} C={cols} ({elapsed:.2f}s) -> lifts to n={n + spec.M}")
+    return results
 
 
 def main() -> int:
@@ -52,18 +37,10 @@ def main() -> int:
                         help="first size of the window [start, start + M]")
     parser.add_argument("--all-sizes", action="store_true",
                         help="search every n in the window, not just n = 1 (mod 4)")
-    parser.add_argument("--no-lift-check", action="store_true")
     args = parser.parse_args()
 
-    indices = tuple(int(x) for x in args.diagonals.split(","))
-    config = WindowConfig(
-        diagonal_indices=indices,
-        start=args.start,
-        modulus=1 if args.all_sizes else 4,
-        residue=0 if args.all_sizes else 1,
-        lift_check=not args.no_lift_check,
-    )
-    results = run(config)
+    spec = LiftSpec(tuple(int(x) for x in args.diagonals.split(",")))
+    results = run(spec, args.start, args.all_sizes)
     missing = [n for n, sol in results.items() if sol is None]
     print(f"window covered: {len(results)} sizes, {len(missing)} without solution")
     return 1 if missing else 0

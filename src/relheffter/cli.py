@@ -230,7 +230,7 @@ def cmd_knight(args: argparse.Namespace) -> int:
             except ValueError as exc:
                 raise UsageError(str(exc)) from exc
         else:
-            orientation = knight_search(skel, parity_prefilter=not args.no_parity_filter)
+            orientation = knight_search(skel)
         if orientation is None:
             payload.update(status="violation", solution=None)
             _emit(payload)
@@ -343,7 +343,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--orientation", help="row and column signs, e.g. '+++,++-'")
     p.add_argument("--lemma410", action="store_true")
     p.add_argument("--lift", help="comma-separated diagonal indices of the family to lift")
-    p.add_argument("--no-parity-filter", action="store_true")
     p.add_argument("--emit-orbit", action="store_true")
     p.set_defaults(func=cmd_knight)
 
@@ -362,10 +361,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (OSError, json.JSONDecodeError, GroupError) as exc:
+    except (UsageError, OSError, json.JSONDecodeError, GroupError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

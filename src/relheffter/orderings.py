@@ -111,6 +111,15 @@ class Ordering:
         if self.row_orders.keys() != rows.keys() or self.col_orders.keys() != cols.keys():
             raise ValueError("ordering does not cover exactly the nonempty rows/columns")
 
+    def successors(self) -> tuple[dict[Cell, Cell], dict[Cell, Cell]]:
+        """The next cell of each filled cell along its row and along its column,
+        cyclically in the chosen orders (omega_r and omega_c on cells)."""
+        row_next, col_next = (
+            {a: b for cells in orders.values() for a, b in zip(cells, cells[1:] + cells[:1])}
+            for orders in (self.row_orders, self.col_orders)
+        )
+        return row_next, col_next
+
     def row_entries(self, array: PFArray, i: int) -> list[GroupElement]:
         return [array.entries[c] for c in self.row_orders[i]]
 
@@ -167,36 +176,13 @@ def orientation_to_orderings(array: ArrayLike, o: Orientation) -> Ordering:
 def compose_orderings(array: ArrayLike, ordering: Ordering) -> tuple[dict[Cell, Cell], bool]:
     """The cell permutation 'row successor then column successor', and whether it
     is a single cycle through every filled cell (the compatibility condition)."""
-    skel = _skel(array)
-    ordering.validate(array)
-    row_next: dict[Cell, Cell] = {}
-    for cells in ordering.row_orders.values():
-        for p, cell in enumerate(cells):
-            row_next[cell] = cells[(p + 1) % len(cells)]
-    col_next: dict[Cell, Cell] = {}
-    for cells in ordering.col_orders.values():
-        for p, cell in enumerate(cells):
-            col_next[cell] = cells[(p + 1) % len(cells)]
-    perm = {cell: col_next[row_next[cell]] for cell in skel.cells}
-    if not perm:
-        return perm, False
-    return perm, len(orbit(perm.__getitem__, min(perm))) == len(skel.cells)
+    ordering.validate(array)  # so the rows' successor map has every filled cell as a key
+    row_next, col_next = ordering.successors()
+    perm = {cell: col_next[nxt] for cell, nxt in row_next.items()}
+    return perm, bool(perm) and len(orbit(perm.__getitem__, min(perm))) == len(perm)
 
 
 # -- the Crazy Knight's Tour map ----------------------------------------
-
-
-def _cyclic_next(values: list[int], x: int, direction: int) -> int:
-    """The element of values strictly after x, cyclically, in the given direction."""
-    if direction == 1:
-        for v in values:
-            if v > x:
-                return v
-        return values[0]
-    for v in reversed(values):
-        if v < x:
-            return v
-    return values[-1]
 
 
 def knight_step(array: ArrayLike, o: Orientation, cell: Cell) -> Cell:
@@ -205,12 +191,8 @@ def knight_step(array: ArrayLike, o: Orientation, cell: Cell) -> Cell:
     skel = _skel(array)
     if cell not in skel.cells:
         raise ValueError(f"cell {cell} is empty")
-    i, j = cell
-    row_cols = [c for _, c in skel.row_cells(i)]
-    j2 = _cyclic_next(row_cols, j, o.r[i - 1])
-    col_rows = [r for r, _ in skel.col_cells(j2)]
-    i2 = _cyclic_next(col_rows, i, o.c[j2 - 1])
-    return (i2, j2)
+    row_next, col_next = orientation_to_orderings(skel, o).successors()
+    return col_next[row_next[cell]]
 
 
 def knight_tour(array: ArrayLike, o: Orientation, start: Cell) -> tuple[list[Cell], bool]:
@@ -219,7 +201,10 @@ def knight_tour(array: ArrayLike, o: Orientation, start: Cell) -> tuple[list[Cel
     skel = _skel(array)
     if not skel.cells:
         raise ValueError("empty array")
-    cells = orbit(lambda cell: knight_step(skel, o, cell), start)
+    if start not in skel.cells:
+        raise ValueError(f"cell {start} is empty")
+    row_next, col_next = orientation_to_orderings(skel, o).successors()
+    cells = orbit(lambda cell: col_next[row_next[cell]], start)
     return cells, len(cells) == len(skel.cells)
 
 
@@ -304,13 +289,14 @@ def _least_orientation(
         s = -1
 
 
-def knight_search(array: ArrayLike, parity_prefilter: bool = True) -> Orientation | None:
+def knight_search(array: ArrayLike) -> Orientation | None:
     """The lexicographically least solution (with +1 before -1) over orientations
-    with r_1 = +1, by pruned depth-first search over r_2..r_m, c_1..c_n; or None."""
+    with r_1 = +1, by pruned depth-first search over r_2..r_m, c_1..c_n; or None.
+    A skeleton that fails the parity condition has no solution and is not searched."""
     skel = _skel(array)
     if not skel.cells:
         raise ValueError("empty array")
-    if parity_prefilter and not skeleton_parity_ok(skel):
+    if not skeleton_parity_ok(skel):
         return None
     return _least_orientation(skel, [0], range(1, skel.m + skel.n))
 

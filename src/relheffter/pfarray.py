@@ -54,12 +54,6 @@ class Skeleton:
         return (MappingProxyType({i: tuple(v) for i, v in rows.items()}),
                 MappingProxyType({j: tuple(cols[j]) for j in sorted(cols)}))
 
-    def row_cells(self, i: int) -> list[Cell]:
-        return list(self.lines[0].get(i, ()))
-
-    def col_cells(self, j: int) -> list[Cell]:
-        return list(self.lines[1].get(j, ()))
-
     def to_json(self) -> dict:
         return {"m": self.m, "n": self.n, "cells": [[r, c] for r, c in sorted(self.cells)]}
 

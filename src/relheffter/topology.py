@@ -199,53 +199,38 @@ def verify_orthogonal(d1: DecompositionCertificate, d2: DecompositionCertificate
     return 2 * len(pairs) == len(d1.offsets)
 
 
-@dataclass(frozen=True)
-class RotationMap:
-    """The vertex-rotation seed: a cyclic permutation of +-E(A)."""
-
-    mapping: dict[GroupElement, GroupElement]
-
-    def __call__(self, a: GroupElement) -> GroupElement:
-        return self.mapping[a]
-
-
 def entry_successor_maps(
     array: PFArray, ordering: Ordering
 ) -> tuple[dict[GroupElement, GroupElement], dict[GroupElement, GroupElement]]:
     """omega_r and omega_c as entry-level cyclic successor maps (entries distinct)."""
-    omega_r: dict[GroupElement, GroupElement] = {}
-    for i, cells in ordering.row_orders.items():
-        seq = [array.entries[c] for c in cells]
-        for p, e in enumerate(seq):
-            if e in omega_r:
-                raise ValueError("entries are not distinct; entry-level orderings undefined")
-            omega_r[e] = seq[(p + 1) % len(seq)]
-    omega_c: dict[GroupElement, GroupElement] = {}
-    for j, cells in ordering.col_orders.items():
-        seq = [array.entries[c] for c in cells]
-        for p, e in enumerate(seq):
-            omega_c[e] = seq[(p + 1) % len(seq)]
+    row_next, col_next = ordering.successors()
+    omega_r = {array.entries[a]: array.entries[b] for a, b in row_next.items()}
+    if len(omega_r) != len(row_next):
+        raise ValueError("entries are not distinct; entry-level orderings undefined")
+    omega_c = {array.entries[a]: array.entries[b] for a, b in col_next.items()}
     return omega_r, omega_c
 
 
-def build_rho0(array: PFArray, ordering: Ordering) -> RotationMap:
-    """rho0(a) = -omega_r(a) on E(A) and omega_c(-a) on -E(A); must be one cycle."""
+def build_rho0(array: PFArray, ordering: Ordering) -> dict[GroupElement, GroupElement]:
+    """The vertex-rotation seed, a cyclic permutation of +-E(A): rho0(a) =
+    -omega_r(a) on E(A) and omega_c(-a) on -E(A)."""
+    if not array.entries:
+        raise ValueError("rho0 is undefined: the array has no filled cells")
     omega_r, omega_c = entry_successor_maps(array, ordering)
-    entries = set(omega_r)
-    mapping: dict[GroupElement, GroupElement] = {}
-    for a in entries:
-        mapping[a] = neg(omega_r[a])
-        mapping[neg(a)] = omega_c[a]
+    rho0: dict[GroupElement, GroupElement] = {}
+    for a in set(omega_r):
+        rho0[a] = neg(omega_r[a])
+        rho0[neg(a)] = omega_c[a]
     try:
-        length = len(orbit(mapping.__getitem__, next(iter(mapping))))
+        length = len(orbit(rho0.__getitem__, next(iter(rho0))))
     except ValueError as exc:  # only when +-E(A) has repeats, so some entries collided
         raise ValueError("rho0 is no permutation: an entry is 0 or the negative of an entry") from exc
-    if length != len(mapping):
+    if length != len(rho0):
         raise CertificationError(
-            f"rho0 is not cyclic on +-E(A): orbit {length} of {len(mapping)} "
+            f"rho0 is not cyclic on +-E(A): orbit {length} of {len(rho0)} "
             "(the orderings are not compatible)"
         )
-    return RotationMap(mapping)
+    return rho0
 
 
 @dataclass
@@ -321,22 +306,22 @@ def heffter_genus_formula(m: int, n: int, s: int, k: int, t: int) -> int:
     return 1 + num // 2
 
 
-def trace_faces(graph: CayleyGraph, rho0: RotationMap) -> EmbeddingReport:
+def trace_faces(graph: CayleyGraph, rho0: dict[GroupElement, GroupElement]) -> EmbeddingReport:
     """Faces as orbits of rho o tau on directed edges, where
     rho((x, x+a)) = (x, x + rho0(a)) and tau swaps the directions.
 
     rho o tau sends (x, x + a) to (x + a, x + a + pi(a)) with pi(a) = rho0(-a),
     so the faces are the lifts of the cycles of pi on C: O(|C|), not O(|G| |C|)."""
     connection = graph.connection
-    if set(rho0.mapping) != connection:
+    if set(rho0) != connection:
         raise ValueError("rotation domain must equal the connection set")
-    if set(rho0.mapping.values()) != connection:
+    if set(rho0.values()) != connection:
         raise ValueError("rotation must permute the connection set")
     cycles: list[tuple[GroupElement, ...]] = []
     seen: set[GroupElement] = set()
     for a in sorted(connection, key=lambda g: g.coords):
         if a not in seen:
-            cycles.append(tuple(orbit(lambda b: rho0(neg(b)), a)))
+            cycles.append(tuple(orbit(lambda b: rho0[neg(b)], a)))
             seen.update(cycles[-1])
     orders = [_order(sum_elements(graph.spec, cycle)) for cycle in cycles]
     V = graph.num_vertices

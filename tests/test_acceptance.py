@@ -186,7 +186,7 @@ def test_criterion_6_biembeddings():
         assert sol is not None, n
         ordering = orientation_to_orderings(a, sol)
         rho0 = build_rho0(a, ordering)
-        assert len(rho0.mapping) == 2 * n * k
+        assert len(rho0) == 2 * n * k
         report = trace_faces(CayleyGraph.from_entries(a), rho0)
         assert report.F == (2 * n * k + t) * (2 * n), (n, k)
         assert two_color_check(report, a, ordering), (n, k)

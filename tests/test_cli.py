@@ -84,7 +84,7 @@ def test_knight_search_and_orientation(tmp_path, capsys):
 def test_knight_no_solution_exit_1(tmp_path, capsys):
     grid = tmp_path / "full2.json"
     grid.write_text(json.dumps({"m": 2, "n": 2, "cells": [[1, 1], [1, 2], [2, 1], [2, 2]]}))
-    code, payload = run(capsys, "knight", str(grid), "--search", "--no-parity-filter")
+    code, payload = run(capsys, "knight", str(grid), "--search")
     assert code == 1 and payload["status"] == "violation"
 
 
@@ -267,5 +267,14 @@ def test_round_trip_construct_verify(tmp_path, capsys):
 def test_jobs_flag_rejected(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--jobs", "4", "construct", "h-n-3", "--n", "3"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_no_parity_filter_flag_rejected(tmp_path, capsys):
+    grid = tmp_path / "full2.json"
+    grid.write_text(json.dumps({"m": 2, "n": 2, "cells": [[1, 1], [1, 2], [2, 1], [2, 2]]}))
+    with pytest.raises(SystemExit) as exc:
+        main(["knight", str(grid), "--search", "--no-parity-filter"])
     assert exc.value.code == 2
     assert capsys.readouterr().out == ""

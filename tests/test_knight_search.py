@@ -31,13 +31,16 @@ def skeletons(draw):
     return Skeleton(m, n, frozenset(cells))
 
 
-@given(skeletons(), st.booleans())
-@example(Skeleton(3, 3, frozenset({(1, 1), (1, 2), (2, 1), (2, 2), (3, 3)})), False)
-@example(Skeleton(4, 3, frozenset({(1, 1), (1, 3), (3, 1), (3, 3), (3, 2)})), True)
+@given(skeletons())
+@example(Skeleton(3, 3, frozenset({(1, 1), (1, 2), (2, 1), (2, 2), (3, 3)})))
+@example(Skeleton(4, 3, frozenset({(1, 1), (1, 3), (3, 1), (3, 3), (3, 2)})))
 @settings(max_examples=100, deadline=None)
-def test_knight_search_matches_exhaustive(skel, parity_prefilter):
-    assert strings(knight_search(skel, parity_prefilter)) == strings(
-        oracle.knight_search(skel, parity_prefilter))
+def test_knight_search_matches_exhaustive(skel):
+    # the exhaustive search gives the same answer with and without the parity
+    # filter, so a skeleton the filter rejects has no solution
+    answer = strings(knight_search(skel))
+    assert answer == strings(oracle.knight_search(skel, parity_prefilter=True))
+    assert answer == strings(oracle.knight_search(skel, parity_prefilter=False))
 
 
 def test_unsolvable_9x9_matches_exhaustive():

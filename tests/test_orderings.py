@@ -88,9 +88,17 @@ def test_knight_step_example():
         knight_step(Skeleton(3, 3, frozenset({(1, 1)})), o, (2, 2))
 
 
+def test_knight_tour_rejects_an_empty_start_cell():
+    skel = Skeleton(2, 2, frozenset({(1, 1), (2, 2)}))
+    with pytest.raises(ValueError, match=r"cell \(1, 2\) is empty"):
+        knight_tour(skel, Orientation((1, 1), (1, 1)), (1, 2))
+    with pytest.raises(ValueError, match="empty array"):
+        knight_tour(Skeleton(2, 2, frozenset()), Orientation((1, 1), (1, 1)), (1, 1))
+
+
 def test_full_2x2_has_no_solution():
     skel = Skeleton(2, 2, frozenset({(1, 1), (1, 2), (2, 1), (2, 2)}))
-    assert knight_search(skel, parity_prefilter=False) is None
+    assert knight_search(skel) is None
 
 
 def test_nine_diagonal_closed_form():

@@ -21,7 +21,6 @@ from relheffter.topology import (
     CayleyGraph,
     CertificationError,
     Cycle,
-    RotationMap,
     base_cycles,
     build_rho0,
     certify_biembedding,
@@ -138,11 +137,11 @@ def test_rho0_cyclic_iff_compatible():
     a = h3()
     good = knight_ordering(a)
     rho0 = build_rho0(a, good)
-    assert len(rho0.mapping) == 18  # single cycle on +-E(A)
+    assert len(rho0) == 18  # single cycle on +-E(A)
     entries = set(a.entries.values())
     for e in entries:
-        assert rho0(e) in {neg(x) for x in entries}
-        assert rho0(neg(e)) in entries
+        assert rho0[e] in {neg(x) for x in entries}
+        assert rho0[neg(e)] in entries
     with pytest.raises(CertificationError):
         build_rho0(a, natural_ordering(a))  # natural orderings are incompatible here
 
@@ -158,13 +157,21 @@ def test_rho0_rejects_an_entry_and_its_negative():
         build_rho0(PFArray(a.m, a.n, a.spec, entries), knight_ordering(a))
 
 
+def test_rho0_rejects_an_array_with_no_filled_cells():
+    empty = PFArray(2, 2, GroupSpec.cyclic(7))
+    with pytest.raises(ValueError, match="no filled cells"):
+        build_rho0(empty, natural_ordering(empty))
+    with pytest.raises(ValueError, match="no filled cells"):
+        certify_biembedding(empty, Orientation((1, 1), (1, 1)))
+
+
 def test_rho0_squared_composes_successors():
     a = h3()
     ordering = knight_ordering(a)
     rho0 = build_rho0(a, ordering)
     omega_r, omega_c = entry_successor_maps(a, ordering)
     for e in a.entries.values():
-        assert rho0(rho0(e)) == omega_c[omega_r[e]]
+        assert rho0[rho0[e]] == omega_c[omega_r[e]]
 
 
 def test_trace_faces_h3():
@@ -193,9 +200,9 @@ def test_two_color_check_fails_on_shuffled_rotation():
     a = h3()
     ordering = knight_ordering(a)
     rho0 = build_rho0(a, ordering)
-    keys = sorted(rho0.mapping, key=lambda e: e.coords)
+    keys = sorted(rho0, key=lambda e: e.coords)
     rotated = {keys[i]: keys[(i + 1) % len(keys)] for i in range(len(keys))}
-    report = trace_faces(CayleyGraph.from_entries(a), RotationMap(rotated))
+    report = trace_faces(CayleyGraph.from_entries(a), rotated)
     assert not two_color_check(report, a, ordering)
 
 
@@ -212,7 +219,7 @@ def test_trace_faces_rejects_non_bijective_rotation():
     signal.setitimer(signal.ITIMER_REAL, 10)
     try:
         with pytest.raises(ValueError, match="permute"):
-            trace_faces(graph, RotationMap({x: conn[0] for x in conn}))
+            trace_faces(graph, {x: conn[0] for x in conn})
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)

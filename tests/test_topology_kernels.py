@@ -17,7 +17,6 @@ from relheffter.topology import (
     CayleyGraph,
     CertificationError,
     Cycle,
-    RotationMap,
     base_cycles,
     build_rho0,
     develop_and_verify,
@@ -59,13 +58,13 @@ def random_ordering(rng: random.Random, array: PFArray) -> Ordering:
                     {j: tuple(rng.sample(cells, len(cells))) for j, cells in cols.items()})
 
 
-def rotation(kind: str, rng: random.Random, graph: CayleyGraph, rho0: RotationMap) -> RotationMap:
+def rotation(kind: str, rng: random.Random, graph: CayleyGraph, rho0: dict) -> dict:
     conn = sorted(graph.connection, key=lambda a: a.coords)
     if kind == "permute":  # any permutation of the connection set is a rotation seed
-        return RotationMap(dict(zip(conn, rng.sample(conn, len(conn)))))
+        return dict(zip(conn, rng.sample(conn, len(conn))))
     if kind == "shuffle":  # one cycle through C in random order: mostly non-zero voltages
         rng.shuffle(conn)
-        return RotationMap({a: conn[i - 1] for i, a in enumerate(conn)})
+        return {a: conn[i - 1] for i, a in enumerate(conn)}
     return rho0
 
 
@@ -131,8 +130,8 @@ def test_negative_cases_match_oracle():
     graph = CayleyGraph.from_entries(array)
 
     # a cyclic rotation that is not the two-branch map of the orderings
-    keys = sorted(build_rho0(array, ordering).mapping, key=lambda e: e.coords)
-    shuffled = RotationMap({keys[i]: keys[(i + 1) % len(keys)] for i in range(len(keys))})
+    keys = sorted(build_rho0(array, ordering), key=lambda e: e.coords)
+    shuffled = {keys[i]: keys[(i + 1) % len(keys)] for i in range(len(keys))}
     report, expected = trace_faces(graph, shuffled), oracle.trace_faces(graph, shuffled)
     assert (report.F, report.genus, report.faces) == (expected.F, expected.genus, expected.faces)
     assert two_color_check(report, array, ordering) is False
@@ -141,8 +140,8 @@ def test_negative_cases_match_oracle():
     # every face a column translate: each edge lies on two faces of class 1
     omega_r, omega_c = entry_successor_maps(array, ordering)
     back = {b: a for a, b in omega_c.items()}
-    columns_only = RotationMap({**{neg(e): omega_c[e] for e in omega_c},
-                                **{e: neg(back[e]) for e in omega_c}})
+    columns_only = {**{neg(e): omega_c[e] for e in omega_c},
+                    **{e: neg(back[e]) for e in omega_c}}
     report, expected = trace_faces(graph, columns_only), oracle.trace_faces(graph, columns_only)
     assert report.F == expected.F
     assert two_color_check(report, array, ordering) is False

@@ -22,7 +22,6 @@ from relheffter.topology import (
     Cycle,
     DirectedEdge,
     Edge,
-    RotationMap,
     base_cycles,
 )
 
@@ -120,10 +119,10 @@ def verify_orthogonal(d1, d2) -> bool:
     return True
 
 
-def trace_faces(graph: CayleyGraph, rho0: RotationMap) -> Report:
+def trace_faces(graph: CayleyGraph, rho0: dict[GroupElement, GroupElement]) -> Report:
     """Loops forever when rho0 does not permute the connection set; callers
     pass only bijective rotations."""
-    if set(rho0.mapping) != graph.connection:
+    if set(rho0) != graph.connection:
         raise ValueError("rotation domain must equal the connection set")
     vertices = list(graph.spec.elements())
     directed = [(x, x + a) for x in vertices for a in graph.connection]
@@ -137,7 +136,7 @@ def trace_faces(graph: CayleyGraph, rho0: RotationMap) -> Report:
             face.append(cur)
             unvisited.discard(cur)
             tail, head = cur
-            cur = (head, head + rho0(tail - head))
+            cur = (head, head + rho0[tail - head])
             if cur == start:
                 break
         faces.append(_canonical_rotation(tuple(face)))
