@@ -6,6 +6,7 @@ import argparse
 import json
 import sys
 from contextlib import contextmanager
+from functools import cache
 from pathlib import Path
 from typing import Iterator
 
@@ -303,7 +304,10 @@ def cmd_embed(args: argparse.Namespace) -> int:
 # -- parser -------------------------------------------------------------
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and shared after: parsing
+    leaves it unchanged, so every call of main can use the one tree."""
     parser = argparse.ArgumentParser(
         prog="relheffter",
         description="Construct, verify, and certify relative Heffter and Archdeacon arrays.",

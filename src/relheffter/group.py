@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
-from typing import Iterator, Sequence
+from math import gcd, lcm
+from typing import Callable, Iterable, Iterator, Sequence
 
 
 class GroupError(ValueError):
@@ -48,6 +50,14 @@ class GroupSpec:
     def elements(self) -> Iterator["GroupElement"]:
         for coords in product(*(range(o) for o in self.orders)):
             yield GroupElement(self, coords)
+
+    @cached_property
+    def codes(self) -> "ElementCodes":
+        """Int codes of the elements and their arithmetic, built once per spec."""
+        return ElementCodes(self)
+
+    def __getstate__(self) -> dict:
+        return {"orders": self.orders}  # not the cached codes: functions do not pickle
 
     def to_json(self) -> dict:
         return {"orders": list(self.orders)}
@@ -146,3 +156,57 @@ def sum_elements(spec: GroupSpec, elems: Sequence[GroupElement]) -> GroupElement
         if e.spec != spec:
             raise GroupError(f"group mismatch: {spec} vs {e.spec}")
     return GroupElement(spec, sum_coords(spec.orders, [e.coords for e in elems]))
+
+
+class ElementCodes:
+    """The elements of one group as int codes in [0, |G|), and their arithmetic.
+
+    The code of (c_1, ..., c_r) is the mixed-radix number with c_1 most
+    significant: the sum of c_i * p_i, where p_i is the product of the orders
+    after factor i. So codes sort as coordinate tuples do, elements() lists
+    them in increasing order, the identity is 0, and in Z_v the code is the
+    residue. ``add``, ``neg``, ``sub``, ``total`` (the sum of an iterable of
+    codes) and ``order`` are plain functions, for hot loops.
+    """
+
+    def __init__(self, spec: GroupSpec) -> None:
+        self.spec = spec
+        places = [1]
+        for o in reversed(spec.orders[1:]):
+            places.insert(0, places[0] * o)
+        self.places = tuple(places)
+        if spec.is_cyclic_single:
+            v = spec.orders[0]
+            self.add: Callable[[int, int], int] = lambda a, b: (a + b) % v
+            self.neg: Callable[[int], int] = lambda a: -a % v
+            self.sub: Callable[[int, int], int] = lambda a, b: (a - b) % v
+            self.total: Callable[[Iterable[int]], int] = lambda codes: sum(codes) % v
+            self.order: Callable[[int], int] = lambda a: v // gcd(a, v)
+            return
+        # factor i of x is (x // p_i) % o_i, and the higher factors add only
+        # multiples of o_i to x // p_i: sums reduce factor by factor from x // p_i
+        factors = tuple(zip(self.places, spec.orders))
+
+        def total(codes: Iterable[int]) -> int:
+            codes = list(codes)
+            return sum(sum(x // p for x in codes) % o * p for p, o in factors)
+
+        self.add = lambda a, b: sum((a // p + b // p) % o * p for p, o in factors)
+        self.neg = lambda a: sum(-(a // p) % o * p for p, o in factors)
+        self.sub = lambda a, b: sum((a // p - b // p) % o * p for p, o in factors)
+        self.total = total
+        self.order = lambda a: lcm(*(o // gcd(a // p % o, o) for p, o in factors))
+
+    def encode(self, g: GroupElement) -> int:
+        if g.spec is not self.spec and g.spec != self.spec:
+            raise GroupError(f"group mismatch: {self.spec} vs {g.spec}")
+        coords = g.coords
+        if len(coords) == 1:
+            return coords[0]
+        return sum(c * p for c, p in zip(coords, self.places))
+
+    def decode(self, code: int) -> GroupElement:
+        if not 0 <= code < self.spec.size:
+            raise GroupError(f"code {code} is not an element of {self.spec.orders}")
+        return GroupElement(self.spec, tuple(code // p % o
+                                             for p, o in zip(self.places, self.spec.orders)))

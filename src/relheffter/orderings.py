@@ -120,12 +120,6 @@ class Ordering:
         )
         return row_next, col_next
 
-    def row_entries(self, array: PFArray, i: int) -> list[GroupElement]:
-        return [array.entries[c] for c in self.row_orders[i]]
-
-    def col_entries(self, array: PFArray, j: int) -> list[GroupElement]:
-        return [array.entries[c] for c in self.col_orders[j]]
-
     def with_reversed_rows(self) -> "Ordering":
         """Every row ordering reversed (omega_r inverse), the columns unchanged."""
         return Ordering(

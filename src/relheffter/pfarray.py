@@ -2,13 +2,12 @@
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass, field
 from functools import cached_property
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
-from .group import GroupElement, GroupError, GroupSpec, symmetric_rep
+from .group import GroupElement, GroupError, GroupSpec, symmetric_rep, symmetric_residue
 
 Cell = tuple[int, int]  # 1-based (row, col)
 
@@ -102,6 +101,12 @@ class PFArray:
         return [self._cells[c] for c in sorted(self._cells)]
 
     @cached_property
+    def entry_codes(self) -> dict[Cell, int]:
+        """Each filled cell's entry as its int code (GroupSpec.codes), encoded once."""
+        encode = self.spec.codes.encode
+        return {cell: encode(e) for cell, e in self._cells.items()}
+
+    @cached_property
     def _lines(self) -> tuple[dict[int, list[GroupElement]], dict[int, list[GroupElement]]]:
         """Entries of each nonempty row and column in natural order, from one
         pass over the cells in row-major order."""
@@ -162,15 +167,11 @@ class PFArray:
         """Grid CSV with symmetric representatives; empty string for empty cells."""
         if not self.spec.is_cyclic_single:
             raise GroupError("CSV export requires a single-factor group")
-        out = io.StringIO()
-        for r in range(1, self.m + 1):
-            fields = []
-            for c in range(1, self.n + 1):
-                e = self._cells.get((r, c))
-                fields.append("" if e is None else str(symmetric_rep(e)))
-            out.write(",".join(fields))
-            out.write("\n")
-        return out.getvalue()
+        v = self.spec.orders[0]
+        rows = [[""] * self.n for _ in range(self.m)]
+        for (r, c), e in self._cells.items():
+            rows[r - 1][c - 1] = str(symmetric_residue(e.coords[0], v))
+        return "".join(",".join(fields) + "\n" for fields in rows)
 
     @classmethod
     def from_csv(cls, text: str, v: int) -> "PFArray":

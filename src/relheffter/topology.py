@@ -5,32 +5,32 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
-from math import gcd, lcm
 from typing import Sequence
 
-from .group import GroupElement, GroupSpec, neg, subgroup_of_order, sum_elements
-from .orderings import Ordering, Orientation, orbit, orientation_to_orderings, partial_sums
+from .group import GroupElement, GroupSpec, subgroup_of_order
+from .orderings import Ordering, Orientation, orbit, orientation_to_orderings
 from .pfarray import PFArray
 
-Edge = frozenset  # frozenset of two GroupElements
-DirectedEdge = tuple  # (tail: GroupElement, head: GroupElement)
+Edge = frozenset  # frozenset of two vertices
+DirectedEdge = tuple  # (tail, head)
 
 # Everything is certified on the quotient: the connection set C and the base
 # cycles, never the |G|-fold developed graph. The rotation and both
 # decompositions commute with translation, so each face, cycle and edge is a
 # translate of one read off C (face lifting: Gross & Tucker, Topological
 # Graph Theory, 1987).
+#
+# Group elements are int codes (GroupSpec.codes) throughout: array entries are
+# encoded once (PFArray.entry_codes), and GroupElements appear only in the
+# faces and cycles developed when read, and in witness messages.
 
 
-def _order(g: GroupElement) -> int:
-    return lcm(*(o // gcd(c, o) for c, o in zip(g.coords, g.spec.orders)))
-
-
-def _rotation_key(seq: Sequence[GroupElement]) -> tuple:
-    """The least rotation of the sequence: equal for two sequences iff one is a
-    rotation of the other."""
-    coords = [g.coords for g in seq]
-    return min(tuple(coords[i:] + coords[:i]) for i in range(len(coords)))
+def _rotation_key(seq: Sequence[int]) -> tuple[int, ...]:
+    """The rotation of the sequence that starts at its least element: equal for
+    two sequences of distinct elements iff one is a rotation of the other."""
+    seq = tuple(seq)
+    i = seq.index(min(seq))
+    return seq[i:] + seq[:i]
 
 
 class CertificationError(ValueError):
@@ -39,33 +39,41 @@ class CertificationError(ValueError):
 
 @dataclass(frozen=True)
 class CayleyGraph:
-    """Cay[G : connection]: vertices G, x ~ y iff x - y in the connection set."""
+    """Cay[G : connection]: vertices G, x ~ y iff x - y in the connection set,
+    a set of element codes.
+
+    ``listing`` is the connection set in the order from_entries listed it (e
+    and -e for each entry, in cell order); it fixes which elements a failed
+    development names (_set_witnesses)."""
 
     spec: GroupSpec
-    connection: frozenset[GroupElement]
+    connection: frozenset[int]
+    listing: tuple[int, ...] = field(default=(), compare=False, repr=False)
 
     def __post_init__(self) -> None:
+        codes = self.spec.codes
         for a in self.connection:
-            if a.is_identity:
+            if not 0 <= a < self.spec.size:
+                raise ValueError(f"connection code {a} is not an element of {self.spec.orders}")
+            if a == 0:
                 raise ValueError("connection set must not contain the identity")
-            if neg(a) not in self.connection:
-                raise ValueError(f"connection set not closed under negation at {a.coords}")
+            if codes.neg(a) not in self.connection:
+                raise ValueError(
+                    f"connection set not closed under negation at {codes.decode(a).coords}")
 
     @classmethod
     def multipartite(cls, v: int, t: int) -> "CayleyGraph":
         """K_{(v/t) x t} as Cay[Z_v : Z_v minus the order-t subgroup]."""
         spec = GroupSpec.cyclic(v)
-        forbidden = subgroup_of_order(v, t)
-        return cls(spec, frozenset(g for g in spec.elements() if g not in forbidden))
+        forbidden = {spec.codes.encode(g) for g in subgroup_of_order(v, t)}
+        return cls(spec, frozenset(x for x in range(v) if x not in forbidden))
 
     @classmethod
     def from_entries(cls, array: PFArray) -> "CayleyGraph":
         """Cay[G : +-E(A)]."""
-        conn = set()
-        for e in array.entries.values():
-            conn.add(e)
-            conn.add(neg(e))
-        return cls(array.spec, frozenset(conn))
+        neg = array.spec.codes.neg
+        listing = tuple(c for e in array.entry_codes.values() for c in (e, neg(e)))
+        return cls(array.spec, frozenset(listing), listing)
 
     @property
     def num_vertices(self) -> int:
@@ -78,9 +86,12 @@ class CayleyGraph:
 
 @dataclass(frozen=True)
 class Cycle:
-    """A cycle as its vertex sequence; consecutive vertices (cyclically) adjacent."""
+    """A cycle as its vertex sequence; consecutive vertices (cyclically) adjacent.
 
-    vertices: tuple[GroupElement, ...]
+    Base cycles hold element codes; the developed cycles that
+    DecompositionCertificate.cycles lists hold GroupElements."""
+
+    vertices: tuple
 
     def __post_init__(self) -> None:
         if len(set(self.vertices)) != len(self.vertices):
@@ -93,30 +104,19 @@ class Cycle:
         vs = self.vertices
         return [frozenset((vs[i], vs[(i + 1) % len(vs)])) for i in range(len(vs))]
 
-    def differences(self) -> list[GroupElement]:
-        """Both signed differences of each edge; the list has 2 * len entries."""
-        vs = self.vertices
-        out = []
-        for i in range(len(vs)):
-            d = vs[(i + 1) % len(vs)] - vs[i]
-            out.append(d)
-            out.append(neg(d))
-        return out
-
-    def translate(self, g: GroupElement) -> "Cycle":
-        return Cycle(tuple(v + g for v in self.vertices))
-
 
 def base_cycles(array: PFArray, ordering: Ordering, by: str = "col") -> list[Cycle]:
     """Partial-sum cycles of each row (by='row') or column (by='col') ordering."""
     if by not in ("row", "col"):
         raise ValueError("by must be 'row' or 'col'")
+    codes, add = array.entry_codes, array.spec.codes.add
     cycles = []
     orders = ordering.row_orders if by == "row" else ordering.col_orders
     for index in sorted(orders):
-        seq = (ordering.row_entries(array, index) if by == "row"
-               else ordering.col_entries(array, index))
-        sums = partial_sums(seq)
+        sums, total = [], 0
+        for cell in orders[index]:
+            total = add(total, codes[cell])
+            sums.append(total)
         if len(set(sums)) != len(sums):
             raise CertificationError(f"{by} {index} ordering is not simple")
         if len(sums) < 3:
@@ -132,16 +132,19 @@ class DecompositionCertificate:
     ``cycles`` lists base[0] + g, base[1] + g, ... for each g in elements() order.
     ``offsets[d]`` is (i, u) for the one edge (u, u + d) of difference d in the
     base cycles, which lies on base[i]; so the edge {x, x + d} lies on
-    base[i] + (x - u).
+    base[i] + (x - u). Differences and offsets are element codes.
     """
 
     graph: CayleyGraph
     base: list[Cycle]
-    offsets: dict[GroupElement, tuple[int, GroupElement]] = field(repr=False)
+    offsets: dict[int, tuple[int, int]] = field(repr=False)
 
     @property
     def cycles(self) -> list[Cycle]:
-        return [c.translate(g) for g in self.graph.spec.elements() for c in self.base]
+        add = self.graph.spec.codes.add
+        element = list(self.graph.spec.elements())  # indexed by code
+        return [Cycle(tuple(element[add(v, g)] for v in c.vertices))
+                for g in range(len(element)) for c in self.base]
 
     @property
     def cycle_lengths(self) -> Counter:
@@ -163,25 +166,40 @@ def develop_and_verify(base: list[Cycle], graph: CayleyGraph) -> DecompositionCe
     They do iff the differences of the base cycles list every element of the
     connection set exactly once: the edge {x, x + d} then lies on exactly one
     translate, and the translates cover |C|/2 * |G| edges."""
-    diffs: list[GroupElement] = []
-    offsets: dict[GroupElement, tuple[int, GroupElement]] = {}
+    codes = graph.spec.codes
+    sub, neg = codes.sub, codes.neg
+    diffs: list[int] = []
+    offsets: dict[int, tuple[int, int]] = {}
     for i, cycle in enumerate(base):
         vs = cycle.vertices
         for u, w in zip(vs, vs[1:] + vs[:1]):
-            d = w - u
-            diffs += [d, neg(d)]
-            offsets[d], offsets[neg(d)] = (i, u), (i, w)
+            d = sub(w, u)
+            nd = neg(d)
+            diffs += (d, nd)
+            offsets[d], offsets[nd] = (i, u), (i, w)
     counts = Counter(diffs)
     for d, c in counts.items():
         if c > 1:
-            raise CertificationError(f"difference {d.coords} appears {c} times in the base cycles")
-    if set(counts) != set(graph.connection):
-        missing = next(iter(set(graph.connection) - set(counts)), None)
-        extra = next(iter(set(counts) - set(graph.connection)), None)
+            raise CertificationError(
+                f"difference {codes.decode(d).coords} appears {c} times in the base cycles")
+    if counts.keys() != graph.connection:
+        missing, extra = _set_witnesses(graph, counts)
         raise CertificationError(
             f"difference list != connection set (missing={missing}, extra={extra})"
         )
     return DecompositionCertificate(graph, base, offsets)
+
+
+def _set_witnesses(graph: CayleyGraph, diffs: Counter) -> tuple[GroupElement | None, ...]:
+    """A missing and an extra difference: the first element of each set
+    difference of the connection set and the differences as sets of
+    GroupElements, built in the order the object-level certificate built them
+    (a set iterates in an order fixed by the hashes and the insertion order of
+    its elements), so a failure names the elements it has always named."""
+    decode = graph.spec.codes.decode
+    connection = set(frozenset(set(map(decode, graph.listing or sorted(graph.connection)))))
+    differences = set(map(decode, diffs))
+    return next(iter(connection - differences), None), next(iter(differences - connection), None)
 
 
 def verify_orthogonal(d1: DecompositionCertificate, d2: DecompositionCertificate) -> bool:
@@ -192,35 +210,54 @@ def verify_orthogonal(d1: DecompositionCertificate, d2: DecompositionCertificate
     (i, j, u2 - u1). Both signs of one difference give the same triple."""
     if d1 is d2:
         raise ValueError("orthogonality is defined across two distinct decompositions")
+    sub = d1.graph.spec.codes.sub
     pairs = set()
     for d, (i, u1) in d1.offsets.items():
         j, u2 = d2.offsets[d]
-        pairs.add((i, j, u2 - u1))
+        pairs.add((i, j, sub(u2, u1)))
     return 2 * len(pairs) == len(d1.offsets)
 
 
 def entry_successor_maps(
     array: PFArray, ordering: Ordering
-) -> tuple[dict[GroupElement, GroupElement], dict[GroupElement, GroupElement]]:
-    """omega_r and omega_c as entry-level cyclic successor maps (entries distinct)."""
+) -> tuple[dict[int, int], dict[int, int]]:
+    """omega_r and omega_c as cyclic successor maps on entry codes (entries distinct)."""
+    codes = array.entry_codes
     row_next, col_next = ordering.successors()
-    omega_r = {array.entries[a]: array.entries[b] for a, b in row_next.items()}
+    omega_r = {codes[a]: codes[b] for a, b in row_next.items()}
     if len(omega_r) != len(row_next):
         raise ValueError("entries are not distinct; entry-level orderings undefined")
-    omega_c = {array.entries[a]: array.entries[b] for a, b in col_next.items()}
+    omega_c = {codes[a]: codes[b] for a, b in col_next.items()}
     return omega_r, omega_c
 
 
-def build_rho0(array: PFArray, ordering: Ordering) -> dict[GroupElement, GroupElement]:
-    """The vertex-rotation seed, a cyclic permutation of +-E(A): rho0(a) =
-    -omega_r(a) on E(A) and omega_c(-a) on -E(A)."""
+def build_rho0(array: PFArray, ordering: Ordering) -> dict[int, int]:
+    """The vertex-rotation seed, a cyclic permutation of +-E(A) on element
+    codes: rho0(a) = -omega_r(a) on E(A) and omega_c(-a) on -E(A)."""
     if not array.entries:
         raise ValueError("rho0 is undefined: the array has no filled cells")
     omega_r, omega_c = entry_successor_maps(array, ordering)
-    rho0: dict[GroupElement, GroupElement] = {}
-    for a in set(omega_r):
-        rho0[a] = neg(omega_r[a])
-        rho0[neg(a)] = omega_c[a]
+    codes = array.spec.codes
+    neg = codes.neg
+
+    def seed(entries) -> dict[int, int]:
+        rho0 = {}
+        for a in entries:
+            rho0[a] = neg(omega_r[a])
+            rho0[neg(a)] = omega_c[a]
+        return rho0
+
+    rho0 = seed(omega_r)
+    # with 2|E(A)| distinct keys rho0 is a permutation, and the walk from any
+    # key shows whether it is one cycle
+    if len(rho0) == 2 * len(omega_r):
+        if len(orbit(rho0.__getitem__, next(iter(rho0)))) == len(rho0):
+            return rho0
+    # A failure is reported as the object-level seed reported it: the entries
+    # taken in the iteration order of the set of their GroupElements (the
+    # later of two colliding keys wins), and the walk from the first of them.
+    entries = set(dict.fromkeys(map(codes.decode, omega_r)))
+    rho0 = seed([codes.encode(g) for g in entries])
     try:
         length = len(orbit(rho0.__getitem__, next(iter(rho0))))
     except ValueError as exc:  # only when +-E(A) has repeats, so some entries collided
@@ -237,9 +274,9 @@ def build_rho0(array: PFArray, ordering: Ordering) -> dict[GroupElement, GroupEl
 class EmbeddingReport:
     """The embedding induced by rho0, with Euler-characteristic genus.
 
-    It is stored as the cycles of pi(a) = rho0(-a) on C. A pi-cycle
-    (a_0, ..., a_{L-1}) with net voltage s = a_0 + ... + a_{L-1} lifts to
-    |G| / ord(s) faces of length L * ord(s): the face through the dart
+    It is stored as the cycles of pi(a) = rho0(-a) on C, in element codes. A
+    pi-cycle (a_0, ..., a_{L-1}) with net voltage s = a_0 + ... + a_{L-1} lifts
+    to |G| / ord(s) faces of length L * ord(s): the face through the dart
     (x, x + a_0) runs x, x + a_0, x + a_0 + a_1, ... and closes after ord(s)
     laps. ``faces`` and ``color_of_face`` are developed from them when read.
     """
@@ -249,7 +286,7 @@ class EmbeddingReport:
     F: int
     genus: int
     spec: GroupSpec = field(repr=False)
-    pi_cycles: list[tuple[GroupElement, ...]] = field(repr=False)
+    pi_cycles: list[tuple[int, ...]] = field(repr=False)
     orders: list[int] = field(repr=False)  # ord(net voltage) of each pi-cycle
     pi_colors: list[int] | None = None  # the class of each pi-cycle; set by two_color_check
     formula_genus: int | None = None
@@ -257,24 +294,27 @@ class EmbeddingReport:
     @cached_property
     def _lifted(self) -> list[tuple[tuple[DirectedEdge, ...], int]]:
         """Every face with the number of its pi-cycle, rotated to start at its
-        least directed edge, in sorted order."""
+        least directed edge, in sorted order, as GroupElement darts."""
+        add = self.spec.codes.add
+        element = list(self.spec.elements())  # indexed by code
         lifted = []
         for number, (cycle, order) in enumerate(zip(self.pi_cycles, self.orders)):
-            covered: set[GroupElement] = set()  # tails of the a_0 darts already walked
-            for x in self.spec.elements():
+            covered: set[int] = set()  # tails of the a_0 darts already walked
+            for x in range(len(element)):
                 if x in covered:
                     continue
                 darts, y = [], x
                 for _ in range(order):
                     covered.add(y)
                     for a in cycle:
-                        darts.append((y, y + a))
-                        y = y + a
-                least = min(range(len(darts)),
-                            key=lambda i: (darts[i][0].coords, darts[i][1].coords))
-                lifted.append((tuple(darts[least:] + darts[:least]), number))
-        lifted.sort(key=lambda f: (f[0][0][0].coords, f[0][0][1].coords))
-        return lifted
+                        z = add(y, a)
+                        darts.append((y, z))
+                        y = z
+                least = darts.index(min(darts))
+                lifted.append((darts[least:] + darts[:least], number))
+        lifted.sort(key=lambda f: f[0][0])
+        return [(tuple((element[u], element[w]) for u, w in face), number)
+                for face, number in lifted]
 
     @property
     def faces(self) -> list[tuple[DirectedEdge, ...]]:
@@ -306,24 +346,26 @@ def heffter_genus_formula(m: int, n: int, s: int, k: int, t: int) -> int:
     return 1 + num // 2
 
 
-def trace_faces(graph: CayleyGraph, rho0: dict[GroupElement, GroupElement]) -> EmbeddingReport:
+def trace_faces(graph: CayleyGraph, rho0: dict[int, int]) -> EmbeddingReport:
     """Faces as orbits of rho o tau on directed edges, where
     rho((x, x+a)) = (x, x + rho0(a)) and tau swaps the directions.
 
     rho o tau sends (x, x + a) to (x + a, x + a + pi(a)) with pi(a) = rho0(-a),
     so the faces are the lifts of the cycles of pi on C: O(|C|), not O(|G| |C|)."""
     connection = graph.connection
-    if set(rho0) != connection:
+    if rho0.keys() != connection:
         raise ValueError("rotation domain must equal the connection set")
     if set(rho0.values()) != connection:
         raise ValueError("rotation must permute the connection set")
-    cycles: list[tuple[GroupElement, ...]] = []
-    seen: set[GroupElement] = set()
-    for a in sorted(connection, key=lambda g: g.coords):
+    codes = graph.spec.codes
+    pi = {a: rho0[codes.neg(a)] for a in connection}
+    cycles: list[tuple[int, ...]] = []
+    seen: set[int] = set()
+    for a in sorted(connection):
         if a not in seen:
-            cycles.append(tuple(orbit(lambda b: rho0[neg(b)], a)))
+            cycles.append(tuple(orbit(pi.__getitem__, a)))
             seen.update(cycles[-1])
-    orders = [_order(sum_elements(graph.spec, cycle)) for cycle in cycles]
+    orders = [codes.order(codes.total(cycle)) for cycle in cycles]
     V = graph.num_vertices
     S = graph.num_edges
     F = sum(V // order for order in orders)
@@ -358,12 +400,14 @@ def _two_color(report: EmbeddingReport, col_base: list[Cycle], row_base: list[Cy
     repeats its steps, which a cycle of distinct entries never does). The edge
     {x, x + a} has one side on a face of a's pi-cycle and the other on a face of
     -a's."""
+    codes = report.spec.codes
+    sub, neg = codes.sub, codes.neg
     class_of_steps: dict[tuple, int] = {}
     # columns go in last, so a face in both classes gets class 1
     for color, base in ((2, row_base), (1, col_base)):
         for cycle in base:
             vs = cycle.vertices
-            steps = [w - u for u, w in zip(vs[-1:] + vs[:-1], vs)]
+            steps = [sub(w, u) for u, w in zip(vs[-1:] + vs[:-1], vs)]
             class_of_steps[_rotation_key(steps)] = color
             class_of_steps[_rotation_key([neg(a) for a in reversed(steps)])] = color
     colors = []

@@ -5,7 +5,8 @@ from pathlib import Path
 
 import pytest
 
-from relheffter.cli import main
+from relheffter.cli import build_parser, main
+from relheffter.constructions import build_h_n_3
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -278,3 +279,36 @@ def test_no_parity_filter_flag_rejected(tmp_path, capsys):
         main(["knight", str(grid), "--search", "--no-parity-filter"])
     assert exc.value.code == 2
     assert capsys.readouterr().out == ""
+
+
+def test_main_reuses_one_parser(tmp_path, capsys):
+    path = tmp_path / "h3.json"
+    path.write_text(json.dumps(build_h_n_3(3).to_json()))
+    calls = [
+        ["knight", str(path), "--search", "--emit-orbit"],
+        ["knight", str(path), "--search"],
+        ["embed", str(path)],  # usage error: --orientation is required
+        ["--help"],
+    ]
+
+    def call(argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    fresh = []
+    for argv in calls:
+        build_parser.cache_clear()
+        fresh.append(call(argv))
+    build_parser.cache_clear()
+    reused = [call(argv) for argv in calls]
+    assert build_parser.cache_info().misses == 1
+    assert reused == fresh
+    assert [code for code, _, _ in reused] == [0, 0, 2, 0]
+    assert "orbit" in json.loads(reused[0][1])
+    assert "orbit" not in json.loads(reused[1][1])
+    assert "required: --orientation" in reused[2][2]
+    assert reused[3][1].startswith("usage: relheffter")

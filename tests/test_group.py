@@ -1,5 +1,7 @@
 """Group arithmetic: exact values plus algebraic laws."""
 
+import pickle
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -120,3 +122,35 @@ def test_symmetric_rep_antisymmetry(v, x):
         assert r == rn == v // 2  # the unique self-negative element
     else:
         assert rn == -r
+
+
+@pytest.mark.parametrize("orders", [(21,), (4,), (51, 3), (35, 4), (7, 3, 4)])
+def test_element_codes_match_object_arithmetic(orders):
+    spec = GroupSpec(orders)
+    codes = spec.codes
+    elements = list(spec.elements())
+    # mixed radix, first coordinate most significant: codes sort as coordinates
+    assert [codes.encode(g) for g in elements] == list(range(spec.size))
+    assert [codes.decode(x) for x in range(spec.size)] == elements
+    step = max(1, spec.size // 40)
+    sample = range(0, spec.size, step)
+    for a in sample:
+        g = elements[a]
+        assert codes.decode(codes.neg(a)) == -g
+        assert codes.order(a) == next(n for n in range(1, spec.size + 1)
+                                      if sum_elements(spec, [g] * n).is_identity)
+        for b in sample:
+            assert codes.decode(codes.add(a, b)) == g + elements[b]
+            assert codes.decode(codes.sub(a, b)) == g - elements[b]
+        assert codes.decode(codes.total([a, b, a])) == sum_elements(spec, [g, elements[b], g])
+    with pytest.raises(GroupError):
+        codes.decode(spec.size)
+    with pytest.raises(GroupError):
+        codes.encode(GroupSpec.cyclic(5).element(1))
+
+
+def test_spec_pickles_after_building_its_codes():
+    spec = GroupSpec((51, 3))
+    assert spec.codes.add(3, 1) == 4  # (1, 0) + (0, 1)
+    copy = pickle.loads(pickle.dumps(spec))
+    assert copy == spec and copy.codes.neg(1) == spec.codes.neg(1)

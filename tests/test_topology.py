@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import topology_oracle as oracle
 from relheffter.constructions import FAMILIES, build_h_n_3
 from relheffter.group import GroupSpec, neg, subgroup_of_order
 from relheffter.orderings import (
@@ -55,15 +56,18 @@ def test_cayley_graph_multipartite():
         for y in range(x + 1, 21):
             diff = spec.element(x) - spec.element(y)
             edge_expected = diff not in j
-            assert (diff in g.connection) == edge_expected
+            assert (spec.codes.encode(diff) in g.connection) == edge_expected
 
 
 def test_cayley_graph_rejects_bad_connection():
     spec = GroupSpec.cyclic(7)
     with pytest.raises(ValueError):
-        CayleyGraph(spec, frozenset({spec.identity}))
+        CayleyGraph(spec, frozenset({spec.codes.encode(spec.identity)}))
     with pytest.raises(ValueError):
-        CayleyGraph(spec, frozenset({spec.element(1)}))  # not closed under negation
+        # not closed under negation
+        CayleyGraph(spec, frozenset({spec.codes.encode(spec.element(1))}))
+    with pytest.raises(ValueError, match="not an element"):
+        CayleyGraph(spec, frozenset({1, 6, 7}))  # 7 is no code of Z_7
 
 
 def test_from_entries_equals_multipartite_for_heffter():
@@ -71,13 +75,10 @@ def test_from_entries_equals_multipartite_for_heffter():
 
 
 def test_cycle_basics():
-    spec = GroupSpec.cyclic(21)
-    c = Cycle(tuple(spec.element(x) for x in (11, 16, 0)))
+    c = Cycle((11, 16, 0))  # element codes of Z_21
     assert len(c.edges()) == 3
-    t = c.translate(spec.element(5))
-    assert t.vertices[2].coords == (5,)
     with pytest.raises(ValueError):
-        Cycle((spec.element(1), spec.element(1)))
+        Cycle((1, 1))
 
 
 def test_base_cycles_telescope():
@@ -85,12 +86,12 @@ def test_base_cycles_telescope():
     ordering = natural_ordering(a)
     for by in ("row", "col"):
         for idx, cycle in enumerate(base_cycles(a, ordering, by=by), start=1):
-            entries = (ordering.row_entries(a, idx) if by == "row"
-                       else ordering.col_entries(a, idx))
+            cells = (ordering.row_orders if by == "row" else ordering.col_orders)[idx]
+            entries = [a.entries[c] for c in cells]
             expected = []
             for e in entries:
                 expected.extend([e, neg(e)])
-            assert sorted(d.coords for d in cycle.differences()) == sorted(
+            assert sorted(d.coords for d in oracle.differences(cycle, a.spec)) == sorted(
                 e.coords for e in expected
             )
 
@@ -108,16 +109,22 @@ def test_develop_and_verify_h3():
     a = h3()
     graph = CayleyGraph.multipartite(21, 3)
     ordering = natural_ordering(a)
-    cert = develop_and_verify(base_cycles(a, ordering, by="col"), graph)
+    base = base_cycles(a, ordering, by="col")
+    cert = develop_and_verify(base, graph)
     assert len(cert.cycles) == 63
     assert cert.cycle_lengths == {3: 63}
     assert 63 * 3 == graph.num_edges
+    # the developed cycles are the translates, decoded: base + 5 after base + 0..4
+    five = a.spec.element(5)
+    for i, cycle in enumerate(base):
+        translate = tuple(a.spec.codes.decode(v) + five for v in cycle.vertices)
+        assert cert.cycles[5 * len(base) + i].vertices == translate
 
 
 def test_develop_rejects_wrong_difference_set():
     spec = GroupSpec.cyclic(21)
     graph = CayleyGraph.multipartite(21, 3)
-    bad = [Cycle(tuple(spec.element(x) for x in (0, 1, 2)))]
+    bad = [Cycle(tuple(spec.codes.encode(spec.element(x)) for x in (0, 1, 2)))]
     with pytest.raises(CertificationError):
         develop_and_verify(bad, graph)
 
@@ -138,10 +145,11 @@ def test_rho0_cyclic_iff_compatible():
     good = knight_ordering(a)
     rho0 = build_rho0(a, good)
     assert len(rho0) == 18  # single cycle on +-E(A)
-    entries = set(a.entries.values())
+    codes = a.spec.codes
+    entries = set(a.entry_codes.values())
     for e in entries:
-        assert rho0[e] in {neg(x) for x in entries}
-        assert rho0[neg(e)] in entries
+        assert rho0[e] in {codes.neg(x) for x in entries}
+        assert rho0[codes.neg(e)] in entries
     with pytest.raises(CertificationError):
         build_rho0(a, natural_ordering(a))  # natural orderings are incompatible here
 
@@ -170,7 +178,7 @@ def test_rho0_squared_composes_successors():
     ordering = knight_ordering(a)
     rho0 = build_rho0(a, ordering)
     omega_r, omega_c = entry_successor_maps(a, ordering)
-    for e in a.entries.values():
+    for e in a.entry_codes.values():
         assert rho0[rho0[e]] == omega_c[omega_r[e]]
 
 
@@ -200,7 +208,7 @@ def test_two_color_check_fails_on_shuffled_rotation():
     a = h3()
     ordering = knight_ordering(a)
     rho0 = build_rho0(a, ordering)
-    keys = sorted(rho0, key=lambda e: e.coords)
+    keys = sorted(rho0)
     rotated = {keys[i]: keys[(i + 1) % len(keys)] for i in range(len(keys))}
     report = trace_faces(CayleyGraph.from_entries(a), rotated)
     assert not two_color_check(report, a, ordering)
@@ -209,7 +217,7 @@ def test_two_color_check_fails_on_shuffled_rotation():
 def test_trace_faces_rejects_non_bijective_rotation():
     a = h3()
     graph = CayleyGraph.from_entries(a)
-    conn = sorted(graph.connection, key=lambda e: e.coords)
+    conn = sorted(graph.connection)
 
     def hung(signum, frame):
         raise TimeoutError("trace_faces did not return on a non-bijective rotation")
@@ -294,3 +302,45 @@ def test_certificate_not_ok_without_every_check():
     assert not cert.ok
     cert.embedding.formula_genus = heffter_genus_formula(3, 3, 3, 3, 3)
     assert cert.ok
+
+
+def test_certify_every_family_at_paper_scale():
+    # the largest admissible n <= 199 of each family: v up to 18 * 199 + 9 = 3591
+    for family in FAMILIES.values():
+        n = max(n for n in range(3, 200) if family.admissible(n))
+        array = family.builder(n)
+        solution = knight_search(array)
+        assert solution is not None, family.name
+        cert = certify_biembedding(array, solution)
+        assert cert.two_colorable and cert.orthogonal, family.name
+        k, t = family.k, family.t(n)
+        assert cert.embedding.genus == heffter_genus_formula(n, n, k, k, t), family.name
+
+
+# failure messages of the 8x8 fixture with one entry moved by (1, 0), as the
+# object-level certificate wrote them: its witnesses were the first elements
+# of sets of GroupElements, and the certificate on codes names the same ones
+WITNESSES = {
+    (1, 1): "missing=g(43, 1), extra=g(9, 2)",
+    (1, 2): "missing=g(50, 1), extra=g(0, 1)",
+    (1, 7): "missing=g(34, 0), extra=g(16, 0)",
+    (2, 1): "missing=g(9, 2), extra=g(10, 2)",
+    (2, 2): "missing=g(0, 1), extra=g(1, 1)",
+}
+
+
+def test_certificate_failures_name_the_object_level_witnesses():
+    a = PFArray.from_json(json.loads((FIXTURES / "archdeacon_8x8_z51xz3.json").read_text()))
+    o = knight_search(a)
+    flipped = Orientation(tuple(-x for x in o.r), o.c)
+    for cell, witnesses in WITNESSES.items():
+        entries = dict(a.entries)
+        entries[cell] = entries[cell] + a.spec.element(1, 0)
+        b = PFArray(a.m, a.n, a.spec, entries)
+        with pytest.raises(CertificationError) as exc:
+            certify_biembedding(b, o)
+        assert str(exc.value) == f"difference list != connection set ({witnesses})"
+        with pytest.raises(CertificationError) as exc:
+            certify_biembedding(b, flipped)
+        assert str(exc.value) == (
+            "rho0 is not cyclic on +-E(A): orbit 6 of 50 (the orderings are not compatible)")

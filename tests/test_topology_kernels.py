@@ -9,10 +9,15 @@ from pathlib import Path
 from hypothesis import example, given, settings, strategies as st
 
 import topology_oracle as oracle
-from relheffter.constructions import FAMILIES
-from relheffter.group import neg
-from relheffter.orderings import Ordering, knight_search, orientation_to_orderings
-from relheffter.pfarray import PFArray
+from relheffter.constructions import FAMILIES, build_archdeacon_composite, build_B, build_h_n_3
+from relheffter.orderings import (
+    Ordering,
+    Orientation,
+    knight_search,
+    natural_ordering,
+    orientation_to_orderings,
+)
+from relheffter.pfarray import PFArray, direct_sum
 from relheffter.topology import (
     CayleyGraph,
     CertificationError,
@@ -29,8 +34,11 @@ from relheffter.topology import (
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 Z51xZ3 = ("fixture", "archdeacon_8x8_z51xz3.json")
 Z60xZ3 = ("fixture", "archdeacon_7x7_z60xz3.json")
+# H_3(3;3) plus the gadget B over Z_3 and another over Z_4: an Archdeacon
+# array over Z_21 x Z_3 x Z_4
+THREE_FACTORS = ("three-factor", 3)
 CASES = [("h-n-3", 3), ("h-n-3", 5), ("h-n-3", 7), ("h-2n-3", 3), ("h-2n-3", 5), ("h7", 7),
-         ("h9", 11), Z51xZ3, Z60xZ3]
+         ("h9", 11), Z51xZ3, Z60xZ3, THREE_FACTORS]
 
 
 @lru_cache(maxsize=None)
@@ -38,6 +46,9 @@ def instance(family: str, n):
     """The array and its lexicographically least Knight solution."""
     if family == "fixture":
         array = PFArray.from_json(json.loads((FIXTURES / n).read_text()))
+    elif family == "three-factor":
+        array = direct_sum(direct_sum(build_h_n_3(n), build_B(n, n, 3, 1, 2, 1, 2)),
+                           build_B(n, n, 4, 2, 3, 2, 3))
     else:
         array = FAMILIES[family].builder(n)
     return array, knight_search(array)
@@ -59,7 +70,7 @@ def random_ordering(rng: random.Random, array: PFArray) -> Ordering:
 
 
 def rotation(kind: str, rng: random.Random, graph: CayleyGraph, rho0: dict) -> dict:
-    conn = sorted(graph.connection, key=lambda a: a.coords)
+    conn = sorted(graph.connection)
     if kind == "permute":  # any permutation of the connection set is a rotation seed
         return dict(zip(conn, rng.sample(conn, len(conn))))
     if kind == "shuffle":  # one cycle through C in random order: mostly non-zero voltages
@@ -73,6 +84,8 @@ def rotation(kind: str, rng: random.Random, graph: CayleyGraph, rho0: dict) -> d
 @example(case=Z51xZ3, kind="knight", seed=0)
 @example(case=Z60xZ3, kind="permute", seed=1)
 @example(case=("h-n-3", 3), kind="shuffle", seed=2)
+@example(case=THREE_FACTORS, kind="knight", seed=3)
+@example(case=THREE_FACTORS, kind="shuffle", seed=4)
 @settings(max_examples=20, deadline=None)
 def test_kernels_match_oracle(case, kind, seed):
     rng = random.Random(seed)
@@ -130,7 +143,7 @@ def test_negative_cases_match_oracle():
     graph = CayleyGraph.from_entries(array)
 
     # a cyclic rotation that is not the two-branch map of the orderings
-    keys = sorted(build_rho0(array, ordering), key=lambda e: e.coords)
+    keys = sorted(build_rho0(array, ordering))
     shuffled = {keys[i]: keys[(i + 1) % len(keys)] for i in range(len(keys))}
     report, expected = trace_faces(graph, shuffled), oracle.trace_faces(graph, shuffled)
     assert (report.F, report.genus, report.faces) == (expected.F, expected.genus, expected.faces)
@@ -139,6 +152,7 @@ def test_negative_cases_match_oracle():
 
     # every face a column translate: each edge lies on two faces of class 1
     omega_r, omega_c = entry_successor_maps(array, ordering)
+    neg = array.spec.codes.neg
     back = {b: a for a, b in omega_c.items()}
     columns_only = {**{neg(e): omega_c[e] for e in omega_c},
                     **{e: neg(back[e]) for e in omega_c}}
@@ -153,10 +167,58 @@ def test_negative_cases_match_oracle():
     assert oracle.two_color_check(doubled, array, ordering) is False
 
     # a wrong difference set, and a base that covers the edges of one cycle twice
-    spec = array.spec
     col_base = base_cycles(array, ordering, by="col")
-    for base in ([Cycle(tuple(spec.element(x) for x in (0, 1, 2)))],
-                 col_base + col_base[:1]):
+    for base in ([Cycle((0, 1, 2))], col_base + col_base[:1]):  # element codes of Z_21
         kernel = outcome(develop_and_verify, base, graph)
         assert kernel[0] is CertificationError
         assert kernel == outcome(oracle.develop_and_verify, base, graph)
+
+
+def test_fixture_faces_match_oracle():
+    for case in (Z51xZ3, Z60xZ3):
+        array, solution = instance(*case)
+        ordering = orientation_to_orderings(array, solution)
+        graph = CayleyGraph.from_entries(array)
+        rho0 = build_rho0(array, ordering)
+        report, expected = trace_faces(graph, rho0), oracle.trace_faces(graph, rho0)
+        assert two_color_check(report, array, ordering)
+        assert oracle.two_color_check(expected, array, ordering)
+        assert report.faces == expected.faces  # the same faces in the same order
+        assert report.color_of_face == expected.color_of_face
+
+
+def test_rho0_matches_oracle_when_a_digit_is_its_own_negative():
+    # in Z_35 x Z_4 the digit 2 is its own negative: (0, 2) = -(0, 2), and
+    # (x, 2) and (-x, 2) are negatives of each other, so +-E(A) has a repeat
+    base = build_archdeacon_composite(build_h_n_3(5), 4)
+    spec = base.spec
+    gadget = [cell for cell, e in sorted(base.entries.items()) if e.coords[1]]
+    inputs = []
+    for i, cell in enumerate(gadget):
+        inputs.append({cell: spec.element(0, 2)})
+        x = base.entries[cell].coords[0]
+        inputs.append({cell: spec.element(x, 2), gadget[i - 1]: spec.element(-x, 2)})
+    errors = set()
+    for changes in inputs:
+        array = PFArray(base.m, base.n, spec, {**base.entries, **changes})
+        for ordering in (natural_ordering(array),
+                         orientation_to_orderings(array, Orientation((1,) * 5, (1,) * 5))):
+            kernel = outcome(build_rho0, array, ordering)
+            assert isinstance(kernel, tuple)  # never a rotation
+            assert kernel == outcome(oracle.build_rho0, array, ordering)
+            errors.add(kernel)
+    assert (ValueError, "rho0 is no permutation: an entry is 0 or the negative of an entry") in errors
+
+
+def test_rho0_matches_oracle():
+    for case in CASES:
+        array, solution = instance(*case)
+        for o in (solution, Orientation(tuple(-x for x in solution.r), solution.c)):
+            ordering = orientation_to_orderings(array, o)
+            kernel, expected = outcome(build_rho0, array, ordering), outcome(
+                oracle.build_rho0, array, ordering)
+            if isinstance(expected, tuple):  # the same witness
+                assert kernel == expected
+            else:
+                decode = array.spec.codes.decode
+                assert {decode(a): decode(b) for a, b in kernel.items()} == expected

@@ -1,11 +1,12 @@
 """Object-level reference implementations of the topology certificate.
 
-These are the straightforward versions of ``trace_faces``, ``two_color_check``,
-``develop_and_verify`` and ``verify_orthogonal`` over the developed graph:
-``GroupElement`` vertices, frozenset edges, ``(tail, head)`` darts and every
-translate of every base cycle. The library certifies on the quotient (the
-connection set and the base cycles); the tests compare the two on the same
-inputs.
+These are the straightforward versions of ``build_rho0``, ``trace_faces``,
+``two_color_check``, ``develop_and_verify`` and ``verify_orthogonal`` over the
+developed graph: ``GroupElement`` vertices, frozenset edges, ``(tail, head)``
+darts and every translate of every base cycle. The library certifies on the
+quotient (the connection set and the base cycles) in int element codes; the
+oracle takes the library's graph, rotation and base cycles, decodes them once
+with ``GroupSpec.codes``, and the tests compare the two on the same inputs.
 """
 
 from __future__ import annotations
@@ -13,8 +14,8 @@ from __future__ import annotations
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 
-from relheffter.group import GroupElement
-from relheffter.orderings import Ordering
+from relheffter.group import GroupElement, GroupSpec, neg
+from relheffter.orderings import Ordering, orbit
 from relheffter.pfarray import PFArray
 from relheffter.topology import (
     CayleyGraph,
@@ -24,6 +25,54 @@ from relheffter.topology import (
     Edge,
     base_cycles,
 )
+
+
+def decoded(cycle: Cycle, spec: GroupSpec) -> Cycle:
+    """A cycle of element codes as a cycle of GroupElements."""
+    return Cycle(tuple(spec.codes.decode(v) for v in cycle.vertices))
+
+
+def translate(cycle: Cycle, g: GroupElement) -> Cycle:
+    return Cycle(tuple(v + g for v in cycle.vertices))
+
+
+def differences(cycle: Cycle, spec: GroupSpec) -> list[GroupElement]:
+    """Both signed differences of each edge of a cycle of element codes; the
+    list has 2 * len entries."""
+    vs = decoded(cycle, spec).vertices
+    out = []
+    for i in range(len(vs)):
+        d = vs[(i + 1) % len(vs)] - vs[i]
+        out += [d, neg(d)]
+    return out
+
+
+def connection(graph: CayleyGraph) -> frozenset[GroupElement]:
+    return frozenset(graph.spec.codes.decode(a) for a in graph.connection)
+
+
+def build_rho0(array: PFArray, ordering: Ordering) -> dict[GroupElement, GroupElement]:
+    """rho0 on GroupElements, keys in the iteration order of the set of the
+    entries, walked from the first key."""
+    row_next, col_next = ordering.successors()
+    omega_r = {array.entries[a]: array.entries[b] for a, b in row_next.items()}
+    if len(omega_r) != len(row_next):
+        raise ValueError("entries are not distinct; entry-level orderings undefined")
+    omega_c = {array.entries[a]: array.entries[b] for a, b in col_next.items()}
+    rho0: dict[GroupElement, GroupElement] = {}
+    for a in set(omega_r):
+        rho0[a] = neg(omega_r[a])
+        rho0[neg(a)] = omega_c[a]
+    try:
+        length = len(orbit(rho0.__getitem__, next(iter(rho0))))
+    except ValueError as exc:
+        raise ValueError("rho0 is no permutation: an entry is 0 or the negative of an entry") from exc
+    if length != len(rho0):
+        raise CertificationError(
+            f"rho0 is not cyclic on +-E(A): orbit {length} of {len(rho0)} "
+            "(the orderings are not compatible)"
+        )
+    return rho0
 
 
 @dataclass
@@ -49,7 +98,7 @@ class Decomposition:
     """Every translate of the base cycles, stored explicitly."""
 
     graph: CayleyGraph
-    base: list[Cycle]
+    base: list[Cycle]  # as given: element codes
     cycles: list[Cycle] = field(default_factory=list)
 
     @property
@@ -68,23 +117,25 @@ class Decomposition:
 def develop_and_verify(base: list[Cycle], graph: CayleyGraph) -> Decomposition:
     diffs: list[GroupElement] = []
     for cycle in base:
-        diffs.extend(cycle.differences())
+        diffs.extend(differences(cycle, graph.spec))
     counts = Counter(diffs)
     for d, c in counts.items():
         if c > 1:
             raise CertificationError(f"difference {d.coords} appears {c} times in the base cycles")
-    if set(counts) != set(graph.connection):
-        missing = next(iter(set(graph.connection) - set(counts)), None)
-        extra = next(iter(set(counts) - set(graph.connection)), None)
+    conn = connection(graph)
+    if set(counts) != conn:
+        missing = next(iter(conn - set(counts)), None)
+        extra = next(iter(set(counts) - conn), None)
         raise CertificationError(
             f"difference list != connection set (missing={missing}, extra={extra})"
         )
 
     cert = Decomposition(graph, base)
+    objects = [decoded(cycle, graph.spec) for cycle in base]
     seen: dict[Edge, tuple[int, GroupElement]] = {}
     for g in graph.spec.elements():
-        for idx, cycle in enumerate(base):
-            t = cycle.translate(g)
+        for idx, cycle in enumerate(objects):
+            t = translate(cycle, g)
             cert.cycles.append(t)
             for edge in t.edges():
                 if edge in seen:
@@ -119,24 +170,28 @@ def verify_orthogonal(d1, d2) -> bool:
     return True
 
 
-def trace_faces(graph: CayleyGraph, rho0: dict[GroupElement, GroupElement]) -> Report:
+def trace_faces(graph: CayleyGraph, rho0: dict[int, int]) -> Report:
     """Loops forever when rho0 does not permute the connection set; callers
     pass only bijective rotations."""
-    if set(rho0) != graph.connection:
+    decode = graph.spec.codes.decode
+    conn = connection(graph)
+    rotation = {decode(a): decode(b) for a, b in rho0.items()}
+    if set(rotation) != conn:
         raise ValueError("rotation domain must equal the connection set")
     vertices = list(graph.spec.elements())
-    directed = [(x, x + a) for x in vertices for a in graph.connection]
+    directed = [(x, x + a) for x in vertices for a in conn]
     unvisited = set(directed)
     faces: list[tuple[DirectedEdge, ...]] = []
-    while unvisited:
-        start = next(iter(unvisited))
+    for start in directed:
+        if start not in unvisited:
+            continue
         face = []
         cur = start
         while True:
             face.append(cur)
             unvisited.discard(cur)
             tail, head = cur
-            cur = (head, head + rho0[tail - head])
+            cur = (head, head + rotation[tail - head])
             if cur == start:
                 break
         faces.append(_canonical_rotation(tuple(face)))
@@ -185,9 +240,9 @@ def two_color_check(report: Report, array: PFArray, ordering: Ordering) -> bool:
 
 
 def _developed_edge_sets(array: PFArray, ordering: Ordering, by: str) -> set[frozenset[Edge]]:
-    graph = CayleyGraph.from_entries(array)
     out: set[frozenset[Edge]] = set()
     for cycle in base_cycles(array, ordering, by=by):
-        for g in graph.spec.elements():
-            out.add(frozenset(cycle.translate(g).edges()))
+        cycle = decoded(cycle, array.spec)
+        for g in array.spec.elements():
+            out.add(frozenset(translate(cycle, g).edges()))
     return out
