@@ -22,6 +22,7 @@ from .pfarray import (
     diagonal_cells,
     diagonal_index,
     direct_sum,
+    fill_diagonals,
     skeleton_from_diagonals,
     support,
 )

@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections import Counter
 from contextlib import contextmanager
 from functools import cache
 from pathlib import Path
@@ -86,11 +87,13 @@ def _emit(payload: dict) -> None:
 def _write_outputs(obj: PFArray | Skeleton, out: str | None) -> list[str]:
     if out is None:
         return []
-    paths = []
     json_path = Path(out + ".json")
-    json_path.write_text(json.dumps(obj.to_json(), indent=2, sort_keys=True) + "\n")
-    paths.append(str(json_path))
-    if isinstance(obj, PFArray) and obj.spec.is_cyclic_single:
+    if isinstance(obj, Skeleton):
+        json_path.write_text(json.dumps(obj.to_json(), indent=2, sort_keys=True) + "\n")
+        return [str(json_path)]
+    json_path.write_text(obj.to_json_text())
+    paths = [str(json_path)]
+    if obj.spec.is_cyclic_single:
         csv_path = Path(out + ".csv")
         csv_path.write_text(obj.to_csv())
         paths.append(str(csv_path))
@@ -98,8 +101,10 @@ def _write_outputs(obj: PFArray | Skeleton, out: str | None) -> list[str]:
 
 
 def _square_params(array: PFArray, t: int) -> HeffterParams:
-    counts_r = {len(array.row(i)) for i in range(1, array.m + 1)}
-    counts_c = {len(array.col(j)) for j in range(1, array.n + 1)}
+    rows = Counter(r for r, _ in array.entries)
+    cols = Counter(c for _, c in array.entries)
+    counts_r = {rows[i] for i in range(1, array.m + 1)}
+    counts_c = {cols[j] for j in range(1, array.n + 1)}
     if len(counts_r) != 1 or len(counts_c) != 1:
         raise UsageError("rows/columns do not have uniform fill counts")
     s, k = counts_r.pop(), counts_c.pop()

@@ -9,35 +9,31 @@ from .group import GroupSpec
 from .pfarray import (
     Cell,
     DiagSpec,
+    DiagonalReport,
     PFArray,
     Skeleton,
     classify_diagonals,
     cyclic_row_shift,
     cyclic_runs,
-    diag,
     direct_sum,
+    fill_diagonals,
     skeleton_from_diagonals,
 )
 
 
-def _apply(array: PFArray, procedures: list[DiagSpec]) -> PFArray:
-    for d in procedures:
-        array = diag(array, d)
-    return array
-
-
-def _ad_hoc(array: PFArray, cells: dict[Cell, int]) -> PFArray:
-    return array.with_entries(
-        {cell: array.spec.element(value) for cell, value in cells.items()}
-    )
+def _build(n: int, v: int, procedures: list[DiagSpec],
+           ad_hoc: dict[Cell, int] | None = None) -> PFArray:
+    """The n x n array over Z_v filled by the diag procedures and then the ad hoc
+    cells, each a diag procedure of length 1, in one pass."""
+    cells = [DiagSpec(r, c, x, 0, 0, 1) for (r, c), x in (ad_hoc or {}).items()]
+    return fill_diagonals(PFArray(n, n, GroupSpec.cyclic(v)), procedures + cells)
 
 
 def build_h_n_3(n: int) -> PFArray:
     """An integer cyclically 3-diagonal H_n(n; 3) over Z_{7n}, n odd >= 3."""
     if n < 3 or n % 2 == 0:
         raise ValueError(f"n must be odd and >= 3, got {n}")
-    array = PFArray(n, n, GroupSpec.cyclic(7 * n))
-    return _apply(array, [
+    return _build(n, 7 * n, [
         DiagSpec(1, 1, -(7 * n - 9) // 2, 1, 7, n),
         DiagSpec(1, 2, (7 * n - 3) // 2, 2, -7, (n + 1) // 2),
         DiagSpec(2, 3, -5, 2, -7, (n - 1) // 2),
@@ -54,8 +50,7 @@ def build_h_2n_3(n: int) -> PFArray:
     """An integer cyclically 3-diagonal H_2n(n; 3) over Z_{8n}, n odd >= 3."""
     if n < 3 or n % 2 == 0:
         raise ValueError(f"n must be odd and >= 3, got {n}")
-    array = PFArray(n, n, GroupSpec.cyclic(8 * n))
-    return _apply(array, [
+    return _build(n, 8 * n, [
         DiagSpec(1, 1, -(4 * n - 5), 1, 8, n),
         DiagSpec(1, 2, 4 * n - 2, 2, -8, (n + 1) // 2),
         DiagSpec(2, 3, -6, 2, -8, (n - 1) // 2),
@@ -73,8 +68,7 @@ def build_h7(n: int) -> PFArray:
     n = 3 (mod 4), n >= 7."""
     if n < 7 or n % 4 != 3:
         raise ValueError(f"n must be 3 (mod 4) and >= 7, got {n}")
-    array = PFArray(n, n, GroupSpec.cyclic(14 * n + 7))
-    array = _apply(array, [
+    return _build(n, 14 * n + 7, [
         DiagSpec(3, 3, -(n + 1) // 2, 2, -1, (n - 1) // 2),
         DiagSpec(4, 4, 1, 2, 1, (n - 3) // 2),
         DiagSpec(n - 2, n - 1, -(5 * n + 3), 2, -1, n),
@@ -89,8 +83,7 @@ def build_h7(n: int) -> PFArray:
         DiagSpec(6, 4, -(3 * n + 3) // 2, 4, -1, (n - 3) // 4),
         DiagSpec(n - 2, 1, 6 * n + 4, 2, 1, n),
         DiagSpec(2, n - 1, 3 * n + 2, 2, 1, n),
-    ])
-    return _ad_hoc(array, {(1, 1): n, (2, 2): -(n - 1) // 2})
+    ], {(1, 1): n, (2, 2): -(n - 1) // 2})
 
 
 def h7_support(n: int) -> set[int]:
@@ -103,8 +96,7 @@ def build_h9(n: int) -> PFArray:
     if n < 11 or n % 4 != 3:
         raise ValueError(f"n must be 3 (mod 4) and >= 11, got {n}")
     half = (n + 1) // 2
-    array = PFArray(n, n, GroupSpec.cyclic(18 * n + 9))
-    array = _apply(array, [
+    return _build(n, 18 * n + 9, [
         DiagSpec(3, 1, 5 * n + 3, 1, 1, n),
         DiagSpec(4, 1, -(6 * n + 4), 1, -1, n),
         DiagSpec(3, 6, -(7 * n + 4), 1, -1, n),
@@ -123,8 +115,7 @@ def build_h9(n: int) -> PFArray:
         DiagSpec(half + 1, half, -(15 * n + 7) // 4, 2, 1, (n - 3) // 4),
         DiagSpec(half + 1, half + 2, (13 * n + 17) // 4, 2, 1, (n - 3) // 4),
         DiagSpec(half + 2, half + 1, -(19 * n - 1) // 4, 2, 1, (n - 3) // 4),
-    ])
-    return _ad_hoc(array, {
+    ], {
         (1, 1): n - 1,
         (1, half): n + 2,
         (1, n): -(5 * n + 1),
@@ -185,7 +176,11 @@ def build_B(m: int, n: int, d: int, i1: int, i2: int, j1: int, j2: int) -> PFArr
 
 def relabel_to_leading_diagonals(array: PFArray) -> PFArray:
     """Cyclically shift rows so the k consecutive filled diagonals become D_1..D_k."""
-    report = classify_diagonals(array)
+    return _relabel(array, classify_diagonals(array))
+
+
+def _relabel(array: PFArray, report: DiagonalReport) -> PFArray:
+    """relabel_to_leading_diagonals, given the array's classify_diagonals report."""
     if not report.is_cyclically_k_diagonal:
         raise ValueError("array is not cyclically k-diagonal")
     (run,) = cyclic_runs(report.filled_diagonal_indices, array.n)
@@ -202,7 +197,7 @@ def build_archdeacon_composite(array: PFArray, d: int) -> PFArray:
         raise ValueError("input is not cyclically k-diagonal")
     if len(report.filled_diagonal_indices) >= array.n:
         raise ValueError("need k < n")
-    base = relabel_to_leading_diagonals(array)
+    base = _relabel(array, report)
     gadget = build_B(base.m, base.n, d, 1, 2, 1, 2)
     return direct_sum(base, gadget)
 

@@ -119,13 +119,19 @@ def neg(a: GroupElement) -> GroupElement:
 
 def subgroup_of_order(v: int, t: int) -> frozenset[GroupElement]:
     """The unique subgroup {0, v/t, 2v/t, ...} of order t in Z_v."""
+    step = subgroup_step(v, t)
+    spec = GroupSpec.cyclic(v)
+    return frozenset(spec.element(i * step) for i in range(t))
+
+
+def subgroup_step(v: int, t: int) -> int:
+    """v/t, the least positive member of the order-t subgroup of Z_v: a residue
+    lies in that subgroup iff v/t divides it."""
     if v < 1 or t < 1:
         raise GroupError(f"v and t must be positive, got v={v}, t={t}")
     if v % t != 0:
         raise GroupError(f"t={t} does not divide v={v}")
-    spec = GroupSpec.cyclic(v)
-    step = v // t
-    return frozenset(spec.element(i * step) for i in range(t))
+    return v // t
 
 
 def symmetric_rep(a: GroupElement) -> int:

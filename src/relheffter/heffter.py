@@ -5,8 +5,8 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 
-from .group import subgroup_of_order, sum_coords, symmetric_residue
-from .pfarray import PFArray, Skeleton
+from .group import subgroup_step, sum_coords, symmetric_residue
+from .pfarray import PFArray, Skeleton, support
 
 
 @dataclass(frozen=True)
@@ -78,7 +78,7 @@ def _relative_heffter(
 
     report = VerificationReport()
     v, t = params.v, params.t
-    forbidden = {e.coords[0] for e in subgroup_of_order(v, t)}
+    step = subgroup_step(v, t)
     rows = [[e.coords[0] for e in array.row(i)] for i in range(1, params.m + 1)]
     cols = [[e.coords[0] for e in array.col(j)] for j in range(1, params.n + 1)]
 
@@ -96,7 +96,7 @@ def _relative_heffter(
             report.flag("duplicate", f"entry {symmetric_residue(x, v)} appears {counts[x]} times")
     for x in present:
         rep = symmetric_residue(x, v)
-        if x in forbidden:
+        if x % step == 0:
             report.flag("subgroup-hit", f"entry {rep} lies in the order-{t} subgroup")
         if 2 * x == v:
             # a self-negative entry (v/2) makes |±E(A)| < 2nk, breaking coverage
@@ -125,12 +125,13 @@ def verify_integer(array: PFArray, params: HeffterParams) -> VerificationReport:
     """verify_relative_heffter plus zero row/column sums over the integers."""
     report, rows, cols = _relative_heffter(array, params)
     v = params.v
+    half = v // 2  # the symmetric residue of x is x - v above v/2
     for i, row in enumerate(rows, start=1):
-        total = sum(symmetric_residue(x, v) for x in row)
+        total = sum(x - v if x > half else x for x in row)
         if total != 0:
             report.flag("integer-sum", f"row {i} sums to {total} over Z")
     for j, col in enumerate(cols, start=1):
-        total = sum(symmetric_residue(x, v) for x in col)
+        total = sum(x - v if x > half else x for x in col)
         if total != 0:
             report.flag("integer-sum", f"column {j} sums to {total} over Z")
     return report
@@ -138,8 +139,6 @@ def verify_integer(array: PFArray, params: HeffterParams) -> VerificationReport:
 
 def check_support(array: PFArray, expected: set[int]) -> VerificationReport:
     """Compare the support of an integer array against an expected set."""
-    from .pfarray import support
-
     report = VerificationReport()
     got = set(support(array))
     if got != expected:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from types import MappingProxyType
@@ -83,10 +84,11 @@ class PFArray:
 
     def __post_init__(self) -> None:
         cells = dict(self.entries)
+        m, n, spec = self.m, self.n, self.spec
         for (r, c), e in cells.items():
-            if not (1 <= r <= self.m and 1 <= c <= self.n):
-                raise ValueError(f"cell {(r, c)} outside {self.m}x{self.n}")
-            if e.spec != self.spec:
+            if not (1 <= r <= m and 1 <= c <= n):
+                raise ValueError(f"cell {(r, c)} outside {m}x{n}")
+            if e.spec is not spec and e.spec != spec:
                 raise GroupError(f"entry at {(r, c)} belongs to a different group")
         object.__setattr__(self, "_cells", cells)
         object.__setattr__(self, "entries", MappingProxyType(cells))
@@ -126,14 +128,6 @@ class PFArray:
         """Entries of column j in the natural (top to bottom) order."""
         return list(self._lines[1].get(j, ()))
 
-    def with_entries(self, extra: Mapping[Cell, GroupElement]) -> "PFArray":
-        merged = dict(self._cells)
-        for cell, e in extra.items():
-            if cell in merged:
-                raise ConstructionError(f"cell {cell} already filled")
-            merged[cell] = e
-        return PFArray(self.m, self.n, self.spec, merged)
-
     # -- serialization --------------------------------------------------
 
     def to_json(self) -> dict:
@@ -146,6 +140,20 @@ class PFArray:
                 for r, c in sorted(self._cells)
             ],
         }
+
+    def to_json_text(self) -> str:
+        """The text of json.dumps(self.to_json(), indent=2, sort_keys=True) and a
+        newline, written directly: the stdlib encoder falls back to pure Python
+        whenever indent is set."""
+        cell = '    {\n      "c": %d,\n      "r": %d,\n      "v": [\n        %s\n      ]\n    }'
+        cells = ",\n".join(
+            cell % (c, r, ",\n        ".join(map(str, self._cells[(r, c)].coords)))
+            for r, c in sorted(self._cells)
+        )
+        orders = ",\n      ".join(map(str, self.spec.orders))
+        return ('{\n  "cells": %s,\n  "group": {\n    "orders": [\n      %s\n    ]\n  },\n'
+                '  "m": %d,\n  "n": %d\n}\n'
+                % (f"[\n{cells}\n  ]" if cells else "[]", orders, self.m, self.n))
 
     @classmethod
     def from_json(cls, data: dict) -> "PFArray":
@@ -187,13 +195,13 @@ class PFArray:
             if len(fields) != n:
                 raise ValueError(f"CSV row {i} has {len(fields)} fields, row 1 has {n}")
             for j, f in enumerate(fields, start=1):
-                if not f.strip():
+                if not f or f.isspace():
                     continue
                 try:
                     x = int(f)
                 except ValueError:
                     raise ValueError(f"CSV row {i}, field {j}: {f!r} is not an integer") from None
-                entries[(i, j)] = spec.element(x)
+                entries[(i, j)] = GroupElement(spec, (x % v,))
         return cls(len(rows), n, spec, entries)
 
 
@@ -215,18 +223,35 @@ class DiagSpec:
 
 def diag(array: PFArray, d: DiagSpec) -> PFArray:
     """Install entries s + i*d2 at cells (r + i*d1, c + i*d1), indices wrapping in 1..n."""
+    return fill_diagonals(array, [d])
+
+
+def fill_diagonals(array: PFArray, procedures: Iterable[DiagSpec]) -> PFArray:
+    """The array after diag(array, d) for each d in turn, built as one PFArray.
+
+    Each procedure's cells are placed, and checked against each other, before
+    they are checked against the cells already filled, so a failure raises the
+    ConstructionError the chain of diag calls would raise first."""
     if array.m != array.n:
         raise ConstructionError("diag requires a square array")
     if not array.spec.is_cyclic_single:
         raise ConstructionError("diag requires a single-factor group")
-    n = array.n
-    new: dict[Cell, GroupElement] = {}
-    for i in range(d.length):
-        cell = (_reduce_index(d.r + i * d.d1, n), _reduce_index(d.c + i * d.d1, n))
-        if cell in new:
-            raise ConstructionError(f"diag self-collision at {cell}")
-        new[cell] = array.spec.element(d.s + i * d.d2)
-    return array.with_entries(new)
+    n, spec = array.n, array.spec
+    v = spec.orders[0]
+    cells = dict(array.entries)
+    for d in procedures:
+        r, c, s, d1, d2 = d.r - 1, d.c - 1, d.s, d.d1, d.d2
+        new: dict[Cell, GroupElement] = {}
+        for i in range(d.length):
+            cell = ((r + i * d1) % n + 1, (c + i * d1) % n + 1)
+            if cell in new:
+                raise ConstructionError(f"diag self-collision at {cell}")
+            new[cell] = GroupElement(spec, ((s + i * d2) % v,))
+        if not cells.keys().isdisjoint(new):
+            cell = next(cell for cell in new if cell in cells)
+            raise ConstructionError(f"cell {cell} already filled")
+        cells.update(new)
+    return PFArray(n, n, spec, cells)
 
 
 def diagonal_cells(n: int, i: int) -> list[Cell]:
@@ -252,18 +277,18 @@ class DiagonalReport:
 
 
 def classify_diagonals(array: PFArray | Skeleton) -> DiagonalReport:
-    """Diagonal structure of a square array: which D_i are full, strips of empty ones."""
+    """Diagonal structure of a square array: which D_i are full, strips of empty ones.
+
+    One pass counts the cells on each diagonal: D_i is full iff it holds n
+    cells, and the filled diagonals cover the skeleton iff it has n cells for
+    each of them."""
     if array.m != array.n:
         raise ValueError("diagonal classification requires a square array")
     n = array.n
-    skel = array.cells if isinstance(array, Skeleton) else frozenset(array.entries)
-    filled = frozenset(
-        i for i in range(1, n + 1) if all(c in skel for c in diagonal_cells(n, i))
-    )
-    union = set()
-    for i in filled:
-        union.update(diagonal_cells(n, i))
-    is_k_diagonal = bool(filled) and union == set(skel)
+    cells = array.cells if isinstance(array, Skeleton) else array.entries
+    on_diagonal = Counter((r - c) % n + 1 for r, c in cells)
+    filled = frozenset(i for i, count in on_diagonal.items() if count == n)
+    is_k_diagonal = bool(filled) and len(cells) == n * len(filled)
 
     # consecutive mod n: the filled indices form one cyclic run, so the empty
     # ones form at most one

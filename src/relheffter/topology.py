@@ -456,7 +456,15 @@ def certify_biembedding(array: PFArray, orientation: Orientation) -> Biembedding
     and reversed-row decompositions, and their orthogonality.
 
     Raises CertificationError with a witness when a stage cannot be certified,
-    and ValueError when the entries are not distinct."""
+    and ValueError, before any stage runs, when +-E(A) has a repeat: the
+    entries are not distinct, or an entry is 0 or the negative of an entry.
+    No rotation of +-E(A) exists then, whatever the orderings."""
+    codes = list(array.entry_codes.values())
+    entries = set(codes)
+    if len(entries) != len(codes):
+        raise ValueError("entries are not distinct; entry-level orderings undefined")
+    if not entries.isdisjoint(map(array.spec.codes.neg, codes)):
+        raise ValueError("rho0 is no permutation: an entry is 0 or the negative of an entry")
     ordering = orientation_to_orderings(array, orientation)
     rho0 = build_rho0(array, ordering)
     graph = CayleyGraph.from_entries(array)

@@ -6,7 +6,8 @@ from pathlib import Path
 import pytest
 
 from relheffter.cli import build_parser, main
-from relheffter.constructions import build_h_n_3
+from relheffter.constructions import FAMILIES, build_archdeacon_composite, build_h_n_3
+from relheffter.pfarray import PFArray
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -165,6 +166,64 @@ def test_embed_wrong_t_is_usage_error_before_certification(tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert captured.err == "error: array group (13,) is not Z_{2nk+t} = Z_11\n"
+
+
+def test_embed_repeat_in_plus_minus_entries_is_usage_error(tmp_path, capsys):
+    # Over Z_35 x Z_4, (0, 2) is its own negative and (x, 2), (-x, 2) are
+    # negatives of each other. build_rho0 reports such a repeat in +-E(A) as a
+    # violation or as bad input depending on the hash order of the entries;
+    # embed rejects it as bad input before any stage runs.
+    base = build_archdeacon_composite(build_h_n_3(5), 4)
+    spec = base.spec
+    gadget = [cell for cell, e in sorted(base.entries.items()) if e.coords[1]]
+    inputs = []
+    for i, cell in enumerate(gadget):
+        inputs.append({cell: spec.element(0, 2)})
+        x = base.entries[cell].coords[0]
+        inputs.append({cell: spec.element(x, 2), gadget[i - 1]: spec.element(-x, 2)})
+    errors = set()
+    for number, changes in enumerate(inputs):
+        path = tmp_path / f"{number}.json"
+        path.write_text(PFArray(base.m, base.n, spec, {**base.entries, **changes}).to_json_text())
+        for orientation in ("+++++,+++++", "-+-+-,++-++"):
+            code = main(["embed", str(path), f"--orientation={orientation}"])
+            captured = capsys.readouterr()
+            assert code == 2 and captured.out == ""
+            errors.add(captured.err)
+    assert errors == {
+        "error: rho0 is no permutation: an entry is 0 or the negative of an entry\n",
+        # (1, 2) set to (0, 2) beside (1, 1) set to (0, 2)
+        "error: entries are not distinct; entry-level orderings undefined\n",
+    }
+
+
+@pytest.mark.parametrize("orders,t,message", [
+    ([22], 4, "t=4 does not divide v=22"),
+    ([18], 0, "v and t must be positive, got v=18, t=0"),
+])
+def test_verify_without_an_order_t_subgroup_is_usage_error(tmp_path, capsys, orders, t, message):
+    # three cells in each line of a 3x3 array over Z_{2nk+t} = Z_{18+t}
+    path = _write_array(tmp_path / "a.json", orders, [[1, 2, 3], [2, 3, 1], [3, 1, 2]])
+    code = main(["verify", path, "--t", str(t)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("family,n,fixture", [
+    ("h-n-3", 9, "h9_9_3.csv"),
+    ("h-2n-3", 9, "h18_9_3.csv"),
+    ("h7", 11, "h7_11_7.csv"),
+    ("h9", 15, "h9_15_9.csv"),
+])
+def test_construct_writes_the_bytes_of_json_dumps(tmp_path, capsys, family, n, fixture):
+    out = tmp_path / "a"
+    code, payload = run(capsys, "construct", family, "--n", str(n), "--out", str(out))
+    assert code == 0 and payload["artifacts"] == [f"{out}.json", f"{out}.csv"]
+    data = FAMILIES[family].builder(n).to_json()
+    expected = json.dumps(data, indent=2, sort_keys=True) + "\n"
+    assert (tmp_path / "a.json").read_bytes() == expected.encode()
+    assert (tmp_path / "a.csv").read_bytes() == (FIXTURES / fixture).read_bytes()
 
 
 def _cells(*values):
