@@ -5,7 +5,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from collections import Counter
 from contextlib import contextmanager
 from functools import cache
 from pathlib import Path
@@ -101,10 +100,9 @@ def _write_outputs(obj: PFArray | Skeleton, out: str | None) -> list[str]:
 
 
 def _square_params(array: PFArray, t: int) -> HeffterParams:
-    rows = Counter(r for r, _ in array.entries)
-    cols = Counter(c for _, c in array.entries)
-    counts_r = {rows[i] for i in range(1, array.m + 1)}
-    counts_c = {cols[j] for j in range(1, array.n + 1)}
+    rows, cols = array.line_codes
+    counts_r = {len(rows.get(i, ())) for i in range(1, array.m + 1)}
+    counts_c = {len(cols.get(j, ())) for j in range(1, array.n + 1)}
     if len(counts_r) != 1 or len(counts_c) != 1:
         raise UsageError("rows/columns do not have uniform fill counts")
     s, k = counts_r.pop(), counts_c.pop()
@@ -280,7 +278,7 @@ def cmd_knight(args: argparse.Namespace) -> int:
 
 def cmd_embed(args: argparse.Namespace) -> int:
     array = _load_array(Path(args.input), args.v)
-    if not array.entries:
+    if not array.entry_codes:
         raise UsageError(f"{args.input} has no filled cells")
     orientation = _parse_orientation(args.orientation)
     if len(orientation.r) != array.m or len(orientation.c) != array.n:

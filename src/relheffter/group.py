@@ -78,13 +78,7 @@ class GroupElement:
     coords: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if len(self.coords) != len(self.spec.orders):
-            raise GroupError(
-                f"coordinate count {len(self.coords)} != factor count {len(self.spec.orders)}"
-            )
-        for c, o in zip(self.coords, self.spec.orders):
-            if not 0 <= c < o:
-                raise GroupError(f"coordinate {c} not canonical for order {o}")
+        _check_canonical(self.coords, self.spec.orders)
 
     def __add__(self, other: "GroupElement") -> "GroupElement":
         return add(self, other)
@@ -103,6 +97,14 @@ class GroupElement:
         if len(self.coords) == 1:
             return f"g{self.coords[0]}"
         return "g" + repr(self.coords)
+
+
+def _check_canonical(coords: Sequence[int], orders: tuple[int, ...]) -> None:
+    if len(coords) != len(orders):
+        raise GroupError(f"coordinate count {len(coords)} != factor count {len(orders)}")
+    for c, o in zip(coords, orders):
+        if not 0 <= c < o:
+            raise GroupError(f"coordinate {c} not canonical for order {o}")
 
 
 def add(a: GroupElement, b: GroupElement) -> GroupElement:
@@ -151,17 +153,9 @@ def from_symmetric(v: int, x: int) -> GroupElement:
     return GroupSpec.cyclic(v).element(x)
 
 
-def sum_coords(orders: tuple[int, ...], coords: Sequence[tuple[int, ...]]) -> tuple[int, ...]:
-    """Coordinates of the sum of the elements with the given coordinates: one
-    integer sum per factor, reduced once (sum(x) % v in a cyclic group)."""
-    return tuple(sum(c[f] for c in coords) % o for f, o in enumerate(orders))
-
-
 def sum_elements(spec: GroupSpec, elems: Sequence[GroupElement]) -> GroupElement:
-    for e in elems:
-        if e.spec != spec:
-            raise GroupError(f"group mismatch: {spec} vs {e.spec}")
-    return GroupElement(spec, sum_coords(spec.orders, [e.coords for e in elems]))
+    codes = spec.codes
+    return codes.decode(codes.total(map(codes.encode, elems)))
 
 
 class ElementCodes:
@@ -172,7 +166,8 @@ class ElementCodes:
     after factor i. So codes sort as coordinate tuples do, elements() lists
     them in increasing order, the identity is 0, and in Z_v the code is the
     residue. ``add``, ``neg``, ``sub``, ``total`` (the sum of an iterable of
-    codes) and ``order`` are plain functions, for hot loops.
+    codes), ``order`` and ``coords`` (the coordinates of a code in range) are
+    plain functions, for hot loops.
     """
 
     def __init__(self, spec: GroupSpec) -> None:
@@ -188,6 +183,7 @@ class ElementCodes:
             self.sub: Callable[[int, int], int] = lambda a, b: (a - b) % v
             self.total: Callable[[Iterable[int]], int] = lambda codes: sum(codes) % v
             self.order: Callable[[int], int] = lambda a: v // gcd(a, v)
+            self.coords: Callable[[int], tuple[int, ...]] = lambda a: (a,)
             return
         # factor i of x is (x // p_i) % o_i, and the higher factors add only
         # multiples of o_i to x // p_i: sums reduce factor by factor from x // p_i
@@ -202,17 +198,23 @@ class ElementCodes:
         self.sub = lambda a, b: sum((a // p - b // p) % o * p for p, o in factors)
         self.total = total
         self.order = lambda a: lcm(*(o // gcd(a // p % o, o) for p, o in factors))
+        self.coords = lambda a: tuple(a // p % o for p, o in factors)
 
     def encode(self, g: GroupElement) -> int:
         if g.spec is not self.spec and g.spec != self.spec:
             raise GroupError(f"group mismatch: {self.spec} vs {g.spec}")
-        coords = g.coords
-        if len(coords) == 1:
+        return self.code(g.coords)
+
+    def code(self, coords: Sequence[int]) -> int:
+        """The code of the element with these coordinates; GroupError unless
+        they are canonical residues, one per factor, as for a GroupElement."""
+        orders = self.spec.orders
+        if len(coords) == 1 == len(orders) and 0 <= coords[0] < orders[0]:
             return coords[0]
+        _check_canonical(coords, orders)
         return sum(c * p for c, p in zip(coords, self.places))
 
     def decode(self, code: int) -> GroupElement:
         if not 0 <= code < self.spec.size:
             raise GroupError(f"code {code} is not an element of {self.spec.orders}")
-        return GroupElement(self.spec, tuple(code // p % o
-                                             for p, o in zip(self.places, self.spec.orders)))
+        return GroupElement(self.spec, self.coords(code))

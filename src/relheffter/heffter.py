@@ -4,8 +4,9 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from typing import Sequence
 
-from .group import subgroup_step, sum_coords, symmetric_residue
+from .group import subgroup_step, symmetric_residue
 from .pfarray import PFArray, Skeleton, support
 
 
@@ -67,8 +68,9 @@ class VerificationReport:
 
 def _relative_heffter(
     array: PFArray, params: HeffterParams
-) -> tuple[VerificationReport, list[list[int]], list[list[int]]]:
-    """The report of verify_relative_heffter and the residue lines it checked."""
+) -> tuple[VerificationReport, list[Sequence[int]], list[Sequence[int]]]:
+    """The report of verify_relative_heffter and the residue lines it checked,
+    read from the array's index."""
     if (array.m, array.n) != (params.m, params.n):
         raise ValueError(
             f"array is {array.m}x{array.n}, params expect {params.m}x{params.n}"
@@ -79,8 +81,9 @@ def _relative_heffter(
     report = VerificationReport()
     v, t = params.v, params.t
     step = subgroup_step(v, t)
-    rows = [[e.coords[0] for e in array.row(i)] for i in range(1, params.m + 1)]
-    cols = [[e.coords[0] for e in array.col(j)] for j in range(1, params.n + 1)]
+    row_codes, col_codes = array.line_codes  # residues: the codes of Z_v
+    rows = [row_codes.get(i, ()) for i in range(1, params.m + 1)]
+    cols = [col_codes.get(j, ()) for j in range(1, params.n + 1)]
 
     for i, row in enumerate(rows, start=1):
         if len(row) != params.s:
@@ -89,7 +92,7 @@ def _relative_heffter(
         if len(col) != params.k:
             report.flag("col-count", f"column {j} has {len(col)} filled cells, expected {params.k}")
 
-    counts = Counter(x for row in rows for x in row)
+    counts = Counter(array.entry_codes.values())
     present = sorted(counts)
     for x in present:
         if counts[x] > 1:
@@ -192,25 +195,25 @@ def verify_archdeacon(array: PFArray) -> VerificationReport:
     would forbid it since 0 = -0.
     """
     report = VerificationReport()
-    orders = array.spec.orders
-    rows = [[e.coords for e in array.row(i)] for i in range(1, array.m + 1)]
-    cols = [[e.coords for e in array.col(j)] for j in range(1, array.n + 1)]
-    counts = Counter(c for row in rows for c in row)
+    codes = array.spec.codes
+    # codes sort as coordinate tuples do, and a witness is named by its tuple
+    counts = Counter(array.entry_codes.values())
     present = sorted(counts)
-    for c in present:
-        if counts[c] > 1:
-            report.flag("duplicate", f"entry {c} appears {counts[c]} times")
-    for c in present:
-        negative = tuple(-x % o for x, o in zip(c, orders))
-        if not any(c):
+    for x in present:
+        if counts[x] > 1:
+            report.flag("duplicate", f"entry {codes.coords(x)} appears {counts[x]} times")
+    for x in present:
+        negative = codes.neg(x)
+        if x == 0:
             report.flag("zero-entry", "the identity appears as an entry")
-        elif negative in counts and c <= negative:  # flag each pair once
-            report.flag("antisymmetric", f"both {c} and its negative appear")
-    for i, row in enumerate(rows, start=1):
-        if row and any(sum_coords(orders, row)):
+        elif negative in counts and x <= negative:  # flag each pair once
+            report.flag("antisymmetric", f"both {codes.coords(x)} and its negative appear")
+    rows, cols = array.line_codes
+    for i, row in rows.items():
+        if codes.total(row):
             report.flag("row-sum", f"row {i} does not sum to 0")
-    for j, col in enumerate(cols, start=1):
-        if col and any(sum_coords(orders, col)):
+    for j, col in cols.items():
+        if codes.total(col):
             report.flag("col-sum", f"column {j} does not sum to 0")
     return report
 
@@ -229,7 +232,7 @@ def check_compatibility_parity(m: int, n: int, s: int, k: int, t: int) -> bool:
 def skeleton_parity_ok(array: PFArray | Skeleton) -> bool:
     """|skel(A)| == m + n - 1 (mod 2): required for compatible orderings when no
     row or column of A is empty, so True whenever one is."""
-    cells = array.cells if isinstance(array, Skeleton) else array.entries
+    cells = array.cells if isinstance(array, Skeleton) else array.entry_codes
     if len({r for r, _ in cells}) < array.m or len({c for _, c in cells}) < array.n:
         return True
     return len(cells) % 2 == (array.m + array.n - 1) % 2

@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate, chain
 from math import lcm
 from typing import Callable, Sequence
 
-from .group import GroupElement, GroupError
+from .group import ElementCodes, GroupElement
 from .heffter import skeleton_parity_ok
 from .pfarray import Cell, PFArray, Skeleton, skeleton_from_diagonals
 
@@ -37,40 +38,24 @@ def is_simple(seq: Sequence[GroupElement]) -> bool:
     run of consecutive elements sums to zero."""
     if not seq:
         raise ValueError("partial sums of an empty sequence")
-    spec = seq[0].spec
-    for e in seq:
-        if e.spec != spec:
-            raise GroupError(f"group mismatch: {spec} vs {e.spec}")
-    return _simple_coords(spec.orders, [e.coords for e in seq])
+    codes = seq[0].spec.codes
+    return _simple_test(codes)([codes.encode(e) for e in seq])
 
 
-def _simple_coords(orders: tuple[int, ...], line: Sequence[tuple[int, ...]]) -> bool:
-    """is_simple on coordinate tuples: running sums kept as residues (tuples of
-    residues for product groups) until the first repeat."""
-    seen: set = set()
-    if len(orders) == 1:
-        v, total = orders[0], 0
-        for x, in line:
-            total = (total + x) % v
-            if total in seen:
-                return False
-            seen.add(total)
-        return True
-    totals = (0,) * len(orders)
-    for c in line:
-        totals = tuple((a + x) % o for a, x, o in zip(totals, c, orders))
-        if totals in seen:
-            return False
-        seen.add(totals)
-    return True
+def _simple_test(codes: ElementCodes) -> Callable[[Sequence[int]], bool]:
+    """is_simple on lines of element codes: the running sums are distinct. In
+    Z_v they are the integer running sums reduced mod v, with no call per step."""
+    if codes.spec.is_cyclic_single:
+        v = codes.spec.orders[0]
+        return lambda line: len({x % v for x in accumulate(line)}) == len(line)
+    add = codes.add
+    return lambda line: len(set(accumulate(line, add))) == len(line)
 
 
 def is_globally_simple(array: PFArray) -> bool:
     """True iff every row (left to right) and column (top to bottom) is simple."""
-    orders = array.spec.orders
-    lines = [array.row(i) for i in range(1, array.m + 1)]
-    lines += [array.col(j) for j in range(1, array.n + 1)]
-    return all(_simple_coords(orders, [e.coords for e in line]) for line in lines)
+    rows, cols = array.line_codes
+    return all(map(_simple_test(array.spec.codes), chain(rows.values(), cols.values())))
 
 
 def orbit(step: Callable, start) -> list:

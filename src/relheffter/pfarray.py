@@ -3,12 +3,12 @@
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
-from .group import GroupElement, GroupError, GroupSpec, symmetric_rep, symmetric_residue
+from .group import GroupElement, GroupError, GroupSpec, symmetric_residue
 
 Cell = tuple[int, int]  # 1-based (row, col)
 
@@ -69,86 +69,108 @@ class Skeleton:
         return cls(_int(data["m"], "m"), _int(data["n"], "n"), frozenset(cells))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class PFArray:
     """An m x n partially filled array over a GroupSpec; empty cells are absent keys.
 
-    The array keeps a read-only copy of the entries it is given, so the row and
-    column index it builds on first use cannot go stale."""
+    The one store is ``entry_codes``, a read-only map from each filled cell to
+    its entry's int code (GroupSpec.codes); equality compares it. The
+    constructor takes GroupElements and encodes them once; ``entries``,
+    ``entry_list``, ``row`` and ``col`` decode on read."""
 
     m: int
     n: int
     spec: GroupSpec
-    entries: Mapping[Cell, GroupElement] = field(default_factory=dict)
-    _cells: dict[Cell, GroupElement] = field(init=False, repr=False, compare=False)
+    entry_codes: Mapping[Cell, int]
 
-    def __post_init__(self) -> None:
-        cells = dict(self.entries)
-        m, n, spec = self.m, self.n, self.spec
-        for (r, c), e in cells.items():
+    def __init__(self, m: int, n: int, spec: GroupSpec,
+                 entries: Mapping[Cell, GroupElement] = MappingProxyType({})) -> None:
+        encode, codes = spec.codes.encode, {}
+        for cell, e in entries.items():
+            if e.spec is not spec and e.spec != spec:
+                raise GroupError(f"entry at {cell} belongs to a different group")
+            codes[cell] = encode(e)
+        self._fill(m, n, spec, codes)
+
+    @classmethod
+    def _from_codes(cls, m: int, n: int, spec: GroupSpec, codes: Mapping[Cell, int]) -> "PFArray":
+        """The array with the given entry codes, of which it keeps a copy."""
+        array = object.__new__(cls)
+        array._fill(m, n, spec, codes)
+        return array
+
+    def _fill(self, m: int, n: int, spec: GroupSpec, codes: Mapping[Cell, int]) -> None:
+        """Check the cells and the codes, and keep a read-only copy of them: the
+        row and column index built on first use cannot go stale."""
+        codes, size = dict(codes), spec.size
+        for (r, c), x in codes.items():
             if not (1 <= r <= m and 1 <= c <= n):
                 raise ValueError(f"cell {(r, c)} outside {m}x{n}")
-            if e.spec is not spec and e.spec != spec:
-                raise GroupError(f"entry at {(r, c)} belongs to a different group")
-        object.__setattr__(self, "_cells", cells)
-        object.__setattr__(self, "entries", MappingProxyType(cells))
+            if not 0 <= x < size:
+                raise GroupError(f"entry code {x} at {(r, c)} is not an element of {spec.orders}")
+        for name, value in (("m", m), ("n", n), ("spec", spec),
+                            ("entry_codes", MappingProxyType(codes))):
+            object.__setattr__(self, name, value)
 
     @property
     def skeleton(self) -> Skeleton:
-        return Skeleton(self.m, self.n, frozenset(self.entries))
+        return Skeleton(self.m, self.n, frozenset(self.entry_codes))
+
+    @cached_property
+    def entries(self) -> Mapping[Cell, GroupElement]:
+        """Each filled cell's entry as a GroupElement, decoded on first read."""
+        decode = self.spec.codes.decode
+        return MappingProxyType({cell: decode(x) for cell, x in self.entry_codes.items()})
 
     @property
     def entry_list(self) -> list[GroupElement]:
         """E(A): the entries in row-major cell order."""
-        return [self._cells[c] for c in sorted(self._cells)]
+        entries = self.entries
+        return [entries[c] for c in sorted(entries)]
 
     @cached_property
-    def entry_codes(self) -> dict[Cell, int]:
-        """Each filled cell's entry as its int code (GroupSpec.codes), encoded once."""
-        encode = self.spec.codes.encode
-        return {cell: encode(e) for cell, e in self._cells.items()}
-
-    @cached_property
-    def _lines(self) -> tuple[dict[int, list[GroupElement]], dict[int, list[GroupElement]]]:
-        """Entries of each nonempty row and column in natural order, from one
-        pass over the cells in row-major order."""
-        rows: dict[int, list[GroupElement]] = {}
-        cols: dict[int, list[GroupElement]] = {}
-        for cell in sorted(self._cells):
-            e = self._cells[cell]
-            rows.setdefault(cell[0], []).append(e)
-            cols.setdefault(cell[1], []).append(e)
-        return rows, cols
+    def line_codes(self) -> tuple[Mapping[int, tuple[int, ...]], Mapping[int, tuple[int, ...]]]:
+        """The codes of each nonempty row (left to right) and of each nonempty
+        column (top to bottom), keyed in increasing order, from one pass over
+        the cells in row-major order."""
+        rows: dict[int, list[int]] = {}
+        cols: dict[int, list[int]] = {}
+        codes = self.entry_codes
+        for cell in sorted(codes):
+            x = codes[cell]
+            rows.setdefault(cell[0], []).append(x)
+            cols.setdefault(cell[1], []).append(x)
+        return (MappingProxyType({i: tuple(line) for i, line in rows.items()}),
+                MappingProxyType({j: tuple(cols[j]) for j in sorted(cols)}))
 
     def row(self, i: int) -> list[GroupElement]:
         """Entries of row i in the natural (left to right) order."""
-        return list(self._lines[0].get(i, ()))
+        return list(map(self.spec.codes.decode, self.line_codes[0].get(i, ())))
 
     def col(self, j: int) -> list[GroupElement]:
         """Entries of column j in the natural (top to bottom) order."""
-        return list(self._lines[1].get(j, ()))
+        return list(map(self.spec.codes.decode, self.line_codes[1].get(j, ())))
 
     # -- serialization --------------------------------------------------
 
     def to_json(self) -> dict:
+        coords, codes = self.spec.codes.coords, self.entry_codes
         return {
             "m": self.m,
             "n": self.n,
             "group": self.spec.to_json(),
-            "cells": [
-                {"r": r, "c": c, "v": list(self._cells[(r, c)].coords)}
-                for r, c in sorted(self._cells)
-            ],
+            "cells": [{"r": r, "c": c, "v": list(coords(codes[(r, c)]))} for r, c in sorted(codes)],
         }
 
     def to_json_text(self) -> str:
         """The text of json.dumps(self.to_json(), indent=2, sort_keys=True) and a
         newline, written directly: the stdlib encoder falls back to pure Python
         whenever indent is set."""
+        coords, codes = self.spec.codes.coords, self.entry_codes
         cell = '    {\n      "c": %d,\n      "r": %d,\n      "v": [\n        %s\n      ]\n    }'
         cells = ",\n".join(
-            cell % (c, r, ",\n        ".join(map(str, self._cells[(r, c)].coords)))
-            for r, c in sorted(self._cells)
+            cell % (c, r, ",\n        ".join(map(str, coords(codes[(r, c)]))))
+            for r, c in sorted(codes)
         )
         orders = ",\n      ".join(map(str, self.spec.orders))
         return ('{\n  "cells": %s,\n  "group": {\n    "orders": [\n      %s\n    ]\n  },\n'
@@ -160,25 +182,27 @@ class PFArray:
         """Parse the JSON array format; coordinates must be canonical residues,
         one per factor, and no cell may be listed twice."""
         spec = GroupSpec.from_json(data["group"])
-        entries: dict[Cell, GroupElement] = {}
+        code = spec.codes.code
+        codes: dict[Cell, int] = {}
         for cell in data["cells"]:
             key = (_int(cell["r"], "r"), _int(cell["c"], "c"))
             coords = cell["v"]
             if not isinstance(coords, list) or not all(type(x) is int for x in coords):
                 raise GroupError(f"cell {key}: coordinates {coords!r} are not a list of integers")
-            if key in entries:
+            if key in codes:
                 raise ValueError(f"cell {key} listed twice")
-            entries[key] = GroupElement(spec, tuple(coords))
-        return cls(_int(data["m"], "m"), _int(data["n"], "n"), spec, entries)
+            codes[key] = code(coords)
+        return cls._from_codes(_int(data["m"], "m"), _int(data["n"], "n"), spec, codes)
 
     def to_csv(self) -> str:
         """Grid CSV with symmetric representatives; empty string for empty cells."""
         if not self.spec.is_cyclic_single:
             raise GroupError("CSV export requires a single-factor group")
         v = self.spec.orders[0]
+        half = v // 2  # the symmetric residue of x is x - v above v/2
         rows = [[""] * self.n for _ in range(self.m)]
-        for (r, c), e in self._cells.items():
-            rows[r - 1][c - 1] = str(symmetric_residue(e.coords[0], v))
+        for (r, c), x in self.entry_codes.items():
+            rows[r - 1][c - 1] = str(x - v if x > half else x)
         return "".join(",".join(fields) + "\n" for fields in rows)
 
     @classmethod
@@ -186,7 +210,7 @@ class PFArray:
         """Parse the grid CSV format: every row has the same number of fields,
         each empty or an integer, which is reduced mod v."""
         spec = GroupSpec.cyclic(v)
-        entries: dict[Cell, GroupElement] = {}
+        codes: dict[Cell, int] = {}
         rows = [line.split(",") for line in text.splitlines()]
         if not rows:
             raise ValueError("empty CSV")
@@ -201,8 +225,8 @@ class PFArray:
                     x = int(f)
                 except ValueError:
                     raise ValueError(f"CSV row {i}, field {j}: {f!r} is not an integer") from None
-                entries[(i, j)] = GroupElement(spec, (x % v,))
-        return cls(len(rows), n, spec, entries)
+                codes[(i, j)] = x % v
+        return cls._from_codes(len(rows), n, spec, codes)
 
 
 @dataclass(frozen=True)
@@ -238,20 +262,20 @@ def fill_diagonals(array: PFArray, procedures: Iterable[DiagSpec]) -> PFArray:
         raise ConstructionError("diag requires a single-factor group")
     n, spec = array.n, array.spec
     v = spec.orders[0]
-    cells = dict(array.entries)
+    cells = dict(array.entry_codes)
     for d in procedures:
         r, c, s, d1, d2 = d.r - 1, d.c - 1, d.s, d.d1, d.d2
-        new: dict[Cell, GroupElement] = {}
+        new: dict[Cell, int] = {}
         for i in range(d.length):
             cell = ((r + i * d1) % n + 1, (c + i * d1) % n + 1)
             if cell in new:
                 raise ConstructionError(f"diag self-collision at {cell}")
-            new[cell] = GroupElement(spec, ((s + i * d2) % v,))
+            new[cell] = (s + i * d2) % v
         if not cells.keys().isdisjoint(new):
             cell = next(cell for cell in new if cell in cells)
             raise ConstructionError(f"cell {cell} already filled")
         cells.update(new)
-    return PFArray(n, n, spec, cells)
+    return PFArray._from_codes(n, n, spec, cells)
 
 
 def diagonal_cells(n: int, i: int) -> list[Cell]:
@@ -285,7 +309,7 @@ def classify_diagonals(array: PFArray | Skeleton) -> DiagonalReport:
     if array.m != array.n:
         raise ValueError("diagonal classification requires a square array")
     n = array.n
-    cells = array.cells if isinstance(array, Skeleton) else array.entries
+    cells = array.cells if isinstance(array, Skeleton) else array.entry_codes
     on_diagonal = Counter((r - c) % n + 1 for r, c in cells)
     filled = frozenset(i for i, count in on_diagonal.items() if count == n)
     is_k_diagonal = bool(filled) and len(cells) == n * len(filled)
@@ -314,25 +338,23 @@ def cyclic_runs(indices: Iterable[int], n: int) -> list[list[int]]:
 
 
 def direct_sum(a: PFArray, b: PFArray) -> PFArray:
-    """The direct sum over G1 + G2: union skeleton, zero-padded coordinates."""
+    """The direct sum over G1 + G2: union skeleton, zero-padded coordinates.
+
+    The mixed-radix code of (x, y) in G1 + G2 is code(x) * |G2| + code(y)."""
     if (a.m, a.n) != (b.m, b.n):
         raise ValueError(f"dimension mismatch: {a.m}x{a.n} vs {b.m}x{b.n}")
     spec = GroupSpec(a.spec.orders + b.spec.orders)
-    zero_a = (0,) * len(a.spec.orders)
-    zero_b = (0,) * len(b.spec.orders)
-    entries: dict[Cell, GroupElement] = {}
-    for cell in set(a.entries) | set(b.entries):
-        ca = a.entries[cell].coords if cell in a.entries else zero_a
-        cb = b.entries[cell].coords if cell in b.entries else zero_b
-        entries[cell] = GroupElement(spec, ca + cb)
-    return PFArray(a.m, a.n, spec, entries)
+    size, ca, cb = b.spec.size, a.entry_codes, b.entry_codes
+    codes = {cell: ca.get(cell, 0) * size + cb.get(cell, 0) for cell in ca.keys() | cb.keys()}
+    return PFArray._from_codes(a.m, a.n, spec, codes)
 
 
 def support(array: PFArray) -> frozenset[int]:
     """Absolute values of the symmetric representatives of the entries."""
     if not array.spec.is_cyclic_single:
         raise GroupError("support is defined for single-factor groups only")
-    return frozenset(abs(symmetric_rep(e)) for e in array.entries.values())
+    v = array.spec.orders[0]
+    return frozenset(abs(symmetric_residue(x, v)) for x in array.entry_codes.values())
 
 
 def cyclic_row_shift(array: PFArray, shift: int) -> PFArray:
@@ -340,10 +362,8 @@ def cyclic_row_shift(array: PFArray, shift: int) -> PFArray:
     if array.m != array.n:
         raise ValueError("cyclic row shift requires a square array")
     n = array.n
-    entries = {
-        (_reduce_index(r + shift, n), c): e for (r, c), e in array.entries.items()
-    }
-    return PFArray(array.m, array.n, array.spec, entries)
+    codes = {(_reduce_index(r + shift, n), c): x for (r, c), x in array.entry_codes.items()}
+    return PFArray._from_codes(array.m, array.n, array.spec, codes)
 
 
 def skeleton_from_diagonals(n: int, indices: Iterable[int]) -> Skeleton:

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Sequence
 
-from .group import GroupElement, GroupSpec, subgroup_of_order
+from .group import GroupSpec, subgroup_step
 from .orderings import Ordering, Orientation, orbit, orientation_to_orderings
 from .pfarray import PFArray
 
@@ -20,9 +20,9 @@ DirectedEdge = tuple  # (tail, head)
 # translate of one read off C (face lifting: Gross & Tucker, Topological
 # Graph Theory, 1987).
 #
-# Group elements are int codes (GroupSpec.codes) throughout: array entries are
-# encoded once (PFArray.entry_codes), and GroupElements appear only in the
-# faces and cycles developed when read, and in witness messages.
+# Group elements are int codes (GroupSpec.codes) throughout, as the array
+# stores them (PFArray.entry_codes); GroupElements appear only in the faces
+# and cycles developed when read, and in witness messages.
 
 
 def _rotation_key(seq: Sequence[int]) -> tuple[int, ...]:
@@ -40,15 +40,10 @@ class CertificationError(ValueError):
 @dataclass(frozen=True)
 class CayleyGraph:
     """Cay[G : connection]: vertices G, x ~ y iff x - y in the connection set,
-    a set of element codes.
-
-    ``listing`` is the connection set in the order from_entries listed it (e
-    and -e for each entry, in cell order); it fixes which elements a failed
-    development names (_set_witnesses)."""
+    a set of element codes."""
 
     spec: GroupSpec
     connection: frozenset[int]
-    listing: tuple[int, ...] = field(default=(), compare=False, repr=False)
 
     def __post_init__(self) -> None:
         codes = self.spec.codes
@@ -59,21 +54,19 @@ class CayleyGraph:
                 raise ValueError("connection set must not contain the identity")
             if codes.neg(a) not in self.connection:
                 raise ValueError(
-                    f"connection set not closed under negation at {codes.decode(a).coords}")
+                    f"connection set not closed under negation at {codes.coords(a)}")
 
     @classmethod
     def multipartite(cls, v: int, t: int) -> "CayleyGraph":
         """K_{(v/t) x t} as Cay[Z_v : Z_v minus the order-t subgroup]."""
-        spec = GroupSpec.cyclic(v)
-        forbidden = {spec.codes.encode(g) for g in subgroup_of_order(v, t)}
-        return cls(spec, frozenset(x for x in range(v) if x not in forbidden))
+        step = subgroup_step(v, t)  # the subgroup is the multiples of v/t
+        return cls(GroupSpec.cyclic(v), frozenset(x for x in range(v) if x % step))
 
     @classmethod
     def from_entries(cls, array: PFArray) -> "CayleyGraph":
         """Cay[G : +-E(A)]."""
-        neg = array.spec.codes.neg
-        listing = tuple(c for e in array.entry_codes.values() for c in (e, neg(e)))
-        return cls(array.spec, frozenset(listing), listing)
+        neg, codes = array.spec.codes.neg, array.entry_codes.values()
+        return cls(array.spec, frozenset(c for e in codes for c in (e, neg(e))))
 
     @property
     def num_vertices(self) -> int:
@@ -165,7 +158,8 @@ def develop_and_verify(base: list[Cycle], graph: CayleyGraph) -> DecompositionCe
 
     They do iff the differences of the base cycles list every element of the
     connection set exactly once: the edge {x, x + d} then lies on exactly one
-    translate, and the translates cover |C|/2 * |G| edges."""
+    translate, and the translates cover |C|/2 * |G| edges. A failure names the
+    least missing and the least extra difference."""
     codes = graph.spec.codes
     sub, neg = codes.sub, codes.neg
     diffs: list[int] = []
@@ -181,25 +175,14 @@ def develop_and_verify(base: list[Cycle], graph: CayleyGraph) -> DecompositionCe
     for d, c in counts.items():
         if c > 1:
             raise CertificationError(
-                f"difference {codes.decode(d).coords} appears {c} times in the base cycles")
+                f"difference {codes.coords(d)} appears {c} times in the base cycles")
     if counts.keys() != graph.connection:
-        missing, extra = _set_witnesses(graph, counts)
+        missing, extra = (codes.decode(min(s)) if s else None for s in
+                          (graph.connection - counts.keys(), counts.keys() - graph.connection))
         raise CertificationError(
             f"difference list != connection set (missing={missing}, extra={extra})"
         )
     return DecompositionCertificate(graph, base, offsets)
-
-
-def _set_witnesses(graph: CayleyGraph, diffs: Counter) -> tuple[GroupElement | None, ...]:
-    """A missing and an extra difference: the first element of each set
-    difference of the connection set and the differences as sets of
-    GroupElements, built in the order the object-level certificate built them
-    (a set iterates in an order fixed by the hashes and the insertion order of
-    its elements), so a failure names the elements it has always named."""
-    decode = graph.spec.codes.decode
-    connection = set(frozenset(set(map(decode, graph.listing or sorted(graph.connection)))))
-    differences = set(map(decode, diffs))
-    return next(iter(connection - differences), None), next(iter(differences - connection), None)
 
 
 def verify_orthogonal(d1: DecompositionCertificate, d2: DecompositionCertificate) -> bool:

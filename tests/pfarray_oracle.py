@@ -4,14 +4,17 @@
 validates it again, and ``fill_chain`` applies it once per procedure, as the
 family builders once did. ``classify_diagonals`` tests every cell of every
 diagonal, O(n^2). ``json_text`` is the stdlib encoder's text, which
-``PFArray.to_json_text`` writes directly. The library's one-pass filler,
-linear classification and writer are compared with these on the same inputs.
+``PFArray.to_json_text`` writes directly. ``direct_sum`` and
+``cyclic_row_shift`` work on ``GroupElement`` entries, where the library
+works on int codes. The library's one-pass filler, linear classification,
+writer and code-level builders are compared with these on the same inputs.
 """
 
 from __future__ import annotations
 
 import json
 
+from relheffter.group import GroupElement, GroupSpec
 from relheffter.pfarray import (
     ConstructionError,
     DiagonalReport,
@@ -70,3 +73,20 @@ def classify_diagonals(array: PFArray | Skeleton) -> DiagonalReport:
 
 def json_text(array: PFArray) -> str:
     return json.dumps(array.to_json(), indent=2, sort_keys=True) + "\n"
+
+
+def direct_sum(a: PFArray, b: PFArray) -> PFArray:
+    spec = GroupSpec(a.spec.orders + b.spec.orders)
+    zero_a, zero_b = a.spec.identity, b.spec.identity
+    return PFArray(a.m, a.n, spec, {
+        cell: GroupElement(spec, a.entries.get(cell, zero_a).coords
+                           + b.entries.get(cell, zero_b).coords)
+        for cell in set(a.entries) | set(b.entries)
+    })
+
+
+def cyclic_row_shift(array: PFArray, shift: int) -> PFArray:
+    n = array.n
+    return PFArray(array.m, n, array.spec, {
+        ((r + shift - 1) % n + 1, c): e for (r, c), e in array.entries.items()
+    })

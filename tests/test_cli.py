@@ -7,6 +7,7 @@ import pytest
 
 from relheffter.cli import build_parser, main
 from relheffter.constructions import FAMILIES, build_archdeacon_composite, build_h_n_3
+from relheffter.group import GroupError
 from relheffter.pfarray import PFArray
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -268,6 +269,30 @@ def test_malformed_input_is_usage_error(tmp_path, capsys, case):
     assert code == 2 and captured.out == ""
     assert captured.err.startswith(f"error: {path}")
     assert len(captured.err.strip().splitlines()) == 1
+
+
+# a product-group array whose second cell is bad, with the parser's message
+PRODUCT_COORDINATES = {
+    "non-canonical": ([4, 3], "coordinate 3 not canonical for order 3"),
+    "coordinate-count": ([4], "coordinate count 1 != factor count 2"),
+    "bool": ([4, True], "cell (1, 2): coordinates [4, True] are not a list of integers"),
+    "float": ([4.0, 2], "cell (1, 2): coordinates [4.0, 2] are not a list of integers"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PRODUCT_COORDINATES))
+def test_product_group_coordinates_are_strict(tmp_path, capsys, case):
+    coords, message = PRODUCT_COORDINATES[case]
+    data = {"m": 1, "n": 2, "group": {"orders": [5, 3]}, "cells": _cells([1, 2], coords)}
+    with pytest.raises(GroupError) as exc:
+        PFArray.from_json(data)
+    assert str(exc.value) == message
+    path = tmp_path / "a.json"
+    path.write_text(json.dumps(data))
+    code = main(["verify", str(path), "--archdeacon"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == f"error: {path}: {message}\n"
 
 
 @pytest.mark.parametrize("skeleton", [

@@ -127,6 +127,10 @@ def test_necessary_conditions_cases():
     }
     # t = 2nk with odd k fails
     assert check_necessary_conditions(5, 3, 30)["t-equals-2nk"] == "fail"
+    # k = t = 5, n = 5 over Z_55: the support {1, ..., 27} minus {11, 22} sums
+    # to 345, an odd number, so no integer H_5(5; 5) exists
+    assert check_necessary_conditions(5, 5, 5)["divides-nk"] == "fail"
+    assert not necessary_conditions_pass(5, 5, 5)
     assert not necessary_conditions_pass(5, 3, 30)
     with pytest.raises(ValueError):
         check_necessary_conditions(9, 3, 5)  # t does not divide 2nk

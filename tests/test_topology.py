@@ -317,13 +317,13 @@ def test_certify_every_family_at_paper_scale():
         assert cert.embedding.genus == heffter_genus_formula(n, n, k, k, t), family.name
 
 
-# failure messages of the 8x8 fixture with one entry moved by (1, 0), as the
-# object-level certificate wrote them: its witnesses were the first elements
-# of sets of GroupElements, and the certificate on codes names the same ones
+# failure messages of the 8x8 fixture with one entry moved by (1, 0): each
+# names the least missing and the least extra difference, in coordinate-tuple
+# order, as the object-level certificate does
 WITNESSES = {
-    (1, 1): "missing=g(43, 1), extra=g(9, 2)",
-    (1, 2): "missing=g(50, 1), extra=g(0, 1)",
-    (1, 7): "missing=g(34, 0), extra=g(16, 0)",
+    (1, 1): "missing=g(8, 2), extra=g(9, 2)",
+    (1, 2): "missing=g(1, 2), extra=g(0, 1)",
+    (1, 7): "missing=g(17, 0), extra=g(16, 0)",
     (2, 1): "missing=g(9, 2), extra=g(10, 2)",
     (2, 2): "missing=g(0, 1), extra=g(1, 1)",
 }

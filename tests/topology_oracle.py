@@ -124,8 +124,9 @@ def develop_and_verify(base: list[Cycle], graph: CayleyGraph) -> Decomposition:
             raise CertificationError(f"difference {d.coords} appears {c} times in the base cycles")
     conn = connection(graph)
     if set(counts) != conn:
-        missing = next(iter(conn - set(counts)), None)
-        extra = next(iter(set(counts) - conn), None)
+        # the least of each set difference, in coordinate-tuple order
+        missing = min(conn - set(counts), key=lambda e: e.coords, default=None)
+        extra = min(set(counts) - conn, key=lambda e: e.coords, default=None)
         raise CertificationError(
             f"difference list != connection set (missing={missing}, extra={extra})"
         )
