@@ -52,12 +52,12 @@ from .orderings import (
     LiftSpec,
     Ordering,
     Orientation,
-    compose_orderings,
     is_globally_simple,
     is_simple,
     knight_search,
     knight_step,
     knight_tour,
+    knight_walk,
     nine_diagonal_orientation,
     nine_diagonal_skeleton,
     lift_solution,

@@ -24,7 +24,7 @@ from .orderings import (
     Orientation,
     is_globally_simple,
     knight_search,
-    knight_tour,
+    knight_walk,
     nine_diagonal_orientation,
     lift_solution,
     search_lift_shape,
@@ -261,7 +261,7 @@ def cmd_knight(args: argparse.Namespace) -> int:
             raise UsageError(str(exc)) from exc
         skel = spec.skeleton(skel.n + spec.M)
         payload["lifted_n"] = skel.n
-    orbit, ok = knight_tour(skel, orientation, min(skel.cells))
+    orbit, ok = knight_walk(skel, orientation)
     rs, cs = orientation.to_strings()
     payload.update(
         orientation_rows=rs, orientation_cols=cs, orbit_length=len(orbit), is_solution=ok,

@@ -105,13 +105,6 @@ class Ordering:
         )
         return row_next, col_next
 
-    def with_reversed_rows(self) -> "Ordering":
-        """Every row ordering reversed (omega_r inverse), the columns unchanged."""
-        return Ordering(
-            {i: cells[::-1] for i, cells in self.row_orders.items()}, self.col_orders
-        )
-
-
 def natural_ordering(array: ArrayLike) -> Ordering:
     rows, cols = _skel(array).lines
     return Ordering(dict(rows), dict(cols))
@@ -152,15 +145,6 @@ def orientation_to_orderings(array: ArrayLike, o: Orientation) -> Ordering:
     )
 
 
-def compose_orderings(array: ArrayLike, ordering: Ordering) -> tuple[dict[Cell, Cell], bool]:
-    """The cell permutation 'row successor then column successor', and whether it
-    is a single cycle through every filled cell (the compatibility condition)."""
-    ordering.validate(array)  # so the rows' successor map has every filled cell as a key
-    row_next, col_next = ordering.successors()
-    perm = {cell: col_next[nxt] for cell, nxt in row_next.items()}
-    return perm, bool(perm) and len(orbit(perm.__getitem__, min(perm))) == len(perm)
-
-
 # -- the Crazy Knight's Tour map ----------------------------------------
 
 
@@ -187,6 +171,23 @@ def knight_tour(array: ArrayLike, o: Orientation, start: Cell) -> tuple[list[Cel
     return cells, len(cells) == len(skel.cells)
 
 
+def knight_walk(array: ArrayLike, o: Orientation) -> tuple[list[Cell], bool]:
+    """knight_tour from the least filled cell, walked over the skeleton's int
+    index (Skeleton.index) rather than over cell successor maps."""
+    skel = _skel(array)
+    if not skel.cells:
+        raise ValueError("empty array")
+    cells, _, row_step, col_step = skel.index
+    r, c = o.r, o.c
+    orbit, x = [], 0
+    while True:
+        orbit.append(cells[x])
+        y = row_step[r[cells[x][0] - 1]][x]
+        x = col_step[c[cells[y][1] - 1]][y]
+        if not x:
+            return orbit, len(orbit) == len(cells)
+
+
 def _least_orientation(
     skel: Skeleton, fixed: Sequence[int], free: Sequence[int]
 ) -> Orientation | None:
@@ -202,19 +203,8 @@ def _least_orientation(
     cycle shorter than |skel| closes and accepted when one through every cell
     does."""
     m = skel.m
-    cells = sorted(skel.cells)
+    cells, lines, row_step, col_step = skel.index
     size = len(cells)
-    index = {cell: x for x, cell in enumerate(cells)}
-    rows, cols = skel.lines
-    lines = [[index[cell] for cell in rows.get(i, ())] for i in range(1, m + 1)]
-    lines += [[index[cell] for cell in cols.get(j, ())] for j in range(1, skel.n + 1)]
-    row_step: dict[int, list[int]] = {1: [0] * size, -1: [0] * size}
-    col_step: dict[int, list[int]] = {1: [0] * size, -1: [0] * size}
-    for v, line in enumerate(lines):
-        step = row_step if v < m else col_step
-        for p, x in enumerate(line):
-            step[1][x] = line[(p + 1) % len(line)]
-            step[-1][x] = line[p - 1]
     row_var = [r - 1 for r, _ in cells]
     col_var = [m + c - 1 for _, c in cells]
 
@@ -321,16 +311,12 @@ def lift_solution(spec: LiftSpec, n: int, o: Orientation) -> Orientation:
     """Extend a lift-shaped solution of P(A_n) to a verified solution of P(A_{n+M})."""
     if not has_lift_shape(spec, n, o):
         raise ValueError("orientation does not have the liftable shape")
-    skel = spec.skeleton(n)
-    _, ok = knight_tour(skel, o, min(skel.cells))
-    if not ok:
+    if not knight_walk(spec.skeleton(n), o)[1]:
         raise ValueError("input orientation is not a solution")
     big = n + spec.M
     lk = spec.diagonal_indices[-1]
     lifted = Orientation((1,) * big, o.c[: n - lk + 1] + (1,) * (big - (n - lk + 1)))
-    big_skel = spec.skeleton(big)
-    _, ok = knight_tour(big_skel, lifted, min(big_skel.cells))
-    if not ok:
+    if not knight_walk(spec.skeleton(big), lifted)[1]:
         raise ValueError("lifted orientation failed verification")
     return lifted
 

@@ -54,6 +54,28 @@ class Skeleton:
         return (MappingProxyType({i: tuple(v) for i, v in rows.items()}),
                 MappingProxyType({j: tuple(cols[j]) for j in sorted(cols)}))
 
+    @cached_property
+    def index(self) -> tuple[list[Cell], list[list[int]],
+                             dict[int, list[int]], dict[int, list[int]]]:
+        """The int index that the Knight search and walk run on: the filled cells
+        in row-major order, numbered from 0; the numbers of the cells of rows
+        1..m (left to right) and then of columns 1..n (top to bottom); and the
+        next cell along its row and along its column, cyclically, for sign +1
+        and for sign -1."""
+        cells = sorted(self.cells)
+        lines: list[list[int]] = [[] for _ in range(self.m + self.n)]
+        for x, (r, c) in enumerate(cells):
+            lines[r - 1].append(x)
+            lines[self.m + c - 1].append(x)
+        row_step = {1: [0] * len(cells), -1: [0] * len(cells)}
+        col_step = {1: [0] * len(cells), -1: [0] * len(cells)}
+        for v, line in enumerate(lines):
+            step = row_step if v < self.m else col_step
+            for p, x in enumerate(line):
+                step[1][x] = line[(p + 1) % len(line)]
+                step[-1][x] = line[p - 1]
+        return cells, lines, row_step, col_step
+
     def to_json(self) -> dict:
         return {"m": self.m, "n": self.n, "cells": [[r, c] for r, c in sorted(self.cells)]}
 

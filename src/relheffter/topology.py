@@ -5,11 +5,12 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Sequence
+from itertools import accumulate
+from typing import Callable, Mapping, Sequence
 
-from .group import GroupSpec, subgroup_step
-from .orderings import Ordering, Orientation, orbit, orientation_to_orderings
-from .pfarray import PFArray
+from .group import ElementCodes, GroupSpec, subgroup_step
+from .orderings import Ordering, Orientation, orbit
+from .pfarray import Cell, PFArray
 
 Edge = frozenset  # frozenset of two vertices
 DirectedEdge = tuple  # (tail, head)
@@ -22,7 +23,11 @@ DirectedEdge = tuple  # (tail, head)
 #
 # Group elements are int codes (GroupSpec.codes) throughout, as the array
 # stores them (PFArray.entry_codes); GroupElements appear only in the faces
-# and cycles developed when read, and in witness messages.
+# and cycles developed when read, and in witness messages. Orderings are
+# lines of codes: certify_biembedding reads them off PFArray.line_codes, and
+# the functions that take an Ordering of cells translate it first.
+
+Lines = Mapping[int, Sequence[int]]  # line index -> its entry codes in order
 
 
 def _rotation_key(seq: Sequence[int]) -> tuple[int, ...]:
@@ -98,18 +103,25 @@ class Cycle:
         return [frozenset((vs[i], vs[(i + 1) % len(vs)])) for i in range(len(vs))]
 
 
+def _code_lines(array: PFArray, *orders: Mapping[int, Sequence[Cell]]) -> list[Lines]:
+    """Each of an Ordering's row_orders or col_orders as lines of entry codes."""
+    code = array.entry_codes.__getitem__
+    return [{i: tuple(map(code, cells)) for i, cells in lines.items()} for lines in orders]
+
+
 def base_cycles(array: PFArray, ordering: Ordering, by: str = "col") -> list[Cycle]:
     """Partial-sum cycles of each row (by='row') or column (by='col') ordering."""
     if by not in ("row", "col"):
         raise ValueError("by must be 'row' or 'col'")
-    codes, add = array.entry_codes, array.spec.codes.add
+    lines = _code_lines(array, ordering.row_orders if by == "row" else ordering.col_orders)[0]
+    return _cycles(array.spec.codes.add, lines, by)
+
+
+def _cycles(add: Callable[[int, int], int], lines: Lines, by: str) -> list[Cycle]:
+    """The partial-sum cycle of each line, in increasing line index."""
     cycles = []
-    orders = ordering.row_orders if by == "row" else ordering.col_orders
-    for index in sorted(orders):
-        sums, total = [], 0
-        for cell in orders[index]:
-            total = add(total, codes[cell])
-            sums.append(total)
+    for index in sorted(lines):
+        sums = list(accumulate(lines[index], add))
         if len(set(sums)) != len(sums):
             raise CertificationError(f"{by} {index} ordering is not simple")
         if len(sums) < 3:
@@ -205,46 +217,39 @@ def entry_successor_maps(
     array: PFArray, ordering: Ordering
 ) -> tuple[dict[int, int], dict[int, int]]:
     """omega_r and omega_c as cyclic successor maps on entry codes (entries distinct)."""
-    codes = array.entry_codes
-    row_next, col_next = ordering.successors()
-    omega_r = {codes[a]: codes[b] for a, b in row_next.items()}
-    if len(omega_r) != len(row_next):
+    return _omegas(*_code_lines(array, ordering.row_orders, ordering.col_orders))
+
+
+def _omegas(rows: Lines, cols: Lines) -> tuple[dict[int, int], dict[int, int]]:
+    """The next code of each code along its row and along its column, cyclically."""
+    omega_r, omega_c = ({a: b for line in lines.values() for a, b in zip(line, line[1:] + line[:1])}
+                        for lines in (rows, cols))
+    if len(omega_r) != sum(map(len, rows.values())):
         raise ValueError("entries are not distinct; entry-level orderings undefined")
-    omega_c = {codes[a]: codes[b] for a, b in col_next.items()}
     return omega_r, omega_c
 
 
 def build_rho0(array: PFArray, ordering: Ordering) -> dict[int, int]:
     """The vertex-rotation seed, a cyclic permutation of +-E(A) on element
     codes: rho0(a) = -omega_r(a) on E(A) and omega_c(-a) on -E(A)."""
-    if not array.entries:
+    return _rho0(array.spec.codes, *_code_lines(array, ordering.row_orders, ordering.col_orders))
+
+
+def _rho0(codes: ElementCodes, rows: Lines, cols: Lines) -> dict[int, int]:
+    """build_rho0 on lines of entry codes; a failing walk starts at the least code."""
+    omega_r, omega_c = _omegas(rows, cols)
+    if not omega_r:
         raise ValueError("rho0 is undefined: the array has no filled cells")
-    omega_r, omega_c = entry_successor_maps(array, ordering)
-    codes = array.spec.codes
     neg = codes.neg
-
-    def seed(entries) -> dict[int, int]:
-        rho0 = {}
-        for a in entries:
-            rho0[a] = neg(omega_r[a])
-            rho0[neg(a)] = omega_c[a]
-        return rho0
-
-    rho0 = seed(omega_r)
+    rho0 = {}
+    for a, b in omega_r.items():
+        rho0[a] = neg(b)
+        rho0[neg(a)] = omega_c[a]
     # with 2|E(A)| distinct keys rho0 is a permutation, and the walk from any
     # key shows whether it is one cycle
-    if len(rho0) == 2 * len(omega_r):
-        if len(orbit(rho0.__getitem__, next(iter(rho0)))) == len(rho0):
-            return rho0
-    # A failure is reported as the object-level seed reported it: the entries
-    # taken in the iteration order of the set of their GroupElements (the
-    # later of two colliding keys wins), and the walk from the first of them.
-    entries = set(dict.fromkeys(map(codes.decode, omega_r)))
-    rho0 = seed([codes.encode(g) for g in entries])
-    try:
-        length = len(orbit(rho0.__getitem__, next(iter(rho0))))
-    except ValueError as exc:  # only when +-E(A) has repeats, so some entries collided
-        raise ValueError("rho0 is no permutation: an entry is 0 or the negative of an entry") from exc
+    if len(rho0) != 2 * len(omega_r):
+        raise ValueError("rho0 is no permutation: an entry is 0 or the negative of an entry")
+    length = len(orbit(rho0.__getitem__, min(rho0)))
     if length != len(rho0):
         raise CertificationError(
             f"rho0 is not cyclic on +-E(A): orbit {length} of {len(rho0)} "
@@ -364,16 +369,17 @@ def two_color_check(report: EmbeddingReport, array: PFArray, ordering: Ordering)
 
     Stores the coloring into the report on success.
     """
-    col_base, row_base = _bases(array, ordering)
-    return _two_color(report, col_base, row_base)
+    lines = _code_lines(array, ordering.row_orders, ordering.col_orders)
+    return _two_color(report, *_bases(array.spec.codes.add, *lines))
 
 
-def _bases(array: PFArray, ordering: Ordering) -> tuple[list[Cycle], list[Cycle]]:
+def _bases(add: Callable[[int, int], int], rows: Lines,
+           cols: Lines) -> tuple[list[Cycle], list[Cycle]]:
     """The column base cycles and the base cycles of the reversed rows."""
     # class 2 follows the REVERSED row orderings (omega_r inverse): reversing
     # the ordering negates every partial-sum cycle's edge set
-    return (base_cycles(array, ordering, by="col"),
-            base_cycles(array, ordering.with_reversed_rows(), by="row"))
+    reversed_rows = {i: line[::-1] for i, line in rows.items()}
+    return _cycles(add, cols, "col"), _cycles(add, reversed_rows, "row")
 
 
 def _two_color(report: EmbeddingReport, col_base: list[Cycle], row_base: list[Cycle]) -> bool:
@@ -434,26 +440,22 @@ class BiembeddingCertificate:
 
 
 def certify_biembedding(array: PFArray, orientation: Orientation) -> BiembeddingCertificate:
-    """The whole chain: the orientation's orderings, rho0 as one cycle on +-E(A),
-    the traced faces, their two-colouring, the exact development of the column
-    and reversed-row decompositions, and their orthogonality.
+    """The whole chain: the orientation's orderings (the rows and columns of
+    entry codes, line i reversed where its sign is -1), rho0 as one cycle on
+    +-E(A), the traced faces, their two-colouring, the exact development of the
+    column and reversed-row decompositions, and their orthogonality.
 
     Raises CertificationError with a witness when a stage cannot be certified,
-    and ValueError, before any stage runs, when +-E(A) has a repeat: the
+    and ValueError from rho0, the first stage, when +-E(A) has a repeat: the
     entries are not distinct, or an entry is 0 or the negative of an entry.
     No rotation of +-E(A) exists then, whatever the orderings."""
-    codes = list(array.entry_codes.values())
-    entries = set(codes)
-    if len(entries) != len(codes):
-        raise ValueError("entries are not distinct; entry-level orderings undefined")
-    if not entries.isdisjoint(map(array.spec.codes.neg, codes)):
-        raise ValueError("rho0 is no permutation: an entry is 0 or the negative of an entry")
-    ordering = orientation_to_orderings(array, orientation)
-    rho0 = build_rho0(array, ordering)
+    rows, cols = ({i: line if sign[i - 1] == 1 else line[::-1] for i, line in lines.items()}
+                  for sign, lines in zip((orientation.r, orientation.c), array.line_codes))
+    rho0 = _rho0(array.spec.codes, rows, cols)
     graph = CayleyGraph.from_entries(array)
     report = trace_faces(graph, rho0)
-    col_base, row_base = _bases(array, ordering)
+    col_base, row_base = _bases(array.spec.codes.add, rows, cols)
     two_colorable = _two_color(report, col_base, row_base)
-    cols = develop_and_verify(col_base, graph)
-    rows = develop_and_verify(row_base, graph)
-    return BiembeddingCertificate(report, two_colorable, rows, cols, verify_orthogonal(rows, cols))
+    col_dec, row_dec = develop_and_verify(col_base, graph), develop_and_verify(row_base, graph)
+    return BiembeddingCertificate(report, two_colorable, row_dec, col_dec,
+                                  verify_orthogonal(row_dec, col_dec))

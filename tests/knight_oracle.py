@@ -1,10 +1,14 @@
-"""Exhaustive reference versions of the Knight's Tour searches.
+"""Reference versions of the Knight's Tour machinery.
 
 ``knight_search`` and ``search_lift_shape`` enumerate orientations in
 lexicographic order (+1 before -1) with ``itertools.product`` and test each one
 by walking its orbit with the slow ``knight_tour``. The library runs a pruned
 depth-first search over the same order; the tests compare the two on the same
 inputs.
+
+``lift_solution`` checks both orientations with ``knight_tour``, and
+``compose_orderings`` reads the compatibility condition straight off cell
+orderings.
 """
 
 from __future__ import annotations
@@ -12,8 +16,15 @@ from __future__ import annotations
 from itertools import product
 
 from relheffter.heffter import skeleton_parity_ok
-from relheffter.orderings import LiftSpec, Orientation, knight_tour
-from relheffter.pfarray import Skeleton
+from relheffter.orderings import (
+    LiftSpec,
+    Ordering,
+    Orientation,
+    has_lift_shape,
+    knight_tour,
+    orbit,
+)
+from relheffter.pfarray import Cell, PFArray, Skeleton
 
 
 def knight_search(skel: Skeleton, parity_prefilter: bool = True) -> Orientation | None:
@@ -42,3 +53,30 @@ def search_lift_shape(spec: LiftSpec, n: int) -> Orientation | None:
         if knight_tour(skel, o, start)[1]:
             return o
     return None
+
+
+def lift_solution(spec: LiftSpec, n: int, o: Orientation) -> Orientation:
+    """The lifted orientation, each of the two orientations walked with knight_tour."""
+    if not has_lift_shape(spec, n, o):
+        raise ValueError("orientation does not have the liftable shape")
+    skel = spec.skeleton(n)
+    if not knight_tour(skel, o, min(skel.cells))[1]:
+        raise ValueError("input orientation is not a solution")
+    big = n + spec.M
+    keep = n - spec.diagonal_indices[-1] + 1
+    lifted = Orientation((1,) * big, o.c[:keep] + (1,) * (big - keep))
+    big_skel = spec.skeleton(big)
+    if not knight_tour(big_skel, lifted, min(big_skel.cells))[1]:
+        raise ValueError("lifted orientation failed verification")
+    return lifted
+
+
+def compose_orderings(
+    array: PFArray | Skeleton, ordering: Ordering
+) -> tuple[dict[Cell, Cell], bool]:
+    """The cell permutation 'row successor then column successor', and whether it
+    is a single cycle through every filled cell (the compatibility condition)."""
+    ordering.validate(array)  # so the rows' successor map has every filled cell as a key
+    row_next, col_next = ordering.successors()
+    perm = {cell: col_next[nxt] for cell, nxt in row_next.items()}
+    return perm, bool(perm) and len(orbit(perm.__getitem__, min(perm))) == len(perm)

@@ -1,11 +1,22 @@
-"""The pruned Knight searches against the exhaustive reference in knight_oracle."""
+"""The pruned Knight searches and the tour walker against the references in
+knight_oracle and the cell-level knight_tour."""
+
+from itertools import product
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import knight_oracle as oracle
 from relheffter import orderings
-from relheffter.orderings import LiftSpec, knight_search, search_lift_shape
+from relheffter.orderings import (
+    LiftSpec,
+    Orientation,
+    knight_search,
+    knight_tour,
+    knight_walk,
+    lift_solution,
+    search_lift_shape,
+)
 from relheffter.pfarray import Skeleton
 
 # A connected 9x9 skeleton (23 cells, parity met) with no solution: the
@@ -75,3 +86,64 @@ def test_search_lift_shape_skips_sizes_that_fail_parity(monkeypatch):
     for n in (6, 8, 10):
         assert search_lift_shape(spec, n) is None
         assert oracle.search_lift_shape(spec, n) is None
+
+
+def orientations(m, n):
+    return [Orientation(signs[:m], signs[m:]) for signs in product((1, -1), repeat=m + n)]
+
+
+@given(skeletons(), st.data())
+@example(Skeleton(3, 4, frozenset({(1, 1), (1, 4), (3, 1), (3, 2), (3, 4)})), None)
+@settings(max_examples=100, deadline=None)
+def test_knight_walk_matches_knight_tour(skel, data):
+    # every orientation of the small skeletons, a sample of the larger ones
+    if skel.m + skel.n <= 8:
+        cases = orientations(skel.m, skel.n)
+    else:
+        signs = st.tuples(*[st.sampled_from((1, -1))] * (skel.m + skel.n))
+        cases = [Orientation(s[:skel.m], s[skel.m:])
+                 for s in data.draw(st.lists(signs, min_size=1, max_size=20))]
+    start = min(skel.cells)
+    for o in cases:
+        assert knight_walk(skel, o) == knight_tour(skel, o, start)
+
+
+def test_knight_walk_rejects_an_empty_skeleton():
+    with pytest.raises(ValueError, match="empty array"):
+        knight_walk(Skeleton(2, 2, frozenset()), Orientation((1, 1), (1, 1)))
+
+
+def outcome(f, *args):
+    try:
+        return f(*args)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("indices, sizes", [
+    ((2, 3, 4), range(5, 10)),
+    ((1, 2, 3, 4, 6, 7, 8), range(9, 15)),
+])
+def test_lift_solution_matches_the_tour_reference(indices, sizes):
+    # every liftable orientation of each window size, solutions or not, and
+    # orientations of the wrong shape: the same lift or the same ValueError
+    spec = LiftSpec(indices)
+    lifted, errors = 0, set()
+    for n in sizes:
+        free = n - indices[-1] + 1
+        cases = [Orientation((1,) * n, prefix + (1,) * (n - free))
+                 for prefix in product((1, -1), repeat=free)]
+        cases += [Orientation((-1,) + (1,) * (n - 1), (1,) * n),
+                  Orientation((1,) * n, (1,) * (n - 1) + (-1,))]
+        big = spec.skeleton(n + spec.M)
+        for o in cases:
+            answer = outcome(lift_solution, spec, n, o)
+            assert answer == outcome(oracle.lift_solution, spec, n, o)
+            if isinstance(answer, Orientation):
+                lifted += 1
+                assert knight_tour(big, answer, min(big.cells))[1]
+            else:
+                errors.add(answer[1])
+    assert lifted  # the windows have solutions to lift
+    assert errors == {"orientation does not have the liftable shape",
+                      "input orientation is not a solution"}

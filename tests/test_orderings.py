@@ -3,12 +3,13 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from knight_oracle import compose_orderings
+
 from relheffter.constructions import build_h7, build_h9, build_h_n_3, build_skeleton_cor39
 from relheffter.group import GroupSpec, symmetric_rep
 from relheffter.orderings import (
     LiftSpec,
     Orientation,
-    compose_orderings,
     has_lift_shape,
     is_globally_simple,
     is_simple,

@@ -259,8 +259,9 @@ FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 def stage_by_stage(a, o):
     """The biembedding chain wired by hand from the public stage functions."""
     ordering = orientation_to_orderings(a, o)
+    rho0 = build_rho0(a, ordering)  # first, as in certify_biembedding
     graph = CayleyGraph.from_entries(a)
-    report = trace_faces(graph, build_rho0(a, ordering))
+    report = trace_faces(graph, rho0)
     two_colorable = two_color_check(report, a, ordering)
     cols = develop_and_verify(base_cycles(a, ordering, by="col"), graph)
     reversed_rows = orientation_to_orderings(a, Orientation(tuple(-x for x in o.r), o.c))
@@ -290,6 +291,84 @@ def test_certify_biembedding_matches_stage_by_stage(name, array):
     assert cert.to_json() == stage_by_stage(array, o)
     assert cert.ok
     assert cert.embedding.color_of_face is not None
+
+
+def outcome(f, array, o):
+    """f(array, o), or the type and text of the ValueError (CertificationError
+    included) that it raised."""
+    try:
+        return f(array, o)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def certified(array, o):
+    return certify_biembedding(array, o).to_json()
+
+
+def flips(o):
+    """The orientation, its row flip, its column flip and its reversal."""
+    return [o, Orientation(tuple(-x for x in o.r), o.c),
+            Orientation(o.r, tuple(-x for x in o.c)), o.reversed()]
+
+
+def small_arrays():
+    """Every family at every admissible n <= 23, and the Archdeacon fixtures."""
+    for family in FAMILIES.values():
+        for n in range(3, 24):
+            if family.admissible(n):
+                yield f"{family.name} n={n}", family.builder(n)
+    for path in sorted(FIXTURES.glob("archdeacon_*.json")):
+        yield path.name, PFArray.from_json(json.loads(path.read_text()))
+
+
+def test_certify_biembedding_matches_stage_by_stage_under_flips():
+    # certify_biembedding reads its orderings off the code lines; the stages
+    # take cell orderings: the same payload or the same error
+    names, failures = [], set()
+    for name, array in small_arrays():
+        names.append(name)
+        for o in flips(knight_search(array)):
+            expected = outcome(stage_by_stage, array, o)
+            assert outcome(certified, array, o) == expected, (name, o)
+            if isinstance(expected, tuple):
+                failures.add(expected[0])
+    assert {"archdeacon_7x7_z60xz3.json", "archdeacon_8x8_z51xz3.json"} <= set(names)
+    assert failures == {CertificationError}  # not every flip is compatible
+
+
+def test_certify_biembedding_matches_stage_by_stage_on_failing_arrays():
+    # each entry swapped with the next in row-major order, moved by one, set
+    # to 0, to the next entry and to its negative, under all four flips; and
+    # the empty array
+    empty = PFArray(2, 2, GroupSpec.cyclic(7))
+    o = Orientation((1, 1), (1, 1))
+    assert outcome(certified, empty, o) == outcome(stage_by_stage, empty, o) == (
+        ValueError, "rho0 is undefined: the array has no filled cells")
+    kinds = set()
+    arrays = dict(small_arrays())
+    for name in ("h-n-3 n=5", "h7 n=7", "archdeacon_8x8_z51xz3.json"):
+        array = arrays[name]
+        o = knight_search(array)
+        codes, spec = array.entry_codes, array.spec
+        cells = sorted(codes)
+        for cell, other in zip(cells, cells[1:] + cells[:1]):
+            x, y = codes[cell], codes[other]
+            for change in ({cell: y, other: x}, {cell: (x + 1) % spec.size}, {cell: 0},
+                           {cell: y}, {cell: spec.codes.neg(y)}):
+                b = PFArray._from_codes(array.m, array.n, spec, {**codes, **change})
+                for flipped in flips(o):
+                    expected = outcome(stage_by_stage, b, flipped)
+                    assert outcome(certified, b, flipped) == expected, (name, change, flipped)
+                    if isinstance(expected, tuple):
+                        kinds.add(expected[1].split(" (")[0].split(":")[0])
+                    else:  # certified, but not two-colourable or not orthogonal
+                        kinds.add(expected["two_colorable"] and expected["orthogonal"])
+    assert kinds >= {
+        "entries are not distinct; entry-level orderings undefined", "rho0 is no permutation",
+        "rho0 is not cyclic on +-E(A)", "row 3 ordering is not simple",
+        "difference list != connection set", False,
+    }
 
 
 def test_certificate_not_ok_without_every_check():
@@ -343,4 +422,4 @@ def test_certificate_failures_name_the_object_level_witnesses():
         with pytest.raises(CertificationError) as exc:
             certify_biembedding(b, flipped)
         assert str(exc.value) == (
-            "rho0 is not cyclic on +-E(A): orbit 6 of 50 (the orderings are not compatible)")
+            "rho0 is not cyclic on +-E(A): orbit 26 of 50 (the orderings are not compatible)")

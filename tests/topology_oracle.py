@@ -52,8 +52,7 @@ def connection(graph: CayleyGraph) -> frozenset[GroupElement]:
 
 
 def build_rho0(array: PFArray, ordering: Ordering) -> dict[GroupElement, GroupElement]:
-    """rho0 on GroupElements, keys in the iteration order of the set of the
-    entries, walked from the first key."""
+    """rho0 on GroupElements, walked from the least key."""
     row_next, col_next = ordering.successors()
     omega_r = {array.entries[a]: array.entries[b] for a, b in row_next.items()}
     if len(omega_r) != len(row_next):
@@ -63,10 +62,9 @@ def build_rho0(array: PFArray, ordering: Ordering) -> dict[GroupElement, GroupEl
     for a in set(omega_r):
         rho0[a] = neg(omega_r[a])
         rho0[neg(a)] = omega_c[a]
-    try:
-        length = len(orbit(rho0.__getitem__, next(iter(rho0))))
-    except ValueError as exc:
-        raise ValueError("rho0 is no permutation: an entry is 0 or the negative of an entry") from exc
+    if len(rho0) != 2 * len(omega_r):  # +-E(A) has a repeat
+        raise ValueError("rho0 is no permutation: an entry is 0 or the negative of an entry")
+    length = len(orbit(rho0.__getitem__, min(rho0, key=lambda e: e.coords)))
     if length != len(rho0):
         raise CertificationError(
             f"rho0 is not cyclic on +-E(A): orbit {length} of {len(rho0)} "
