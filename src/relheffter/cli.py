@@ -1,8 +1,9 @@
-"""Command-line front end: construct, verify, knight, embed."""
+"""Command-line front end: construct, verify, knight, embed, sweep."""
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import sys
 from contextlib import contextmanager
@@ -29,12 +30,13 @@ from .orderings import (
     lift_solution,
     search_lift_shape,
 )
-from .pfarray import PFArray, Skeleton
+from .pfarray import PFArray, Skeleton, classify_diagonals, support
 from .topology import CertificationError, certify_biembedding, heffter_genus_formula
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_USAGE = 2
+SWEEP_MAX_N = 199
 
 
 class UsageError(Exception):
@@ -225,16 +227,16 @@ def cmd_knight(args: argparse.Namespace) -> int:
     if not skel.cells:
         raise UsageError(f"{args.input} has no filled cells")
     payload: dict = {"input": args.input, "filled_cells": len(skel.cells)}
+    if args.lift:
+        try:
+            spec = LiftSpec(tuple(int(x) for x in args.lift.split(",")))
+            if skel != spec.skeleton(skel.n):
+                raise UsageError(f"{args.input} is not the skeleton of diagonals {args.lift}")
+        except ValueError as exc:
+            raise UsageError(str(exc)) from exc
 
     if args.search:
-        if args.lift:
-            try:
-                spec = LiftSpec(tuple(int(x) for x in args.lift.split(",")))
-                orientation = search_lift_shape(spec, skel.n)
-            except ValueError as exc:
-                raise UsageError(str(exc)) from exc
-        else:
-            orientation = knight_search(skel)
+        orientation = search_lift_shape(spec, skel.n) if args.lift else knight_search(skel)
         if orientation is None:
             payload.update(status="violation", solution=None)
             _emit(payload)
@@ -246,16 +248,13 @@ def cmd_knight(args: argparse.Namespace) -> int:
             orientation = nine_diagonal_orientation(skel.n)
         except ValueError as exc:
             raise UsageError(str(exc)) from exc
-    elif args.orientation:
+    else:
         orientation = _parse_orientation(args.orientation)
         if len(orientation.r) != skel.m or len(orientation.c) != skel.n:
             raise UsageError("orientation length does not match the array")
-    else:
-        raise UsageError("pass one of --search, --orientation, --lemma410")
 
     if args.lift:
         try:
-            spec = LiftSpec(tuple(int(x) for x in args.lift.split(",")))
             orientation = lift_solution(spec, skel.n, orientation)
         except ValueError as exc:
             raise UsageError(str(exc)) from exc
@@ -299,9 +298,50 @@ def cmd_embed(args: argparse.Namespace) -> int:
             params.m, params.n, params.s, params.k, params.t
         )
     payload = {"input": args.input, **cert.to_json()}
+    if args.emit_faces:
+        payload["faces"] = [[[list(x.coords) for x in dart] for dart in face]
+                            for face in cert.embedding.faces]
     payload["status"] = "ok" if cert.ok else "violation"
     _emit(payload)
     return EXIT_OK if cert.ok else EXIT_VIOLATION
+
+
+# -- sweep --------------------------------------------------------------
+
+
+def _sweep_row(family: cons.Family, n: int) -> dict:
+    """Build one family member and run the chain on it; the verdict names the
+    first stage that fails."""
+    k, t = family.k, family.t(n)
+    array = family.builder(n)
+    row = {"family": family.name, "n": n, "v": array.spec.size, "t": t, "k": k,
+           "sha256": hashlib.sha256(array.to_json_text().encode()).hexdigest(),
+           "orientation": None, "F": None, "genus": None}
+    if not (verify_integer(array, HeffterParams.square(n, k, t)).valid
+            and support(array) == family.support(n)
+            and classify_diagonals(array).is_k_diagonal):
+        return {**row, "verdict": "violation"}
+    if not is_globally_simple(array):
+        return {**row, "verdict": "not-globally-simple"}
+    orientation = knight_search(array)
+    if orientation is None:
+        return {**row, "verdict": "no-knight-solution"}
+    row["orientation"] = ",".join(orientation.to_strings())
+    try:
+        cert = certify_biembedding(array, orientation)
+    except CertificationError:
+        return {**row, "verdict": "not-certified"}
+    cert.embedding.formula_genus = heffter_genus_formula(n, n, k, k, t)
+    row.update(F=cert.embedding.F, genus=cert.embedding.genus,
+               verdict="certified" if cert.ok else "not-certified")
+    return row
+
+
+def cmd_sweep(args: argparse.Namespace) -> int:
+    rows = [_sweep_row(family, n) for _, family in sorted(cons.FAMILIES.items())
+            for n in range(1, SWEEP_MAX_N + 1) if family.admissible(n)]
+    sys.stdout.write("[\n%s\n]\n" % ",\n".join(json.dumps(row, sort_keys=True) for row in rows))
+    return EXIT_OK if all(row["verdict"] == "certified" for row in rows) else EXIT_VIOLATION
 
 
 # -- parser -------------------------------------------------------------
@@ -346,9 +386,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("knight", help="solve or check the Crazy Knight's Tour Problem")
     p.add_argument("input")
     p.add_argument("--v", type=int)
-    p.add_argument("--search", action="store_true")
-    p.add_argument("--orientation", help="row and column signs, e.g. '+++,++-'")
-    p.add_argument("--lemma410", action="store_true")
+    mode = p.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--search", action="store_true")
+    mode.add_argument("--orientation", help="row and column signs, e.g. '+++,++-'")
+    mode.add_argument("--lemma410", action="store_true")
     p.add_argument("--lift", help="comma-separated diagonal indices of the family to lift")
     p.add_argument("--emit-orbit", action="store_true")
     p.set_defaults(func=cmd_knight)
@@ -358,7 +399,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--v", type=int)
     p.add_argument("--t", type=int, help="subgroup order to cross-check the genus formula")
     p.add_argument("--orientation", required=True)
+    p.add_argument("--emit-faces", action="store_true")
     p.set_defaults(func=cmd_embed)
+
+    p = sub.add_parser("sweep", help=f"certify every family member with n <= {SWEEP_MAX_N}")
+    p.set_defaults(func=cmd_sweep)
 
     return parser
 

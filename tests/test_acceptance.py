@@ -1,29 +1,22 @@
 """Acceptance suite: one test per criterion; conftest.py emits one PASS/FAIL line each."""
 
+import json
 import random
 import time
 from collections import Counter
 from pathlib import Path
 
 import topology_oracle as oracle
+from relheffter.cli import main
 from relheffter.constructions import (
     build_archdeacon_composite,
     build_h7,
     build_h9,
     build_h_2n_3,
     build_h_n_3,
-    h7_support,
-    h9_support,
-    h_2n_3_support,
-    h_n_3_support,
 )
 from relheffter.group import neg
-from relheffter.heffter import (
-    HeffterParams,
-    check_necessary_conditions,
-    verify_archdeacon,
-    verify_integer,
-)
+from relheffter.heffter import check_necessary_conditions, verify_archdeacon
 from relheffter.orderings import (
     LiftSpec,
     Orientation,
@@ -38,13 +31,7 @@ from relheffter.orderings import (
     orientation_to_orderings,
     search_lift_shape,
 )
-from relheffter.pfarray import (
-    PFArray,
-    Skeleton,
-    classify_diagonals,
-    skeleton_from_diagonals,
-    support,
-)
+from relheffter.pfarray import PFArray, Skeleton, classify_diagonals, skeleton_from_diagonals
 from relheffter.topology import (
     CayleyGraph,
     base_cycles,
@@ -56,7 +43,8 @@ from relheffter.topology import (
     verify_orthogonal,
 )
 
-FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+ROOT = Path(__file__).resolve().parent.parent
+FIXTURES = ROOT / "fixtures"
 
 
 def test_criterion_1_fixture_reproduction():
@@ -72,24 +60,22 @@ def test_criterion_1_fixture_reproduction():
     assert time.time() - t0 < 1.0
 
 
-def test_criterion_2_construction_sweeps():
+def test_criterion_2_construction_sweeps(capsys):
+    # every family member with n <= 199, built, verified (integer Heffter,
+    # support, k-diagonal, globally simple) and certified at the formula genus
     t0 = time.time()
-    for n in range(3, 200, 2):
-        a = build_h_n_3(n)
-        assert verify_integer(a, HeffterParams.square(n, 3, n)).valid, n
-        assert support(a) == h_n_3_support(n), n
-        b = build_h_2n_3(n)
-        assert verify_integer(b, HeffterParams.square(n, 3, 2 * n)).valid, n
-        assert support(b) == h_2n_3_support(n), n
-    for n in range(7, 104, 4):
-        a = build_h7(n)
-        assert verify_integer(a, HeffterParams.square(n, 7, 7)).valid, n
-        assert support(a) == h7_support(n) and is_globally_simple(a), n
-    for n in range(11, 104, 4):
-        a = build_h9(n)
-        assert verify_integer(a, HeffterParams.square(n, 9, 9)).valid, n
-        assert support(a) == h9_support(n) and is_globally_simple(a), n
-        assert classify_diagonals(a).uniform_width == (n - 9) // 2, n
+    assert main(["sweep"]) == 0
+    out = capsys.readouterr().out
+    assert out == (ROOT / "results" / "biembeddings.json").read_text()
+    rows = json.loads(out)
+    assert Counter(row["family"] for row in rows) == {"h-n-3": 99, "h-2n-3": 99, "h7": 49, "h9": 48}
+    for row in rows:
+        n, k, t = row["n"], row["k"], row["t"]
+        assert row["verdict"] == "certified", row
+        assert row["v"] == 2 * n * k + t and row["F"] == row["v"] * 2 * n, row
+        assert row["genus"] == heffter_genus_formula(n, n, k, k, t), row
+    for n in range(11, 200, 4):
+        assert classify_diagonals(build_h9(n)).uniform_width == (n - 9) // 2, n
     assert time.time() - t0 < 30.0
 
 
@@ -198,8 +184,6 @@ def test_criterion_6_biembeddings():
 
 
 def test_criterion_7_archdeacon():
-    import json
-
     # the two d=3 fixture arrays
     for name in ("archdeacon_8x8_z51xz3.json", "archdeacon_7x7_z60xz3.json"):
         a = PFArray.from_json(json.loads((FIXTURES / name).read_text()))

@@ -1,14 +1,26 @@
 """Command-line interface: subcommands, exit codes, determinism, round trips."""
 
+import dataclasses
 import json
 from pathlib import Path
 
 import pytest
 
+import relheffter.cli as cli
+import relheffter.constructions as cons
+import topology_oracle as oracle
 from relheffter.cli import build_parser, main
 from relheffter.constructions import FAMILIES, build_archdeacon_composite, build_h_n_3
 from relheffter.group import GroupError
+from relheffter.orderings import knight_search, orientation_to_orderings
 from relheffter.pfarray import PFArray
+from relheffter.topology import (
+    CayleyGraph,
+    CertificationError,
+    build_rho0,
+    certify_biembedding,
+    heffter_genus_formula,
+)
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -108,6 +120,41 @@ def test_knight_lift(tmp_path, capsys):
     assert code == 0 and payload["lifted_n"] == 7 and payload["is_solution"]
 
 
+@pytest.mark.parametrize("argv", [
+    ["construct", "h9", "--n", "11"],
+    ["construct", "skeleton-cor39", "--n", "9", "--k", "7"],
+], ids=["array", "skeleton"])
+@pytest.mark.parametrize("mode", ["--search", "--orientation"])
+def test_knight_lift_rejects_another_skeleton(tmp_path, capsys, argv, mode):
+    # neither the 11 x 11 h9 array nor the 9 x 9 skeleton on D_1..D_4, D_6..D_8
+    # is A_n(2, 3, 4)
+    out = str(tmp_path / "P")
+    assert main([*argv, "--out", out]) == 0
+    n = int(argv[argv.index("--n") + 1])
+    flags = ["--search"] if mode == "--search" else [f"--orientation={'+' * n},{'+' * n}"]
+    capsys.readouterr()
+    code = main(["knight", f"{out}.json", *flags, "--lift", "2,3,4"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == f"error: {out}.json is not the skeleton of diagonals 2,3,4\n"
+
+
+@pytest.mark.parametrize("modes", [
+    ["--search", "--orientation=+++,+++"],
+    ["--search", "--lemma410"],
+    ["--orientation=+++,+++", "--lemma410"],
+    [],
+], ids=["search-orientation", "search-lemma410", "orientation-lemma410", "none"])
+def test_knight_modes_are_exclusive_and_one_is_required(tmp_path, capsys, modes):
+    path = tmp_path / "h3.json"
+    path.write_text(build_h_n_3(3).to_json_text())
+    with pytest.raises(SystemExit) as exc:
+        main(["knight", str(path), *modes])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    assert "--search" in captured.err
+
+
 def test_embed_pipeline(tmp_path, capsys):
     out = tmp_path / "h3"
     main(["construct", "h-n-3", "--n", "3", "--out", str(out)])
@@ -131,6 +178,78 @@ def test_embed_incompatible_orientation_exit_1(tmp_path, capsys):
     code, payload = run(capsys, "embed", str(out) + ".json",
                         "--orientation", "+++,+++")
     assert code == 1 and payload["status"] == "violation"
+
+
+@pytest.mark.parametrize("family, n", [("h-n-3", 5), ("h7", 7)])
+def test_embed_emit_faces_equals_the_traced_faces(tmp_path, capsys, family, n):
+    array = FAMILIES[family].builder(n)
+    path = tmp_path / "a.json"
+    path.write_text(array.to_json_text())
+    solution = knight_search(array)
+    argv = ["embed", str(path), "--t", str(FAMILIES[family].t(n)),
+            "--orientation", ",".join(solution.to_strings())]
+    assert main(argv) == 0
+    plain = capsys.readouterr().out
+    code, payload = run(capsys, *argv, "--emit-faces")
+    assert code == 0 and payload["status"] == "ok"
+    k = FAMILIES[family].k
+    for key in ("row_decomposition", "col_decomposition"):
+        assert payload[key]["num_cycles"] == n * array.spec.size
+        assert payload[key]["cycle_lengths"] == {str(k): n * array.spec.size}
+    assert payload["embedding"]["genus"] == payload["embedding"]["formula_genus"]
+    traced = oracle.trace_faces(CayleyGraph.from_entries(array),
+                                build_rho0(array, orientation_to_orderings(array, solution)))
+    assert payload.pop("faces") == [
+        [[list(x.coords) for x in dart] for dart in face] for face in traced.faces]
+    assert json.dumps(payload, indent=2, sort_keys=True) + "\n" == plain
+
+
+def _perturbed_h_n_3(n):
+    a = build_h_n_3(n)
+    if n != 5:
+        return a
+    entries = dict(a.entries)
+    entries[(1, 1)] = entries[(1, 1)] + a.spec.element(1)
+    return PFArray(a.m, a.n, a.spec, entries)
+
+
+def _certify_but_not_n_5(array, orientation):
+    if array.n == 5:
+        raise CertificationError("col 1 has fewer than 3 filled cells")
+    return certify_biembedding(array, orientation)
+
+
+# each case breaks one stage of the chain for n = 5 only
+SWEEP_FAULTS = [
+    ("violation", "builder", _perturbed_h_n_3),
+    ("not-globally-simple", "is_globally_simple", lambda a: a.n != 5),
+    ("no-knight-solution", "knight_search", lambda a: None if a.n == 5 else knight_search(a)),
+    ("not-certified", "certify_biembedding", _certify_but_not_n_5),
+    ("not-certified", "heffter_genus_formula",
+     lambda m, n, *skt: -1 if n == 5 else heffter_genus_formula(m, n, *skt)),
+]
+
+
+@pytest.mark.parametrize("verdict, name, fault", SWEEP_FAULTS, ids=[f[1] for f in SWEEP_FAULTS])
+def test_sweep_names_the_first_failed_stage(monkeypatch, capsys, verdict, name, fault):
+    family = dataclasses.replace(FAMILIES["h-n-3"], admissible=lambda n: n in (3, 5, 7))
+    if name == "builder":
+        family = dataclasses.replace(family, builder=fault)
+    else:
+        monkeypatch.setattr(cli, name, fault)
+    monkeypatch.setattr(cons, "FAMILIES", {"h-n-3": family})
+    code = main(["sweep"])
+    rows = {row["n"]: row for row in json.loads(capsys.readouterr().out)}
+    assert code == 1
+    assert [rows[n]["verdict"] for n in (3, 5, 7)] == ["certified", verdict, "certified"]
+    # the orientation is known once the Knight search has succeeded
+    assert (rows[5]["orientation"] is None) == (verdict != "not-certified")
+
+
+def test_sweep_takes_no_options(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--max-n", "15"])
+    assert exc.value.code == 2 and capsys.readouterr().out == ""
 
 
 def _write_array(path, orders, rows):

@@ -86,6 +86,7 @@ def commands(path: str, v: list[str]) -> list[list[str]]:
         ["knight", path, *v, "--search"],
         ["embed", path, *v, "--orientation", f"{ROWS},{COLS}"],
         ["embed", path, *v, "--t", "3", "--orientation", f"{ROWS},{COLS}"],
+        ["embed", path, *v, "--orientation", f"{ROWS},{COLS}", "--emit-faces"],
         ["construct", "archdeacon-composite", "--base", path, *v, "--d", "3"],
     ]
 

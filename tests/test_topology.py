@@ -383,19 +383,6 @@ def test_certificate_not_ok_without_every_check():
     assert cert.ok
 
 
-def test_certify_every_family_at_paper_scale():
-    # the largest admissible n <= 199 of each family: v up to 18 * 199 + 9 = 3591
-    for family in FAMILIES.values():
-        n = max(n for n in range(3, 200) if family.admissible(n))
-        array = family.builder(n)
-        solution = knight_search(array)
-        assert solution is not None, family.name
-        cert = certify_biembedding(array, solution)
-        assert cert.two_colorable and cert.orthogonal, family.name
-        k, t = family.k, family.t(n)
-        assert cert.embedding.genus == heffter_genus_formula(n, n, k, k, t), family.name
-
-
 # failure messages of the 8x8 fixture with one entry moved by (1, 0): each
 # names the least missing and the least extra difference, in coordinate-tuple
 # order, as the object-level certificate does
