@@ -23,12 +23,12 @@ from .heffter import (
 from .orderings import (
     LiftSpec,
     Orientation,
+    _lift,
+    _search_lift_shape,
     is_globally_simple,
     knight_search,
     knight_walk,
     nine_diagonal_orientation,
-    lift_solution,
-    search_lift_shape,
 )
 from .pfarray import PFArray, Skeleton, classify_diagonals, support
 from .topology import CertificationError, certify_biembedding, heffter_genus_formula
@@ -236,7 +236,7 @@ def cmd_knight(args: argparse.Namespace) -> int:
             raise UsageError(str(exc)) from exc
 
     if args.search:
-        orientation = search_lift_shape(spec, skel.n) if args.lift else knight_search(skel)
+        orientation = _search_lift_shape(spec, skel) if args.lift else knight_search(skel)
         if orientation is None:
             payload.update(status="violation", solution=None)
             _emit(payload)
@@ -253,14 +253,15 @@ def cmd_knight(args: argparse.Namespace) -> int:
         if len(orientation.r) != skel.m or len(orientation.c) != skel.n:
             raise UsageError("orientation length does not match the array")
 
-    if args.lift:
+    if args.lift:  # skel is spec.skeleton(n): the lift reuses it
         try:
-            orientation = lift_solution(spec, skel.n, orientation)
+            skel, orientation, orbit = _lift(spec, skel, orientation)
         except ValueError as exc:
             raise UsageError(str(exc)) from exc
-        skel = spec.skeleton(skel.n + spec.M)
         payload["lifted_n"] = skel.n
-    orbit, ok = knight_walk(skel, orientation)
+    else:
+        orbit = knight_walk(skel, orientation)[0]
+    ok = len(orbit) == len(skel.cells)
     rs, cs = orientation.to_strings()
     payload.update(
         orientation_rows=rs, orientation_cols=cs, orbit_length=len(orbit), is_solution=ok,

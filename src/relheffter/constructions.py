@@ -9,7 +9,6 @@ from .group import GroupSpec
 from .pfarray import (
     Cell,
     DiagSpec,
-    DiagonalReport,
     PFArray,
     Skeleton,
     classify_diagonals,
@@ -174,19 +173,6 @@ def build_B(m: int, n: int, d: int, i1: int, i2: int, j1: int, j2: int) -> PFArr
     })
 
 
-def relabel_to_leading_diagonals(array: PFArray) -> PFArray:
-    """Cyclically shift rows so the k consecutive filled diagonals become D_1..D_k."""
-    return _relabel(array, classify_diagonals(array))
-
-
-def _relabel(array: PFArray, report: DiagonalReport) -> PFArray:
-    """relabel_to_leading_diagonals, given the array's classify_diagonals report."""
-    if not report.is_cyclically_k_diagonal:
-        raise ValueError("array is not cyclically k-diagonal")
-    (run,) = cyclic_runs(report.filled_diagonal_indices, array.n)
-    return cyclic_row_shift(array, 1 - run[0])
-
-
 def build_archdeacon_composite(array: PFArray, d: int) -> PFArray:
     """A (+) B_{n,n,d}(1,2;1,2) for a globally simple cyclically k-diagonal
     H_t(n; k) with k < n, relabeled so the filled diagonals are D_1..D_k."""
@@ -197,7 +183,9 @@ def build_archdeacon_composite(array: PFArray, d: int) -> PFArray:
         raise ValueError("input is not cyclically k-diagonal")
     if len(report.filled_diagonal_indices) >= array.n:
         raise ValueError("need k < n")
-    base = _relabel(array, report)
+    # shift the rows so that the one run of filled diagonals becomes D_1..D_k
+    (run,) = cyclic_runs(report.filled_diagonal_indices, array.n)
+    base = cyclic_row_shift(array, 1 - run[0])
     gadget = build_B(base.m, base.n, d, 1, 2, 1, 2)
     return direct_sum(base, gadget)
 

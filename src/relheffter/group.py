@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import product
+from itertools import accumulate, chain, product
 from math import gcd, lcm
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -89,10 +89,6 @@ class GroupElement:
     def __sub__(self, other: "GroupElement") -> "GroupElement":
         return add(self, neg(other))
 
-    @property
-    def is_identity(self) -> bool:
-        return all(c == 0 for c in self.coords)
-
     def __repr__(self) -> str:
         if len(self.coords) == 1:
             return f"g{self.coords[0]}"
@@ -167,7 +163,8 @@ class ElementCodes:
     them in increasing order, the identity is 0, and in Z_v the code is the
     residue. ``add``, ``neg``, ``sub``, ``total`` (the sum of an iterable of
     codes), ``order`` and ``coords`` (the coordinates of a code in range) are
-    plain functions, for hot loops.
+    plain functions on one element; ``columns`` and ``from_columns`` convert
+    whole lists of codes, for hot loops.
     """
 
     def __init__(self, spec: GroupSpec) -> None:
@@ -213,6 +210,39 @@ class ElementCodes:
             return coords[0]
         _check_canonical(coords, orders)
         return sum(c * p for c, p in zip(coords, self.places))
+
+    def columns(self, codes: Iterable[int]) -> list[list[int]]:
+        """The coordinates of codes in range, one list per factor (in Z_v, a
+        copy of the codes): factor i of x is (x // p_i) % o_i, which is x // p_1
+        for the first factor and x % o_r for the last."""
+        codes = list(codes)
+        if len(self.places) == 1:
+            return [codes]
+        p, o = self.places[0], self.spec.orders[-1]
+        middle = zip(self.places[1:-1], self.spec.orders[1:-1])
+        return [[x // p for x in codes], *([x // q % r for x in codes] for q, r in middle),
+                [x % o for x in codes]]
+
+    def totals(self, lines: Sequence[Sequence[int]]) -> list[int]:
+        """The sum of each line of codes: in a product group, factor by factor
+        over all lines at once, as differences of running sums at the line ends."""
+        if len(self.places) == 1:
+            v = self.spec.orders[0]
+            return [sum(line) % v for line in lines]
+        ends = list(accumulate(map(len, lines), initial=0))
+        sums = []
+        for col, o in zip(self.columns(chain.from_iterable(lines)), self.spec.orders):
+            running = list(accumulate(col, initial=0))
+            sums.append([(running[b] - running[a]) % o for a, b in zip(ends, ends[1:])])
+        return self.from_columns(sums)
+
+    def from_columns(self, columns: Sequence[Iterable[int]]) -> list[int]:
+        """The codes of the elements with these canonical coordinates, one list
+        per factor: the inverse of columns, by Horner's rule over the factors."""
+        codes = list(columns[0])
+        for col, o in zip(columns[1:], self.spec.orders[1:]):
+            codes = [x * o + c for x, c in zip(codes, col)]
+        return codes
 
     def decode(self, code: int) -> GroupElement:
         if not 0 <= code < self.spec.size:

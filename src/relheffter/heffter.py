@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, Iterable, Sequence
 
 from .group import subgroup_step, symmetric_residue
 from .pfarray import PFArray, Skeleton, support
@@ -27,19 +27,6 @@ class HeffterParams:
     @property
     def v(self) -> int:
         return 2 * self.n * self.k + self.t
-
-    def check_trivial(self) -> list[str]:
-        """The trivial necessary conditions; empty list when they all hold."""
-        problems = []
-        if (2 * self.n * self.k) % self.t != 0:
-            problems.append(f"t={self.t} does not divide 2nk={2 * self.n * self.k}")
-        if self.n * self.k != self.m * self.s:
-            problems.append(f"nk={self.n * self.k} != ms={self.m * self.s}")
-        if not 3 <= self.s <= self.n:
-            problems.append(f"s={self.s} outside [3, n={self.n}]")
-        if not 3 <= self.k <= self.m:
-            problems.append(f"k={self.k} outside [3, m={self.m}]")
-        return problems
 
 
 @dataclass
@@ -66,11 +53,37 @@ class VerificationReport:
         }
 
 
+def _flag_lines(report: VerificationReport, tag: str, keys: Iterable[int],
+                values: Sequence[int], message: Callable[[int, int], str]) -> None:
+    """Flag message(i, x) for each line i whose value x is nonzero, in line
+    order. The values come from one pass over all lines; the lines are
+    scanned only when one is nonzero."""
+    if any(values):
+        for i, x in zip(keys, values):
+            if x:
+                report.flag(tag, message(i, x))
+
+
+def _entry_set(report: VerificationReport, array: PFArray,
+               name: Callable[[int], object]) -> set[int]:
+    """The set of entry codes. When it is smaller than |E(A)|, each repeated
+    entry is flagged, named by name(code), in code order."""
+    values = array.entry_codes.values()
+    present = set(values)
+    if len(present) != len(values):
+        counts = Counter(values)
+        for x in sorted(counts):
+            if counts[x] > 1:
+                report.flag("duplicate", f"entry {name(x)} appears {counts[x]} times")
+    return present
+
+
 def _relative_heffter(
     array: PFArray, params: HeffterParams
 ) -> tuple[VerificationReport, list[Sequence[int]], list[Sequence[int]]]:
     """The report of verify_relative_heffter and the residue lines it checked,
-    read from the array's index."""
+    read from the array's index. Each condition is checked over the whole
+    array at once; a witness is looked for only when one fails."""
     if (array.m, array.n) != (params.m, params.n):
         raise ValueError(
             f"array is {array.m}x{array.n}, params expect {params.m}x{params.n}"
@@ -79,43 +92,39 @@ def _relative_heffter(
         raise ValueError(f"array group {array.spec.orders} != Z_{params.v}")
 
     report = VerificationReport()
-    v, t = params.v, params.t
+    v, t, s, k = params.v, params.t, params.s, params.k
     step = subgroup_step(v, t)
     row_codes, col_codes = array.line_codes  # residues: the codes of Z_v
     rows = [row_codes.get(i, ()) for i in range(1, params.m + 1)]
     cols = [col_codes.get(j, ()) for j in range(1, params.n + 1)]
+    row_keys, col_keys = range(1, params.m + 1), range(1, params.n + 1)
 
-    for i, row in enumerate(rows, start=1):
-        if len(row) != params.s:
-            report.flag("row-count", f"row {i} has {len(row)} filled cells, expected {params.s}")
-    for j, col in enumerate(cols, start=1):
-        if len(col) != params.k:
-            report.flag("col-count", f"column {j} has {len(col)} filled cells, expected {params.k}")
+    _flag_lines(report, "row-count", row_keys, [len(row) - s for row in rows],
+                lambda i, x: f"row {i} has {x + s} filled cells, expected {s}")
+    _flag_lines(report, "col-count", col_keys, [len(col) - k for col in cols],
+                lambda j, x: f"column {j} has {x + k} filled cells, expected {k}")
 
-    counts = Counter(array.entry_codes.values())
-    present = sorted(counts)
-    for x in present:
-        if counts[x] > 1:
-            report.flag("duplicate", f"entry {symmetric_residue(x, v)} appears {counts[x]} times")
-    for x in present:
+    present = _entry_set(report, array, lambda x: symmetric_residue(x, v))
+    hits = present.intersection(range(0, v, step))
+    pairs = present & {v - x for x in present}  # x whose negative appears; v/2 is its own
+    for x in sorted(hits | pairs):
         rep = symmetric_residue(x, v)
-        if x % step == 0:
+        if x in hits:
             report.flag("subgroup-hit", f"entry {rep} lies in the order-{t} subgroup")
         if 2 * x == v:
             # a self-negative entry (v/2) makes |±E(A)| < 2nk, breaking coverage
             report.flag("coverage", f"self-negative entry {rep}")
-        elif rep > 0 and v - x in counts:  # flag each pair once
+        elif rep > 0 and x in pairs:  # flag each pair once
             report.flag("coverage", f"both {rep} and its negative appear")
-    total = sum(counts.values())
+    total = len(array.entry_codes)
     if total != params.n * params.k:
         report.flag("coverage", f"|E(A)| = {total}, expected nk = {params.n * params.k}")
 
-    for i, row in enumerate(rows, start=1):
-        if row and sum(row) % v:
-            report.flag("row-sum", f"row {i} does not sum to 0 in Z_{v}")
-    for j, col in enumerate(cols, start=1):
-        if col and sum(col) % v:
-            report.flag("col-sum", f"column {j} does not sum to 0 in Z_{v}")
+    totals = array.spec.codes.totals
+    _flag_lines(report, "row-sum", row_keys, totals(rows),
+                lambda i, _: f"row {i} does not sum to 0 in Z_{v}")
+    _flag_lines(report, "col-sum", col_keys, totals(cols),
+                lambda j, _: f"column {j} does not sum to 0 in Z_{v}")
     return report, rows, cols
 
 
@@ -129,14 +138,14 @@ def verify_integer(array: PFArray, params: HeffterParams) -> VerificationReport:
     report, rows, cols = _relative_heffter(array, params)
     v = params.v
     half = v // 2  # the symmetric residue of x is x - v above v/2
-    for i, row in enumerate(rows, start=1):
-        total = sum(x - v if x > half else x for x in row)
-        if total != 0:
-            report.flag("integer-sum", f"row {i} sums to {total} over Z")
-    for j, col in enumerate(cols, start=1):
-        total = sum(x - v if x > half else x for x in col)
-        if total != 0:
-            report.flag("integer-sum", f"column {j} sums to {total} over Z")
+
+    def integer_sums(lines: list[Sequence[int]]) -> list[int]:
+        return [sum(line) - v * len([x for x in line if x > half]) for line in lines]
+
+    _flag_lines(report, "integer-sum", range(1, params.m + 1), integer_sums(rows),
+                lambda i, x: f"row {i} sums to {x} over Z")
+    _flag_lines(report, "integer-sum", range(1, params.n + 1), integer_sums(cols),
+                lambda j, x: f"column {j} sums to {x} over Z")
     return report
 
 
@@ -192,29 +201,25 @@ def verify_archdeacon(array: PFArray) -> VerificationReport:
     """Check the Archdeacon array conditions over an arbitrary abelian group.
 
     A zero entry is rejected with its own tag: condition (b) applied to g = 0
-    would forbid it since 0 = -0.
+    would forbid it since 0 = -0. Each condition is checked over the whole
+    array at once; a witness is looked for only when one fails.
     """
     report = VerificationReport()
     codes = array.spec.codes
     # codes sort as coordinate tuples do, and a witness is named by its tuple
-    counts = Counter(array.entry_codes.values())
-    present = sorted(counts)
-    for x in present:
-        if counts[x] > 1:
-            report.flag("duplicate", f"entry {codes.coords(x)} appears {counts[x]} times")
-    for x in present:
-        negative = codes.neg(x)
+    present = _entry_set(report, array, codes.coords)
+    negatives = codes.from_columns([[-c % o for c in col]
+                                    for col, o in zip(codes.columns(present), array.spec.orders)])
+    for x in sorted(present.intersection(negatives)):  # x whose negative appears; 0 is its own
         if x == 0:
             report.flag("zero-entry", "the identity appears as an entry")
-        elif negative in counts and x <= negative:  # flag each pair once
+        elif x <= codes.neg(x):  # flag each pair once
             report.flag("antisymmetric", f"both {codes.coords(x)} and its negative appear")
     rows, cols = array.line_codes
-    for i, row in rows.items():
-        if codes.total(row):
-            report.flag("row-sum", f"row {i} does not sum to 0")
-    for j, col in cols.items():
-        if codes.total(col):
-            report.flag("col-sum", f"column {j} does not sum to 0")
+    _flag_lines(report, "row-sum", rows, codes.totals(list(rows.values())),
+                lambda i, _: f"row {i} does not sum to 0")
+    _flag_lines(report, "col-sum", cols, codes.totals(list(cols.values())),
+                lambda j, _: f"column {j} does not sum to 0")
     return report
 
 

@@ -3,8 +3,9 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate, chain
+from itertools import accumulate, chain, repeat
 from math import lcm
+from operator import add
 from typing import Callable, Sequence
 
 from .group import ElementCodes, GroupElement
@@ -39,23 +40,33 @@ def is_simple(seq: Sequence[GroupElement]) -> bool:
     if not seq:
         raise ValueError("partial sums of an empty sequence")
     codes = seq[0].spec.codes
-    return _simple_test(codes)([codes.encode(e) for e in seq])
+    return _simple_lines(codes, [[codes.encode(e) for e in seq]])
 
 
-def _simple_test(codes: ElementCodes) -> Callable[[Sequence[int]], bool]:
-    """is_simple on lines of element codes: the running sums are distinct. In
-    Z_v they are the integer running sums reduced mod v, with no call per step."""
+def _simple_lines(codes: ElementCodes, lines: Sequence[Sequence[int]]) -> bool:
+    """is_simple on every one of the nonempty lines of element codes: the
+    running sums of each line are distinct. In Z_v they are the integer running
+    sums reduced mod v, with no call per step. In a product group the running
+    sums over all lines concatenated are taken factor by factor (columns),
+    each reduced mod its order, and keyed by line: within a line they differ
+    from the line's own running sums by a constant, so every line is simple iff
+    no key repeats."""
     if codes.spec.is_cyclic_single:
         v = codes.spec.orders[0]
-        return lambda line: len({x % v for x in accumulate(line)}) == len(line)
-    add = codes.add
-    return lambda line: len(set(accumulate(line, add))) == len(line)
+        return all(len({x % v for x in accumulate(line)}) == len(line) for line in lines)
+    flat = list(chain.from_iterable(lines))
+    sums = codes.from_columns([[x % o for x in accumulate(col)]
+                               for col, o in zip(codes.columns(flat), codes.spec.orders)])
+    size = codes.spec.size
+    offsets = range(0, size * len(lines), size)  # line i's keys are i * |G| + code
+    line_keys = chain.from_iterable(map(repeat, offsets, map(len, lines)))
+    return len(set(map(add, sums, line_keys))) == len(flat)
 
 
 def is_globally_simple(array: PFArray) -> bool:
     """True iff every row (left to right) and column (top to bottom) is simple."""
     rows, cols = array.line_codes
-    return all(map(_simple_test(array.spec.codes), chain(rows.values(), cols.values())))
+    return _simple_lines(array.spec.codes, [*rows.values(), *cols.values()])
 
 
 def orbit(step: Callable, start) -> list:
@@ -310,23 +321,42 @@ def has_lift_shape(spec: LiftSpec, n: int, o: Orientation) -> bool:
 def lift_solution(spec: LiftSpec, n: int, o: Orientation) -> Orientation:
     """Extend a lift-shaped solution of P(A_n) to a verified solution of P(A_{n+M})."""
     if not has_lift_shape(spec, n, o):
-        raise ValueError("orientation does not have the liftable shape")
-    if not knight_walk(spec.skeleton(n), o)[1]:
+        raise ValueError(_NOT_LIFTABLE)
+    return _lift(spec, spec.skeleton(n), o)[1]
+
+
+_NOT_LIFTABLE = "orientation does not have the liftable shape"
+
+
+def _lift(spec: LiftSpec, skel: Skeleton, o: Orientation
+          ) -> tuple[Skeleton, Orientation, list[Cell]]:
+    """lift_solution on skel, the skeleton of A_n: the skeleton of A_{n+M}, the
+    lifted solution and its orbit, each skeleton built and walked once."""
+    n = skel.n
+    if not has_lift_shape(spec, n, o):
+        raise ValueError(_NOT_LIFTABLE)
+    if not knight_walk(skel, o)[1]:
         raise ValueError("input orientation is not a solution")
-    big = n + spec.M
+    big = spec.skeleton(n + spec.M)
     lk = spec.diagonal_indices[-1]
-    lifted = Orientation((1,) * big, o.c[: n - lk + 1] + (1,) * (big - (n - lk + 1)))
-    if not knight_walk(spec.skeleton(big), lifted)[1]:
+    lifted = Orientation((1,) * big.n, o.c[: n - lk + 1] + (1,) * (big.n - (n - lk + 1)))
+    orbit, ok = knight_walk(big, lifted)
+    if not ok:
         raise ValueError("lifted orientation failed verification")
-    return lifted
+    return big, lifted, orbit
 
 
 def search_lift_shape(spec: LiftSpec, n: int) -> Orientation | None:
     """Search only orientations of the liftable shape: R all ones, free C prefix
     of length n - l_k + 1, ones after. Returns the lexicographically least."""
-    skel = spec.skeleton(n)
+    return _search_lift_shape(spec, spec.skeleton(n))
+
+
+def _search_lift_shape(spec: LiftSpec, skel: Skeleton) -> Orientation | None:
+    """search_lift_shape on skel, the skeleton of A_n."""
     if not skeleton_parity_ok(skel):
         return None
+    n = skel.n
     free = n - spec.diagonal_indices[-1] + 1
     return _least_orientation(skel, [*range(n), *range(n + free, 2 * n)], range(n, n + free))
 

@@ -5,6 +5,8 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain, compress, repeat
+from operator import itemgetter
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
@@ -98,7 +100,7 @@ class PFArray:
     The one store is ``entry_codes``, a read-only map from each filled cell to
     its entry's int code (GroupSpec.codes); equality compares it. The
     constructor takes GroupElements and encodes them once; ``entries``,
-    ``entry_list``, ``row`` and ``col`` decode on read."""
+    ``row`` and ``col`` decode on read."""
 
     m: int
     n: int
@@ -125,7 +127,7 @@ class PFArray:
         """Check the cells and the codes, and keep a read-only copy of them: the
         row and column index built on first use cannot go stale."""
         codes, size = dict(codes), spec.size
-        for (r, c), x in codes.items():
+        for (r, c), x in codes.items():  # min/max passes over the cells measured slower
             if not (1 <= r <= m and 1 <= c <= n):
                 raise ValueError(f"cell {(r, c)} outside {m}x{n}")
             if not 0 <= x < size:
@@ -143,12 +145,6 @@ class PFArray:
         """Each filled cell's entry as a GroupElement, decoded on first read."""
         decode = self.spec.codes.decode
         return MappingProxyType({cell: decode(x) for cell, x in self.entry_codes.items()})
-
-    @property
-    def entry_list(self) -> list[GroupElement]:
-        """E(A): the entries in row-major cell order."""
-        entries = self.entries
-        return [entries[c] for c in sorted(entries)]
 
     @cached_property
     def line_codes(self) -> tuple[Mapping[int, tuple[int, ...]], Mapping[int, tuple[int, ...]]]:
@@ -175,25 +171,31 @@ class PFArray:
 
     # -- serialization --------------------------------------------------
 
+    def _columns(self) -> tuple[list[Cell], list[list[int]]]:
+        """The filled cells in row-major order, and their entries' coordinates,
+        one list per factor."""
+        cells = sorted(self.entry_codes)
+        return cells, self.spec.codes.columns(map(self.entry_codes.__getitem__, cells))
+
     def to_json(self) -> dict:
-        coords, codes = self.spec.codes.coords, self.entry_codes
+        cells, columns = self._columns()
         return {
             "m": self.m,
             "n": self.n,
             "group": self.spec.to_json(),
-            "cells": [{"r": r, "c": c, "v": list(coords(codes[(r, c)]))} for r, c in sorted(codes)],
+            "cells": [{"r": r, "c": c, "v": list(v)} for (r, c), v in zip(cells, zip(*columns))],
         }
 
     def to_json_text(self) -> str:
         """The text of json.dumps(self.to_json(), indent=2, sort_keys=True) and a
         newline, written directly: the stdlib encoder falls back to pure Python
-        whenever indent is set."""
-        coords, codes = self.spec.codes.coords, self.entry_codes
-        cell = '    {\n      "c": %d,\n      "r": %d,\n      "v": [\n        %s\n      ]\n    }'
-        cells = ",\n".join(
-            cell % (c, r, ",\n        ".join(map(str, coords(codes[(r, c)]))))
-            for r, c in sorted(codes)
-        )
+        whenever indent is set. Each cell is one % format of its column, row
+        and coordinates."""
+        cells, columns = self._columns()
+        cell = ('    {\n      "c": %d,\n      "r": %d,\n      "v": [\n        '
+                + ",\n        ".join(["%d"] * len(columns)) + "\n      ]\n    }")
+        cells = ",\n".join(map(cell.__mod__, zip(
+            map(itemgetter(1), cells), map(itemgetter(0), cells), *columns)))
         orders = ",\n      ".join(map(str, self.spec.orders))
         return ('{\n  "cells": %s,\n  "group": {\n    "orders": [\n      %s\n    ]\n  },\n'
                 '  "m": %d,\n  "n": %d\n}\n'
@@ -202,18 +204,13 @@ class PFArray:
     @classmethod
     def from_json(cls, data: dict) -> "PFArray":
         """Parse the JSON array format; coordinates must be canonical residues,
-        one per factor, and no cell may be listed twice."""
+        one per factor, and no cell may be listed twice. The cells are checked
+        in bulk; they are scanned in file order only to name the first bad one."""
         spec = GroupSpec.from_json(data["group"])
-        code = spec.codes.code
-        codes: dict[Cell, int] = {}
-        for cell in data["cells"]:
-            key = (_int(cell["r"], "r"), _int(cell["c"], "c"))
-            coords = cell["v"]
-            if not isinstance(coords, list) or not all(type(x) is int for x in coords):
-                raise GroupError(f"cell {key}: coordinates {coords!r} are not a list of integers")
-            if key in codes:
-                raise ValueError(f"cell {key} listed twice")
-            codes[key] = code(coords)
+        cells = data["cells"]
+        codes = _json_cells(cells, spec)
+        if codes is None:
+            codes = _scan_json_cells(cells, spec)
         return cls._from_codes(_int(data["m"], "m"), _int(data["n"], "n"), spec, codes)
 
     def to_csv(self) -> str:
@@ -230,25 +227,93 @@ class PFArray:
     @classmethod
     def from_csv(cls, text: str, v: int) -> "PFArray":
         """Parse the grid CSV format: every row has the same number of fields,
-        each empty or an integer, which is reduced mod v."""
+        each empty or an integer, which is reduced mod v. The fields are checked
+        in bulk; they are scanned in order only to name the first bad one."""
         spec = GroupSpec.cyclic(v)
-        codes: dict[Cell, int] = {}
         rows = [line.split(",") for line in text.splitlines()]
         if not rows:
             raise ValueError("empty CSV")
         n = len(rows[0])
-        for i, fields in enumerate(rows, start=1):
-            if len(fields) != n:
-                raise ValueError(f"CSV row {i} has {len(fields)} fields, row 1 has {n}")
-            for j, f in enumerate(fields, start=1):
-                if not f or f.isspace():
-                    continue
-                try:
-                    x = int(f)
-                except ValueError:
-                    raise ValueError(f"CSV row {i}, field {j}: {f!r} is not an integer") from None
-                codes[(i, j)] = x % v
+        codes = _csv_cells(rows, n, v)
+        if codes is None:
+            codes = _scan_csv_cells(rows, n, v)
         return cls._from_codes(len(rows), n, spec, codes)
+
+
+def _json_cells(cells: object, spec: GroupSpec) -> dict[Cell, int] | None:
+    """The codes of a list of well-formed JSON cells, checked field by field over
+    all cells at once; None when a check fails, which _scan_json_cells names."""
+    if type(cells) is not list:
+        return None
+    if not cells:
+        return {}
+    try:
+        keys, vs = list(map(itemgetter("r", "c"), cells)), list(map(itemgetter("v"), cells))
+    except (LookupError, TypeError):
+        return None
+    if set(map(type, chain.from_iterable(keys))) != {int} or set(map(type, vs)) != {list}:
+        return None
+    orders = spec.orders
+    if set(map(len, vs)) != {len(orders)}:
+        return None
+    columns = [list(map(itemgetter(i), vs)) for i in range(len(orders))]
+    if (set(map(type, chain.from_iterable(columns))) != {int}
+            or not all(0 <= min(col) and max(col) < o for col, o in zip(columns, orders))):
+        return None
+    codes = dict(zip(keys, spec.codes.from_columns(columns)))
+    return codes if len(codes) == len(cells) else None
+
+
+def _scan_json_cells(cells: Iterable, spec: GroupSpec) -> dict[Cell, int]:
+    """The codes of the JSON cells, checked one cell at a time in file order:
+    raises the error of the first bad cell."""
+    code = spec.codes.code
+    codes: dict[Cell, int] = {}
+    for cell in cells:
+        key = (_int(cell["r"], "r"), _int(cell["c"], "c"))
+        coords = cell["v"]
+        if not isinstance(coords, list) or not all(type(x) is int for x in coords):
+            raise GroupError(f"cell {key}: coordinates {coords!r} are not a list of integers")
+        if key in codes:
+            raise ValueError(f"cell {key} listed twice")
+        codes[key] = code(coords)
+    return codes
+
+
+def _csv_cells(rows: list[list[str]], n: int, v: int) -> dict[Cell, int] | None:
+    """The codes of the nonempty fields of CSV rows of n fields each, reduced mod
+    v, visiting only the nonempty fields after one compress over each row; None
+    when a row has another length or a nonempty field is no integer."""
+    if set(map(len, rows)) != {n}:
+        return None
+    cells: list[Cell] = []
+    texts: list[str] = []
+    for i, fields in enumerate(rows, start=1):
+        cols = list(compress(range(n), fields))
+        texts += map(fields.__getitem__, cols)
+        cells += zip(repeat(i), map((1).__add__, cols))
+    try:
+        return dict(zip(cells, map(v.__rmod__, map(int, texts))))
+    except ValueError:
+        return None
+
+
+def _scan_csv_cells(rows: list[list[str]], n: int, v: int) -> dict[Cell, int]:
+    """The codes of the CSV fields, checked one field at a time, row by row:
+    raises the error of the first bad row or field."""
+    codes: dict[Cell, int] = {}
+    for i, fields in enumerate(rows, start=1):
+        if len(fields) != n:
+            raise ValueError(f"CSV row {i} has {len(fields)} fields, row 1 has {n}")
+        for j, f in enumerate(fields, start=1):
+            if not f or f.isspace():
+                continue
+            try:
+                x = int(f)
+            except ValueError:
+                raise ValueError(f"CSV row {i}, field {j}: {f!r} is not an integer") from None
+            codes[(i, j)] = x % v
+    return codes
 
 
 @dataclass(frozen=True)

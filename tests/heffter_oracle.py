@@ -18,6 +18,15 @@ from relheffter.orderings import partial_sums
 from relheffter.pfarray import PFArray
 
 
+def entry_list(array: PFArray) -> list[GroupElement]:
+    """E(A): the entries in row-major cell order."""
+    return [array.entries[c] for c in sorted(array.entries)]
+
+
+def is_identity(e: GroupElement) -> bool:
+    return not any(e.coords)
+
+
 def row(array: PFArray, i: int) -> list[GroupElement]:
     return [array.entries[c] for c in sorted(array.entries) if c[0] == i]
 
@@ -31,7 +40,7 @@ def is_zero_sum(line: list[GroupElement]) -> bool:
     total = line[0].spec.identity
     for e in line:
         total = total + e
-    return total.is_identity
+    return is_identity(total)
 
 
 def verify_relative_heffter(array: PFArray, params: HeffterParams) -> VerificationReport:
@@ -55,7 +64,7 @@ def verify_relative_heffter(array: PFArray, params: HeffterParams) -> Verificati
         if len(c) != params.k:
             report.flag("col-count", f"column {j} has {len(c)} filled cells, expected {params.k}")
 
-    entries = array.entry_list
+    entries = entry_list(array)
     counts = Counter(entries)
     for e, c in sorted(counts.items(), key=lambda ec: ec[0].coords):
         if c > 1:
@@ -64,9 +73,9 @@ def verify_relative_heffter(array: PFArray, params: HeffterParams) -> Verificati
     for e in sorted(present, key=lambda e: e.coords):
         if e in forbidden:
             report.flag("subgroup-hit", f"entry {symmetric_rep(e)} lies in the order-{t} subgroup")
-        if neg(e) == e and not e.is_identity:
+        if neg(e) == e and not is_identity(e):
             report.flag("coverage", f"self-negative entry {symmetric_rep(e)}")
-        elif neg(e) in present and not e.is_identity:
+        elif neg(e) in present and not is_identity(e):
             if symmetric_rep(e) > 0:
                 report.flag("coverage", f"both {symmetric_rep(e)} and its negative appear")
     if len(entries) != params.n * params.k:
@@ -98,14 +107,14 @@ def verify_integer(array: PFArray, params: HeffterParams) -> VerificationReport:
 
 def verify_archdeacon(array: PFArray) -> VerificationReport:
     report = VerificationReport()
-    entries = array.entry_list
+    entries = entry_list(array)
     counts = Counter(entries)
     for e, c in sorted(counts.items(), key=lambda ec: ec[0].coords):
         if c > 1:
             report.flag("duplicate", f"entry {e.coords} appears {c} times")
     present = set(counts)
     for e in sorted(present, key=lambda e: e.coords):
-        if e.is_identity:
+        if is_identity(e):
             report.flag("zero-entry", "the identity appears as an entry")
         elif neg(e) in present:
             if neg(e) == e or e.coords < neg(e).coords:

@@ -6,15 +6,19 @@ family builders once did. ``classify_diagonals`` tests every cell of every
 diagonal, O(n^2). ``json_text`` is the stdlib encoder's text, which
 ``PFArray.to_json_text`` writes directly. ``direct_sum`` and
 ``cyclic_row_shift`` work on ``GroupElement`` entries, where the library
-works on int codes. The library's one-pass filler, linear classification,
-writer and code-level builders are compared with these on the same inputs.
+works on int codes. ``from_json`` and ``from_csv`` parse one cell at a time,
+where the library checks all cells at once and scans them only to name the
+first bad one; ``checked`` is the constructor's range check they end with. The
+library's one-pass filler, linear classification, writer, code-level builders
+and bulk parsers are compared with these on the same inputs.
 """
 
 from __future__ import annotations
 
 import json
+from typing import Mapping
 
-from relheffter.group import GroupElement, GroupSpec
+from relheffter.group import GroupElement, GroupError, GroupSpec
 from relheffter.pfarray import (
     ConstructionError,
     DiagonalReport,
@@ -90,3 +94,65 @@ def cyclic_row_shift(array: PFArray, shift: int) -> PFArray:
     return PFArray(array.m, n, array.spec, {
         ((r + shift - 1) % n + 1, c): e for (r, c), e in array.entries.items()
     })
+
+
+def relabel_to_leading_diagonals(array: PFArray) -> PFArray:
+    """Cyclically shift rows so the k consecutive filled diagonals become D_1..D_k."""
+    report = classify_diagonals(array)
+    if not report.is_cyclically_k_diagonal:
+        raise ValueError("array is not cyclically k-diagonal")
+    (run,) = cyclic_runs(report.filled_diagonal_indices, array.n)
+    return cyclic_row_shift(array, 1 - run[0])
+
+
+def _int(value: object, name: str) -> int:
+    if type(value) is not int:
+        raise ValueError(f"{name} {value!r} is not an integer")
+    return value
+
+
+def checked(m: int, n: int, spec: GroupSpec, codes: Mapping) -> PFArray:
+    """The array with these entry codes, after the cell and code range checks."""
+    size = spec.size
+    for (r, c), x in codes.items():
+        if not (1 <= r <= m and 1 <= c <= n):
+            raise ValueError(f"cell {(r, c)} outside {m}x{n}")
+        if not 0 <= x < size:
+            raise GroupError(f"entry code {x} at {(r, c)} is not an element of {spec.orders}")
+    return PFArray._from_codes(m, n, spec, codes)
+
+
+def from_json(data: dict) -> PFArray:
+    spec = GroupSpec.from_json(data["group"])
+    code = spec.codes.code
+    codes: dict = {}
+    for cell in data["cells"]:
+        key = (_int(cell["r"], "r"), _int(cell["c"], "c"))
+        coords = cell["v"]
+        if not isinstance(coords, list) or not all(type(x) is int for x in coords):
+            raise GroupError(f"cell {key}: coordinates {coords!r} are not a list of integers")
+        if key in codes:
+            raise ValueError(f"cell {key} listed twice")
+        codes[key] = code(coords)
+    return checked(_int(data["m"], "m"), _int(data["n"], "n"), spec, codes)
+
+
+def from_csv(text: str, v: int) -> PFArray:
+    spec = GroupSpec.cyclic(v)
+    codes: dict = {}
+    rows = [line.split(",") for line in text.splitlines()]
+    if not rows:
+        raise ValueError("empty CSV")
+    n = len(rows[0])
+    for i, fields in enumerate(rows, start=1):
+        if len(fields) != n:
+            raise ValueError(f"CSV row {i} has {len(fields)} fields, row 1 has {n}")
+        for j, f in enumerate(fields, start=1):
+            if not f or f.isspace():
+                continue
+            try:
+                x = int(f)
+            except ValueError:
+                raise ValueError(f"CSV row {i}, field {j}: {f!r} is not an integer") from None
+            codes[(i, j)] = x % v
+    return checked(len(rows), n, spec, codes)

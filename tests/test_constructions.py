@@ -4,6 +4,8 @@ from pathlib import Path
 
 import pytest
 
+import heffter_oracle
+import pfarray_oracle
 from relheffter.constructions import (
     build_archdeacon_composite,
     build_B,
@@ -17,7 +19,6 @@ from relheffter.constructions import (
     h9_support,
     h_2n_3_support,
     h_n_3_support,
-    relabel_to_leading_diagonals,
 )
 from relheffter.group import symmetric_rep
 from relheffter.heffter import HeffterParams, verify_archdeacon, verify_integer
@@ -124,11 +125,13 @@ def test_build_B():
 
 def test_relabel_to_leading_diagonals():
     a = build_h_n_3(7)  # diagonals {1, 2, 7}
-    relabeled = relabel_to_leading_diagonals(a)
+    relabeled = pfarray_oracle.relabel_to_leading_diagonals(a)
     assert classify_diagonals(relabeled).filled_diagonal_indices == {1, 2, 3}
-    assert sorted(symmetric_rep(e) for e in relabeled.entry_list) == sorted(
-        symmetric_rep(e) for e in a.entry_list
+    assert sorted(symmetric_rep(e) for e in heffter_oracle.entry_list(relabeled)) == sorted(
+        symmetric_rep(e) for e in heffter_oracle.entry_list(a)
     )
+    composite = build_archdeacon_composite(a, 3)
+    assert composite == pfarray_oracle.direct_sum(relabeled, build_B(7, 7, 3, 1, 2, 1, 2))
 
 
 def test_archdeacon_composite():

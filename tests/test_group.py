@@ -23,15 +23,15 @@ def test_cyclic_arithmetic_z21():
     assert (a + b).coords == (5,)
     assert (a - b).coords == (8,)
     assert (-a).coords == (4,)
-    assert spec.identity.is_identity
-    assert sum_elements(spec, [a, b, -a, -b]).is_identity
+    assert spec.identity.coords == (0,)
+    assert sum_elements(spec, [a, b, -a, -b]) == spec.identity
 
 
 def test_direct_sum_arithmetic():
     spec = GroupSpec((51, 3))
     a = spec.element(-9, 1)
     assert a.coords == (42, 1)
-    assert (a + spec.element(9, -1)).is_identity
+    assert a + spec.element(9, -1) == spec.identity
     assert (-a).coords == (9, 2)
 
 
@@ -102,7 +102,7 @@ def test_group_laws(data):
     assert (a + b) == (b + a)
     assert ((a + b) + c) == (a + (b + c))
     assert (a + spec.identity) == a
-    assert (a + (-a)).is_identity
+    assert a + (-a) == spec.identity
     assert neg(neg(a)) == a
 
 
@@ -138,7 +138,7 @@ def test_element_codes_match_object_arithmetic(orders):
         g = elements[a]
         assert codes.decode(codes.neg(a)) == -g
         assert codes.order(a) == next(n for n in range(1, spec.size + 1)
-                                      if sum_elements(spec, [g] * n).is_identity)
+                                      if sum_elements(spec, [g] * n) == spec.identity)
         for b in sample:
             assert codes.decode(codes.add(a, b)) == g + elements[b]
             assert codes.decode(codes.sub(a, b)) == g - elements[b]
@@ -154,3 +154,27 @@ def test_spec_pickles_after_building_its_codes():
     assert spec.codes.add(3, 1) == 4  # (1, 0) + (0, 1)
     copy = pickle.loads(pickle.dumps(spec))
     assert copy == spec and copy.codes.neg(1) == spec.codes.neg(1)
+
+
+# factors of order 1 have the one coordinate 0
+@given(st.lists(st.integers(1, 9), min_size=1, max_size=4).map(tuple), st.data())
+def test_columns_match_coords_and_round_trip(orders, data):
+    codes = GroupSpec(orders).codes
+    assert codes.columns([]) == [[] for _ in orders]
+    assert codes.from_columns(codes.columns([])) == []
+    xs = data.draw(st.lists(st.integers(0, codes.spec.size - 1), max_size=30))
+    columns = codes.columns(xs)
+    assert columns == [[codes.coords(x)[i] for x in xs] for i in range(len(orders))]
+    assert codes.from_columns(columns) == xs
+    coords = data.draw(st.lists(st.tuples(*(st.integers(0, o - 1) for o in orders)), max_size=30))
+    columns = [[c[i] for c in coords] for i in range(len(orders))]
+    assert codes.from_columns(columns) == [codes.code(c) for c in coords]
+    assert codes.columns(codes.from_columns(columns)) == columns
+
+
+@given(st.lists(st.integers(1, 9), min_size=1, max_size=4).map(tuple), st.data())
+def test_totals_match_the_total_of_each_line(orders, data):
+    codes = GroupSpec(orders).codes
+    lines = data.draw(st.lists(st.lists(st.integers(0, codes.spec.size - 1), max_size=6),
+                               max_size=8))
+    assert codes.totals(lines) == [codes.total(line) for line in lines]

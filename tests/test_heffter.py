@@ -24,6 +24,20 @@ def small_heffter():
     return build_h_n_3(3)
 
 
+def check_trivial(p: HeffterParams) -> list[str]:
+    """The trivial necessary conditions on (m, n, s, k, t); empty when they all hold."""
+    problems = []
+    if (2 * p.n * p.k) % p.t != 0:
+        problems.append(f"t={p.t} does not divide 2nk={2 * p.n * p.k}")
+    if p.n * p.k != p.m * p.s:
+        problems.append(f"nk={p.n * p.k} != ms={p.m * p.s}")
+    if not 3 <= p.s <= p.n:
+        problems.append(f"s={p.s} outside [3, n={p.n}]")
+    if not 3 <= p.k <= p.m:
+        problems.append(f"k={p.k} outside [3, m={p.m}]")
+    return problems
+
+
 def perturb(array, cell, value):
     entries = dict(array.entries)
     entries[cell] = array.spec.element(value)
@@ -33,9 +47,10 @@ def perturb(array, cell, value):
 def test_params():
     p = HeffterParams.square(9, 3, 9)
     assert (p.m, p.n, p.s, p.k, p.v) == (9, 9, 3, 3, 63)
-    assert p.check_trivial() == []
-    assert HeffterParams(3, 3, 3, 3, 4).check_trivial() == ["t=4 does not divide 2nk=18"]
-    assert HeffterParams(3, 4, 5, 3, 24).check_trivial() == ["nk=12 != ms=15", "s=5 outside [3, n=4]"]
+    assert check_trivial(p) == []
+    assert check_trivial(HeffterParams(3, 3, 3, 3, 4)) == ["t=4 does not divide 2nk=18"]
+    assert check_trivial(HeffterParams(3, 4, 5, 3, 24)) == [
+        "nk=12 != ms=15", "s=5 outside [3, n=4]"]
 
 
 def test_valid_array_passes():

@@ -44,7 +44,6 @@ def test_decoded_views_equal_the_given_elements(case):
     array = PFArray(m, n, spec, entries)
     assert array.entries == entries
     assert array == PFArray(m, n, spec, dict(entries))
-    assert array.entry_list == [entries[cell] for cell in sorted(entries)]
     for i in range(m + 2):
         assert array.row(i) == heffter_oracle.row(array, i)
     for j in range(n + 2):

@@ -1,5 +1,5 @@
-"""The one-pass filler, linear diagonal classification and direct JSON writer
-against the references in pfarray_oracle."""
+"""The one-pass filler, linear diagonal classification, direct JSON writer
+and bulk parsers against the references in pfarray_oracle."""
 
 import json
 from pathlib import Path
@@ -25,11 +25,11 @@ FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 MEMBERS = [(f.name, n) for f in FAMILIES.values() for n in range(3, 100) if f.admissible(n)]
 
 
-def outcome(f, *args):
-    """f(*args), or the type and message of the ConstructionError it raised."""
+def outcome(f, *args, errors=ConstructionError):
+    """f(*args), or the type and message of the error it raised."""
     try:
         return f(*args)
-    except ConstructionError as exc:
+    except errors as exc:
         return type(exc), str(exc)
 
 
@@ -140,3 +140,92 @@ def test_classify_diagonals_matches_reference(skel):
     spec = GroupSpec.cyclic(11)
     array = PFArray(skel.m, skel.n, spec, {cell: spec.element(1) for cell in skel.cells})
     assert classify_diagonals(array) == oracle.classify_diagonals(array)
+
+
+# values that are no JSON integer: what a strict parser must reject
+NOT_INTS = st.sampled_from([True, False, 1.0, 2.5, "1", None, [1]])
+MUTATIONS = ["bad-r", "bad-c", "bad-coordinate", "v-not-list", "coordinate-count",
+             "non-canonical", "duplicate", "outside", "missing-key", "not-a-dict"]
+
+
+@st.composite
+def json_inputs(draw):
+    """Array JSON over 1 to 3 factors, valid or with a few faults planted in
+    random cells (so that the first bad cell in file order must win), now and
+    then with bad dimensions or a cells field that is no list."""
+    orders = draw(st.lists(st.integers(1, 9), min_size=1, max_size=3))
+    m, n = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    coords = st.tuples(*(st.integers(0, o - 1) for o in orders)).map(list)
+    positions = draw(st.lists(st.tuples(st.integers(1, m), st.integers(1, n)),
+                              unique=True, min_size=1, max_size=8))
+    cells = [{"r": r, "c": c, "v": draw(coords)} for r, c in positions]
+    for kind in draw(st.lists(st.sampled_from(MUTATIONS), max_size=3)):
+        i = draw(st.integers(0, len(cells) - 1))
+        if not isinstance(cells[i], dict) or not isinstance(cells[i].get("v"), list):
+            continue  # already broken beyond what this fault needs
+        cell = cells[i] = dict(cells[i])
+        if kind in ("bad-r", "bad-c"):
+            cell[kind[-1]] = draw(NOT_INTS)
+        elif kind == "bad-coordinate":
+            cell["v"] = [*cell["v"][:-1], draw(NOT_INTS)]
+        elif kind == "v-not-list":
+            cell["v"] = draw(st.sampled_from([3, "1", None, (1,), {"0": 1}]))
+        elif kind == "coordinate-count":
+            cell["v"] = cell["v"][:-1] if draw(st.booleans()) else [*cell["v"], 0]
+        elif kind == "non-canonical" and cell["v"]:
+            j = draw(st.integers(0, min(len(orders), len(cell["v"])) - 1))
+            cell["v"] = list(cell["v"])
+            cell["v"][j] = draw(st.sampled_from([-1, orders[j], orders[j] + 7]))
+        elif kind == "duplicate":
+            cells.insert(draw(st.integers(i + 1, len(cells))), {**cell, "v": draw(coords)})
+        elif kind == "outside":
+            cell[draw(st.sampled_from("rc"))] = draw(st.sampled_from([0, -1, m + 1, n + 1]))
+        elif kind == "missing-key":
+            cell.pop(draw(st.sampled_from("rcv")), None)
+        elif kind == "not-a-dict":
+            cells[i] = draw(st.sampled_from([[1, 1, [0]], "r", 7, None]))
+    data = {"m": m, "n": n, "group": {"orders": orders}, "cells": cells}
+    bad = draw(st.sampled_from([None] * 6 + ["m", "n", "cells"]))
+    if bad in ("m", "n"):
+        data[bad] = draw(NOT_INTS)
+    elif bad == "cells":
+        data["cells"] = draw(st.sampled_from([{"r": 1}, "cells", 3, None]))
+    return data
+
+
+PARSE_ERRORS = (KeyError, TypeError, ValueError)  # GroupError is a ValueError
+
+
+@settings(max_examples=400, deadline=None)
+@given(json_inputs())
+@example({"m": 2, "n": 2, "group": {"orders": [5]}, "cells": []})
+@example({"m": 2, "n": 2, "group": {"orders": [5, 1]},
+          "cells": [{"r": 1, "c": 1, "v": [1, 0]}, {"r": 2, "c": 1},
+                    {"r": True, "c": 1, "v": [1]}]})
+def test_json_parser_matches_cell_by_cell_reference(data):
+    expected = outcome(oracle.from_json, data, errors=PARSE_ERRORS)
+    assert outcome(PFArray.from_json, data, errors=PARSE_ERRORS) == expected
+
+
+FIELDS = st.one_of(st.integers(-60, 60).map(str), st.sampled_from(
+    ["", "", " ", " 7 ", "x", "1.5", "0x3", "+4", "1_0", "--2"]))
+
+
+@st.composite
+def csv_inputs(draw):
+    """Grid CSV text, mostly rows of one length, and a group order."""
+    n = draw(st.integers(1, 5))
+    rows = draw(st.lists(st.lists(FIELDS, min_size=n, max_size=n), max_size=5))
+    if rows and draw(st.integers(0, 4)) == 0:
+        rows[draw(st.integers(0, len(rows) - 1))].append(draw(FIELDS))
+    return "".join(",".join(fields) + "\n" for fields in rows), draw(st.integers(1, 50))
+
+
+@settings(max_examples=300, deadline=None)
+@given(csv_inputs())
+@example(("1,,-1\n,x,\n1,2\n", 7))
+@example(("1,2\n3\n,x\n", 7))
+def test_csv_parser_matches_cell_by_cell_reference(case):
+    text, v = case
+    assert outcome(PFArray.from_csv, text, v, errors=ValueError) == outcome(
+        oracle.from_csv, text, v, errors=ValueError)
