@@ -30,7 +30,7 @@ from .orderings import (
     knight_walk,
     nine_diagonal_orientation,
 )
-from .pfarray import PFArray, Skeleton, classify_diagonals, support
+from .pfarray import PFArray, Skeleton, classify_diagonals, skeleton_of, support
 from .topology import CertificationError, certify_biembedding, heffter_genus_formula
 
 EXIT_OK = 0
@@ -89,12 +89,9 @@ def _write_outputs(obj: PFArray | Skeleton, out: str | None) -> list[str]:
     if out is None:
         return []
     json_path = Path(out + ".json")
-    if isinstance(obj, Skeleton):
-        json_path.write_text(json.dumps(obj.to_json(), indent=2, sort_keys=True) + "\n")
-        return [str(json_path)]
     json_path.write_text(obj.to_json_text())
     paths = [str(json_path)]
-    if obj.spec.is_cyclic_single:
+    if isinstance(obj, PFArray) and obj.spec.is_cyclic_single:
         csv_path = Path(out + ".csv")
         csv_path.write_text(obj.to_csv())
         paths.append(str(csv_path))
@@ -102,9 +99,8 @@ def _write_outputs(obj: PFArray | Skeleton, out: str | None) -> list[str]:
 
 
 def _square_params(array: PFArray, t: int) -> HeffterParams:
-    rows, cols = array.line_codes
-    counts_r = {len(rows.get(i, ())) for i in range(1, array.m + 1)}
-    counts_c = {len(cols.get(j, ())) for j in range(1, array.n + 1)}
+    lines = array.index[1]
+    counts_r, counts_c = set(map(len, lines[:array.m])), set(map(len, lines[array.m:]))
     if len(counts_r) != 1 or len(counts_c) != 1:
         raise UsageError("rows/columns do not have uniform fill counts")
     s, k = counts_r.pop(), counts_c.pop()
@@ -136,19 +132,6 @@ def cmd_construct(args: argparse.Namespace) -> int:
         payload["t"] = t
         payload["globally_simple"] = is_globally_simple(array)
         obj: PFArray | Skeleton = array
-    elif family == "B":
-        required = (args.m, args.n, args.d, args.i1, args.i2, args.j1, args.j2)
-        if any(x is None for x in required):
-            raise UsageError("B requires --m --n --d --i1 --i2 --j1 --j2")
-        try:
-            obj = cons.build_B(args.m, args.n, args.d, args.i1, args.i2, args.j1, args.j2)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
-        # the gadget alone only promises zero row/column sums
-        report = verify_archdeacon(obj)
-        report.violations = [
-            (t, m) for t, m in report.violations if t in ("row-sum", "col-sum")
-        ]
     elif family == "archdeacon-composite":
         if args.base is None or args.d is None:
             raise UsageError("archdeacon-composite requires --base and --d")
@@ -222,8 +205,7 @@ def _parse_orientation(text: str) -> Orientation:
 
 
 def cmd_knight(args: argparse.Namespace) -> int:
-    obj = _load_array_or_skeleton(Path(args.input), args.v)
-    skel = obj if isinstance(obj, Skeleton) else obj.skeleton
+    skel = skeleton_of(_load_array_or_skeleton(Path(args.input), args.v))
     if not skel.cells:
         raise UsageError(f"{args.input} has no filled cells")
     payload: dict = {"input": args.input, "filled_cells": len(skel.cells)}
@@ -360,16 +342,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("construct", help="build an array family and verify it")
     p.add_argument("family", choices=[
-        *cons.FAMILIES, "B", "archdeacon-composite", "skeleton-cor39",
+        *cons.FAMILIES, "archdeacon-composite", "skeleton-cor39",
     ])
     p.add_argument("--n", type=int)
-    p.add_argument("--m", type=int)
     p.add_argument("--k", type=int)
     p.add_argument("--d", type=int)
-    p.add_argument("--i1", type=int)
-    p.add_argument("--i2", type=int)
-    p.add_argument("--j1", type=int)
-    p.add_argument("--j2", type=int)
     p.add_argument("--base", help="base array file for archdeacon-composite")
     p.add_argument("--v", type=int, help="group order when the base is CSV")
     p.add_argument("--out", help="output path prefix (writes PREFIX.json and PREFIX.csv)")

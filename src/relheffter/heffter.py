@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
 from .group import subgroup_step, symmetric_residue
-from .pfarray import PFArray, Skeleton, support
+from .pfarray import PFArray, Skeleton, skeleton_of, support
 
 
 @dataclass(frozen=True)
@@ -41,10 +41,6 @@ class VerificationReport:
 
     def flag(self, tag: str, message: str) -> None:
         self.violations.append((tag, message))
-
-    @property
-    def tags(self) -> set[str]:
-        return {t for t, _ in self.violations}
 
     def to_json(self) -> dict:
         return {
@@ -94,9 +90,8 @@ def _relative_heffter(
     report = VerificationReport()
     v, t, s, k = params.v, params.t, params.s, params.k
     step = subgroup_step(v, t)
-    row_codes, col_codes = array.line_codes  # residues: the codes of Z_v
-    rows = [row_codes.get(i, ()) for i in range(1, params.m + 1)]
-    cols = [col_codes.get(j, ()) for j in range(1, params.n + 1)]
+    lines = array.index[1]  # residues: the codes of Z_v
+    rows, cols = lines[:params.m], lines[params.m:]
     row_keys, col_keys = range(1, params.m + 1), range(1, params.n + 1)
 
     _flag_lines(report, "row-count", row_keys, [len(row) - s for row in rows],
@@ -215,10 +210,10 @@ def verify_archdeacon(array: PFArray) -> VerificationReport:
             report.flag("zero-entry", "the identity appears as an entry")
         elif x <= codes.neg(x):  # flag each pair once
             report.flag("antisymmetric", f"both {codes.coords(x)} and its negative appear")
-    rows, cols = array.line_codes
-    _flag_lines(report, "row-sum", rows, codes.totals(list(rows.values())),
+    m, lines = array.m, array.index[1]
+    _flag_lines(report, "row-sum", range(1, m + 1), codes.totals(lines[:m]),
                 lambda i, _: f"row {i} does not sum to 0")
-    _flag_lines(report, "col-sum", cols, codes.totals(list(cols.values())),
+    _flag_lines(report, "col-sum", range(1, array.n + 1), codes.totals(lines[m:]),
                 lambda j, _: f"column {j} does not sum to 0")
     return report
 
@@ -237,7 +232,5 @@ def check_compatibility_parity(m: int, n: int, s: int, k: int, t: int) -> bool:
 def skeleton_parity_ok(array: PFArray | Skeleton) -> bool:
     """|skel(A)| == m + n - 1 (mod 2): required for compatible orderings when no
     row or column of A is empty, so True whenever one is."""
-    cells = array.cells if isinstance(array, Skeleton) else array.entry_codes
-    if len({r for r, _ in cells}) < array.m or len({c for _, c in cells}) < array.n:
-        return True
-    return len(cells) % 2 == (array.m + array.n - 1) % 2
+    cells, lines = skeleton_of(array).index
+    return not all(lines) or len(cells) % 2 == (array.m + array.n - 1) % 2

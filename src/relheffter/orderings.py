@@ -10,13 +10,9 @@ from typing import Callable, Sequence
 
 from .group import ElementCodes, GroupElement
 from .heffter import skeleton_parity_ok
-from .pfarray import Cell, PFArray, Skeleton, skeleton_from_diagonals
+from .pfarray import Cell, PFArray, Skeleton, skeleton_from_diagonals, skeleton_of
 
 ArrayLike = PFArray | Skeleton
-
-
-def _skel(array: ArrayLike) -> Skeleton:
-    return array if isinstance(array, Skeleton) else array.skeleton
 
 
 # -- partial sums and simplicity ----------------------------------------
@@ -44,8 +40,8 @@ def is_simple(seq: Sequence[GroupElement]) -> bool:
 
 
 def _simple_lines(codes: ElementCodes, lines: Sequence[Sequence[int]]) -> bool:
-    """is_simple on every one of the nonempty lines of element codes: the
-    running sums of each line are distinct. In Z_v they are the integer running
+    """is_simple on every line of element codes, an empty line being simple:
+    the running sums of each line are distinct. In Z_v they are the integer running
     sums reduced mod v, with no call per step. In a product group the running
     sums over all lines concatenated are taken factor by factor (columns),
     each reduced mod its order, and keyed by line: within a line they differ
@@ -65,8 +61,7 @@ def _simple_lines(codes: ElementCodes, lines: Sequence[Sequence[int]]) -> bool:
 
 def is_globally_simple(array: PFArray) -> bool:
     """True iff every row (left to right) and column (top to bottom) is simple."""
-    rows, cols = array.line_codes
-    return _simple_lines(array.spec.codes, [*rows.values(), *cols.values()])
+    return _simple_lines(array.spec.codes, array.index[1])
 
 
 def orbit(step: Callable, start) -> list:
@@ -96,17 +91,6 @@ class Ordering:
     row_orders: dict[int, tuple[Cell, ...]]
     col_orders: dict[int, tuple[Cell, ...]]
 
-    def validate(self, array: ArrayLike) -> None:
-        rows, cols = _skel(array).lines
-        for i, cells in self.row_orders.items():
-            if tuple(sorted(cells)) != rows.get(i, ()):
-                raise ValueError(f"row {i} ordering is not a permutation of its filled cells")
-        for j, cells in self.col_orders.items():
-            if tuple(sorted(cells)) != cols.get(j, ()):
-                raise ValueError(f"column {j} ordering is not a permutation of its filled cells")
-        if self.row_orders.keys() != rows.keys() or self.col_orders.keys() != cols.keys():
-            raise ValueError("ordering does not cover exactly the nonempty rows/columns")
-
     def successors(self) -> tuple[dict[Cell, Cell], dict[Cell, Cell]]:
         """The next cell of each filled cell along its row and along its column,
         cyclically in the chosen orders (omega_r and omega_c on cells)."""
@@ -116,9 +100,9 @@ class Ordering:
         )
         return row_next, col_next
 
+
 def natural_ordering(array: ArrayLike) -> Ordering:
-    rows, cols = _skel(array).lines
-    return Ordering(dict(rows), dict(cols))
+    return orientation_to_orderings(array, Orientation((1,) * array.m, (1,) * array.n))
 
 
 @dataclass(frozen=True)
@@ -147,13 +131,17 @@ class Orientation:
         return cls(tuple(sign[ch] for ch in rows), tuple(sign[ch] for ch in cols))
 
 
+def oriented_lines(lines: Sequence[Sequence], signs: Sequence[int]) -> dict[int, Sequence]:
+    """Each nonempty line, keyed by its number from 1, reversed where its sign is -1."""
+    return {i: line[::s] for i, (line, s) in enumerate(zip(lines, signs), start=1) if line}
+
+
 def orientation_to_orderings(array: ArrayLike, o: Orientation) -> Ordering:
     """Row i ordered left to right iff r_i = +1; column j top to bottom iff c_j = +1."""
-    rows, cols = _skel(array).lines
-    return Ordering(
-        {i: cells if o.r[i - 1] == 1 else cells[::-1] for i, cells in rows.items()},
-        {j: cells if o.c[j - 1] == 1 else cells[::-1] for j, cells in cols.items()},
-    )
+    skel = skeleton_of(array)
+    cells, lines = skel.index
+    lines = [tuple(map(cells.__getitem__, line)) for line in lines]
+    return Ordering(oriented_lines(lines[:skel.m], o.r), oriented_lines(lines[skel.m:], o.c))
 
 
 # -- the Crazy Knight's Tour map ----------------------------------------
@@ -162,7 +150,7 @@ def orientation_to_orderings(array: ArrayLike, o: Orientation) -> Ordering:
 def knight_step(array: ArrayLike, o: Orientation, cell: Cell) -> Cell:
     """One move: along the row to the next filled cell per r_i, then along that
     column to the next filled cell per c_j (both cyclic on the torus)."""
-    skel = _skel(array)
+    skel = skeleton_of(array)
     if cell not in skel.cells:
         raise ValueError(f"cell {cell} is empty")
     row_next, col_next = orientation_to_orderings(skel, o).successors()
@@ -172,7 +160,7 @@ def knight_step(array: ArrayLike, o: Orientation, cell: Cell) -> Cell:
 def knight_tour(array: ArrayLike, o: Orientation, start: Cell) -> tuple[list[Cell], bool]:
     """The orbit of the composed move starting at start; a solution iff it covers
     every filled cell."""
-    skel = _skel(array)
+    skel = skeleton_of(array)
     if not skel.cells:
         raise ValueError("empty array")
     if start not in skel.cells:
@@ -183,12 +171,13 @@ def knight_tour(array: ArrayLike, o: Orientation, start: Cell) -> tuple[list[Cel
 
 
 def knight_walk(array: ArrayLike, o: Orientation) -> tuple[list[Cell], bool]:
-    """knight_tour from the least filled cell, walked over the skeleton's int
-    index (Skeleton.index) rather than over cell successor maps."""
-    skel = _skel(array)
+    """knight_tour from the least filled cell, walked over the skeleton's cell
+    numbers (Skeleton.index, Skeleton.steps) rather than over cell successor maps."""
+    skel = skeleton_of(array)
     if not skel.cells:
         raise ValueError("empty array")
-    cells, _, row_step, col_step = skel.index
+    cells = skel.index[0]
+    row_step, col_step = skel.steps
     r, c = o.r, o.c
     orbit, x = [], 0
     while True:
@@ -214,7 +203,8 @@ def _least_orientation(
     cycle shorter than |skel| closes and accepted when one through every cell
     does."""
     m = skel.m
-    cells, lines, row_step, col_step = skel.index
+    cells, lines = skel.index
+    row_step, col_step = skel.steps
     size = len(cells)
     row_var = [r - 1 for r, _ in cells]
     col_var = [m + c - 1 for _, c in cells]
@@ -273,7 +263,7 @@ def knight_search(array: ArrayLike) -> Orientation | None:
     """The lexicographically least solution (with +1 before -1) over orientations
     with r_1 = +1, by pruned depth-first search over r_2..r_m, c_1..c_n; or None.
     A skeleton that fails the parity condition has no solution and is not searched."""
-    skel = _skel(array)
+    skel = skeleton_of(array)
     if not skel.cells:
         raise ValueError("empty array")
     if not skeleton_parity_ok(skel):

@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
+import json
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, compress, repeat
 from operator import itemgetter
 from types import MappingProxyType
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping
 
 from .group import GroupElement, GroupError, GroupSpec, symmetric_residue
 
@@ -31,6 +32,26 @@ def _int(value: object, name: str) -> int:
     return value
 
 
+def _check_dimensions(m: int, n: int) -> None:
+    if m < 1 or n < 1:
+        raise ValueError(f"dimensions {m}x{n} are not positive")
+
+
+def _row_major(m: int, n: int, cells: Iterable[Cell],
+               value: Callable[[Cell], int] | None = None) -> tuple[list[Cell], list[list[int]]]:
+    """The one row/column split: the cells sorted into row-major order, and one
+    list per line, rows 1..m (left to right) and then columns 1..n (top to
+    bottom), empty lines included, of the numbers of its cells in that order
+    from 0 or, given value, of value(cell)."""
+    cells = sorted(cells)
+    lines: list[list[int]] = [[] for _ in range(m + n)]
+    rows, cols = lines[:m], lines[m:]
+    for (r, c), x in zip(cells, range(len(cells)) if value is None else map(value, cells)):
+        rows[r - 1].append(x)
+        cols[c - 1].append(x)
+    return cells, lines
+
+
 @dataclass(frozen=True)
 class Skeleton:
     """The set of filled positions of an m x n partially filled array."""
@@ -40,46 +61,38 @@ class Skeleton:
     cells: frozenset[Cell]
 
     def __post_init__(self) -> None:
+        _check_dimensions(self.m, self.n)
         for r, c in self.cells:
             if not (1 <= r <= self.m and 1 <= c <= self.n):
                 raise ValueError(f"cell {(r, c)} outside {self.m}x{self.n}")
 
     @cached_property
-    def lines(self) -> tuple[Mapping[int, tuple[Cell, ...]], Mapping[int, tuple[Cell, ...]]]:
-        """The cells of each nonempty row (left to right) and of each nonempty
-        column (top to bottom), keyed in increasing order."""
-        rows: dict[int, list[Cell]] = {}
-        cols: dict[int, list[Cell]] = {}
-        for cell in sorted(self.cells):
-            rows.setdefault(cell[0], []).append(cell)
-            cols.setdefault(cell[1], []).append(cell)
-        return (MappingProxyType({i: tuple(v) for i, v in rows.items()}),
-                MappingProxyType({j: tuple(cols[j]) for j in sorted(cols)}))
+    def index(self) -> tuple[list[Cell], list[list[int]]]:
+        """_row_major of the cells, built on first use: each line holds the
+        numbers of its cells."""
+        return _row_major(self.m, self.n, self.cells)
 
     @cached_property
-    def index(self) -> tuple[list[Cell], list[list[int]],
-                             dict[int, list[int]], dict[int, list[int]]]:
-        """The int index that the Knight search and walk run on: the filled cells
-        in row-major order, numbered from 0; the numbers of the cells of rows
-        1..m (left to right) and then of columns 1..n (top to bottom); and the
-        next cell along its row and along its column, cyclically, for sign +1
-        and for sign -1."""
-        cells = sorted(self.cells)
-        lines: list[list[int]] = [[] for _ in range(self.m + self.n)]
-        for x, (r, c) in enumerate(cells):
-            lines[r - 1].append(x)
-            lines[self.m + c - 1].append(x)
+    def steps(self) -> tuple[dict[int, list[int]], dict[int, list[int]]]:
+        """The step tables of the Knight search and walk, built on first use
+        and apart from the index, which other readers use without them: the
+        next cell number along its row and along its column, cyclically, for
+        sign +1 and for sign -1."""
+        cells, lines = self.index
         row_step = {1: [0] * len(cells), -1: [0] * len(cells)}
         col_step = {1: [0] * len(cells), -1: [0] * len(cells)}
         for v, line in enumerate(lines):
             step = row_step if v < self.m else col_step
-            for p, x in enumerate(line):
-                step[1][x] = line[(p + 1) % len(line)]
-                step[-1][x] = line[p - 1]
-        return cells, lines, row_step, col_step
+            forward, backward = step[1], step[-1]
+            for x, y in zip(line, line[1:] + line[:1]):
+                forward[x], backward[y] = y, x
+        return row_step, col_step
 
     def to_json(self) -> dict:
-        return {"m": self.m, "n": self.n, "cells": [[r, c] for r, c in sorted(self.cells)]}
+        return {"m": self.m, "n": self.n, "cells": [[r, c] for r, c in self.index[0]]}
+
+    def to_json_text(self) -> str:
+        return json.dumps(self.to_json(), indent=2, sort_keys=True) + "\n"
 
     @classmethod
     def from_json(cls, data: dict) -> "Skeleton":
@@ -91,6 +104,11 @@ class Skeleton:
                 raise ValueError(f"cell {cell} listed twice")
             cells.add(cell)
         return cls(_int(data["m"], "m"), _int(data["n"], "n"), frozenset(cells))
+
+
+def skeleton_of(array: PFArray | Skeleton) -> Skeleton:
+    """The skeleton of an array, or the skeleton itself."""
+    return array if isinstance(array, Skeleton) else array.skeleton
 
 
 @dataclass(frozen=True, init=False)
@@ -124,8 +142,9 @@ class PFArray:
         return array
 
     def _fill(self, m: int, n: int, spec: GroupSpec, codes: Mapping[Cell, int]) -> None:
-        """Check the cells and the codes, and keep a read-only copy of them: the
-        row and column index built on first use cannot go stale."""
+        """Check the dimensions, the cells and the codes, and keep a read-only
+        copy of them: the index built on first use cannot go stale."""
+        _check_dimensions(m, n)
         codes, size = dict(codes), spec.size
         for (r, c), x in codes.items():  # min/max passes over the cells measured slower
             if not (1 <= r <= m and 1 <= c <= n):
@@ -136,7 +155,7 @@ class PFArray:
                             ("entry_codes", MappingProxyType(codes))):
             object.__setattr__(self, name, value)
 
-    @property
+    @cached_property
     def skeleton(self) -> Skeleton:
         return Skeleton(self.m, self.n, frozenset(self.entry_codes))
 
@@ -147,38 +166,27 @@ class PFArray:
         return MappingProxyType({cell: decode(x) for cell, x in self.entry_codes.items()})
 
     @cached_property
-    def line_codes(self) -> tuple[Mapping[int, tuple[int, ...]], Mapping[int, tuple[int, ...]]]:
-        """The codes of each nonempty row (left to right) and of each nonempty
-        column (top to bottom), keyed in increasing order, from one pass over
-        the cells in row-major order."""
-        rows: dict[int, list[int]] = {}
-        cols: dict[int, list[int]] = {}
-        codes = self.entry_codes
-        for cell in sorted(codes):
-            x = codes[cell]
-            rows.setdefault(cell[0], []).append(x)
-            cols.setdefault(cell[1], []).append(x)
-        return (MappingProxyType({i: tuple(line) for i, line in rows.items()}),
-                MappingProxyType({j: tuple(cols[j]) for j in sorted(cols)}))
+    def index(self) -> tuple[list[Cell], list[tuple[int, ...]]]:
+        """_row_major of the cells, built on first use, with each line holding
+        the entry codes of its cells: rows 1..m, then columns 1..n."""
+        cells, lines = _row_major(self.m, self.n, self.entry_codes, self.entry_codes.__getitem__)
+        return cells, list(map(tuple, lines))
 
     def row(self, i: int) -> list[GroupElement]:
-        """Entries of row i in the natural (left to right) order."""
-        return list(map(self.spec.codes.decode, self.line_codes[0].get(i, ())))
+        """Entries of row i in the natural (left to right) order; none outside 1..m."""
+        line = self.index[1][i - 1] if 1 <= i <= self.m else ()
+        return list(map(self.spec.codes.decode, line))
 
     def col(self, j: int) -> list[GroupElement]:
-        """Entries of column j in the natural (top to bottom) order."""
-        return list(map(self.spec.codes.decode, self.line_codes[1].get(j, ())))
+        """Entries of column j in the natural (top to bottom) order; none outside 1..n."""
+        line = self.index[1][self.m + j - 1] if 1 <= j <= self.n else ()
+        return list(map(self.spec.codes.decode, line))
 
     # -- serialization --------------------------------------------------
 
-    def _columns(self) -> tuple[list[Cell], list[list[int]]]:
-        """The filled cells in row-major order, and their entries' coordinates,
-        one list per factor."""
-        cells = sorted(self.entry_codes)
-        return cells, self.spec.codes.columns(map(self.entry_codes.__getitem__, cells))
-
     def to_json(self) -> dict:
-        cells, columns = self._columns()
+        cells, lines = self.index  # rows 1..m in turn: the codes in row-major order
+        columns = self.spec.codes.columns(chain.from_iterable(lines[:self.m]))
         return {
             "m": self.m,
             "n": self.n,
@@ -191,7 +199,8 @@ class PFArray:
         newline, written directly: the stdlib encoder falls back to pure Python
         whenever indent is set. Each cell is one % format of its column, row
         and coordinates."""
-        cells, columns = self._columns()
+        cells, lines = self.index
+        columns = self.spec.codes.columns(chain.from_iterable(lines[:self.m]))
         cell = ('    {\n      "c": %d,\n      "r": %d,\n      "v": [\n        '
                 + ",\n        ".join(["%d"] * len(columns)) + "\n      ]\n    }")
         cells = ",\n".join(map(cell.__mod__, zip(
@@ -396,7 +405,7 @@ def classify_diagonals(array: PFArray | Skeleton) -> DiagonalReport:
     if array.m != array.n:
         raise ValueError("diagonal classification requires a square array")
     n = array.n
-    cells = array.cells if isinstance(array, Skeleton) else array.entry_codes
+    cells = skeleton_of(array).cells
     on_diagonal = Counter((r - c) % n + 1 for r, c in cells)
     filled = frozenset(i for i, count in on_diagonal.items() if count == n)
     is_k_diagonal = bool(filled) and len(cells) == n * len(filled)

@@ -9,7 +9,7 @@ from itertools import accumulate
 from typing import Callable, Mapping, Sequence
 
 from .group import ElementCodes, GroupSpec, subgroup_step
-from .orderings import Ordering, Orientation, orbit
+from .orderings import Ordering, Orientation, orbit, oriented_lines
 from .pfarray import Cell, PFArray
 
 Edge = frozenset  # frozenset of two vertices
@@ -24,8 +24,8 @@ DirectedEdge = tuple  # (tail, head)
 # Group elements are int codes (GroupSpec.codes) throughout, as the array
 # stores them (PFArray.entry_codes); GroupElements appear only in the faces
 # and cycles developed when read, and in witness messages. Orderings are
-# lines of codes: certify_biembedding reads them off PFArray.line_codes, and
-# the functions that take an Ordering of cells translate it first.
+# lines of codes: certify_biembedding reads them off PFArray.index, and the
+# functions that take an Ordering of cells translate it first.
 
 Lines = Mapping[int, Sequence[int]]  # line index -> its entry codes in order
 
@@ -211,13 +211,6 @@ def verify_orthogonal(d1: DecompositionCertificate, d2: DecompositionCertificate
         j, u2 = d2.offsets[d]
         pairs.add((i, j, sub(u2, u1)))
     return 2 * len(pairs) == len(d1.offsets)
-
-
-def entry_successor_maps(
-    array: PFArray, ordering: Ordering
-) -> tuple[dict[int, int], dict[int, int]]:
-    """omega_r and omega_c as cyclic successor maps on entry codes (entries distinct)."""
-    return _omegas(*_code_lines(array, ordering.row_orders, ordering.col_orders))
 
 
 def _omegas(rows: Lines, cols: Lines) -> tuple[dict[int, int], dict[int, int]]:
@@ -449,8 +442,8 @@ def certify_biembedding(array: PFArray, orientation: Orientation) -> Biembedding
     and ValueError from rho0, the first stage, when +-E(A) has a repeat: the
     entries are not distinct, or an entry is 0 or the negative of an entry.
     No rotation of +-E(A) exists then, whatever the orderings."""
-    rows, cols = ({i: line if sign[i - 1] == 1 else line[::-1] for i, line in lines.items()}
-                  for sign, lines in zip((orientation.r, orientation.c), array.line_codes))
+    m, lines = array.m, array.index[1]
+    rows, cols = oriented_lines(lines[:m], orientation.r), oriented_lines(lines[m:], orientation.c)
     rho0 = _rho0(array.spec.codes, rows, cols)
     graph = CayleyGraph.from_entries(array)
     report = trace_faces(graph, rho0)

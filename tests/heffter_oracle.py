@@ -18,6 +18,11 @@ from relheffter.orderings import partial_sums
 from relheffter.pfarray import PFArray
 
 
+def tags(report: VerificationReport) -> set[str]:
+    """The tags of a report's violations."""
+    return {t for t, _ in report.violations}
+
+
 def entry_list(array: PFArray) -> list[GroupElement]:
     """E(A): the entries in row-major cell order."""
     return [array.entries[c] for c in sorted(array.entries)]

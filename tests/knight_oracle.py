@@ -2,18 +2,22 @@
 
 ``knight_search`` and ``search_lift_shape`` enumerate orientations in
 lexicographic order (+1 before -1) with ``itertools.product`` and test each one
-by walking its orbit with the slow ``knight_tour``. The library runs a pruned
-depth-first search over the same order; the tests compare the two on the same
-inputs.
+by walking its orbit on cell successor maps. Each line's forward and backward
+successor maps are read off the sorted cells once per skeleton, and each
+orientation's move is composed from them. The library runs a pruned
+depth-first search over the same order on its int index; the tests compare the
+two on the same inputs.
 
-``lift_solution`` checks both orientations with ``knight_tour``, and
+``lift_solution`` checks both orientations with ``knight_tour``,
 ``compose_orderings`` reads the compatibility condition straight off cell
-orderings.
+orderings, and ``validate`` checks that an ordering permutes the filled cells
+of each line.
 """
 
 from __future__ import annotations
 
 from itertools import product
+from typing import Callable
 
 from relheffter.heffter import skeleton_parity_ok
 from relheffter.orderings import (
@@ -24,7 +28,40 @@ from relheffter.orderings import (
     knight_tour,
     orbit,
 )
-from relheffter.pfarray import Cell, PFArray, Skeleton
+from relheffter.pfarray import Cell, PFArray, Skeleton, skeleton_of
+
+
+def lines(skel: Skeleton) -> tuple[dict[int, list[Cell]], dict[int, list[Cell]]]:
+    """The cells of each nonempty row (left to right) and column (top to bottom)."""
+    rows: dict[int, list[Cell]] = {}
+    cols: dict[int, list[Cell]] = {}
+    for cell in sorted(skel.cells):
+        rows.setdefault(cell[0], []).append(cell)
+        cols.setdefault(cell[1], []).append(cell)
+    return rows, cols
+
+
+def tour_test(skel: Skeleton) -> Callable[[Orientation], bool]:
+    """Whether an orientation solves the skeleton: its orbit from the least cell
+    covers every cell. The successor maps of each line for sign +1 and -1 are
+    built here once; a call composes, at each cell, the maps its row's and
+    column's signs pick."""
+    def successors(line: list[Cell]) -> dict[int, dict[Cell, Cell]]:
+        return {1: dict(zip(line, line[1:] + line[:1])), -1: dict(zip(line, line[-1:] + line[:-1]))}
+
+    rows, cols = ({i: successors(line) for i, line in part.items()} for part in lines(skel))
+    start, size = min(skel.cells), len(skel.cells)
+
+    def solves(o: Orientation) -> bool:
+        cell, length = start, 0
+        while True:
+            cell = rows[cell[0]][o.r[cell[0] - 1]][cell]
+            cell = cols[cell[1]][o.c[cell[1] - 1]][cell]
+            length += 1
+            if cell == start:
+                return length == size
+
+    return solves
 
 
 def knight_search(skel: Skeleton, parity_prefilter: bool = True) -> Orientation | None:
@@ -34,10 +71,10 @@ def knight_search(skel: Skeleton, parity_prefilter: bool = True) -> Orientation 
     if parity_prefilter and not skeleton_parity_ok(skel):
         return None
     m, n = skel.m, skel.n
-    start = min(skel.cells)
+    solves = tour_test(skel)
     for rest in product((1, -1), repeat=m + n - 1):
         o = Orientation((1,) + rest[: m - 1], rest[m - 1:])
-        if knight_tour(skel, o, start)[1]:
+        if solves(o):
             return o
     return None
 
@@ -45,12 +82,11 @@ def knight_search(skel: Skeleton, parity_prefilter: bool = True) -> Orientation 
 def search_lift_shape(spec: LiftSpec, n: int) -> Orientation | None:
     """The first solution with all rows +1, a free column prefix of length
     n - l_k + 1 and +1 after it, or None."""
-    skel = spec.skeleton(n)
     free = n - spec.diagonal_indices[-1] + 1
-    start = min(skel.cells)
+    solves = tour_test(spec.skeleton(n))
     for prefix in product((1, -1), repeat=free):
         o = Orientation((1,) * n, prefix + (1,) * (n - free))
-        if knight_tour(skel, o, start)[1]:
+        if solves(o):
             return o
     return None
 
@@ -76,7 +112,20 @@ def compose_orderings(
 ) -> tuple[dict[Cell, Cell], bool]:
     """The cell permutation 'row successor then column successor', and whether it
     is a single cycle through every filled cell (the compatibility condition)."""
-    ordering.validate(array)  # so the rows' successor map has every filled cell as a key
+    validate(ordering, array)  # so the rows' successor map has every filled cell as a key
     row_next, col_next = ordering.successors()
     perm = {cell: col_next[nxt] for cell, nxt in row_next.items()}
     return perm, bool(perm) and len(orbit(perm.__getitem__, min(perm))) == len(perm)
+
+
+def validate(ordering: Ordering, array: PFArray | Skeleton) -> None:
+    """Raise ValueError unless the ordering lists each nonempty row's and
+    column's filled cells, each once, and no other line."""
+    rows, cols = lines(skeleton_of(array))
+    for name, orders, cells in (("row", ordering.row_orders, rows),
+                                ("column", ordering.col_orders, cols)):
+        for i, line in orders.items():
+            if sorted(line) != cells.get(i, []):
+                raise ValueError(f"{name} {i} ordering is not a permutation of its filled cells")
+        if orders.keys() != cells.keys():
+            raise ValueError("ordering does not cover exactly the nonempty rows/columns")

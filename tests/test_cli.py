@@ -11,7 +11,8 @@ import relheffter.constructions as cons
 import topology_oracle as oracle
 from relheffter.cli import build_parser, main
 from relheffter.constructions import FAMILIES, build_archdeacon_composite, build_h_n_3
-from relheffter.group import GroupError
+from relheffter.group import GroupError, GroupSpec, symmetric_rep
+from relheffter.heffter import HeffterParams, verify_relative_heffter
 from relheffter.orderings import knight_search, orientation_to_orderings
 from relheffter.pfarray import PFArray
 from relheffter.topology import (
@@ -375,6 +376,10 @@ MALFORMED = {
                                     {"r": 1, "c": 2, "v": [4]}]}, ["--archdeacon"]),
     "float-orders": ("a.json", {"m": 1, "n": 2, "group": {"orders": [5.5]},
                                 "cells": _cells([1], [4])}, ["--archdeacon"]),
+    "negative-m": ("a.json", {"m": -2, "n": 3, "group": {"orders": [5]}, "cells": []},
+                   ["--archdeacon", "--globally-simple"]),
+    "zero-n": ("a.json", {"m": 1, "n": 0, "group": {"orders": [5]}, "cells": []},
+               ["--archdeacon", "--globally-simple"]),
 }
 
 
@@ -420,7 +425,9 @@ def test_product_group_coordinates_are_strict(tmp_path, capsys, case):
     {"m": 2, "n": 2, "cells": [[1.5, 1], [2, 2]]},
     {"m": 2, "n": 2, "cells": [[1, 1], [2, True]]},
     {"m": 2, "n": 2, "cells": [[1, 1], [1, 1], [2, 2], [1, 2], [2, 1]]},
-], ids=["float-m", "string-n", "float-r", "bool-c", "repeated-cell"])
+    {"m": -1, "n": 2, "cells": []},
+    {"m": 2, "n": 0, "cells": []},
+], ids=["float-m", "string-n", "float-r", "bool-c", "repeated-cell", "negative-m", "zero-n"])
 def test_malformed_skeleton_is_usage_error(tmp_path, capsys, skeleton):
     path = tmp_path / "skel.json"
     path.write_text(json.dumps(skeleton))
@@ -466,6 +473,18 @@ def test_round_trip_construct_verify(tmp_path, capsys):
     for path in (str(out) + ".json",):
         assert main(["verify", path, "--t", "14", "--integer"]) == 0
         capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", [
+    ["construct", "B", "--m", "3", "--n", "3", "--d", "3",
+     "--i1", "1", "--i2", "2", "--j1", "1", "--j2", "2"],
+    ["construct", "h-n-3", "--n", "3", "--m", "3"],
+], ids=["family-B", "option-m"])
+def test_construct_B_is_gone(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
 
 
 def test_jobs_flag_rejected(capsys):
@@ -515,3 +534,80 @@ def test_main_reuses_one_parser(tmp_path, capsys):
     assert "orbit" not in json.loads(reused[1][1])
     assert "required: --orientation" in reused[2][2]
     assert reused[3][1].startswith("usage: relheffter")
+
+
+# -- empty rows and columns ---------------------------------------------
+
+
+def _spread_h3(orders, delta=0):
+    """H_3(3;3) spread over a 4x4 array whose row 3 and column 2 are empty, its
+    integer entries reduced into the group of the given orders, with delta
+    added to the first coordinate of the entry at (4, 4)."""
+    spec = GroupSpec(tuple(orders))
+    rows, cols = {1: 1, 2: 2, 3: 4}, {1: 1, 2: 3, 3: 4}
+    entries = {(rows[r], cols[c]): spec.element(*[symmetric_rep(x) % o for o in orders])
+               for (r, c), x in build_h_n_3(3).entries.items()}
+    entries[(4, 4)] = entries[(4, 4)] + spec.element(delta, *[0] * (len(orders) - 1))
+    return PFArray(4, 4, spec, entries)
+
+
+def _decomposition(v):
+    return {"cycle_lengths": {"3": 3 * v}, "num_base_cycles": 3, "num_cycles": 3 * v,
+            "num_edges": 9 * v}
+
+
+def _embedded(v, genus):
+    return {"col_decomposition": _decomposition(v), "row_decomposition": _decomposition(v),
+            "embedding": {"F": 6 * v, "S": 9 * v, "V": v, "genus": genus,
+                          "color_class_sizes": {"1": 3 * v, "2": 3 * v}},
+            "orthogonal": True, "status": "ok", "two_colorable": True}
+
+
+SIMPLE = {"archdeacon": {"valid": True, "violations": []}, "globally_simple": True,
+          "status": "ok"}
+UNEVEN = "error: rows/columns do not have uniform fill counts\n"
+TOUR = {"filled_cells": 9, "is_solution": True, "orbit_length": 9, "orientation_cols": "+++-",
+        "orientation_rows": "++++", "status": "ok"}
+# the payload (without "input") or the stderr of each command, as recorded
+# before the row/column index became dense
+EMPTY_LINES = {
+    "z27": (([27],), [(0, SIMPLE), (2, UNEVEN), (0, TOUR), (0, _embedded(27, 28))]),
+    "z7xz3": (([7, 3],), [(0, SIMPLE), (2, UNEVEN), (0, TOUR), (0, _embedded(21, 22))]),
+    "z27-perturbed": (([27], 3), [
+        (1, {"archdeacon": {"valid": False, "violations": [
+            {"message": "row 4 does not sum to 0", "tag": "row-sum"},
+            {"message": "column 4 does not sum to 0", "tag": "col-sum"}]},
+            "globally_simple": True, "status": "violation"}),
+        (2, UNEVEN), (0, TOUR),
+        (1, {"error": "difference list != connection set (missing=g11, extra=g8)",
+             "status": "violation"})]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(EMPTY_LINES))
+def test_empty_rows_and_columns_are_skipped(tmp_path, capsys, case):
+    args, expected = EMPTY_LINES[case]
+    path = tmp_path / "a.json"
+    path.write_text(_spread_h3(*args).to_json_text())
+    got = []
+    for argv in (["verify", "--archdeacon", "--globally-simple"], ["verify", "--t", "3"],
+                 ["knight", "--search"], ["embed", "--orientation=++++,+++-"]):
+        code = main([argv[0], str(path), *argv[1:]])
+        captured = capsys.readouterr()
+        if captured.out:
+            payload = json.loads(captured.out)
+            assert payload.pop("input") == str(path) and captured.err == ""
+            got.append((code, payload))
+        else:
+            got.append((code, captured.err))
+    assert got == expected
+
+
+def test_empty_rows_and_columns_fail_the_counts():
+    report = verify_relative_heffter(_spread_h3([27]), HeffterParams(4, 4, 3, 3, 3))
+    assert report.violations == [
+        ("row-count", "row 3 has 0 filled cells, expected 3"),
+        ("col-count", "column 2 has 0 filled cells, expected 3"),
+        ("subgroup-hit", "entry 9 lies in the order-3 subgroup"),
+        ("coverage", "|E(A)| = 9, expected nk = 12"),
+    ]

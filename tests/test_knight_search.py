@@ -52,6 +52,9 @@ def test_knight_search_matches_exhaustive(skel):
     answer = strings(knight_search(skel))
     assert answer == strings(oracle.knight_search(skel, parity_prefilter=True))
     assert answer == strings(oracle.knight_search(skel, parity_prefilter=False))
+    # the oracle's tour test against the cell-level walk
+    if answer is not None:
+        assert knight_tour(skel, Orientation.from_strings(*answer), min(skel.cells))[1]
 
 
 def test_unsolvable_9x9_matches_exhaustive():

@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from knight_oracle import compose_orderings
+from knight_oracle import compose_orderings, validate
 
 from relheffter.constructions import build_h7, build_h9, build_h_n_3, build_skeleton_cor39
 from relheffter.group import GroupSpec, symmetric_rep
@@ -55,7 +55,7 @@ def test_is_globally_simple_constructions():
 def test_natural_ordering_and_validate():
     a = build_h_n_3(3)
     ordering = natural_ordering(a)
-    ordering.validate(a)
+    validate(ordering, a)
     assert ordering.row_orders[1] == tuple(sorted(c for c in a.entries if c[0] == 1))
 
 
@@ -203,4 +203,4 @@ def test_simplicity_invariant_under_reversal_when_sum_zero(xs):
 def test_orientation_orderings_permute_cells(data):
     skel, o = data
     ordering = orientation_to_orderings(skel, o)
-    ordering.validate(skel)
+    validate(ordering, skel)

@@ -206,3 +206,24 @@ def test_index_does_not_go_stale():
              verify_archdeacon(a).to_json(), is_globally_simple(a))
     assert after == before
     assert a == PFArray(3, 3, spec, dict(a.entries))
+
+
+def test_one_index_per_array_and_skeleton():
+    # one row-major split, rows 1..m then columns 1..n, empty lines included:
+    # cell numbers in the skeleton's lines, entry codes in the array's
+    spec = GroupSpec.cyclic(100)
+    a = PFArray(3, 4, spec, {(1, 2): spec.element(1), (3, 2): spec.element(4),
+                             (3, 1): spec.element(2)})
+    assert a.skeleton is a.skeleton
+    cells, lines = a.skeleton.index
+    assert cells == [(1, 2), (3, 1), (3, 2)] == a.index[0]
+    assert lines == [[0], [], [1, 2], [1], [0, 2], [], []]
+    assert a.index[1] == [(1,), (), (2, 4), (2,), (1, 4), (), ()]
+
+
+@pytest.mark.parametrize("m, n", [(0, 2), (2, -1)])
+def test_dimensions_must_be_positive(m, n):
+    with pytest.raises(ValueError, match=f"dimensions {m}x{n} are not positive"):
+        Skeleton(m, n, frozenset())
+    with pytest.raises(ValueError, match=f"dimensions {m}x{n} are not positive"):
+        PFArray(m, n, GroupSpec.cyclic(5))

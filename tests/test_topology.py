@@ -26,7 +26,6 @@ from relheffter.topology import (
     build_rho0,
     certify_biembedding,
     develop_and_verify,
-    entry_successor_maps,
     heffter_genus_formula,
     trace_faces,
     two_color_check,
@@ -177,7 +176,7 @@ def test_rho0_squared_composes_successors():
     a = h3()
     ordering = knight_ordering(a)
     rho0 = build_rho0(a, ordering)
-    omega_r, omega_c = entry_successor_maps(a, ordering)
+    omega_r, omega_c = oracle.entry_successor_maps(a, ordering)
     for e in a.entry_codes.values():
         assert rho0[rho0[e]] == omega_c[omega_r[e]]
 

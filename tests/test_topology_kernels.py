@@ -25,7 +25,6 @@ from relheffter.topology import (
     base_cycles,
     build_rho0,
     develop_and_verify,
-    entry_successor_maps,
     trace_faces,
     two_color_check,
     verify_orthogonal,
@@ -64,9 +63,9 @@ def outcome(f, *args):
 
 def random_ordering(rng: random.Random, array: PFArray) -> Ordering:
     """Every line's filled cells in a random order."""
-    rows, cols = array.skeleton.lines
-    return Ordering({i: tuple(rng.sample(cells, len(cells))) for i, cells in rows.items()},
-                    {j: tuple(rng.sample(cells, len(cells))) for j, cells in cols.items()})
+    natural = natural_ordering(array)
+    return Ordering(*({i: tuple(rng.sample(cells, len(cells))) for i, cells in lines.items()}
+                      for lines in (natural.row_orders, natural.col_orders)))
 
 
 def rotation(kind: str, rng: random.Random, graph: CayleyGraph, rho0: dict) -> dict:
@@ -151,7 +150,7 @@ def test_negative_cases_match_oracle():
     assert oracle.two_color_check(expected, array, ordering) is False
 
     # every face a column translate: each edge lies on two faces of class 1
-    omega_r, omega_c = entry_successor_maps(array, ordering)
+    omega_r, omega_c = oracle.entry_successor_maps(array, ordering)
     neg = array.spec.codes.neg
     back = {b: a for a, b in omega_c.items()}
     columns_only = {**{neg(e): omega_c[e] for e in omega_c},

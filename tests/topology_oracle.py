@@ -51,6 +51,16 @@ def connection(graph: CayleyGraph) -> frozenset[GroupElement]:
     return frozenset(graph.spec.codes.decode(a) for a in graph.connection)
 
 
+def entry_successor_maps(
+    array: PFArray, ordering: Ordering
+) -> tuple[dict[int, int], dict[int, int]]:
+    """omega_r and omega_c on entry codes, read off the cell successor maps."""
+    code = array.entry_codes
+    row_next, col_next = ordering.successors()
+    return ({code[a]: code[b] for a, b in row_next.items()},
+            {code[a]: code[b] for a, b in col_next.items()})
+
+
 def build_rho0(array: PFArray, ordering: Ordering) -> dict[GroupElement, GroupElement]:
     """rho0 on GroupElements, walked from the least key."""
     row_next, col_next = ordering.successors()
