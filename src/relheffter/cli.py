@@ -5,10 +5,10 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import sys
 from contextlib import contextmanager
 from functools import cache
-from pathlib import Path
 from typing import Iterator
 
 from . import constructions as cons
@@ -43,9 +43,17 @@ class UsageError(Exception):
     pass
 
 
+def _path_text(path: str) -> str:
+    """str(pathlib.Path(path)) on POSIX, without building a Path: repeated
+    slashes, '.' parts and a trailing slash dropped, a leading '//' kept."""
+    root = "//" if path[:2] == "//" and path[2:3] != "/" else "/" if path[:1] == "/" else ""
+    return root + "/".join(part for part in path.split("/") if part and part != ".") or "."
+
+
 @contextmanager
-def _parsing(path: Path) -> Iterator[None]:
-    """Report a malformed input file as a usage error that names the file."""
+def _parsing(path: str) -> Iterator[None]:
+    """Report a malformed input file, undecodable bytes included, as a usage
+    error that names the file."""
     try:
         yield
     except KeyError as exc:
@@ -54,47 +62,45 @@ def _parsing(path: Path) -> Iterator[None]:
         raise UsageError(f"{path}: {exc}") from exc
 
 
-def _load_array(path: Path, v: int | None = None) -> PFArray:
-    text = path.read_text()
+def _load(path: str, v: int | None = None, skeletons: bool = False) -> PFArray | Skeleton:
+    """The array in a .json or .csv file or, given skeletons, the skeleton in a
+    .json file without a group. The bytes are decoded as UTF-8 under _parsing."""
+    path = _path_text(path)
+    with open(path, "rb") as f:
+        data = f.read()
+    suffix = os.path.splitext(path)[1]
     with _parsing(path):
-        if path.suffix == ".json":
-            data = json.loads(text)
-            if "cells" in data and data["cells"] and "v" not in data["cells"][0]:
+        if suffix == ".json":
+            doc = json.loads(data.decode())
+            if skeletons and "group" not in doc:
+                return Skeleton.from_json(doc)
+            if not skeletons and "cells" in doc and doc["cells"] and "v" not in doc["cells"][0]:
                 raise UsageError(f"{path} looks like a skeleton file, not an array")
-            return PFArray.from_json(data)
-        if path.suffix == ".csv":
+            return PFArray.from_json(doc)
+        if suffix == ".csv":
             if v is None:
                 raise UsageError("CSV input requires --v (the group order)")
-            return PFArray.from_csv(text, v)
+            return PFArray.from_csv(data.decode(), v)
     raise UsageError(f"unsupported input format: {path}")
 
 
-def _load_array_or_skeleton(path: Path, v: int | None = None) -> PFArray | Skeleton:
-    if path.suffix == ".json":
-        text = path.read_text()
-        with _parsing(path):
-            data = json.loads(text)
-            if "group" not in data:
-                return Skeleton.from_json(data)
-            return PFArray.from_json(data)
-    return _load_array(path, v)
-
-
 def _emit(payload: dict) -> None:
-    json.dump(payload, sys.stdout, indent=2, sort_keys=True)
-    sys.stdout.write("\n")
+    sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+
+
+def _write(path: str, text: str) -> str:
+    path = _path_text(path)
+    with open(path, "w") as f:
+        f.write(text)
+    return path
 
 
 def _write_outputs(obj: PFArray | Skeleton, out: str | None) -> list[str]:
     if out is None:
         return []
-    json_path = Path(out + ".json")
-    json_path.write_text(obj.to_json_text())
-    paths = [str(json_path)]
+    paths = [_write(out + ".json", obj.to_json_text())]
     if isinstance(obj, PFArray) and obj.spec.is_cyclic_single:
-        csv_path = Path(out + ".csv")
-        csv_path.write_text(obj.to_csv())
-        paths.append(str(csv_path))
+        paths.append(_write(out + ".csv", obj.to_csv()))
     return paths
 
 
@@ -135,7 +141,7 @@ def cmd_construct(args: argparse.Namespace) -> int:
     elif family == "archdeacon-composite":
         if args.base is None or args.d is None:
             raise UsageError("archdeacon-composite requires --base and --d")
-        base = _load_array(Path(args.base), args.v)
+        base = _load(args.base, args.v)
         try:
             obj = cons.build_archdeacon_composite(base, args.d)
         except ValueError as exc:
@@ -164,7 +170,7 @@ def cmd_construct(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    array = _load_array(Path(args.input), args.v)
+    array = _load(args.input, args.v)
     payload: dict = {"input": args.input}
     violations: list = []
 
@@ -205,7 +211,7 @@ def _parse_orientation(text: str) -> Orientation:
 
 
 def cmd_knight(args: argparse.Namespace) -> int:
-    skel = skeleton_of(_load_array_or_skeleton(Path(args.input), args.v))
+    skel = skeleton_of(_load(args.input, args.v, skeletons=True))
     if not skel.cells:
         raise UsageError(f"{args.input} has no filled cells")
     payload: dict = {"input": args.input, "filled_cells": len(skel.cells)}
@@ -259,7 +265,7 @@ def cmd_knight(args: argparse.Namespace) -> int:
 
 
 def cmd_embed(args: argparse.Namespace) -> int:
-    array = _load_array(Path(args.input), args.v)
+    array = _load(args.input, args.v)
     if not array.entry_codes:
         raise UsageError(f"{args.input} has no filled cells")
     orientation = _parse_orientation(args.orientation)
@@ -333,12 +339,14 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 @cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built on the first call and shared after: parsing
-    leaves it unchanged, so every call of main can use the one tree."""
+    leaves it unchanged, so every call of main can use the one tree. Its
+    ``commands`` maps each command name to that command's own parser."""
     parser = argparse.ArgumentParser(
         prog="relheffter",
         description="Construct, verify, and certify relative Heffter and Archdeacon arrays.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = sub.choices  # the name -> subparser map the tree dispatches on
 
     p = sub.add_parser("construct", help="build an array family and verify it")
     p.add_argument("family", choices=[
@@ -387,8 +395,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command. An argv that starts with a command name is parsed by that
+    command's parser alone, which is what the tree would hand it to; leftover
+    arguments are reported by the tree's parser, in the tree's words. Any other
+    argv (help, none, an unknown command) goes through the tree."""
+    if argv is None:
+        argv = sys.argv[1:]
     parser = build_parser()
-    args = parser.parse_args(argv)
+    command = parser.commands.get(argv[0]) if argv else None
+    if command is None:
+        args = parser.parse_args(argv)
+    else:
+        args, extras = command.parse_known_args(argv[1:])
+        if extras:
+            parser.error(f"unrecognized arguments: {' '.join(extras)}")
     try:
         return args.func(args)
     except (UsageError, OSError, json.JSONDecodeError, GroupError) as exc:

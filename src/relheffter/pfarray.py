@@ -3,17 +3,19 @@
 from __future__ import annotations
 
 import json
+import re
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, compress, repeat
+from itertools import accumulate, chain, repeat
 from operator import itemgetter
 from types import MappingProxyType
-from typing import Callable, Iterable, Mapping
+from typing import Iterable, Mapping
 
 from .group import GroupElement, GroupError, GroupSpec, symmetric_residue
 
 Cell = tuple[int, int]  # 1-based (row, col)
+_CSV_FIELDS = re.compile(r"(,*)([^,]+)")  # a nonempty CSV field and the commas before it
 
 
 class ConstructionError(ValueError):
@@ -37,19 +39,16 @@ def _check_dimensions(m: int, n: int) -> None:
         raise ValueError(f"dimensions {m}x{n} are not positive")
 
 
-def _row_major(m: int, n: int, cells: Iterable[Cell],
-               value: Callable[[Cell], int] | None = None) -> tuple[list[Cell], list[list[int]]]:
-    """The one row/column split: the cells sorted into row-major order, and one
-    list per line, rows 1..m (left to right) and then columns 1..n (top to
-    bottom), empty lines included, of the numbers of its cells in that order
-    from 0 or, given value, of value(cell)."""
-    cells = sorted(cells)
+def _lines(m: int, n: int, cells: list[Cell], values: Iterable[int]) -> list[list[int]]:
+    """The one row/column split: one list per line of cells in row-major order,
+    rows 1..m (left to right) and then columns 1..n (top to bottom), empty
+    lines included, of the values of its cells in that order."""
     lines: list[list[int]] = [[] for _ in range(m + n)]
     rows, cols = lines[:m], lines[m:]
-    for (r, c), x in zip(cells, range(len(cells)) if value is None else map(value, cells)):
+    for (r, c), x in zip(cells, values):
         rows[r - 1].append(x)
         cols[c - 1].append(x)
-    return cells, lines
+    return lines
 
 
 @dataclass(frozen=True)
@@ -68,9 +67,10 @@ class Skeleton:
 
     @cached_property
     def index(self) -> tuple[list[Cell], list[list[int]]]:
-        """_row_major of the cells, built on first use: each line holds the
-        numbers of its cells."""
-        return _row_major(self.m, self.n, self.cells)
+        """The cells in row-major order and their _lines, built on first use:
+        each line holds the numbers of its cells, from 0 in that order."""
+        cells = sorted(self.cells)
+        return cells, _lines(self.m, self.n, cells, range(len(cells)))
 
     @cached_property
     def steps(self) -> tuple[dict[int, list[int]], dict[int, list[int]]]:
@@ -156,8 +156,22 @@ class PFArray:
             object.__setattr__(self, name, value)
 
     @cached_property
+    def _row_major(self) -> list[Cell]:
+        """The filled cells in row-major order: one sort, which the index and
+        the skeleton share."""
+        return sorted(self.entry_codes)
+
+    @cached_property
     def skeleton(self) -> Skeleton:
-        return Skeleton(self.m, self.n, frozenset(self.entry_codes))
+        """The skeleton of the filled cells, without a second range check (_fill
+        made one) and with its index split from this array's row-major cells,
+        without a second sort."""
+        cells = self._row_major
+        skel = object.__new__(Skeleton)
+        for name, value in (("m", self.m), ("n", self.n), ("cells", frozenset(cells))):
+            object.__setattr__(skel, name, value)
+        skel.__dict__["index"] = cells, _lines(self.m, self.n, cells, range(len(cells)))
+        return skel
 
     @cached_property
     def entries(self) -> Mapping[Cell, GroupElement]:
@@ -167,10 +181,11 @@ class PFArray:
 
     @cached_property
     def index(self) -> tuple[list[Cell], list[tuple[int, ...]]]:
-        """_row_major of the cells, built on first use, with each line holding
-        the entry codes of its cells: rows 1..m, then columns 1..n."""
-        cells, lines = _row_major(self.m, self.n, self.entry_codes, self.entry_codes.__getitem__)
-        return cells, list(map(tuple, lines))
+        """The cells in row-major order and their _lines, built on first use:
+        each line holds the entry codes of its cells, rows 1..m, then columns 1..n."""
+        cells = self._row_major
+        return cells, list(map(tuple, _lines(self.m, self.n, cells,
+                                             map(self.entry_codes.__getitem__, cells))))
 
     def row(self, i: int) -> list[GroupElement]:
         """Entries of row i in the natural (left to right) order; none outside 1..m."""
@@ -239,14 +254,14 @@ class PFArray:
         each empty or an integer, which is reduced mod v. The fields are checked
         in bulk; they are scanned in order only to name the first bad one."""
         spec = GroupSpec.cyclic(v)
-        rows = [line.split(",") for line in text.splitlines()]
-        if not rows:
+        lines = text.splitlines()
+        if not lines:
             raise ValueError("empty CSV")
-        n = len(rows[0])
-        codes = _csv_cells(rows, n, v)
+        n = lines[0].count(",") + 1
+        codes = _csv_cells(lines, n, v)
         if codes is None:
-            codes = _scan_csv_cells(rows, n, v)
-        return cls._from_codes(len(rows), n, spec, codes)
+            codes = _scan_csv_cells([line.split(",") for line in lines], n, v)
+        return cls._from_codes(len(lines), n, spec, codes)
 
 
 def _json_cells(cells: object, spec: GroupSpec) -> dict[Cell, int] | None:
@@ -289,18 +304,23 @@ def _scan_json_cells(cells: Iterable, spec: GroupSpec) -> dict[Cell, int]:
     return codes
 
 
-def _csv_cells(rows: list[list[str]], n: int, v: int) -> dict[Cell, int] | None:
-    """The codes of the nonempty fields of CSV rows of n fields each, reduced mod
-    v, visiting only the nonempty fields after one compress over each row; None
-    when a row has another length or a nonempty field is no integer."""
-    if set(map(len, rows)) != {n}:
+def _csv_cells(lines: list[str], n: int, v: int) -> dict[Cell, int] | None:
+    """The codes of the nonempty fields of CSV lines of n fields each, reduced
+    mod v. Each line is searched for its runs of non-commas, each with the run
+    of commas before it, which gives its column, so empty fields are never
+    visited; None when a line has another length or a nonempty field (a
+    whitespace-only one included) is no integer."""
+    if {line.count(",") for line in lines} != {n - 1}:
         return None
     cells: list[Cell] = []
     texts: list[str] = []
-    for i, fields in enumerate(rows, start=1):
-        cols = list(compress(range(n), fields))
-        texts += map(fields.__getitem__, cols)
-        cells += zip(repeat(i), map((1).__add__, cols))
+    for i, line in enumerate(lines, start=1):
+        # stripped: a trailing run of commas would be searched again from each comma
+        fields = _CSV_FIELDS.findall(line.rstrip(","))
+        if fields:
+            commas, found = zip(*fields)
+            texts += found
+            cells += zip(repeat(i), map((1).__add__, accumulate(map(len, commas))))
     try:
         return dict(zip(cells, map(v.__rmod__, map(int, texts))))
     except ValueError:

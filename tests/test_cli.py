@@ -5,6 +5,7 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import relheffter.cli as cli
 import relheffter.constructions as cons
@@ -534,6 +535,133 @@ def test_main_reuses_one_parser(tmp_path, capsys):
     assert "orbit" not in json.loads(reused[1][1])
     assert "required: --orientation" in reused[2][2]
     assert reused[3][1].startswith("usage: relheffter")
+
+
+
+# -- the front end --------------------------------------------------------
+
+
+def old_main(argv):
+    """The reference front end: the whole tree parses every argv."""
+    args = build_parser().parse_args(argv)
+    try:
+        return args.func(args)
+    except (cli.UsageError, OSError, json.JSONDecodeError, GroupError) as exc:
+        print(f"error: {exc}", file=cli.sys.stderr)
+        return cli.EXIT_USAGE
+
+
+def outcome(front, argv, capsys):
+    try:
+        code = front(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+H3 = str(FIXTURES / "h9_9_3.csv")
+FRONT_END = {
+    "construct": ["construct", "h-n-3", "--n", "5"],
+    "construct-usage": ["construct", "h7", "--n", "6"],
+    "verify": ["verify", H3, "--v", "63", "--t", "9", "--integer", "--globally-simple"],
+    "verify-nothing": ["verify", H3, "--v", "63"],
+    "verify-missing-file": ["verify", "./no/such//file.json", "--archdeacon"],
+    "knight": ["knight", H3, "--v", "63", "--search", "--emit-orbit"],
+    "knight-orientation": ["knight", H3, "--v", "63", "--orientation=+++++++++,+++++++++"],
+    "embed": ["embed", H3, "--v", "63", "--t", "9",
+              "--orientation", "+++++++++,++-++-++-"],
+    "help": ["--help"],
+    "knight-help": ["knight", "-h"],
+    "no-argument": [],
+    "unknown-command": ["frobnicate", H3],
+    "option-before-command": ["--jobs", "4", "knight", H3, "--search"],
+    "missing-required": ["embed", H3, "--v", "63"],
+    "missing-positional": ["verify"],
+    "bad-int": ["construct", "h-n-3", "--n", "x"],
+    "bad-choice": ["construct", "h5", "--n", "5"],
+    "exclusive": ["knight", H3, "--v", "63", "--search", "--lemma410"],
+    "unrecognized": ["knight", H3, "--v", "63", "--search", "--bogus", "x"],
+    "unrecognized-sweep": ["sweep", "--jobs", "2"],
+    "double-dash": ["knight", "--", H3, "--search"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(FRONT_END))
+def test_main_matches_the_whole_tree_parse(capsys, case):
+    argv = FRONT_END[case]
+    expected = outcome(old_main, argv, capsys)
+    assert outcome(main, argv, capsys) == expected
+    assert expected[0] in (0, 1, 2)
+
+
+NON_UTF8 = {
+    "verify-json": ("a.json", ["verify", "{}", "--archdeacon"]),
+    "verify-csv": ("a.csv", ["verify", "{}", "--v", "21", "--archdeacon"]),
+    "knight": ("a.json", ["knight", "{}", "--search"]),
+    "embed": ("a.json", ["embed", "{}", "--orientation", "+++,+++"]),
+    "construct-base": ("a.json", ["construct", "archdeacon-composite", "--base", "{}",
+                                  "--d", "3"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NON_UTF8))
+def test_non_utf8_input_is_usage_error(tmp_path, capsys, case):
+    name, argv = NON_UTF8[case]
+    path = tmp_path / name
+    text = build_h_n_3(3).to_json_text() if name.endswith(".json") else build_h_n_3(3).to_csv()
+    path.write_bytes(text.encode()[:5] + b"\xff" + text.encode()[5:])
+    code = main([x.format(path) for x in argv])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == (f"error: {path}: 'utf-8' codec can't decode byte 0xff in "
+                            "position 5: invalid start byte\n")
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text("/.ab", max_size=10))
+@example("//a/")
+@example("a/../b")
+def test_path_text_is_the_pathlib_string(path):
+    assert cli._path_text(path) == str(Path(path))
+
+
+def test_construct_artifacts_name_the_pathlib_strings(tmp_path, capsys):
+    prefix = f"{tmp_path}//./a"
+    code, payload = run(capsys, "construct", "h-n-3", "--n", "3", "--out", prefix)
+    assert code == 0
+    assert payload["artifacts"] == [str(Path(prefix + ".json")), str(Path(prefix + ".csv"))]
+    assert (tmp_path / "a.csv").read_text() == build_h_n_3(3).to_csv()
+
+
+def test_hot_path_builds_no_path_and_writes_each_payload_once(tmp_path, capsys, monkeypatch):
+    array = tmp_path / "h3.json"
+    array.write_text(build_h_n_3(3).to_json_text())
+    rows, cols = knight_search(build_h_n_3(3)).to_strings()
+    calls = [
+        ["verify", str(array), "--t", "3", "--integer", "--globally-simple"],
+        ["verify", H3, "--v", "63", "--archdeacon"],
+        ["knight", str(array), "--search", "--emit-orbit"],
+        ["embed", str(array), "--t", "3", "--orientation", f"{rows},{cols}", "--emit-faces"],
+    ]
+    expected = [outcome(main, argv, capsys) for argv in calls]
+
+    def no_path(*args, **kwargs):
+        raise AssertionError("a pathlib.Path was built")
+
+    class Stdout:
+        def __init__(self, writes):
+            self.write = writes.append
+
+    got = []
+    with monkeypatch.context() as patch:  # undone before a failure is reported
+        patch.setattr(Path, "__new__", no_path)
+        for argv in calls:
+            writes = []
+            patch.setattr(cli.sys, "stdout", Stdout(writes))
+            got.append((main(argv), writes))
+    assert got == [(code, [out]) for code, out, _ in expected]
+    assert [code for code, _, _ in expected] == [0] * len(calls)
 
 
 # -- empty rows and columns ---------------------------------------------

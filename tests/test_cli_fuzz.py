@@ -1,8 +1,8 @@
 """Mutated input files never crash the CLI.
 
-Every run of ``main`` on a mutated JSON or CSV file returns 0, 1 or 2 without
-raising, and 1 only with a parsed violation payload: a crash must never look
-like a violation.
+Every run of ``main`` on a mutated JSON or CSV file, or on one whose bytes are
+not UTF-8, returns 0, 1 or 2 without raising, and 1 only with a parsed
+violation payload: a crash must never look like a violation.
 """
 
 import copy
@@ -95,12 +95,14 @@ def commands(path: str, v: list[str]) -> list[list[str]]:
                              st.tuples(st.just(".csv"), csv_texts())))
 @example(suffix_text=(".json", json.dumps({**DOCS[0], "cells": []})))
 @example(suffix_text=(".json", json.dumps(NEGATIVE_PAIR)))
+@example(suffix_text=(".json", json.dumps(DOCS[0]).encode() + b"\xff"))  # no UTF-8
+@example(suffix_text=(".csv", b"\xfe" + H3.to_csv().encode()))
 @settings(max_examples=150, deadline=None)
 def test_mutated_inputs_never_crash(suffix_text):
     suffix, text = suffix_text
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / f"input{suffix}"
-        path.write_text(text)
+        path.write_bytes(text if isinstance(text, bytes) else text.encode())
         v = ["--v", "21"] if suffix == ".csv" else []
         for argv in commands(str(path), v):
             out, err = io.StringIO(), io.StringIO()

@@ -1,9 +1,14 @@
 """Partially filled arrays: diag procedure, diagonals, serialization, direct sums."""
 
+import re
+
 import pytest
 from hypothesis import given, strategies as st
 
 import heffter_oracle
+import pfarray_oracle
+import relheffter.pfarray as pfarray
+from relheffter.constructions import FAMILIES
 from relheffter.group import GroupError, GroupSpec, symmetric_rep
 from relheffter.heffter import verify_archdeacon
 from relheffter.orderings import is_globally_simple
@@ -219,6 +224,37 @@ def test_one_index_per_array_and_skeleton():
     assert cells == [(1, 2), (3, 1), (3, 2)] == a.index[0]
     assert lines == [[0], [], [1, 2], [1], [0, 2], [], []]
     assert a.index[1] == [(1,), (), (2, 4), (2,), (1, 4), (), ()]
+
+
+@pytest.mark.parametrize("family, n", [("h-n-3", 9), ("h9", 15)])
+def test_array_skeleton_is_split_from_the_array_index(monkeypatch, family, n):
+    a = FAMILIES[family].builder(n)
+    fresh = Skeleton(a.m, a.n, frozenset(a.entry_codes))
+    cells = a.index[0]
+
+    def fail(*args, **kwargs):
+        raise AssertionError("sorted or range-checked again")
+
+    monkeypatch.setattr(pfarray, "sorted", fail, raising=False)
+    monkeypatch.setattr(Skeleton, "__post_init__", fail)
+    skel = a.skeleton
+    monkeypatch.undo()
+    assert skel == fresh and skel.index[0] is cells
+    assert skel.index == fresh.index and skel.steps == fresh.steps
+
+
+@pytest.mark.parametrize("text", [
+    "5,  ,,,\n,,,,7\n", ",,,,\n,,,,\n", "\t,3\n 4 ,\n", " , \n", "1,,\r\n,,2\r,,\n",
+    ",,-1,,\n,x,,,\n", ",,,\n,,\n", "1\n\n",
+])
+def test_csv_fields_found_by_their_comma_runs(text):
+    try:
+        expected = pfarray_oracle.from_csv(text, 7)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=re.escape(str(exc))):
+            PFArray.from_csv(text, 7)
+    else:
+        assert PFArray.from_csv(text, 7) == expected
 
 
 @pytest.mark.parametrize("m, n", [(0, 2), (2, -1)])
