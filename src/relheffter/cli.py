@@ -7,9 +7,8 @@ import hashlib
 import json
 import os
 import sys
-from contextlib import contextmanager
-from functools import cache
-from typing import Iterator
+from collections import Counter
+from functools import cache, partial
 
 from . import constructions as cons
 from .group import GroupError
@@ -30,7 +29,7 @@ from .orderings import (
     knight_walk,
     nine_diagonal_orientation,
 )
-from .pfarray import PFArray, Skeleton, classify_diagonals, skeleton_of, support
+from .pfarray import PFArray, Skeleton, classify_diagonals, json_text, skeleton_of, support
 from .topology import CertificationError, certify_biembedding, heffter_genus_formula
 
 EXIT_OK = 0
@@ -50,26 +49,27 @@ def _path_text(path: str) -> str:
     return root + "/".join(part for part in path.split("/") if part and part != ".") or "."
 
 
-@contextmanager
-def _parsing(path: str) -> Iterator[None]:
-    """Report a malformed input file, undecodable bytes included, as a usage
-    error that names the file."""
+def _read(path: str) -> bytes:
+    """The bytes of the file, read through its fd, with the OSError texts of
+    open(path, "rb")."""
+    fd = os.open(path, os.O_RDONLY)
     try:
-        yield
-    except KeyError as exc:
-        raise UsageError(f"{path}: missing key {exc}") from exc
-    except (TypeError, ValueError) as exc:
-        raise UsageError(f"{path}: {exc}") from exc
+        return b"".join(iter(partial(os.read, fd, 1 << 20), b""))
+    except IsADirectoryError as exc:  # a directory opens, and its first read fails unnamed
+        raise IsADirectoryError(exc.errno, exc.strerror, path) from None
+    finally:
+        os.close(fd)
 
 
 def _load(path: str, v: int | None = None, skeletons: bool = False) -> PFArray | Skeleton:
     """The array in a .json or .csv file or, given skeletons, the skeleton in a
-    .json file without a group. The bytes are decoded as UTF-8 under _parsing."""
+    .json file without a group. A path that cannot name a file (it holds a NUL)
+    and a malformed file, undecodable bytes included, are usage errors that
+    name the path."""
     path = _path_text(path)
-    with open(path, "rb") as f:
-        data = f.read()
-    suffix = os.path.splitext(path)[1]
-    with _parsing(path):
+    try:
+        data = _read(path)
+        suffix = os.path.splitext(path)[1]
         if suffix == ".json":
             doc = json.loads(data.decode())
             if skeletons and "group" not in doc:
@@ -81,17 +81,31 @@ def _load(path: str, v: int | None = None, skeletons: bool = False) -> PFArray |
             if v is None:
                 raise UsageError("CSV input requires --v (the group order)")
             return PFArray.from_csv(data.decode(), v)
+    except KeyError as exc:
+        raise UsageError(f"{path}: missing key {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise UsageError(f"{path}: {exc}") from exc
     raise UsageError(f"unsupported input format: {path}")
 
 
 def _emit(payload: dict) -> None:
-    sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    sys.stdout.write(json_text(payload))
 
 
 def _write(path: str, text: str) -> str:
+    """Write the text's bytes through the fd of the file, with the OSError
+    texts of open(path, "w")."""
     path = _path_text(path)
-    with open(path, "w") as f:
-        f.write(text)
+    try:
+        fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
+    except ValueError as exc:  # a NUL in the path
+        raise UsageError(f"{path}: {exc}") from exc
+    try:
+        data = memoryview(text.encode())
+        while data:
+            data = data[os.write(fd, data):]
+    finally:
+        os.close(fd)
     return path
 
 
@@ -104,12 +118,21 @@ def _write_outputs(obj: PFArray | Skeleton, out: str | None) -> list[str]:
     return paths
 
 
+def _modal_length(lines: list) -> int:
+    """The most common length of the lines, the larger one on a tie: one pass
+    over the lines when they all have one length."""
+    lengths = set(map(len, lines))
+    if len(lengths) > 1:
+        counts = Counter(map(len, lines))
+        return max(lengths, key=lambda x: (counts[x], x))
+    return lengths.pop()
+
+
 def _square_params(array: PFArray, t: int) -> HeffterParams:
+    """The parameters with s and k the modal row and column lengths: the
+    verifier reports each line of another length."""
     lines = array.index[1]
-    counts_r, counts_c = set(map(len, lines[:array.m])), set(map(len, lines[array.m:]))
-    if len(counts_r) != 1 or len(counts_c) != 1:
-        raise UsageError("rows/columns do not have uniform fill counts")
-    s, k = counts_r.pop(), counts_c.pop()
+    s, k = _modal_length(lines[:array.m]), _modal_length(lines[array.m:])
     params = HeffterParams(array.m, array.n, s, k, t)
     if not array.spec.is_cyclic_single or array.spec.orders[0] != params.v:
         raise UsageError(
@@ -411,7 +434,7 @@ def main(argv: list[str] | None = None) -> int:
             parser.error(f"unrecognized arguments: {' '.join(extras)}")
     try:
         return args.func(args)
-    except (UsageError, OSError, json.JSONDecodeError, GroupError) as exc:
+    except (UsageError, OSError, GroupError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

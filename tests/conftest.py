@@ -1,4 +1,12 @@
-"""Emit one PASS/FAIL line per acceptance criterion in the terminal output."""
+"""Emit one PASS/FAIL line per acceptance criterion in the terminal output, and
+draw the same Hypothesis examples on every run."""
+
+from hypothesis import settings
+
+# derandomized: each test's examples follow from the test alone, so the time and
+# the coverage of a run repeat; max_examples and deadlines stay per test
+settings.register_profile("repeatable", derandomize=True)
+settings.load_profile("repeatable")
 
 ACCEPTANCE_LABELS = {
     "test_criterion_1_fixture_reproduction": (1, "fixture-reproduction"),

@@ -8,9 +8,12 @@ diagonal, O(n^2). ``json_text`` is the stdlib encoder's text, which
 ``cyclic_row_shift`` work on ``GroupElement`` entries, where the library
 works on int codes. ``from_json`` and ``from_csv`` parse one cell at a time,
 where the library checks all cells at once and scans them only to name the
-first bad one; ``checked`` is the constructor's range check they end with. The
-library's one-pass filler, linear classification, writer, code-level builders
-and bulk parsers are compared with these on the same inputs.
+first bad one; ``checked`` is the constructor's range check they end with.
+``skeleton_from_json`` parses skeleton cells one at a time and checks their
+range one at a time, as ``Skeleton.from_json`` does; it pins the errors that
+a bulk skeleton parser would have to keep. The library's one-pass filler,
+linear classification, writer, code-level builders and bulk parsers are
+compared with these on the same inputs.
 """
 
 from __future__ import annotations
@@ -156,3 +159,20 @@ def from_csv(text: str, v: int) -> PFArray:
                 raise ValueError(f"CSV row {i}, field {j}: {f!r} is not an integer") from None
             codes[(i, j)] = x % v
     return checked(len(rows), n, spec, codes)
+
+
+def skeleton_from_json(data: dict) -> tuple[int, int, frozenset]:
+    """The skeleton's m, n and cells."""
+    cells: set = set()
+    for r, c in data["cells"]:
+        cell = (_int(r, "r"), _int(c, "c"))
+        if cell in cells:
+            raise ValueError(f"cell {cell} listed twice")
+        cells.add(cell)
+    m, n = _int(data["m"], "m"), _int(data["n"], "n")
+    if m < 1 or n < 1:
+        raise ValueError(f"dimensions {m}x{n} are not positive")
+    for r, c in frozenset(cells):
+        if not (1 <= r <= m and 1 <= c <= n):
+            raise ValueError(f"cell {(r, c)} outside {m}x{n}")
+    return m, n, frozenset(cells)

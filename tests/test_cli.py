@@ -618,6 +618,68 @@ def test_non_utf8_input_is_usage_error(tmp_path, capsys, case):
                             "position 5: invalid start byte\n")
 
 
+@pytest.mark.parametrize("case", sorted(NON_UTF8))
+def test_nul_in_the_input_path_is_usage_error(capsys, case):
+    argv = [x.format("a\x00.json") for x in NON_UTF8[case][1]]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "error: a\x00.json: embedded null byte\n"
+
+
+def test_nul_in_the_output_path_is_usage_error(capsys):
+    code = main(["construct", "h-n-3", "--n", "3", "--out", "a\x00"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "error: a\x00.json: embedded null byte\n"
+
+
+def open_error(path, mode):
+    with pytest.raises(OSError) as exc:
+        with open(path, mode) as f:
+            f.read() if mode == "rb" else f.write("")
+    return exc.value
+
+
+@pytest.mark.parametrize("case", ["missing", "directory"])
+def test_read_errors_are_the_texts_of_open(tmp_path, capsys, case):
+    path = tmp_path / "a.json"
+    if case == "directory":
+        path.mkdir()
+    expected = open_error(path, "rb")
+    with pytest.raises(OSError) as got:
+        cli._read(str(path))
+    assert (type(got.value), str(got.value)) == (type(expected), str(expected))
+    assert str(expected) == f"[Errno {2 if case == 'missing' else 21}] " + (
+        f"No such file or directory: '{path}'" if case == "missing"
+        else f"Is a directory: '{path}'")
+    for argv in (["verify", str(path), "--archdeacon"], ["knight", str(path), "--search"],
+                 ["embed", str(path), "--orientation", "+,+"]):
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {expected}\n"
+
+
+@pytest.mark.parametrize("size", [0, 1, (1 << 16) - 1, 1 << 16, 3 << 16, (3 << 16) + 7])
+def test_read_returns_every_byte(tmp_path, size):
+    path = tmp_path / "a.json"
+    path.write_bytes(bytes(range(256)) * (size // 256) + b"x" * (size % 256))
+    assert cli._read(str(path)) == path.read_bytes()
+
+
+@pytest.mark.parametrize("case", ["missing-directory", "directory"])
+def test_write_errors_are_the_texts_of_open(tmp_path, capsys, case):
+    prefix = tmp_path / ("missing/a" if case == "missing-directory" else "a")
+    if case == "directory":
+        (tmp_path / "a.json").mkdir()
+    expected = open_error(f"{prefix}.json", "w")
+    with pytest.raises(OSError) as got:
+        cli._write(f"{prefix}.json", "{}")
+    assert (type(got.value), str(got.value)) == (type(expected), str(expected))
+    assert main(["construct", "h-n-3", "--n", "3", "--out", str(prefix)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {expected}\n"
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.text("/.ab", max_size=10))
 @example("//a/")
@@ -693,20 +755,31 @@ def _embedded(v, genus):
 
 SIMPLE = {"archdeacon": {"valid": True, "violations": []}, "globally_simple": True,
           "status": "ok"}
-UNEVEN = "error: rows/columns do not have uniform fill counts\n"
+# verify --t takes s and k from the modal line lengths, so the counts are violations
+COUNTS = [{"message": "row 3 has 0 filled cells, expected 3", "tag": "row-count"},
+          {"message": "column 2 has 0 filled cells, expected 3", "tag": "col-count"},
+          {"message": "entry 9 lies in the order-3 subgroup", "tag": "subgroup-hit"},
+          {"message": "|E(A)| = 9, expected nk = 12", "tag": "coverage"}]
 TOUR = {"filled_cells": 9, "is_solution": True, "orbit_length": 9, "orientation_cols": "+++-",
         "orientation_rows": "++++", "status": "ok"}
 # the payload (without "input") or the stderr of each command, as recorded
-# before the row/column index became dense
+# before the row/column index became dense, but for verify --t
 EMPTY_LINES = {
-    "z27": (([27],), [(0, SIMPLE), (2, UNEVEN), (0, TOUR), (0, _embedded(27, 28))]),
-    "z7xz3": (([7, 3],), [(0, SIMPLE), (2, UNEVEN), (0, TOUR), (0, _embedded(21, 22))]),
+    "z27": (([27],), [(0, SIMPLE), (1, {"relative": {"valid": False, "violations": COUNTS},
+                                        "status": "violation"}),
+                      (0, TOUR), (0, _embedded(27, 28))]),
+    "z7xz3": (([7, 3],), [(0, SIMPLE), (2, "error: array group (7, 3) is not Z_{2nk+t} = Z_27\n"),
+                          (0, TOUR), (0, _embedded(21, 22))]),
     "z27-perturbed": (([27], 3), [
         (1, {"archdeacon": {"valid": False, "violations": [
             {"message": "row 4 does not sum to 0", "tag": "row-sum"},
             {"message": "column 4 does not sum to 0", "tag": "col-sum"}]},
             "globally_simple": True, "status": "violation"}),
-        (2, UNEVEN), (0, TOUR),
+        (1, {"relative": {"valid": False, "violations": [
+            *COUNTS, {"message": "row 4 does not sum to 0 in Z_27", "tag": "row-sum"},
+            {"message": "column 4 does not sum to 0 in Z_27", "tag": "col-sum"}]},
+            "status": "violation"}),
+        (0, TOUR),
         (1, {"error": "difference list != connection set (missing=g11, extra=g8)",
              "status": "violation"})]),
 }
@@ -729,6 +802,13 @@ def test_empty_rows_and_columns_are_skipped(tmp_path, capsys, case):
         else:
             got.append((code, captured.err))
     assert got == expected
+
+
+@pytest.mark.parametrize("lengths, modal", [
+    ([3, 3, 0, 3], 3), ([3, 3, 1, 1], 3), ([1, 1, 2], 1), ([2, 5, 5, 2], 5), ([0], 0),
+])
+def test_verify_t_takes_the_modal_line_length_the_larger_on_a_tie(lengths, modal):
+    assert cli._modal_length([[0] * x for x in lengths]) == modal
 
 
 def test_empty_rows_and_columns_fail_the_counts():

@@ -1,5 +1,5 @@
-"""The one-pass filler, linear diagonal classification, direct JSON writer
-and bulk parsers against the references in pfarray_oracle."""
+"""The one-pass filler, linear diagonal classification, direct JSON writers
+and bulk parsers against json.dumps and the references in pfarray_oracle."""
 
 import json
 from pathlib import Path
@@ -18,6 +18,7 @@ from relheffter.pfarray import (
     Skeleton,
     classify_diagonals,
     fill_diagonals,
+    json_text,
     skeleton_from_diagonals,
 )
 
@@ -229,3 +230,57 @@ def test_csv_parser_matches_cell_by_cell_reference(case):
     text, v = case
     assert outcome(PFArray.from_csv, text, v, errors=ValueError) == outcome(
         oracle.from_csv, text, v, errors=ValueError)
+
+
+# -- the payload writer -------------------------------------------------
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(),
+    lambda inner: (st.lists(inner) | st.lists(inner).map(tuple)
+                   | st.dictionaries(st.text(), inner) | st.dictionaries(st.integers(), inner)),
+    max_leaves=25)
+
+
+def dumps(obj):
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+@settings(max_examples=100, deadline=None)
+@given(JSON_VALUES)
+@example({"\u00e9\n\x00\x1f\u2028": [[], {}, ()], "a": {10: "\x7f\ufffd", 2: [True, None, -3]}})
+@example({1: {}, "1": []})  # keys of both types: sorted() raises
+def test_json_text_is_the_text_of_json_dumps(obj):
+    assert outcome(json_text, obj, errors=TypeError) == outcome(dumps, obj, errors=TypeError)
+
+
+# -- the skeleton parser ------------------------------------------------
+
+
+def skeleton_outcome(parse, data):
+    got = outcome(parse, data, errors=PARSE_ERRORS)
+    return (got.m, got.n, got.cells) if isinstance(got, Skeleton) else got
+
+
+SKELETONS = {
+    "float-m": {"m": 2.0, "n": 2, "cells": [[1, 1], [2, 2]]},
+    "string-n": {"m": 2, "n": "2", "cells": [[1, 1], [2, 2]]},
+    "float-r": {"m": 2, "n": 2, "cells": [[1.5, 1], [2, 2]]},
+    "bool-c": {"m": 2, "n": 2, "cells": [[1, 1], [2, True]]},
+    "repeated-cell": {"m": 2, "n": 2, "cells": [[1, 1], [1, 1], [2, 2], [1, 2], [2, 1]]},
+    "negative-m": {"m": -1, "n": 2, "cells": []},
+    "zero-n": {"m": 2, "n": 0, "cells": []},
+    "outside": {"m": 2, "n": 2, "cells": [[1, 1], [2, 3]]},
+    "one-coordinate": {"m": 2, "n": 2, "cells": [[1, 1], [1]]},
+    "three-coordinates": {"m": 2, "n": 2, "cells": [[1, 1], [1, 2, 3]]},
+    "string-cell": {"m": 2, "n": 2, "cells": [[1, 1], "ab"]},
+    "valid": {"m": 2, "n": 3, "cells": [[2, 3], [1, 1]]},
+    "empty": {"m": 2, "n": 3, "cells": []},
+}
+
+
+@pytest.mark.parametrize("case", sorted(SKELETONS))
+def test_skeleton_parser_matches_cell_by_cell_reference(case):
+    data = SKELETONS[case]
+    expected = skeleton_outcome(oracle.skeleton_from_json, data)
+    assert skeleton_outcome(Skeleton.from_json, data) == expected
+    assert (type(expected[0]) is int) == (case in ("valid", "empty"))
