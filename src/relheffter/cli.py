@@ -417,21 +417,77 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@cache
+def _argv_table(command: argparse.ArgumentParser) -> tuple:
+    """What _read_argv needs of a command's parser, derived once from it: the
+    options by exact name, the positionals in order, the namespace defaults,
+    the required actions and the mutually exclusive groups. -h is left out, so
+    it is never read. Every action of the tree takes one value or none and has
+    no str default (which argparse would convert); the reader models only those."""
+    actions = [a for a in command._actions if "-h" not in a.option_strings]
+    return (
+        {s: a for a in actions for s in a.option_strings},
+        [a for a in actions if not a.option_strings],
+        {**command._defaults, **{a.dest: a.default for a in actions}},
+        [a for a in actions if a.required],
+        [(g.required, g._group_actions) for g in command._mutually_exclusive_groups],
+    )
+
+
+def _read_argv(command: argparse.ArgumentParser, argv: list[str]) -> argparse.Namespace | None:
+    """The namespace of command.parse_known_args(argv) for a well-formed argv, or
+    None. Well formed: each option named exactly (no abbreviation, -h, '=' or
+    '--') and at most once, each value and positional not starting with '-' and
+    of its type and choices, as many positionals as the command takes, every
+    required option given, and of each exclusive group at most one option (one
+    if the group is required)."""
+    options, positionals, defaults, required, groups = _argv_table(command)
+    namespace = argparse.Namespace(**defaults)
+    seen = set()
+    free, tokens = iter(positionals), iter(argv)
+    for token in tokens:
+        option = None
+        if token[:1] == "-":
+            option, action = token, options.get(token)
+            if action is None or action in seen:
+                return None
+            token = None if action.nargs == 0 else next(tokens, "-")
+        elif (action := next(free, None)) is None:
+            return None
+        if token is None:
+            values = []
+        elif token[:1] == "-":
+            return None
+        else:
+            try:
+                values = (action.type or str)(token)
+            except (argparse.ArgumentTypeError, TypeError, ValueError):
+                return None
+            if action.choices is not None and values not in action.choices:
+                return None
+        seen.add(action)
+        action(command, namespace, values, option)
+    if not seen.issuperset(required):
+        return None
+    for group_required, actions in groups:
+        count = len(seen.intersection(actions))
+        if count > 1 or group_required and not count:
+            return None
+    return namespace
+
+
 def main(argv: list[str] | None = None) -> int:
-    """Run one command. An argv that starts with a command name is parsed by that
-    command's parser alone, which is what the tree would hand it to; leftover
-    arguments are reported by the tree's parser, in the tree's words. Any other
-    argv (help, none, an unknown command) goes through the tree."""
+    """Run one command. A well-formed argv that starts with a command name is
+    read from that command's tables (_read_argv); any other argv (help, none,
+    an unknown command, anything the reader declines) is parsed by the whole
+    tree, which writes every help and error text."""
     if argv is None:
         argv = sys.argv[1:]
     parser = build_parser()
     command = parser.commands.get(argv[0]) if argv else None
-    if command is None:
+    args = None if command is None else _read_argv(command, argv[1:])
+    if args is None:
         args = parser.parse_args(argv)
-    else:
-        args, extras = command.parse_known_args(argv[1:])
-        if extras:
-            parser.error(f"unrecognized arguments: {' '.join(extras)}")
     try:
         return args.func(args)
     except (UsageError, OSError, GroupError) as exc:

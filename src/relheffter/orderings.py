@@ -195,7 +195,8 @@ def _least_orientation(
     free variables, with the fixed ones and all others +1; or None.
 
     Variable i - 1 is the sign of row i, variable m + j - 1 that of column j.
-    A depth-first search sets the fixed variables, then the free ones in order.
+    A depth-first search sets the fixed variables, then the free ones of lines
+    of at most two cells (+1 only), then the other free ones in order.
     The move through cell y (row step into y, column step out of it) is fixed
     once y's row and column signs are set. Fixed moves form path fragments
     (start of the path ending at a cell, end of the path starting at a cell,
@@ -214,9 +215,11 @@ def _least_orientation(
     end = list(range(size))
     length = [1] * size
     links: list[tuple[int, int]] = []
-    order = [*fixed, *free]
-    # a line of at most two cells steps the same way under both signs
+    # a line of at most two cells steps the same way under both signs; such a
+    # variable never branches, so it is set right after the fixed ones, which
+    # fixes its moves early and leaves the branching order as it was
     plus_only = [len(line) <= 2 for line in lines]
+    order = [*fixed, *(v for v in free if plus_only[v]), *(v for v in free if not plus_only[v])]
     for v in fixed:
         plus_only[v] = True
     trail: list[tuple[int, int]] = []  # (sign, links before it) of each variable set

@@ -99,10 +99,12 @@ class Skeleton:
     cells: frozenset[Cell]
 
     def __post_init__(self) -> None:
+        """Check the cells, an iterable, in the order given, then freeze them."""
         _check_dimensions(self.m, self.n)
         for r, c in self.cells:
             if not (1 <= r <= self.m and 1 <= c <= self.n):
                 raise ValueError(f"cell {(r, c)} outside {self.m}x{self.n}")
+        object.__setattr__(self, "cells", frozenset(self.cells))
 
     @cached_property
     def index(self) -> tuple[list[Cell], list[list[int]]]:
@@ -135,16 +137,17 @@ class Skeleton:
 
     @classmethod
     def from_json(cls, data: dict) -> "Skeleton":
-        """Parse the JSON skeleton format; no cell may be listed twice. One loop
-        over the cells: at the size of a Knight skeleton (tens of cells) it
-        measured faster than set and min/max passes, cold and warm."""
-        cells: set[Cell] = set()
+        """Parse the JSON skeleton format; no cell may be listed twice, and a
+        cell outside is named in file order. One loop over the cells: at the
+        size of a Knight skeleton (tens of cells) it measured faster than set
+        and min/max passes, cold and warm."""
+        cells: dict[Cell, None] = {}
         for r, c in data["cells"]:
             cell = (_int(r, "r"), _int(c, "c"))
             if cell in cells:
                 raise ValueError(f"cell {cell} listed twice")
-            cells.add(cell)
-        return cls(_int(data["m"], "m"), _int(data["n"], "n"), frozenset(cells))
+            cells[cell] = None
+        return cls(_int(data["m"], "m"), _int(data["n"], "n"), cells.keys())
 
 
 def skeleton_of(array: PFArray | Skeleton) -> Skeleton:

@@ -162,17 +162,17 @@ def from_csv(text: str, v: int) -> PFArray:
 
 
 def skeleton_from_json(data: dict) -> tuple[int, int, frozenset]:
-    """The skeleton's m, n and cells."""
-    cells: set = set()
+    """The skeleton's m, n and cells; the first cell outside is named in file order."""
+    cells: list = []
     for r, c in data["cells"]:
         cell = (_int(r, "r"), _int(c, "c"))
         if cell in cells:
             raise ValueError(f"cell {cell} listed twice")
-        cells.add(cell)
+        cells.append(cell)
     m, n = _int(data["m"], "m"), _int(data["n"], "n")
     if m < 1 or n < 1:
         raise ValueError(f"dimensions {m}x{n} are not positive")
-    for r, c in frozenset(cells):
+    for r, c in cells:
         if not (1 <= r <= m and 1 <= c <= n):
             raise ValueError(f"cell {(r, c)} outside {m}x{n}")
     return m, n, frozenset(cells)

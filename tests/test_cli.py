@@ -1,7 +1,10 @@
 """Command-line interface: subcommands, exit codes, determinism, round trips."""
 
+import argparse
 import dataclasses
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
@@ -584,6 +587,18 @@ FRONT_END = {
     "unrecognized": ["knight", H3, "--v", "63", "--search", "--bogus", "x"],
     "unrecognized-sweep": ["sweep", "--jobs", "2"],
     "double-dash": ["knight", "--", H3, "--search"],
+    # argv that the reader declines, which the whole tree parses
+    "abbreviation": ["knight", H3, "--v", "63", "--sea"],
+    "construct-help": ["construct", "--help"],
+    "negative-value": ["construct", "h-n-3", "--n", "-5"],
+    "dash-positional": ["verify", "-", "--archdeacon"],
+    "repeated-flag": ["knight", H3, "--v", "63", "--search", "--search"],
+    "repeated-value": ["embed", H3, "--v", "63", "--orientation", "+,+",
+                       "--orientation", "+++++++++,++-++-++-"],
+    "extra-positional": ["verify", H3, H3, "--v", "63", "--archdeacon"],
+    "missing-value": ["knight", H3, "--v", "63", "--orientation"],
+    "missing-mode": ["knight", H3, "--v", "63"],
+    "equals-int": ["construct", "h-n-3", "--n=5"],
 }
 
 
@@ -593,6 +608,116 @@ def test_main_matches_the_whole_tree_parse(capsys, case):
     expected = outcome(old_main, argv, capsys)
     assert outcome(main, argv, capsys) == expected
     assert expected[0] in (0, 1, 2)
+
+
+VALUES = ["3", "07", "+5", "-1", "-5", "x", "", "-", "--", "-h", "--help", "--bogus", "a.json",
+          "h-n-3", "h9", "h5", "archdeacon-composite", "+++,++-", "1,2,3,4,6,7,8"]
+
+
+def values_of(action):
+    """Values of an action's type and choices."""
+    if action.choices is not None:
+        return st.sampled_from(sorted(action.choices))
+    return st.sampled_from(["3", "07", "+5"] if action.type is int else ["a.json", "+++,++-", ""])
+
+
+@st.composite
+def command_argvs(draw):
+    """An argv of a command: its positionals and some of its options with values
+    of their type, in any order, then up to two tokens inserted, replaced or
+    deleted. A token drawn is an option by exact name, abbreviated or with
+    '=value', or a value of VALUES."""
+    name = draw(st.sampled_from(sorted(build_parser().commands)))
+    command = build_parser().commands[name]
+    pieces = []
+    for action in command._actions:
+        if not action.option_strings:
+            pieces.append([draw(values_of(action))])
+        elif "-h" not in action.option_strings and draw(st.booleans()):
+            value = [] if action.nargs == 0 else [draw(values_of(action))]
+            pieces.append([action.option_strings[0], *value])
+    argv = [token for piece in draw(st.permutations(pieces)) for token in piece]
+    option = st.sampled_from(sorted(command._option_string_actions))
+    token = st.one_of(
+        st.sampled_from(VALUES),
+        option,
+        option.map(lambda o: o[:4] if len(o) > 4 else o + "x"),
+        st.builds("{}={}".format, option, st.sampled_from(VALUES)),
+    )
+    for _ in range(draw(st.integers(0, 2))):
+        i = draw(st.integers(0, len(argv)))
+        edit = draw(st.sampled_from(["insert", "replace", "delete"]))
+        argv[i:i + (edit != "insert")] = [] if edit == "delete" else [draw(token)]
+    return [name, *argv]
+
+
+@given(command_argvs())
+@example(["knight", "s.json", "--search", "--lemma410"])  # two of an exclusive group
+@example(["knight", "s.json", "--lift", "1,2,3"])  # none of a required group
+@example(["embed", "a.json", "--t", "3"])  # no --orientation
+@example(["construct", "h-n-3", "--n", "x"])  # type error
+@example(["construct", "h5", "--n", "5"])  # choice miss
+@example(["construct", "h-n-3", "--n", "-5"])  # negative number
+@example(["knight", "s.json", "--search", "--search"])  # repeat
+@example(["verify", "a.json", "b.json", "--archdeacon"])  # too many positionals
+@example(["verify", "--archdeacon"])  # too few
+@example(["sweep"])
+@example(["sweep", "--jobs", "2"])
+# the argv shapes of the benchmark's jobs
+@example(["construct", "archdeacon-composite", "--base", "b.json", "--d", "3", "--out", "o"])
+@example(["construct", "h9", "--n", "11", "--out", "o"])
+@example(["verify", "a.json", "--globally-simple"])
+@example(["verify", "a.json", "--t", "9", "--integer", "--globally-simple"])
+@example(["verify", "a.csv", "--v", "63", "--t", "9", "--integer", "--globally-simple"])
+@example(["verify", "a.json", "--archdeacon", "--globally-simple"])
+@example(["knight", "s.json", "--search"])
+@example(["knight", "s.json", "--search", "--lift", "1,2,3,4,6,7,8"])
+@example(["embed", "a.json", "--orientation", "+++,+-+"])
+@example(["embed", "a.json", "--orientation", "+++,+-+", "--t", "3"])
+@settings(max_examples=400, deadline=None)
+def test_reader_gives_the_namespace_of_the_command_parse(argv):
+    command = build_parser().commands[argv[0]]
+    read = cli._read_argv(command, argv[1:])
+    try:
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            expected = command.parse_known_args(argv[1:])
+    except SystemExit:
+        expected = None
+    if read is not None:
+        assert expected == (read, [])
+
+
+def test_benchmark_argv_never_reaches_argparse(tmp_path, capsys, monkeypatch):
+    # one call of each argv shape of the benchmark's jobs
+    array = str(tmp_path / "h3.json")
+    skeleton = str(tmp_path / "sk.json")
+    Path(skeleton).write_text(cons.build_skeleton_cor39(5, 3).to_json_text())
+    orientation = ",".join(knight_search(build_h_n_3(3)).to_strings())
+    calls = [
+        ["construct", "h-n-3", "--n", "3", "--out", array[:-5]],
+        ["construct", "h-n-3", "--n", "5", "--out", str(tmp_path / "h5")],
+        ["construct", "archdeacon-composite", "--base", str(tmp_path / "h5.json"), "--d", "3",
+         "--out", str(tmp_path / "a")],
+        ["verify", array, "--globally-simple"],
+        ["verify", array, "--t", "3", "--integer", "--globally-simple"],
+        ["verify", H3, "--v", "63", "--t", "9", "--integer", "--globally-simple"],
+        ["verify", str(tmp_path / "a.json"), "--archdeacon", "--globally-simple"],
+        ["knight", array, "--search"],
+        ["knight", skeleton, "--search", "--lift", "2,3,4"],
+        ["embed", array, "--orientation", orientation],
+        ["embed", array, "--orientation", orientation, "--t", "3"],
+    ]
+    expected = [outcome(main, argv, capsys) for argv in calls]
+
+    def no_argparse(*args, **kwargs):
+        raise AssertionError("argparse parsed the argv")
+
+    with monkeypatch.context() as patch:  # undone before a failure is reported
+        patch.setattr(argparse.ArgumentParser, "parse_known_args", no_argparse)
+        patch.setattr(argparse.ArgumentParser, "parse_args", no_argparse)
+        got = [outcome(main, argv, capsys) for argv in calls]
+    assert got == expected
+    assert [code for code, _, _ in expected] == [0] * len(calls)
 
 
 NON_UTF8 = {

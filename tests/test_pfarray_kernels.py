@@ -270,6 +270,7 @@ SKELETONS = {
     "negative-m": {"m": -1, "n": 2, "cells": []},
     "zero-n": {"m": 2, "n": 0, "cells": []},
     "outside": {"m": 2, "n": 2, "cells": [[1, 1], [2, 3]]},
+    "two-outside": {"m": 2, "n": 2, "cells": [[1, 5], [5, 1]]},
     "one-coordinate": {"m": 2, "n": 2, "cells": [[1, 1], [1]]},
     "three-coordinates": {"m": 2, "n": 2, "cells": [[1, 1], [1, 2, 3]]},
     "string-cell": {"m": 2, "n": 2, "cells": [[1, 1], "ab"]},
