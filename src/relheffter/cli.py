@@ -20,10 +20,12 @@ from .heffter import (
     verify_relative_heffter,
 )
 from .orderings import (
+    _NOT_LIFTABLE,
     LiftSpec,
     Orientation,
     _lift,
     _search_lift_shape,
+    has_lift_shape,
     is_globally_simple,
     knight_search,
     knight_walk,
@@ -88,8 +90,33 @@ def _load(path: str, v: int | None = None, skeletons: bool = False) -> PFArray |
     raise UsageError(f"unsupported input format: {path}")
 
 
-def _emit(payload: dict) -> None:
+def _finish(payload: dict, ok: bool) -> int:
+    """The one end of a command: the payload's status, its one write to stdout,
+    and the exit code, 0 when ok and 1 for a violation."""
+    payload["status"] = "ok" if ok else "violation"
     sys.stdout.write(json_text(payload))
+    return EXIT_OK if ok else EXIT_VIOLATION
+
+
+def _usage(call, *args):
+    """call(*args), with a ValueError it raises on the command's input turned
+    into a usage error (exit 2)."""
+    try:
+        return call(*args)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
+
+
+def _orientation(text: str, m: int, n: int) -> Orientation:
+    """The orientation written as 'ROWS,COLS', of an m x n array."""
+    try:
+        rows, cols = text.split(",")
+        orientation = Orientation.from_strings(rows, cols)
+    except (ValueError, KeyError) as exc:
+        raise UsageError(f"bad orientation {text!r}: expected e.g. '+++,++-'") from exc
+    if len(orientation.r) != m or len(orientation.c) != n:
+        raise UsageError("orientation length does not match the array")
+    return orientation
 
 
 def _write(path: str, text: str) -> str:
@@ -152,10 +179,7 @@ def cmd_construct(args: argparse.Namespace) -> int:
     if family in cons.FAMILIES:
         if args.n is None:
             raise UsageError("--n is required")
-        try:
-            array = cons.FAMILIES[family].builder(args.n)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
+        array = _usage(cons.FAMILIES[family].builder, args.n)
         t = cons.FAMILIES[family].t(args.n)
         report = verify_integer(array, _square_params(array, t))
         payload["t"] = t
@@ -164,29 +188,18 @@ def cmd_construct(args: argparse.Namespace) -> int:
     elif family == "archdeacon-composite":
         if args.base is None or args.d is None:
             raise UsageError("archdeacon-composite requires --base and --d")
-        base = _load(args.base, args.v)
-        try:
-            obj = cons.build_archdeacon_composite(base, args.d)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
+        obj = _usage(cons.build_archdeacon_composite, _load(args.base, args.v), args.d)
         report = verify_archdeacon(obj)
         payload["globally_simple"] = is_globally_simple(obj)
-    elif family == "skeleton-cor39":
+    else:  # skeleton-cor39: argparse restricts the choices
         if args.n is None or args.k is None:
             raise UsageError("skeleton-cor39 requires --n and --k")
-        try:
-            obj = cons.build_skeleton_cor39(args.n, args.k)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
-    else:  # pragma: no cover - argparse restricts choices
-        raise UsageError(f"unknown family {family}")
+        obj = _usage(cons.build_skeleton_cor39, args.n, args.k)
 
     payload["artifacts"] = _write_outputs(obj, args.out)
     if report is not None:
         payload["report"] = report.to_json()
-    payload["status"] = "ok" if report is None or report.valid else "violation"
-    _emit(payload)
-    return EXIT_OK if payload["status"] == "ok" else EXIT_VIOLATION
+    return _finish(payload, report is None or report.valid)
 
 
 # -- verify -------------------------------------------------------------
@@ -217,71 +230,51 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if not (args.archdeacon or args.t is not None or args.globally_simple):
         raise UsageError("nothing to verify: pass --t, --archdeacon, or --globally-simple")
 
-    payload["status"] = "ok" if not violations else "violation"
-    _emit(payload)
-    return EXIT_OK if not violations else EXIT_VIOLATION
+    return _finish(payload, not violations)
 
 
 # -- knight -------------------------------------------------------------
 
 
-def _parse_orientation(text: str) -> Orientation:
-    try:
-        rows, cols = text.split(",")
-        return Orientation.from_strings(rows, cols)
-    except (ValueError, KeyError) as exc:
-        raise UsageError(f"bad orientation {text!r}: expected e.g. '+++,++-'") from exc
-
-
 def cmd_knight(args: argparse.Namespace) -> int:
+    """Walk the input orientation (searched, closed form or given). With --lift
+    the input must be A_n(L1, ..., Lk) and the orientation of the liftable
+    shape (else exit 2); only a walk that is a solution is lifted, and the
+    verdict is then that of the walk on A_{n+M}."""
     skel = skeleton_of(_load(args.input, args.v, skeletons=True))
     if not skel.cells:
         raise UsageError(f"{args.input} has no filled cells")
     payload: dict = {"input": args.input, "filled_cells": len(skel.cells)}
     if args.lift:
-        try:
-            spec = LiftSpec(tuple(int(x) for x in args.lift.split(",")))
-            if skel != spec.skeleton(skel.n):
-                raise UsageError(f"{args.input} is not the skeleton of diagonals {args.lift}")
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
+        spec = _usage(lambda: LiftSpec(tuple(int(x) for x in args.lift.split(","))))
+        if skel != _usage(spec.skeleton, skel.n):
+            raise UsageError(f"{args.input} is not the skeleton of diagonals {args.lift}")
 
     if args.search:
         orientation = _search_lift_shape(spec, skel) if args.lift else knight_search(skel)
         if orientation is None:
-            payload.update(status="violation", solution=None)
-            _emit(payload)
-            return EXIT_VIOLATION
+            payload["solution"] = None
+            return _finish(payload, False)
     elif args.lemma410:
         if skel.m != skel.n:
             raise UsageError("--lemma410 requires a square input")
-        try:
-            orientation = nine_diagonal_orientation(skel.n)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
+        orientation = _usage(nine_diagonal_orientation, skel.n)
     else:
-        orientation = _parse_orientation(args.orientation)
-        if len(orientation.r) != skel.m or len(orientation.c) != skel.n:
-            raise UsageError("orientation length does not match the array")
+        orientation = _orientation(args.orientation, skel.m, skel.n)
 
-    if args.lift:  # skel is spec.skeleton(n): the lift reuses it
-        try:
-            skel, orientation, orbit = _lift(spec, skel, orientation)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
+    if args.lift and not has_lift_shape(spec, skel.n, orientation):
+        raise UsageError(_NOT_LIFTABLE)
+    orbit, ok = knight_walk(skel, orientation)
+    if args.lift and ok:  # skel is spec.skeleton(n)
+        skel, orientation, orbit, ok = _lift(spec, skel.n, orientation)
         payload["lifted_n"] = skel.n
-    else:
-        orbit = knight_walk(skel, orientation)[0]
-    ok = len(orbit) == len(skel.cells)
     rs, cs = orientation.to_strings()
     payload.update(
         orientation_rows=rs, orientation_cols=cs, orbit_length=len(orbit), is_solution=ok,
     )
     if args.emit_orbit:
         payload["orbit"] = [[r, c] for r, c in orbit]
-    payload["status"] = "ok" if ok else "violation"
-    _emit(payload)
-    return EXIT_OK if ok else EXIT_VIOLATION
+    return _finish(payload, ok)
 
 
 # -- embed --------------------------------------------------------------
@@ -291,9 +284,7 @@ def cmd_embed(args: argparse.Namespace) -> int:
     array = _load(args.input, args.v)
     if not array.entry_codes:
         raise UsageError(f"{args.input} has no filled cells")
-    orientation = _parse_orientation(args.orientation)
-    if len(orientation.r) != array.m or len(orientation.c) != array.n:
-        raise UsageError("orientation length does not match the array")
+    orientation = _orientation(args.orientation, array.m, array.n)
     if not is_globally_simple(array):
         raise UsageError("input array is not globally simple")
     params = None if args.t is None else _square_params(array, args.t)
@@ -301,8 +292,7 @@ def cmd_embed(args: argparse.Namespace) -> int:
     try:
         cert = certify_biembedding(array, orientation)
     except CertificationError as exc:
-        _emit({"input": args.input, "status": "violation", "error": str(exc)})
-        return EXIT_VIOLATION
+        return _finish({"input": args.input, "error": str(exc)}, False)
     except ValueError as exc:  # e.g. repeated entries: no entry-level orderings
         raise UsageError(str(exc)) from exc
     if params is not None:
@@ -313,9 +303,7 @@ def cmd_embed(args: argparse.Namespace) -> int:
     if args.emit_faces:
         payload["faces"] = [[[list(x.coords) for x in dart] for dart in face]
                             for face in cert.embedding.faces]
-    payload["status"] = "ok" if cert.ok else "violation"
-    _emit(payload)
-    return EXIT_OK if cert.ok else EXIT_VIOLATION
+    return _finish(payload, cert.ok)
 
 
 # -- sweep --------------------------------------------------------------

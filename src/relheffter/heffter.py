@@ -74,12 +74,10 @@ def _entry_set(report: VerificationReport, array: PFArray,
     return present
 
 
-def _relative_heffter(
-    array: PFArray, params: HeffterParams
-) -> tuple[VerificationReport, list[Sequence[int]], list[Sequence[int]]]:
-    """The report of verify_relative_heffter and the residue lines it checked,
-    read from the array's index. Each condition is checked over the whole
-    array at once; a witness is looked for only when one fails."""
+def verify_relative_heffter(array: PFArray, params: HeffterParams) -> VerificationReport:
+    """Check conditions (a), (b), (c) of the relative Heffter array definition,
+    on the residue lines of the array's index. Each condition is checked over
+    the whole array at once; a witness is looked for only when one fails."""
     if (array.m, array.n) != (params.m, params.n):
         raise ValueError(
             f"array is {array.m}x{array.n}, params expect {params.m}x{params.n}"
@@ -120,26 +118,18 @@ def _relative_heffter(
                 lambda i, _: f"row {i} does not sum to 0 in Z_{v}")
     _flag_lines(report, "col-sum", col_keys, totals(cols),
                 lambda j, _: f"column {j} does not sum to 0 in Z_{v}")
-    return report, rows, cols
-
-
-def verify_relative_heffter(array: PFArray, params: HeffterParams) -> VerificationReport:
-    """Check conditions (a), (b), (c) of the relative Heffter array definition."""
-    return _relative_heffter(array, params)[0]
+    return report
 
 
 def verify_integer(array: PFArray, params: HeffterParams) -> VerificationReport:
     """verify_relative_heffter plus zero row/column sums over the integers."""
-    report, rows, cols = _relative_heffter(array, params)
-    v = params.v
+    report = verify_relative_heffter(array, params)
+    v, m = params.v, params.m
     half = v // 2  # the symmetric residue of x is x - v above v/2
-
-    def integer_sums(lines: list[Sequence[int]]) -> list[int]:
-        return [sum(line) - v * len([x for x in line if x > half]) for line in lines]
-
-    _flag_lines(report, "integer-sum", range(1, params.m + 1), integer_sums(rows),
+    sums = [sum(line) - v * len([x for x in line if x > half]) for line in array.index[1]]
+    _flag_lines(report, "integer-sum", range(1, m + 1), sums[:m],
                 lambda i, x: f"row {i} sums to {x} over Z")
-    _flag_lines(report, "integer-sum", range(1, params.n + 1), integer_sums(cols),
+    _flag_lines(report, "integer-sum", range(1, params.n + 1), sums[m:],
                 lambda j, x: f"column {j} sums to {x} over Z")
     return report
 

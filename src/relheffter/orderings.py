@@ -315,28 +315,25 @@ def lift_solution(spec: LiftSpec, n: int, o: Orientation) -> Orientation:
     """Extend a lift-shaped solution of P(A_n) to a verified solution of P(A_{n+M})."""
     if not has_lift_shape(spec, n, o):
         raise ValueError(_NOT_LIFTABLE)
-    return _lift(spec, spec.skeleton(n), o)[1]
+    if not knight_walk(spec.skeleton(n), o)[1]:
+        raise ValueError("input orientation is not a solution")
+    _, lifted, _, ok = _lift(spec, n, o)
+    if not ok:
+        raise ValueError("lifted orientation failed verification")
+    return lifted
 
 
 _NOT_LIFTABLE = "orientation does not have the liftable shape"
 
 
-def _lift(spec: LiftSpec, skel: Skeleton, o: Orientation
-          ) -> tuple[Skeleton, Orientation, list[Cell]]:
-    """lift_solution on skel, the skeleton of A_n: the skeleton of A_{n+M}, the
-    lifted solution and its orbit, each skeleton built and walked once."""
-    n = skel.n
-    if not has_lift_shape(spec, n, o):
-        raise ValueError(_NOT_LIFTABLE)
-    if not knight_walk(skel, o)[1]:
-        raise ValueError("input orientation is not a solution")
+def _lift(spec: LiftSpec, n: int, o: Orientation
+          ) -> tuple[Skeleton, Orientation, list[Cell], bool]:
+    """The skeleton of A_{n+M}, the lift of o (a lift-shaped solution on A_n) to
+    it, and the lift's walk: its orbit and whether it is a solution."""
     big = spec.skeleton(n + spec.M)
     lk = spec.diagonal_indices[-1]
     lifted = Orientation((1,) * big.n, o.c[: n - lk + 1] + (1,) * (big.n - (n - lk + 1)))
-    orbit, ok = knight_walk(big, lifted)
-    if not ok:
-        raise ValueError("lifted orientation failed verification")
-    return big, lifted, orbit
+    return big, lifted, *knight_walk(big, lifted)
 
 
 def search_lift_shape(spec: LiftSpec, n: int) -> Orientation | None:

@@ -17,8 +17,8 @@ from relheffter.cli import build_parser, main
 from relheffter.constructions import FAMILIES, build_archdeacon_composite, build_h_n_3
 from relheffter.group import GroupError, GroupSpec, symmetric_rep
 from relheffter.heffter import HeffterParams, verify_relative_heffter
-from relheffter.orderings import knight_search, orientation_to_orderings
-from relheffter.pfarray import PFArray
+from relheffter.orderings import Orientation, knight_search, knight_walk, orientation_to_orderings
+from relheffter.pfarray import PFArray, skeleton_from_diagonals
 from relheffter.topology import (
     CayleyGraph,
     CertificationError,
@@ -142,6 +142,50 @@ def test_knight_lift_rejects_another_skeleton(tmp_path, capsys, argv, mode):
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert captured.err == f"error: {out}.json is not the skeleton of diagonals 2,3,4\n"
+
+
+def test_knight_lift_of_a_non_solution_is_the_violation_payload(tmp_path, capsys):
+    # a lift-shaped orientation of A_9(2, 3, 4) that is not a solution: the
+    # verdict is about the input walk, as without --lift, and nothing is lifted
+    path = tmp_path / "S.json"
+    path.write_text(skeleton_from_diagonals(9, [2, 3, 4]).to_json_text())
+    argv = ["knight", str(path), f"--orientation={'+' * 9},{'+' * 9}"]
+    plain = outcome(main, argv, capsys)
+    lifted = outcome(main, [*argv, "--lift", "2,3,4"], capsys)
+    assert lifted == plain
+    code, out, err = lifted
+    assert code == 1 and err == ""
+    payload = json.loads(out)
+    assert payload["status"] == "violation" and not payload["is_solution"]
+    assert "lifted_n" not in payload
+
+
+def test_knight_lift_that_fails_is_the_violation_payload(tmp_path, capsys, monkeypatch):
+    # a broken lift lemma: the lifted walk's verdict is reported on A_{n+M}
+    path = tmp_path / "S.json"
+    path.write_text(cons.build_skeleton_cor39(5, 3).to_json_text())
+    lift = cli._lift
+
+    def broken_lift(spec, n, o):
+        big, lifted, _, _ = lift(spec, n, o)
+        wrong = Orientation(lifted.r, (-1,) * big.n)
+        return big, wrong, *knight_walk(big, wrong)
+
+    monkeypatch.setattr(cli, "_lift", broken_lift)
+    code, out, err = outcome(main, ["knight", str(path), "--search", "--lift", "2,3,4"], capsys)
+    assert code == 1 and err == ""
+    payload = json.loads(out)
+    assert payload["status"] == "violation" and not payload["is_solution"]
+    assert payload["lifted_n"] == 7 and payload["orientation_cols"] == "-" * 7
+
+
+def test_knight_lift_of_another_shape_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "S.json"
+    path.write_text(skeleton_from_diagonals(9, [2, 3, 4]).to_json_text())
+    code, out, err = outcome(
+        main, ["knight", str(path), f"--orientation={'+' * 9},{'-' * 9}", "--lift", "2,3,4"],
+        capsys)
+    assert (code, out, err) == (2, "", "error: orientation does not have the liftable shape\n")
 
 
 @pytest.mark.parametrize("modes", [

@@ -1,8 +1,9 @@
 """Mutated input files never crash the CLI.
 
 Every run of ``main`` on a mutated JSON or CSV file, or on one whose bytes are
-not UTF-8, returns 0, 1 or 2 without raising, and 1 only with a parsed
-violation payload: a crash must never look like a violation.
+not UTF-8, returns 0, 1 or 2 without raising, 0 only with a parsed "ok"
+payload and 1 only with a parsed violation payload: a crash must never look
+like a verdict.
 """
 
 import copy
@@ -84,6 +85,8 @@ def commands(path: str, v: list[str]) -> list[list[str]]:
         ["verify", path, *v, "--archdeacon", "--globally-simple"],
         ["verify", path, *v, "--t", "3", "--integer"],
         ["knight", path, *v, "--search"],
+        ["knight", path, *v, "--orientation", f"{ROWS},{COLS}"],
+        ["knight", path, *v, "--orientation", f"{ROWS},{COLS}", "--lift", "1,2,3"],
         ["embed", path, *v, "--orientation", f"{ROWS},{COLS}"],
         ["embed", path, *v, "--t", "3", "--orientation", f"{ROWS},{COLS}"],
         ["embed", path, *v, "--orientation", f"{ROWS},{COLS}", "--emit-faces"],
@@ -109,7 +112,8 @@ def test_mutated_inputs_never_crash(suffix_text):
             with redirect_stdout(out), redirect_stderr(err):
                 code = main(argv)
             assert code in (0, 1, 2), argv
-            if code == 1:
-                assert json.loads(out.getvalue())["status"] == "violation", argv
+            if code in (0, 1):
+                status = "ok" if code == 0 else "violation"
+                assert json.loads(out.getvalue())["status"] == status, argv
             if code == 2:
                 assert err.getvalue().startswith("error: "), argv
