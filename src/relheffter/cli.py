@@ -31,7 +31,7 @@ from .orderings import (
     knight_walk,
     nine_diagonal_orientation,
 )
-from .pfarray import PFArray, Skeleton, classify_diagonals, json_text, skeleton_of, support
+from .pfarray import PFArray, Skeleton, classify_diagonals, json_text, skeleton_of
 from .topology import CertificationError, certify_biembedding, heffter_genus_formula
 
 EXIT_OK = 0
@@ -179,9 +179,10 @@ def cmd_construct(args: argparse.Namespace) -> int:
     if family in cons.FAMILIES:
         if args.n is None:
             raise UsageError("--n is required")
-        array = _usage(cons.FAMILIES[family].builder, args.n)
-        t = cons.FAMILIES[family].t(args.n)
-        report = verify_integer(array, _square_params(array, t))
+        record = cons.FAMILIES[family]
+        array = _usage(record.builder, args.n)
+        t = record.t(args.n)
+        report = verify_integer(array, HeffterParams.square(args.n, record.k, t))
         payload["t"] = t
         payload["globally_simple"] = is_globally_simple(array)
         obj: PFArray | Skeleton = array
@@ -287,7 +288,10 @@ def cmd_embed(args: argparse.Namespace) -> int:
     orientation = _orientation(args.orientation, array.m, array.n)
     if not is_globally_simple(array):
         raise UsageError("input array is not globally simple")
-    params = None if args.t is None else _square_params(array, args.t)
+    genus = None
+    if args.t is not None:
+        params = _square_params(array, args.t)
+        genus = _usage(heffter_genus_formula, params.m, params.n, params.s, params.k, params.t)
 
     try:
         cert = certify_biembedding(array, orientation)
@@ -295,10 +299,7 @@ def cmd_embed(args: argparse.Namespace) -> int:
         return _finish({"input": args.input, "error": str(exc)}, False)
     except ValueError as exc:  # e.g. repeated entries: no entry-level orderings
         raise UsageError(str(exc)) from exc
-    if params is not None:
-        cert.embedding.formula_genus = heffter_genus_formula(
-            params.m, params.n, params.s, params.k, params.t
-        )
+    cert.embedding.formula_genus = genus
     payload = {"input": args.input, **cert.to_json()}
     if args.emit_faces:
         payload["faces"] = [[[list(x.coords) for x in dart] for dart in face]
@@ -318,7 +319,6 @@ def _sweep_row(family: cons.Family, n: int) -> dict:
            "sha256": hashlib.sha256(array.to_json_text().encode()).hexdigest(),
            "orientation": None, "F": None, "genus": None}
     if not (verify_integer(array, HeffterParams.square(n, k, t)).valid
-            and support(array) == family.support(n)
             and classify_diagonals(array).is_k_diagonal):
         return {**row, "verdict": "violation"}
     if not is_globally_simple(array):

@@ -28,38 +28,29 @@ def _build(n: int, v: int, procedures: list[DiagSpec],
     return fill_diagonals(PFArray(n, n, GroupSpec.cyclic(v)), procedures + cells)
 
 
-def build_h_n_3(n: int) -> PFArray:
-    """An integer cyclically 3-diagonal H_n(n; 3) over Z_{7n}, n odd >= 3."""
+def _build_h3(n: int, d: int) -> PFArray:
+    """The integer cyclically 3-diagonal H_t(n; 3) over Z_{dn}, t = (d - 6)n, for
+    d = 7 (t = n) and d = 8 (t = 2n); n odd >= 3."""
     if n < 3 or n % 2 == 0:
         raise ValueError(f"n must be odd and >= 3, got {n}")
-    return _build(n, 7 * n, [
-        DiagSpec(1, 1, -(7 * n - 9) // 2, 1, 7, n),
-        DiagSpec(1, 2, (7 * n - 3) // 2, 2, -7, (n + 1) // 2),
-        DiagSpec(2, 3, -5, 2, -7, (n - 1) // 2),
-        DiagSpec(2, 1, (7 * n - 13) // 2, 2, -7, (n + 1) // 2),
-        DiagSpec(3, 2, -10, 2, -7, (n - 1) // 2),
+    h = d * (n - 1) // 2
+    return _build(n, d * n, [
+        DiagSpec(1, 1, 1 - h, 1, d, n),
+        DiagSpec(1, 2, h + 2, 2, -d, (n + 1) // 2),
+        DiagSpec(2, 3, 2 - d, 2, -d, (n - 1) // 2),
+        DiagSpec(2, 1, h - 3, 2, -d, (n + 1) // 2),
+        DiagSpec(3, 2, -d - 3, 2, -d, (n - 1) // 2),
     ])
 
 
-def h_n_3_support(n: int) -> set[int]:
-    return set(range(1, (7 * n - 1) // 2 + 1)) - set(range(7, 7 * n // 2, 7))
+def build_h_n_3(n: int) -> PFArray:
+    """An integer cyclically 3-diagonal H_n(n; 3) over Z_{7n}, n odd >= 3."""
+    return _build_h3(n, 7)
 
 
 def build_h_2n_3(n: int) -> PFArray:
     """An integer cyclically 3-diagonal H_2n(n; 3) over Z_{8n}, n odd >= 3."""
-    if n < 3 or n % 2 == 0:
-        raise ValueError(f"n must be odd and >= 3, got {n}")
-    return _build(n, 8 * n, [
-        DiagSpec(1, 1, -(4 * n - 5), 1, 8, n),
-        DiagSpec(1, 2, 4 * n - 2, 2, -8, (n + 1) // 2),
-        DiagSpec(2, 3, -6, 2, -8, (n - 1) // 2),
-        DiagSpec(2, 1, 4 * n - 7, 2, -8, (n + 1) // 2),
-        DiagSpec(3, 2, -11, 2, -8, (n - 1) // 2),
-    ])
-
-
-def h_2n_3_support(n: int) -> set[int]:
-    return set(range(1, 4 * n)) - set(range(4, 4 * n - 3, 4))
+    return _build_h3(n, 8)
 
 
 def build_h7(n: int) -> PFArray:
@@ -83,10 +74,6 @@ def build_h7(n: int) -> PFArray:
         DiagSpec(n - 2, 1, 6 * n + 4, 2, 1, n),
         DiagSpec(2, n - 1, 3 * n + 2, 2, 1, n),
     ], {(1, 1): n, (2, 2): -(n - 1) // 2})
-
-
-def h7_support(n: int) -> set[int]:
-    return set(range(1, 7 * n + 4)) - {2 * n + 1, 4 * n + 2, 6 * n + 3}
 
 
 def build_h9(n: int) -> PFArray:
@@ -130,29 +117,22 @@ def build_h9(n: int) -> PFArray:
     })
 
 
-def h9_support(n: int) -> set[int]:
-    return set(range(1, 9 * n + 5)) - {2 * n + 1, 4 * n + 2, 6 * n + 3, 8 * n + 4}
-
-
 @dataclass(frozen=True)
 class Family:
     """A direct family of integer globally simple H_t(n; k) over Z_{2nk+t}."""
 
     name: str
     builder: Callable[[int], PFArray]
-    support: Callable[[int], set[int]]
     k: int
     t: Callable[[int], int]
     admissible: Callable[[int], bool]
 
 
 FAMILIES = {f.name: f for f in (
-    Family("h-n-3", build_h_n_3, h_n_3_support, 3,
-           lambda n: n, lambda n: n >= 3 and n % 2 == 1),
-    Family("h-2n-3", build_h_2n_3, h_2n_3_support, 3,
-           lambda n: 2 * n, lambda n: n >= 3 and n % 2 == 1),
-    Family("h7", build_h7, h7_support, 7, lambda n: 7, lambda n: n >= 7 and n % 4 == 3),
-    Family("h9", build_h9, h9_support, 9, lambda n: 9, lambda n: n >= 11 and n % 4 == 3),
+    Family("h-n-3", build_h_n_3, 3, lambda n: n, lambda n: n >= 3 and n % 2 == 1),
+    Family("h-2n-3", build_h_2n_3, 3, lambda n: 2 * n, lambda n: n >= 3 and n % 2 == 1),
+    Family("h7", build_h7, 7, lambda n: 7, lambda n: n >= 7 and n % 4 == 3),
+    Family("h9", build_h9, 9, lambda n: 9, lambda n: n >= 11 and n % 4 == 3),
 )}
 
 

@@ -62,7 +62,8 @@ def test_criterion_1_fixture_reproduction():
 
 def test_criterion_2_construction_sweeps(capsys):
     # every family member with n <= 199, built, verified (integer Heffter,
-    # support, k-diagonal, globally simple) and certified at the formula genus
+    # which implies the stated support; k-diagonal; globally simple) and
+    # certified at the formula genus
     t0 = time.time()
     assert main(["sweep"]) == 0
     out = capsys.readouterr().out

@@ -337,6 +337,19 @@ def test_embed_wrong_t_is_usage_error_before_certification(tmp_path, capsys):
     assert captured.err == "error: array group (13,) is not Z_{2nk+t} = Z_11\n"
 
 
+def test_embed_non_integer_genus_formula_is_usage_error_before_certification(tmp_path, capsys):
+    # 4x4 over Z_27 with s = k = 3 and t = 3: (nk - n - m - 1)(2nk + t) = 81 is
+    # odd, so no genus is predicted; the array itself certifies
+    path = tmp_path / "a.json"
+    path.write_text(_spread_h3([27]).to_json_text())
+    assert main(["embed", str(path), "--orientation=++++,+++-"]) == 0
+    capsys.readouterr()
+    code = main(["embed", str(path), "--orientation=++++,+++-", "--t", "3"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "error: genus formula does not yield an integer\n"
+
+
 def test_embed_repeat_in_plus_minus_entries_is_usage_error(tmp_path, capsys):
     # Over Z_35 x Z_4, (0, 2) is its own negative and (x, 2), (-x, 2) are
     # negatives of each other. build_rho0 reports such a repeat in +-E(A) as a

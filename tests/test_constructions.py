@@ -8,6 +8,7 @@ import heffter_oracle
 import pfarray_oracle
 from relheffter.constructions import (
     build_archdeacon_composite,
+    FAMILIES,
     build_B,
     build_h7,
     build_h9,
@@ -15,10 +16,6 @@ from relheffter.constructions import (
     build_h_n_3,
     build_skeleton_cor39,
     cor39_diagonal_indices,
-    h7_support,
-    h9_support,
-    h_2n_3_support,
-    h_n_3_support,
 )
 from relheffter.group import symmetric_rep
 from relheffter.heffter import HeffterParams, verify_archdeacon, verify_integer
@@ -26,6 +23,42 @@ from relheffter.orderings import is_globally_simple
 from relheffter.pfarray import PFArray, classify_diagonals, support
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+
+
+# The supports the paper states for the four direct families.
+def h_n_3_support(n: int) -> set[int]:
+    return set(range(1, (7 * n - 1) // 2 + 1)) - set(range(7, 7 * n // 2, 7))
+
+
+def h_2n_3_support(n: int) -> set[int]:
+    return set(range(1, 4 * n)) - set(range(4, 4 * n - 3, 4))
+
+
+def h7_support(n: int) -> set[int]:
+    return set(range(1, 7 * n + 4)) - {2 * n + 1, 4 * n + 2, 6 * n + 3}
+
+
+def h9_support(n: int) -> set[int]:
+    return set(range(1, 9 * n + 5)) - {2 * n + 1, 4 * n + 2, 6 * n + 3, 8 * n + 4}
+
+
+STATED_SUPPORTS = {"h-n-3": h_n_3_support, "h-2n-3": h_2n_3_support,
+                   "h7": h7_support, "h9": h9_support}
+
+
+def test_stated_supports_are_the_halves_outside_the_subgroup():
+    # An array that passes verify_relative_heffter has nk distinct entries,
+    # none in the order-t subgroup H and none the negative of another, so
+    # +-E(A) = Z_v \ H and its support is {1..v/2} minus the multiples of v/t:
+    # the stated support, which is why sweep does not check it separately.
+    assert STATED_SUPPORTS.keys() == FAMILIES.keys()
+    for name, family in FAMILIES.items():
+        for n in range(1, 200):
+            if family.admissible(n):
+                v = 2 * n * family.k + family.t(n)
+                step = v // family.t(n)
+                expected = set(range(1, v // 2 + 1)) - set(range(step, v // 2 + 1, step))
+                assert STATED_SUPPORTS[name](n) == expected, (name, n)
 
 
 @pytest.mark.parametrize("builder,n,v,fixture", [
