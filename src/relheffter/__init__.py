@@ -5,11 +5,8 @@ from .group import (
     GroupElement,
     GroupError,
     GroupSpec,
-    from_symmetric,
     neg,
-    subgroup_of_order,
     sum_elements,
-    symmetric_rep,
 )
 from .pfarray import (
     Cell,
@@ -18,21 +15,14 @@ from .pfarray import (
     PFArray,
     Skeleton,
     classify_diagonals,
-    diag,
     diagonal_cells,
-    diagonal_index,
     direct_sum,
     fill_diagonals,
     skeleton_from_diagonals,
-    support,
 )
 from .heffter import (
     HeffterParams,
     VerificationReport,
-    check_compatibility_parity,
-    check_necessary_conditions,
-    check_support,
-    necessary_conditions_pass,
     skeleton_parity_ok,
     verify_archdeacon,
     verify_integer,
@@ -53,17 +43,12 @@ from .orderings import (
     Ordering,
     Orientation,
     is_globally_simple,
-    is_simple,
     knight_search,
-    knight_step,
     knight_tour,
     knight_walk,
     nine_diagonal_orientation,
-    nine_diagonal_skeleton,
     lift_solution,
-    natural_ordering,
     orientation_to_orderings,
-    partial_sums,
     search_lift_shape,
 )
 from .topology import (

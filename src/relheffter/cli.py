@@ -65,29 +65,30 @@ def _read(path: str) -> bytes:
 
 def _load(path: str, v: int | None = None, skeletons: bool = False) -> PFArray | Skeleton:
     """The array in a .json or .csv file or, given skeletons, the skeleton in a
-    .json file without a group. A path that cannot name a file (it holds a NUL)
-    and a malformed file, undecodable bytes included, are usage errors that
-    name the path."""
+    .json file without a group. The format comes from the suffix, and another
+    suffix, or a .csv file without v, is a usage error before the file is
+    opened. A path that cannot name a file (it holds a NUL) and a malformed
+    file, undecodable bytes included, are usage errors that name the path."""
     path = _path_text(path)
+    suffix = os.path.splitext(path)[1]
+    if suffix not in (".json", ".csv"):
+        raise UsageError(f"unsupported input format: {path}")
+    if suffix == ".csv" and v is None:
+        raise UsageError("CSV input requires --v (the group order)")
     try:
         data = _read(path)
-        suffix = os.path.splitext(path)[1]
-        if suffix == ".json":
-            doc = json.loads(data.decode())
-            if skeletons and "group" not in doc:
-                return Skeleton.from_json(doc)
-            if not skeletons and "cells" in doc and doc["cells"] and "v" not in doc["cells"][0]:
-                raise UsageError(f"{path} looks like a skeleton file, not an array")
-            return PFArray.from_json(doc)
         if suffix == ".csv":
-            if v is None:
-                raise UsageError("CSV input requires --v (the group order)")
             return PFArray.from_csv(data.decode(), v)
+        doc = json.loads(data.decode())
+        if skeletons and "group" not in doc:
+            return Skeleton.from_json(doc)
+        if not skeletons and "cells" in doc and doc["cells"] and "v" not in doc["cells"][0]:
+            raise UsageError(f"{path} looks like a skeleton file, not an array")
+        return PFArray.from_json(doc)
     except KeyError as exc:
         raise UsageError(f"{path}: missing key {exc}") from exc
     except (TypeError, ValueError) as exc:
         raise UsageError(f"{path}: {exc}") from exc
-    raise UsageError(f"unsupported input format: {path}")
 
 
 def _finish(payload: dict, ok: bool) -> int:

@@ -115,13 +115,6 @@ def neg(a: GroupElement) -> GroupElement:
     return GroupElement(a.spec, tuple((-x) % o for x, o in zip(a.coords, a.spec.orders)))
 
 
-def subgroup_of_order(v: int, t: int) -> frozenset[GroupElement]:
-    """The unique subgroup {0, v/t, 2v/t, ...} of order t in Z_v."""
-    step = subgroup_step(v, t)
-    spec = GroupSpec.cyclic(v)
-    return frozenset(spec.element(i * step) for i in range(t))
-
-
 def subgroup_step(v: int, t: int) -> int:
     """v/t, the least positive member of the order-t subgroup of Z_v: a residue
     lies in that subgroup iff v/t divides it."""
@@ -132,21 +125,10 @@ def subgroup_step(v: int, t: int) -> int:
     return v // t
 
 
-def symmetric_rep(a: GroupElement) -> int:
-    """The representative of a in [-floor(v/2), floor(v/2)]; v/2 maps to +v/2 for even v."""
-    if not a.spec.is_cyclic_single:
-        raise GroupError("symmetric representatives are defined for single-factor groups only")
-    return symmetric_residue(a.coords[0], a.spec.orders[0])
-
-
 def symmetric_residue(x: int, v: int) -> int:
-    """symmetric_rep of the canonical residue x of Z_v."""
+    """The representative of the canonical residue x of Z_v in
+    [-floor(v/2), floor(v/2)]; v/2 maps to +v/2 for even v."""
     return x if x <= v // 2 else x - v
-
-
-def from_symmetric(v: int, x: int) -> GroupElement:
-    """Inverse of symmetric_rep: the element of Z_v with representative x."""
-    return GroupSpec.cyclic(v).element(x)
 
 
 def sum_elements(spec: GroupSpec, elems: Sequence[GroupElement]) -> GroupElement:

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
 from .group import subgroup_step, symmetric_residue
-from .pfarray import PFArray, Skeleton, skeleton_of, support
+from .pfarray import PFArray, Skeleton, skeleton_of
 
 
 @dataclass(frozen=True)
@@ -134,54 +134,6 @@ def verify_integer(array: PFArray, params: HeffterParams) -> VerificationReport:
     return report
 
 
-def check_support(array: PFArray, expected: set[int]) -> VerificationReport:
-    """Compare the support of an integer array against an expected set."""
-    report = VerificationReport()
-    got = set(support(array))
-    if got != expected:
-        missing = sorted(expected - got)
-        extra = sorted(got - expected)
-        report.flag("support", f"missing={missing[:10]} extra={extra[:10]}")
-    return report
-
-
-def check_necessary_conditions(n: int, k: int, t: int) -> dict[str, str]:
-    """Evaluate the three necessary-condition clauses for an integer H_t(n; k).
-
-    Returns a clause -> {'pass', 'fail', 'not-applicable'} map. The conditions
-    are necessary, never sufficient.
-    """
-    if n < k or k < 3:
-        raise ValueError(f"need n >= k >= 3, got n={n}, k={k}")
-    if (2 * n * k) % t != 0:
-        raise ValueError(f"t={t} does not divide 2nk={2 * n * k}")
-
-    nk = n * k
-    result: dict[str, str] = {}
-
-    if nk % t == 0:
-        ok = nk % 4 == 0 or (nk % 4 == (-t) % 4 and nk % 4 in (1, 3))
-        result["divides-nk"] = "pass" if ok else "fail"
-    else:
-        result["divides-nk"] = "not-applicable"
-
-    if t == 2 * nk:
-        result["t-equals-2nk"] = "pass" if k % 2 == 0 else "fail"
-    else:
-        result["t-equals-2nk"] = "not-applicable"
-
-    if t != 2 * nk and nk % t != 0:
-        result["mod-8"] = "pass" if (t + 2 * nk) % 8 == 0 else "fail"
-    else:
-        result["mod-8"] = "not-applicable"
-
-    return result
-
-
-def necessary_conditions_pass(n: int, k: int, t: int) -> bool:
-    return "fail" not in check_necessary_conditions(n, k, t).values()
-
-
 def verify_archdeacon(array: PFArray) -> VerificationReport:
     """Check the Archdeacon array conditions over an arbitrary abelian group.
 
@@ -206,17 +158,6 @@ def verify_archdeacon(array: PFArray) -> VerificationReport:
     _flag_lines(report, "col-sum", range(1, array.n + 1), codes.totals(lines[m:]),
                 lambda j, _: f"column {j} does not sum to 0")
     return report
-
-
-def check_compatibility_parity(m: int, n: int, s: int, k: int, t: int) -> bool:
-    """Necessary parity condition for compatible simple orderings of an H_t(m,n;s,k)."""
-    if m % 2 == 1 and n % 2 == 1 and s % 2 == 1 and k % 2 == 1:
-        return True
-    if m % 2 == 1 and n % 2 == 0 and k % 2 == 0:
-        return True
-    if n % 2 == 1 and m % 2 == 0 and t % 2 == 0:
-        return True
-    return False
 
 
 def skeleton_parity_ok(array: PFArray | Skeleton) -> bool:

@@ -1,4 +1,4 @@
-"""Row/column orderings, partial sums, simplicity, and the Crazy Knight's Tour machinery."""
+"""Row/column orderings, simplicity, and the Crazy Knight's Tour machinery."""
 
 from __future__ import annotations
 
@@ -8,45 +8,24 @@ from math import lcm
 from operator import add
 from typing import Callable, Sequence
 
-from .group import ElementCodes, GroupElement
+from .group import ElementCodes
 from .heffter import skeleton_parity_ok
 from .pfarray import Cell, PFArray, Skeleton, skeleton_from_diagonals, skeleton_of
 
 ArrayLike = PFArray | Skeleton
 
 
-# -- partial sums and simplicity ----------------------------------------
-
-
-def partial_sums(seq: Sequence[GroupElement]) -> list[GroupElement]:
-    """The running sums (s_1, ..., s_k) of a nonempty sequence."""
-    if not seq:
-        raise ValueError("partial sums of an empty sequence")
-    sums = []
-    total = seq[0].spec.identity
-    for e in seq:
-        total = total + e
-        sums.append(total)
-    return sums
-
-
-def is_simple(seq: Sequence[GroupElement]) -> bool:
-    """True iff all partial sums are pairwise distinct, i.e. no proper nonempty
-    run of consecutive elements sums to zero."""
-    if not seq:
-        raise ValueError("partial sums of an empty sequence")
-    codes = seq[0].spec.codes
-    return _simple_lines(codes, [[codes.encode(e) for e in seq]])
+# -- simplicity ---------------------------------------------------------
 
 
 def _simple_lines(codes: ElementCodes, lines: Sequence[Sequence[int]]) -> bool:
-    """is_simple on every line of element codes, an empty line being simple:
-    the running sums of each line are distinct. In Z_v they are the integer running
-    sums reduced mod v, with no call per step. In a product group the running
-    sums over all lines concatenated are taken factor by factor (columns),
-    each reduced mod its order, and keyed by line: within a line they differ
-    from the line's own running sums by a constant, so every line is simple iff
-    no key repeats."""
+    """Whether each line of element codes is simple, an empty line being simple:
+    its running sums are distinct, so no proper nonempty run of consecutive
+    elements sums to zero. In Z_v they are the integer running sums reduced
+    mod v, with no call per step. In a product group the running sums over all
+    lines concatenated are taken factor by factor (columns), each reduced mod
+    its order, and keyed by line: within a line they differ from the line's own
+    running sums by a constant, so every line is simple iff no key repeats."""
     if codes.spec.is_cyclic_single:
         v = codes.spec.orders[0]
         return all(len({x % v for x in accumulate(line)}) == len(line) for line in lines)
@@ -101,10 +80,6 @@ class Ordering:
         return row_next, col_next
 
 
-def natural_ordering(array: ArrayLike) -> Ordering:
-    return orientation_to_orderings(array, Orientation((1,) * array.m, (1,) * array.n))
-
-
 @dataclass(frozen=True)
 class Orientation:
     """Direction of travel per row (+1 left-to-right) and per column (+1 top-to-bottom)."""
@@ -145,16 +120,6 @@ def orientation_to_orderings(array: ArrayLike, o: Orientation) -> Ordering:
 
 
 # -- the Crazy Knight's Tour map ----------------------------------------
-
-
-def knight_step(array: ArrayLike, o: Orientation, cell: Cell) -> Cell:
-    """One move: along the row to the next filled cell per r_i, then along that
-    column to the next filled cell per c_j (both cyclic on the torus)."""
-    skel = skeleton_of(array)
-    if cell not in skel.cells:
-        raise ValueError(f"cell {cell} is empty")
-    row_next, col_next = orientation_to_orderings(skel, o).successors()
-    return col_next[row_next[cell]]
 
 
 def knight_tour(array: ArrayLike, o: Orientation, start: Cell) -> tuple[list[Cell], bool]:
@@ -352,14 +317,6 @@ def _search_lift_shape(spec: LiftSpec, skel: Skeleton) -> Orientation | None:
 
 
 # -- the explicit 9-diagonal family solution ----------------------------
-
-
-def nine_diagonal_skeleton(n: int) -> Skeleton:
-    """The 9-diagonal skeleton D_1..D_7, D_{r+7}, D_{r+8} with r = (n - 7)/2."""
-    if n < 21 or n % 14 != 7:
-        raise ValueError(f"n must be 7 (mod 14) and >= 21, got {n}")
-    r = (n - 7) // 2
-    return skeleton_from_diagonals(n, list(range(1, 8)) + [r + 7, r + 8])
 
 
 def nine_diagonal_orientation(n: int) -> Orientation:

@@ -12,7 +12,7 @@ from operator import itemgetter
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
-from .group import GroupElement, GroupError, GroupSpec, symmetric_residue
+from .group import GroupElement, GroupError, GroupSpec
 
 Cell = tuple[int, int]  # 1-based (row, col)
 _CSV_FIELDS = re.compile(r"(,*)([^,]+)")  # a nonempty CSV field and the commas before it
@@ -405,17 +405,15 @@ class DiagSpec:
             raise ValueError("length must be >= 1")
 
 
-def diag(array: PFArray, d: DiagSpec) -> PFArray:
-    """Install entries s + i*d2 at cells (r + i*d1, c + i*d1), indices wrapping in 1..n."""
-    return fill_diagonals(array, [d])
-
-
 def fill_diagonals(array: PFArray, procedures: Iterable[DiagSpec]) -> PFArray:
-    """The array after diag(array, d) for each d in turn, built as one PFArray.
+    """The array after the diag procedure d for each d in turn, built as one
+    PFArray: d puts the entries s + i*d2 at the cells (r + i*d1, c + i*d1),
+    for i < length, indices wrapping in 1..n.
 
     Each procedure's cells are placed, and checked against each other, before
     they are checked against the cells already filled, so a failure raises the
-    ConstructionError the chain of diag calls would raise first."""
+    ConstructionError that applying the procedures one at a time would raise
+    first."""
     if array.m != array.n:
         raise ConstructionError("diag requires a square array")
     if not array.spec.is_cyclic_single:
@@ -443,12 +441,6 @@ def diagonal_cells(n: int, i: int) -> list[Cell]:
     if not 1 <= i <= n:
         raise ValueError(f"diagonal index {i} out of range 1..{n}")
     return [(_reduce_index(i + j, n), j + 1) for j in range(n)]
-
-
-def diagonal_index(cell: Cell, n: int) -> int:
-    """The i such that cell lies on D_i."""
-    r, c = cell
-    return _reduce_index(r - c + 1, n)
 
 
 @dataclass(frozen=True)
@@ -507,14 +499,6 @@ def direct_sum(a: PFArray, b: PFArray) -> PFArray:
     size, ca, cb = b.spec.size, a.entry_codes, b.entry_codes
     codes = {cell: ca.get(cell, 0) * size + cb.get(cell, 0) for cell in ca.keys() | cb.keys()}
     return PFArray._from_codes(a.m, a.n, spec, codes)
-
-
-def support(array: PFArray) -> frozenset[int]:
-    """Absolute values of the symmetric representatives of the entries."""
-    if not array.spec.is_cyclic_single:
-        raise GroupError("support is defined for single-factor groups only")
-    v = array.spec.orders[0]
-    return frozenset(abs(symmetric_residue(x, v)) for x in array.entry_codes.values())
 
 
 def cyclic_row_shift(array: PFArray, shift: int) -> PFArray:

@@ -6,16 +6,52 @@ These are the straightforward versions of ``verify_relative_heffter``,
 call, sums folded with ``+``, and lookups by element and ``neg()``. The library
 runs the same checks on residues read from a row/column index built once; the
 tests compare the two on the same inputs.
+
+``symmetric_rep`` and ``subgroup_of_order`` are the element-level forms of
+``symmetric_residue`` and ``subgroup_step``, and ``support`` is the set of
+absolute values of an integer array's entries. ``check_necessary_conditions``
+evaluates the necessary conditions for an integer H_t(n; k), and
+``check_compatibility_parity`` the parity condition for compatible simple
+orderings: the library checks arrays, not parameters, so only tests call them.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 
-from relheffter.group import GroupElement, neg, subgroup_of_order, symmetric_rep
+from knight_oracle import partial_sums
+from relheffter.group import (
+    GroupElement,
+    GroupError,
+    GroupSpec,
+    neg,
+    subgroup_step,
+    symmetric_residue,
+)
 from relheffter.heffter import HeffterParams, VerificationReport
-from relheffter.orderings import partial_sums
 from relheffter.pfarray import PFArray
+
+
+def symmetric_rep(a: GroupElement) -> int:
+    """The representative of a in [-floor(v/2), floor(v/2)]; v/2 maps to +v/2 for even v."""
+    if not a.spec.is_cyclic_single:
+        raise GroupError("symmetric representatives are defined for single-factor groups only")
+    return symmetric_residue(a.coords[0], a.spec.orders[0])
+
+
+def subgroup_of_order(v: int, t: int) -> frozenset[GroupElement]:
+    """The unique subgroup {0, v/t, 2v/t, ...} of order t in Z_v."""
+    step = subgroup_step(v, t)
+    spec = GroupSpec.cyclic(v)
+    return frozenset(spec.element(i * step) for i in range(t))
+
+
+def support(array: PFArray) -> frozenset[int]:
+    """Absolute values of the symmetric representatives of the entries."""
+    if not array.spec.is_cyclic_single:
+        raise GroupError("support is defined for single-factor groups only")
+    v = array.spec.orders[0]
+    return frozenset(abs(symmetric_residue(x, v)) for x in array.entry_codes.values())
 
 
 def tags(report: VerificationReport) -> set[str]:
@@ -144,3 +180,47 @@ def is_globally_simple(array: PFArray) -> bool:
     lines = [row(array, i) for i in range(1, array.m + 1)]
     lines += [col(array, j) for j in range(1, array.n + 1)]
     return all(is_simple(line) for line in lines if line)
+
+
+def check_necessary_conditions(n: int, k: int, t: int) -> dict[str, str]:
+    """Evaluate the three necessary-condition clauses for an integer H_t(n; k).
+
+    Returns a clause -> {'pass', 'fail', 'not-applicable'} map. The conditions
+    are necessary, never sufficient.
+    """
+    if n < k or k < 3:
+        raise ValueError(f"need n >= k >= 3, got n={n}, k={k}")
+    if (2 * n * k) % t != 0:
+        raise ValueError(f"t={t} does not divide 2nk={2 * n * k}")
+
+    nk = n * k
+    result: dict[str, str] = {}
+
+    if nk % t == 0:
+        ok = nk % 4 == 0 or (nk % 4 == (-t) % 4 and nk % 4 in (1, 3))
+        result["divides-nk"] = "pass" if ok else "fail"
+    else:
+        result["divides-nk"] = "not-applicable"
+
+    if t == 2 * nk:
+        result["t-equals-2nk"] = "pass" if k % 2 == 0 else "fail"
+    else:
+        result["t-equals-2nk"] = "not-applicable"
+
+    if t != 2 * nk and nk % t != 0:
+        result["mod-8"] = "pass" if (t + 2 * nk) % 8 == 0 else "fail"
+    else:
+        result["mod-8"] = "not-applicable"
+
+    return result
+
+
+def check_compatibility_parity(m: int, n: int, s: int, k: int, t: int) -> bool:
+    """Necessary parity condition for compatible simple orderings of an H_t(m,n;s,k)."""
+    if m % 2 == 1 and n % 2 == 1 and s % 2 == 1 and k % 2 == 1:
+        return True
+    if m % 2 == 1 and n % 2 == 0 and k % 2 == 0:
+        return True
+    if n % 2 == 1 and m % 2 == 0 and t % 2 == 0:
+        return True
+    return False

@@ -11,24 +11,30 @@ two on the same inputs.
 ``lift_solution`` checks both orientations with ``knight_tour``,
 ``compose_orderings`` reads the compatibility condition straight off cell
 orderings, and ``validate`` checks that an ordering permutes the filled cells
-of each line.
+of each line. ``knight_step`` is one move of the map on cell successor maps,
+``partial_sums`` the running sums of a line of elements, and
+``nine_diagonal_skeleton`` the skeleton that the library's closed-form
+``nine_diagonal_orientation`` solves.
 """
 
 from __future__ import annotations
 
 from itertools import product
-from typing import Callable
+from typing import Callable, Sequence
 
+from relheffter.group import GroupElement
 from relheffter.heffter import skeleton_parity_ok
 from relheffter.orderings import (
+    ArrayLike,
     LiftSpec,
     Ordering,
     Orientation,
     has_lift_shape,
     knight_tour,
     orbit,
+    orientation_to_orderings,
 )
-from relheffter.pfarray import Cell, PFArray, Skeleton, skeleton_of
+from relheffter.pfarray import Cell, PFArray, Skeleton, skeleton_from_diagonals, skeleton_of
 
 
 def lines(skel: Skeleton) -> tuple[dict[int, list[Cell]], dict[int, list[Cell]]]:
@@ -129,3 +135,33 @@ def validate(ordering: Ordering, array: PFArray | Skeleton) -> None:
                 raise ValueError(f"{name} {i} ordering is not a permutation of its filled cells")
         if orders.keys() != cells.keys():
             raise ValueError("ordering does not cover exactly the nonempty rows/columns")
+
+
+def partial_sums(seq: Sequence[GroupElement]) -> list[GroupElement]:
+    """The running sums (s_1, ..., s_k) of a nonempty sequence."""
+    if not seq:
+        raise ValueError("partial sums of an empty sequence")
+    sums = []
+    total = seq[0].spec.identity
+    for e in seq:
+        total = total + e
+        sums.append(total)
+    return sums
+
+
+def knight_step(array: ArrayLike, o: Orientation, cell: Cell) -> Cell:
+    """One move: along the row to the next filled cell per r_i, then along that
+    column to the next filled cell per c_j (both cyclic on the torus)."""
+    skel = skeleton_of(array)
+    if cell not in skel.cells:
+        raise ValueError(f"cell {cell} is empty")
+    row_next, col_next = orientation_to_orderings(skel, o).successors()
+    return col_next[row_next[cell]]
+
+
+def nine_diagonal_skeleton(n: int) -> Skeleton:
+    """The 9-diagonal skeleton D_1..D_7, D_{r+7}, D_{r+8} with r = (n - 7)/2."""
+    if n < 21 or n % 14 != 7:
+        raise ValueError(f"n must be 7 (mod 14) and >= 21, got {n}")
+    r = (n - 7) // 2
+    return skeleton_from_diagonals(n, list(range(1, 8)) + [r + 7, r + 8])

@@ -13,7 +13,8 @@ first bad one; ``checked`` is the constructor's range check they end with.
 range one at a time, as ``Skeleton.from_json`` does; it pins the errors that
 a bulk skeleton parser would have to keep. The library's one-pass filler,
 linear classification, writer, code-level builders and bulk parsers are
-compared with these on the same inputs.
+compared with these on the same inputs. ``diagonal_index`` is the inverse of
+``diagonal_cells``, which the library needs only one way.
 """
 
 from __future__ import annotations
@@ -23,11 +24,13 @@ from typing import Mapping
 
 from relheffter.group import GroupElement, GroupError, GroupSpec
 from relheffter.pfarray import (
+    Cell,
     ConstructionError,
     DiagonalReport,
     DiagSpec,
     PFArray,
     Skeleton,
+    _reduce_index,
     cyclic_runs,
     diagonal_cells,
 )
@@ -57,6 +60,12 @@ def fill_chain(array: PFArray, procedures: list[DiagSpec]) -> PFArray:
     for d in procedures:
         array = diag(array, d)
     return array
+
+
+def diagonal_index(cell: Cell, n: int) -> int:
+    """The i such that cell lies on D_i."""
+    r, c = cell
+    return _reduce_index(r - c + 1, n)
 
 
 def classify_diagonals(array: PFArray | Skeleton) -> DiagonalReport:

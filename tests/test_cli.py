@@ -13,9 +13,11 @@ from hypothesis import example, given, settings, strategies as st
 import relheffter.cli as cli
 import relheffter.constructions as cons
 import topology_oracle as oracle
+from heffter_oracle import symmetric_rep
+from knight_oracle import nine_diagonal_skeleton
 from relheffter.cli import build_parser, main
 from relheffter.constructions import FAMILIES, build_archdeacon_composite, build_h_n_3
-from relheffter.group import GroupError, GroupSpec, symmetric_rep
+from relheffter.group import GroupError, GroupSpec
 from relheffter.heffter import HeffterParams, verify_relative_heffter
 from relheffter.orderings import Orientation, knight_search, knight_walk, orientation_to_orderings
 from relheffter.pfarray import PFArray, skeleton_from_diagonals
@@ -109,8 +111,7 @@ def test_knight_no_solution_exit_1(tmp_path, capsys):
 
 
 def test_knight_closed_form_flag(tmp_path, capsys):
-    import relheffter.orderings as o
-    skel = o.nine_diagonal_skeleton(21)
+    skel = nine_diagonal_skeleton(21)
     f = tmp_path / "l410.json"
     f.write_text(json.dumps(skel.to_json()))
     code, payload = run(capsys, "knight", str(f), "--lemma410")
@@ -807,6 +808,29 @@ def test_nul_in_the_input_path_is_usage_error(capsys, case):
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert captured.err == "error: a\x00.json: embedded null byte\n"
+
+
+@pytest.mark.parametrize("path, message", [
+    ("in.txt", "unsupported input format: in.txt"),
+    ("/dev/zero", "unsupported input format: /dev/zero"),  # never ends
+    ("in.csv", "CSV input requires --v (the group order)"),
+])
+@pytest.mark.parametrize("argv", [
+    ["verify", "{}", "--archdeacon"],
+    ["knight", "{}", "--search"],
+    ["embed", "{}", "--orientation", "+++,+++"],
+    ["construct", "archdeacon-composite", "--base", "{}", "--d", "3"],
+], ids=["verify", "knight", "embed", "construct-base"])
+def test_input_format_is_decided_before_the_file_is_opened(monkeypatch, capsys, argv, path,
+                                                           message):
+    def opened(name):
+        raise AssertionError(f"{name} was opened")
+
+    monkeypatch.setattr(cli, "_read", opened)
+    code = main([x.format(path) for x in argv])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == f"error: {message}\n"
 
 
 def test_nul_in_the_output_path_is_usage_error(capsys):

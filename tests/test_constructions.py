@@ -6,6 +6,7 @@ import pytest
 
 import heffter_oracle
 import pfarray_oracle
+from heffter_oracle import support, symmetric_rep
 from relheffter.constructions import (
     build_archdeacon_composite,
     FAMILIES,
@@ -17,10 +18,9 @@ from relheffter.constructions import (
     build_skeleton_cor39,
     cor39_diagonal_indices,
 )
-from relheffter.group import symmetric_rep
 from relheffter.heffter import HeffterParams, verify_archdeacon, verify_integer
 from relheffter.orderings import is_globally_simple
-from relheffter.pfarray import PFArray, classify_diagonals, support
+from relheffter.pfarray import PFArray, classify_diagonals
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 

@@ -1,7 +1,8 @@
 """The certificate, the knight command and the lift run on int indices: the
 cell-level orderings (orientation_to_orderings, Ordering.successors) and the
-cell walks knight_tour and knight_step stay the slow references that tests
-compare with, and no call from those three paths reaches them."""
+cell walk knight_tour stay the slow references that tests compare with (with
+knight_step, which tests/knight_oracle.py holds), and no call from those three
+paths reaches them."""
 
 import ast
 from pathlib import Path
@@ -41,7 +42,6 @@ def reachable(name: str, defs: dict[str, list[ast.FunctionDef]]) -> set[str]:
 def test_hot_paths_never_reach_the_cell_level_references():
     defs = definitions()
     # the check sees the slow calls where there are some
-    assert reachable("knight_step", defs) & SLOW == {"orientation_to_orderings", "successors"}
     assert reachable("knight_tour", defs) & SLOW == {"orientation_to_orderings", "successors"}
     for name in HOT:
         assert name in defs

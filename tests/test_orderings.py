@@ -3,33 +3,31 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from knight_oracle import compose_orderings, validate
+from heffter_oracle import symmetric_rep
+from knight_oracle import (
+    compose_orderings,
+    knight_step,
+    nine_diagonal_skeleton,
+    partial_sums,
+    validate,
+)
 
 from relheffter.constructions import build_h7, build_h9, build_h_n_3, build_skeleton_cor39
-from relheffter.group import GroupSpec, symmetric_rep
+from relheffter.group import GroupSpec
 from relheffter.orderings import (
     LiftSpec,
     Orientation,
+    _simple_lines,
     has_lift_shape,
     is_globally_simple,
-    is_simple,
     knight_search,
-    knight_step,
     knight_tour,
     nine_diagonal_orientation,
-    nine_diagonal_skeleton,
     lift_solution,
-    natural_ordering,
     orientation_to_orderings,
-    partial_sums,
     search_lift_shape,
 )
 from relheffter.pfarray import Skeleton
-
-
-def seq(v, *xs):
-    spec = GroupSpec.cyclic(v)
-    return [spec.element(x) for x in xs]
 
 
 def test_partial_sums_frozen_values():
@@ -40,9 +38,10 @@ def test_partial_sums_frozen_values():
 
 
 def test_is_simple():
-    assert is_simple(seq(21, 1, 2, 3))
-    assert not is_simple(seq(21, 1, 2, -2))   # s1 = s3
-    assert not is_simple(seq(10, 1, 4, 6))    # sums 1, 5, 1 mod 10
+    z21, z10 = GroupSpec.cyclic(21).codes, GroupSpec.cyclic(10).codes  # codes are residues
+    assert _simple_lines(z21, [[1, 2, 3]])
+    assert not _simple_lines(z21, [[1, 2, 19]])   # 1, 2, -2: s1 = s3
+    assert not _simple_lines(z10, [[1, 4, 6]])    # sums 1, 5, 1 mod 10
     with pytest.raises(ValueError):
         partial_sums([])
 
@@ -54,7 +53,7 @@ def test_is_globally_simple_constructions():
 
 def test_natural_ordering_and_validate():
     a = build_h_n_3(3)
-    ordering = natural_ordering(a)
+    ordering = orientation_to_orderings(a, Orientation((1,) * a.m, (1,) * a.n))
     validate(ordering, a)
     assert ordering.row_orders[1] == tuple(sorted(c for c in a.entries if c[0] == 1))
 
@@ -73,7 +72,7 @@ def test_compose_orderings_compatibility():
     good = orientation_to_orderings(a, Orientation((1, 1, 1), (1, 1, -1)))
     perm, compatible = compose_orderings(a, good)
     assert compatible and len(perm) == 9
-    bad = natural_ordering(a)
+    bad = orientation_to_orderings(a, Orientation((1,) * a.m, (1,) * a.n))
     _, compatible = compose_orderings(a, bad)
     assert not compatible
 
@@ -195,8 +194,8 @@ def test_orientation_reversal_symmetry(data):
 def test_simplicity_invariant_under_reversal_when_sum_zero(xs):
     spec = GroupSpec.cyclic(83)
     closed = xs + [-sum(xs)]
-    forward = [spec.element(x) for x in closed]
-    assert is_simple(forward) == is_simple(list(reversed(forward)))
+    forward = [x % 83 for x in closed]  # the codes of Z_83 are the residues
+    assert _simple_lines(spec.codes, [forward]) == _simple_lines(spec.codes, [forward[::-1]])
 
 
 @given(skeleton_and_orientation())

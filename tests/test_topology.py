@@ -9,12 +9,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import topology_oracle as oracle
+from heffter_oracle import subgroup_of_order
 from relheffter.constructions import FAMILIES, build_h_n_3
-from relheffter.group import GroupSpec, neg, subgroup_of_order
+from relheffter.group import GroupSpec, neg
 from relheffter.orderings import (
     Orientation,
     knight_search,
-    natural_ordering,
     orientation_to_orderings,
 )
 from relheffter.pfarray import PFArray
@@ -82,7 +82,7 @@ def test_cycle_basics():
 
 def test_base_cycles_telescope():
     a = h3()
-    ordering = natural_ordering(a)
+    ordering = orientation_to_orderings(a, Orientation((1,) * a.m, (1,) * a.n))
     for by in ("row", "col"):
         for idx, cycle in enumerate(base_cycles(a, ordering, by=by), start=1):
             cells = (ordering.row_orders if by == "row" else ordering.col_orders)[idx]
@@ -99,7 +99,7 @@ def test_base_cycles_rejects_non_simple():
     spec = GroupSpec.cyclic(12)
     a = PFArray(1, 4, spec, {(1, j): spec.element(x) for j, x in
                              [(1, 1), (2, 5), (3, -5), (4, -1)]})
-    ordering = natural_ordering(a)
+    ordering = orientation_to_orderings(a, Orientation((1,) * a.m, (1,) * a.n))
     with pytest.raises(CertificationError):
         base_cycles(a, ordering, by="row")
 
@@ -107,7 +107,7 @@ def test_base_cycles_rejects_non_simple():
 def test_develop_and_verify_h3():
     a = h3()
     graph = CayleyGraph.multipartite(21, 3)
-    ordering = natural_ordering(a)
+    ordering = orientation_to_orderings(a, Orientation((1,) * a.m, (1,) * a.n))
     base = base_cycles(a, ordering, by="col")
     cert = develop_and_verify(base, graph)
     assert len(cert.cycles) == 63
@@ -131,7 +131,7 @@ def test_develop_rejects_wrong_difference_set():
 def test_verify_orthogonal():
     a = h3()
     graph = CayleyGraph.multipartite(21, 3)
-    ordering = natural_ordering(a)
+    ordering = orientation_to_orderings(a, Orientation((1,) * a.m, (1,) * a.n))
     rows = develop_and_verify(base_cycles(a, ordering, by="row"), graph)
     cols = develop_and_verify(base_cycles(a, ordering, by="col"), graph)
     assert verify_orthogonal(rows, cols)
@@ -150,7 +150,8 @@ def test_rho0_cyclic_iff_compatible():
         assert rho0[e] in {codes.neg(x) for x in entries}
         assert rho0[codes.neg(e)] in entries
     with pytest.raises(CertificationError):
-        build_rho0(a, natural_ordering(a))  # natural orderings are incompatible here
+        # natural orderings are incompatible here
+        build_rho0(a, orientation_to_orderings(a, Orientation((1,) * a.m, (1,) * a.n)))
 
 
 def test_rho0_rejects_an_entry_and_its_negative():
@@ -167,7 +168,7 @@ def test_rho0_rejects_an_entry_and_its_negative():
 def test_rho0_rejects_an_array_with_no_filled_cells():
     empty = PFArray(2, 2, GroupSpec.cyclic(7))
     with pytest.raises(ValueError, match="no filled cells"):
-        build_rho0(empty, natural_ordering(empty))
+        build_rho0(empty, orientation_to_orderings(empty, Orientation((1, 1), (1, 1))))
     with pytest.raises(ValueError, match="no filled cells"):
         certify_biembedding(empty, Orientation((1, 1), (1, 1)))
 

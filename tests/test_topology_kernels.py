@@ -14,7 +14,6 @@ from relheffter.orderings import (
     Ordering,
     Orientation,
     knight_search,
-    natural_ordering,
     orientation_to_orderings,
 )
 from relheffter.pfarray import PFArray, direct_sum
@@ -93,7 +92,7 @@ def outcome(f, *args):
 
 def random_ordering(rng: random.Random, array: PFArray) -> Ordering:
     """Every line's filled cells in a random order."""
-    natural = natural_ordering(array)
+    natural = orientation_to_orderings(array, Orientation((1,) * array.m, (1,) * array.n))
     return Ordering(*({i: tuple(rng.sample(cells, len(cells))) for i, cells in lines.items()}
                       for lines in (natural.row_orders, natural.col_orders)))
 
@@ -239,7 +238,8 @@ def test_rho0_matches_oracle_when_a_digit_is_its_own_negative():
     errors = set()
     for changes in inputs:
         array = PFArray(base.m, base.n, spec, {**base.entries, **changes})
-        for ordering in (natural_ordering(array),
+        natural = Orientation((1,) * array.m, (1,) * array.n)
+        for ordering in (orientation_to_orderings(array, natural),
                          orientation_to_orderings(array, Orientation((1,) * 5, (1,) * 5))):
             kernel = outcome(build_rho0, array, ordering)
             assert isinstance(kernel, tuple)  # never a rotation
