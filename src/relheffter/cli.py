@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import argparse
+import errno
 import hashlib
 import json
 import os
+import stat
 import sys
 from collections import Counter
 from functools import cache, partial
@@ -52,13 +54,18 @@ def _path_text(path: str) -> str:
 
 
 def _read(path: str) -> bytes:
-    """The bytes of the file, read through its fd, with the OSError texts of
-    open(path, "rb")."""
+    """The bytes of a regular file, read through its fd, with the OSError texts
+    of open(path, "rb"). Any other file is refused before it is opened: a
+    directory with the text of its failing read, and a device or FIFO, which
+    may never end, as a usage error."""
+    mode = os.stat(path).st_mode
+    if stat.S_ISDIR(mode):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+    if not stat.S_ISREG(mode):
+        raise UsageError(f"not a regular file: {path}")
     fd = os.open(path, os.O_RDONLY)
     try:
         return b"".join(iter(partial(os.read, fd, 1 << 20), b""))
-    except IsADirectoryError as exc:  # a directory opens, and its first read fails unnamed
-        raise IsADirectoryError(exc.errno, exc.strerror, path) from None
     finally:
         os.close(fd)
 
@@ -67,8 +74,9 @@ def _load(path: str, v: int | None = None, skeletons: bool = False) -> PFArray |
     """The array in a .json or .csv file or, given skeletons, the skeleton in a
     .json file without a group. The format comes from the suffix, and another
     suffix, or a .csv file without v, is a usage error before the file is
-    opened. A path that cannot name a file (it holds a NUL) and a malformed
-    file, undecodable bytes included, are usage errors that name the path."""
+    opened. A path that cannot name a file (it holds a NUL), one that names no
+    regular file, and a malformed file, undecodable bytes included, are usage
+    errors that name the path."""
     path = _path_text(path)
     suffix = os.path.splitext(path)[1]
     if suffix not in (".json", ".csv"):
@@ -210,29 +218,27 @@ def cmd_construct(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     array = _load(args.input, args.v)
     payload: dict = {"input": args.input}
-    violations: list = []
+    ok = True
 
     if args.archdeacon:
         report = verify_archdeacon(array)
         payload["archdeacon"] = report.to_json()
-        violations.extend(report.violations)
+        ok = report.valid
     if args.t is not None:
         params = _square_params(array, args.t)
         report = (verify_integer if args.integer else verify_relative_heffter)(array, params)
         key = "integer" if args.integer else "relative"
         payload[key] = report.to_json()
-        violations.extend(report.violations)
+        ok = ok and report.valid
     elif args.integer:
         raise UsageError("--integer requires --t")
     if args.globally_simple:
-        ok = is_globally_simple(array)
-        payload["globally_simple"] = ok
-        if not ok:
-            violations.append(("globally-simple", "a natural row/column ordering is not simple"))
+        payload["globally_simple"] = is_globally_simple(array)
+        ok = ok and payload["globally_simple"]
     if not (args.archdeacon or args.t is not None or args.globally_simple):
         raise UsageError("nothing to verify: pass --t, --archdeacon, or --globally-simple")
 
-    return _finish(payload, not violations)
+    return _finish(payload, ok)
 
 
 # -- knight -------------------------------------------------------------

@@ -43,10 +43,6 @@ class GroupSpec:
     def element(self, *coords: int) -> "GroupElement":
         return GroupElement(self, tuple(c % o for c, o in zip(coords, self.orders)))
 
-    @property
-    def identity(self) -> "GroupElement":
-        return GroupElement(self, (0,) * len(self.orders))
-
     def elements(self) -> Iterator["GroupElement"]:
         for coords in product(*(range(o) for o in self.orders)):
             yield GroupElement(self, coords)

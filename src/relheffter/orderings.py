@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from itertools import accumulate, chain, repeat
 from math import lcm
 from operator import add
-from typing import Callable, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .group import ElementCodes
 from .heffter import skeleton_parity_ok
@@ -63,6 +63,11 @@ def orbit(step: Callable, start) -> list:
 # -- orderings ----------------------------------------------------------
 
 
+def cyclic_successors(lines: Mapping[int, Sequence]) -> dict:
+    """The next item of each item along its line, the last followed by the first."""
+    return {a: b for line in lines.values() for a, b in zip(line, line[1:] + line[:1])}
+
+
 @dataclass(frozen=True)
 class Ordering:
     """A chosen ordering of the filled cells of each nonempty row and column."""
@@ -73,11 +78,7 @@ class Ordering:
     def successors(self) -> tuple[dict[Cell, Cell], dict[Cell, Cell]]:
         """The next cell of each filled cell along its row and along its column,
         cyclically in the chosen orders (omega_r and omega_c on cells)."""
-        row_next, col_next = (
-            {a: b for cells in orders.values() for a, b in zip(cells, cells[1:] + cells[:1])}
-            for orders in (self.row_orders, self.col_orders)
-        )
-        return row_next, col_next
+        return cyclic_successors(self.row_orders), cyclic_successors(self.col_orders)
 
 
 @dataclass(frozen=True)
@@ -90,9 +91,6 @@ class Orientation:
     def __post_init__(self) -> None:
         if any(x not in (1, -1) for x in self.r + self.c):
             raise ValueError("orientation entries must be +-1")
-
-    def reversed(self) -> "Orientation":
-        return Orientation(tuple(-x for x in self.r), tuple(-x for x in self.c))
 
     def to_strings(self) -> tuple[str, str]:
         return (

@@ -448,12 +448,11 @@ class DiagonalReport:
     filled_diagonal_indices: frozenset[int]
     is_k_diagonal: bool
     is_cyclically_k_diagonal: bool
-    strip_widths: tuple[int, ...]
-    uniform_width: int | None
 
 
 def classify_diagonals(array: PFArray | Skeleton) -> DiagonalReport:
-    """Diagonal structure of a square array: which D_i are full, strips of empty ones.
+    """Diagonal structure of a square array: which D_i are full, and whether
+    they are all the filled cells and consecutive mod n.
 
     One pass counts the cells on each diagonal: D_i is full iff it holds n
     cells, and the filled diagonals cover the skeleton iff it has n cells for
@@ -465,14 +464,8 @@ def classify_diagonals(array: PFArray | Skeleton) -> DiagonalReport:
     on_diagonal = Counter((r - c) % n + 1 for r, c in cells)
     filled = frozenset(i for i, count in on_diagonal.items() if count == n)
     is_k_diagonal = bool(filled) and len(cells) == n * len(filled)
-
-    # consecutive mod n: the filled indices form one cyclic run, so the empty
-    # ones form at most one
-    strips = cyclic_runs(set(range(1, n + 1)) - filled, n) if filled else []
-    cyclic = is_k_diagonal and len(strips) <= 1
-    widths = tuple(sorted(len(r) for r in strips))
-    uniform = widths[0] if widths and len(set(widths)) == 1 else None
-    return DiagonalReport(filled, is_k_diagonal, cyclic, widths, uniform)
+    cyclic = is_k_diagonal and len(cyclic_runs(filled, n)) == 1  # consecutive mod n
+    return DiagonalReport(filled, is_k_diagonal, cyclic)
 
 
 def cyclic_runs(indices: Iterable[int], n: int) -> list[list[int]]:

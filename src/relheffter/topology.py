@@ -8,11 +8,10 @@ from functools import cached_property
 from itertools import accumulate
 from typing import Callable, Mapping, Sequence
 
-from .group import ElementCodes, GroupSpec, subgroup_step
-from .orderings import Ordering, Orientation, orbit, oriented_lines
+from .group import ElementCodes, GroupSpec
+from .orderings import Ordering, Orientation, cyclic_successors, orbit, oriented_lines
 from .pfarray import Cell, PFArray
 
-Edge = frozenset  # frozenset of two vertices
 DirectedEdge = tuple  # (tail, head)
 
 # Everything is certified on the quotient: the connection set C and the base
@@ -62,12 +61,6 @@ class CayleyGraph:
                     f"connection set not closed under negation at {codes.coords(a)}")
 
     @classmethod
-    def multipartite(cls, v: int, t: int) -> "CayleyGraph":
-        """K_{(v/t) x t} as Cay[Z_v : Z_v minus the order-t subgroup]."""
-        step = subgroup_step(v, t)  # the subgroup is the multiples of v/t
-        return cls(GroupSpec.cyclic(v), frozenset(x for x in range(v) if x % step))
-
-    @classmethod
     def from_entries(cls, array: PFArray) -> "CayleyGraph":
         """Cay[G : +-E(A)]."""
         neg, codes = array.spec.codes.neg, array.entry_codes.values()
@@ -84,10 +77,8 @@ class CayleyGraph:
 
 @dataclass(frozen=True)
 class Cycle:
-    """A cycle as its vertex sequence; consecutive vertices (cyclically) adjacent.
-
-    Base cycles hold element codes; the developed cycles that
-    DecompositionCertificate.cycles lists hold GroupElements."""
+    """A cycle as its vertex sequence of element codes; consecutive vertices
+    (cyclically) adjacent."""
 
     vertices: tuple
 
@@ -97,10 +88,6 @@ class Cycle:
 
     def __len__(self) -> int:
         return len(self.vertices)
-
-    def edges(self) -> list[Edge]:
-        vs = self.vertices
-        return [frozenset((vs[i], vs[(i + 1) % len(vs)])) for i in range(len(vs))]
 
 
 def _code_lines(array: PFArray, *orders: Mapping[int, Sequence[Cell]]) -> list[Lines]:
@@ -134,7 +121,6 @@ def _cycles(add: Callable[[int, int], int], lines: Lines, by: str) -> list[Cycle
 class DecompositionCertificate:
     """A verified G-regular cycle decomposition: all translates of the base cycles.
 
-    ``cycles`` lists base[0] + g, base[1] + g, ... for each g in elements() order.
     ``offsets[d]`` is (i, u) for the one edge (u, u + d) of difference d in the
     base cycles, which lies on base[i]; so the edge {x, x + d} lies on
     base[i] + (x - u). Differences and offsets are element codes.
@@ -143,13 +129,6 @@ class DecompositionCertificate:
     graph: CayleyGraph
     base: list[Cycle]
     offsets: dict[int, tuple[int, int]] = field(repr=False)
-
-    @property
-    def cycles(self) -> list[Cycle]:
-        add = self.graph.spec.codes.add
-        element = list(self.graph.spec.elements())  # indexed by code
-        return [Cycle(tuple(element[add(v, g)] for v in c.vertices))
-                for g in range(len(element)) for c in self.base]
 
     @property
     def cycle_lengths(self) -> Counter:
@@ -215,8 +194,7 @@ def verify_orthogonal(d1: DecompositionCertificate, d2: DecompositionCertificate
 
 def _omegas(rows: Lines, cols: Lines) -> tuple[dict[int, int], dict[int, int]]:
     """The next code of each code along its row and along its column, cyclically."""
-    omega_r, omega_c = ({a: b for line in lines.values() for a, b in zip(line, line[1:] + line[:1])}
-                        for lines in (rows, cols))
+    omega_r, omega_c = cyclic_successors(rows), cyclic_successors(cols)
     if len(omega_r) != sum(map(len, rows.values())):
         raise ValueError("entries are not distinct; entry-level orderings undefined")
     return omega_r, omega_c
@@ -259,7 +237,7 @@ class EmbeddingReport:
     pi-cycle (a_0, ..., a_{L-1}) with net voltage s = a_0 + ... + a_{L-1} lifts
     to |G| / ord(s) faces of length L * ord(s): the face through the dart
     (x, x + a_0) runs x, x + a_0, x + a_0 + a_1, ... and closes after ord(s)
-    laps. ``faces`` and ``color_of_face`` are developed from them when read.
+    laps. ``faces`` are developed from them when read.
     """
 
     V: int
@@ -273,13 +251,13 @@ class EmbeddingReport:
     formula_genus: int | None = None
 
     @cached_property
-    def _lifted(self) -> list[tuple[tuple[DirectedEdge, ...], int]]:
-        """Every face with the number of its pi-cycle, rotated to start at its
-        least directed edge, in sorted order, as GroupElement darts."""
+    def faces(self) -> list[tuple[DirectedEdge, ...]]:
+        """Every face, rotated to start at its least directed edge, in sorted
+        order, as GroupElement darts."""
         add = self.spec.codes.add
         element = list(self.spec.elements())  # indexed by code
         lifted = []
-        for number, (cycle, order) in enumerate(zip(self.pi_cycles, self.orders)):
+        for cycle, order in zip(self.pi_cycles, self.orders):
             covered: set[int] = set()  # tails of the a_0 darts already walked
             for x in range(len(element)):
                 if x in covered:
@@ -292,21 +270,9 @@ class EmbeddingReport:
                         darts.append((y, z))
                         y = z
                 least = darts.index(min(darts))
-                lifted.append((darts[least:] + darts[:least], number))
-        lifted.sort(key=lambda f: f[0][0])
-        return [(tuple((element[u], element[w]) for u, w in face), number)
-                for face, number in lifted]
-
-    @property
-    def faces(self) -> list[tuple[DirectedEdge, ...]]:
-        return [face for face, _ in self._lifted]
-
-    @property
-    def color_of_face(self) -> list[int] | None:
-        """The class of each face, aligned with faces; None until two_color_check succeeds."""
-        if self.pi_colors is None:
-            return None
-        return [self.pi_colors[number] for _, number in self._lifted]
+                lifted.append(darts[least:] + darts[:least])
+        lifted.sort()  # faces share no dart, so their first darts decide
+        return [tuple((element[u], element[w]) for u, w in face) for face in lifted]
 
     def to_json(self) -> dict:
         data = {"V": self.V, "S": self.S, "F": self.F, "genus": self.genus}

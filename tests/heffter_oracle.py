@@ -78,7 +78,7 @@ def col(array: PFArray, j: int) -> list[GroupElement]:
 
 
 def is_zero_sum(line: list[GroupElement]) -> bool:
-    total = line[0].spec.identity
+    total = line[0].spec.codes.decode(0)
     for e in line:
         total = total + e
     return is_identity(total)

@@ -142,7 +142,7 @@ def partial_sums(seq: Sequence[GroupElement]) -> list[GroupElement]:
     if not seq:
         raise ValueError("partial sums of an empty sequence")
     sums = []
-    total = seq[0].spec.identity
+    total = seq[0].spec.codes.decode(0)
     for e in seq:
         total = total + e
         sums.append(total)

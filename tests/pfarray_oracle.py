@@ -14,7 +14,8 @@ range one at a time, as ``Skeleton.from_json`` does; it pins the errors that
 a bulk skeleton parser would have to keep. The library's one-pass filler,
 linear classification, writer, code-level builders and bulk parsers are
 compared with these on the same inputs. ``diagonal_index`` is the inverse of
-``diagonal_cells``, which the library needs only one way.
+``diagonal_cells``, which the library needs only one way, and
+``strip_widths`` the widths of the strips of empty diagonals.
 """
 
 from __future__ import annotations
@@ -80,11 +81,16 @@ def classify_diagonals(array: PFArray | Skeleton) -> DiagonalReport:
     for i in filled:
         union.update(diagonal_cells(n, i))
     is_k_diagonal = bool(filled) and union == set(skel)
-    strips = cyclic_runs(set(range(1, n + 1)) - filled, n) if filled else []
-    cyclic = is_k_diagonal and len(strips) <= 1
-    widths = tuple(sorted(len(r) for r in strips))
-    uniform = widths[0] if widths and len(set(widths)) == 1 else None
-    return DiagonalReport(filled, is_k_diagonal, cyclic, widths, uniform)
+    # the filled diagonals are consecutive mod n iff the empty ones form at
+    # most one strip
+    cyclic = is_k_diagonal and len(cyclic_runs(set(range(1, n + 1)) - filled, n)) <= 1
+    return DiagonalReport(filled, is_k_diagonal, cyclic)
+
+
+def strip_widths(report: DiagonalReport, n: int) -> tuple[int, ...]:
+    """The sorted widths of the maximal cyclic runs of empty diagonals."""
+    empty = set(range(1, n + 1)) - report.filled_diagonal_indices
+    return tuple(sorted(map(len, cyclic_runs(empty, n))))
 
 
 def json_text(array: PFArray) -> str:
@@ -93,7 +99,7 @@ def json_text(array: PFArray) -> str:
 
 def direct_sum(a: PFArray, b: PFArray) -> PFArray:
     spec = GroupSpec(a.spec.orders + b.spec.orders)
-    zero_a, zero_b = a.spec.identity, b.spec.identity
+    zero_a, zero_b = a.spec.codes.decode(0), b.spec.codes.decode(0)
     return PFArray(a.m, a.n, spec, {
         cell: GroupElement(spec, a.entries.get(cell, zero_a).coords
                            + b.entries.get(cell, zero_b).coords)

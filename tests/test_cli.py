@@ -4,6 +4,7 @@ import argparse
 import dataclasses
 import io
 import json
+import os
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -863,6 +864,38 @@ def test_read_errors_are_the_texts_of_open(tmp_path, capsys, case):
                  ["embed", str(path), "--orientation", "+,+"]):
         assert main(argv) == 2
         assert capsys.readouterr().err == f"error: {expected}\n"
+
+
+@pytest.mark.parametrize("kind, argv", [
+    ("device", ["verify", "{}", "--archdeacon"]),
+    ("fifo", ["knight", "{}", "--search"]),
+])
+def test_non_regular_input_is_usage_error_before_it_is_opened(monkeypatch, tmp_path, capsys,
+                                                               kind, argv):
+    path = str(tmp_path / "z.json")
+    if kind == "device":
+        os.symlink("/dev/zero", path)  # never ends
+    else:
+        os.mkfifo(path)  # an open blocks until a writer comes
+    target = os.stat(path)
+    real_open, real_read = os.open, os.read
+
+    def no_open(name, *args, **kwargs):
+        if os.fspath(name) == path:
+            raise AssertionError(f"{name} was opened")
+        return real_open(name, *args, **kwargs)
+
+    def no_read(fd, size):
+        if os.path.samestat(os.fstat(fd), target):
+            raise AssertionError(f"{path} was read")
+        return real_read(fd, size)
+
+    monkeypatch.setattr(os, "open", no_open)
+    monkeypatch.setattr(os, "read", no_read)
+    code = main([x.format(path) for x in argv])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == f"error: not a regular file: {path}\n"
 
 
 @pytest.mark.parametrize("size", [0, 1, (1 << 16) - 1, 1 << 16, 3 << 16, (3 << 16) + 7])

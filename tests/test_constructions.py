@@ -120,7 +120,7 @@ def test_h9_verifies(n):
     rep = classify_diagonals(a)
     assert rep.is_k_diagonal
     assert len(rep.filled_diagonal_indices) == 9
-    assert rep.uniform_width == (n - 9) // 2
+    assert set(pfarray_oracle.strip_widths(rep, n)) == {(n - 9) // 2}
 
 
 def test_h9_15_diagonal_indices():

@@ -1,11 +1,15 @@
-"""Every module-level name of the library has a caller in the program: each
-function, class and assignment at the top of a module in src/relheffter (but
-__init__.py, which only re-exports) is referenced from another top-level
-statement of the library, or from scripts/ or relbench/. A name that only the
-tests call belongs in their oracles, not in src/. Names are matched as the
-hot-path guard matches them: by identifier, as a name or an attribute."""
+"""Every name of the library has a caller in the program. Each function, class
+and assignment at the top of a module in src/relheffter is referenced from
+another top-level statement of the library, or from scripts/ or relbench/, and
+each member of a library class but the dunders (method, property, field) is
+read as an attribute in src/, scripts/ or relbench/ outside its own definition.
+A name or member that only the tests read belongs in their oracles, not in
+src/. Names are matched as the hot-path guard matches them: by identifier.
+__init__.py holds the package docstring and imports nothing, so every name has
+one import path, its module."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -14,7 +18,7 @@ CALLERS = ("scripts", "relbench")
 
 
 def defined(stmt: ast.stmt) -> list[str]:
-    """The names a top-level statement defines."""
+    """The names a top-level or class-body statement defines."""
     if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
         return [stmt.name]
     if isinstance(stmt, ast.Assign):
@@ -34,18 +38,30 @@ def referenced(node: ast.AST) -> set[str]:
             or isinstance(n, ast.Attribute)}
 
 
+def attributes_read(node: ast.AST) -> Counter:
+    """How often the node reads each attribute name."""
+    return Counter(n.attr for n in ast.walk(node)
+                   if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load))
+
+
 def parse(path: Path) -> ast.Module:
     return ast.parse(path.read_text(), str(path))
 
 
+def modules() -> list[tuple[str, ast.Module]]:
+    return [(path.stem, parse(path)) for path in sorted(SRC.glob("*.py"))]
+
+
+def callers() -> list[ast.Module]:
+    return [parse(path) for folder in CALLERS for path in sorted((ROOT / folder).rglob("*.py"))]
+
+
 def test_every_library_name_has_a_caller_outside_the_tests():
-    sources = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
-    statements = [(path.stem, stmt, referenced(stmt))
-                  for path in sources for stmt in parse(path).body]
+    statements = [(module, stmt, referenced(stmt))
+                  for module, tree in modules() for stmt in tree.body]
     outside: set[str] = set()
-    for folder in CALLERS:
-        for path in sorted((ROOT / folder).rglob("*.py")):
-            outside |= referenced(parse(path))
+    for tree in callers():
+        outside |= referenced(tree)
     defs = [(module, name, stmt) for module, stmt, _ in statements for name in defined(stmt)]
     # the check sees the definitions where there are some
     assert {"knight_search", "certify_biembedding", "EXIT_USAGE"} <= {name for _, name, _ in defs}
@@ -55,3 +71,25 @@ def test_every_library_name_has_a_caller_outside_the_tests():
         and not any(name in refs for _, other, refs in statements if other is not stmt)
     ]
     assert not offenders, "no caller outside the tests: " + ", ".join(offenders)
+
+
+def test_every_class_member_is_read_outside_the_tests():
+    trees = modules()
+    reads = Counter()
+    for tree in [tree for _, tree in trees] + callers():
+        reads += attributes_read(tree)
+    members = [(f"{module}.{cls.name}", name, stmt)
+               for module, tree in trees for cls in tree.body if isinstance(cls, ast.ClassDef)
+               for stmt in cls.body for name in defined(stmt)
+               if not (name.startswith("__") and name.endswith("__"))]
+    # the check sees the members where there are some
+    assert {("group.GroupSpec", "codes"), ("topology.EmbeddingReport", "faces"),
+            ("orderings.LiftSpec", "diagonal_indices")} <= {m[:2] for m in members}
+    offenders = [f"{owner}.{name}" for owner, name, stmt in members
+                 if reads[name] <= attributes_read(stmt)[name]]
+    assert not offenders, "read only by the tests: " + ", ".join(offenders)
+
+
+def test_the_package_imports_nothing():
+    tree = parse(SRC / "__init__.py")
+    assert not [node for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))]

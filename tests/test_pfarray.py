@@ -91,14 +91,15 @@ def test_classify_diagonals_cyclic():
     rep = classify_diagonals(skel)
     assert rep.filled_diagonal_indices == {6, 7, 1}
     assert rep.is_k_diagonal and rep.is_cyclically_k_diagonal
-    assert rep.uniform_width == 4
+    assert pfarray_oracle.strip_widths(rep, 7) == (4,)
 
 
 def test_classify_diagonals_non_cyclic():
     rep = classify_diagonals(skeleton_from_diagonals(9, [1, 2, 3, 5, 8]))
     assert rep.is_k_diagonal and not rep.is_cyclically_k_diagonal
-    assert rep.strip_widths == (1, 1, 2)
-    assert rep.uniform_width is None
+    widths = pfarray_oracle.strip_widths(rep, 9)
+    assert widths == (1, 1, 2)
+    assert len(set(widths)) > 1  # no uniform width
 
 
 def test_classify_diagonals_partial_fill_is_not_k_diagonal():

@@ -122,7 +122,7 @@ def planted_product_arrays(draw):
     if kind == "duplicate":
         entries[a] = entries[b]
     elif kind == "zero":
-        entries[a] = spec.identity
+        entries[a] = spec.codes.decode(0)
     elif kind == "antisymmetric":
         entries[a] = -entries[b]
     else:

@@ -91,7 +91,7 @@ def diag_inputs(draw):
     m = n if draw(st.integers(0, 9)) else n + 1
     spec = GroupSpec((draw(st.integers(1, 40)),) if draw(st.integers(0, 9)) else (5, 3))
     cells = draw(st.sets(st.tuples(st.integers(1, m), st.integers(1, n)), max_size=3))
-    array = PFArray(m, n, spec, {cell: spec.identity for cell in cells})
+    array = PFArray(m, n, spec, {cell: spec.codes.decode(0) for cell in cells})
     procedures = draw(st.lists(st.builds(
         DiagSpec, st.integers(-3, n + 3), st.integers(-3, n + 3), st.integers(-50, 50),
         st.integers(-3, 3), st.integers(-9, 9), st.integers(1, n + 2),

@@ -44,7 +44,7 @@ def knight_ordering(a):
 
 
 def test_cayley_graph_multipartite():
-    g = CayleyGraph.multipartite(21, 3)
+    g = oracle.multipartite(21, 3)
     assert g.num_vertices == 21
     assert len(g.connection) == 18
     assert g.num_edges == 189  # K_{7x3}: 21*20/2 - 21 non-edges within parts
@@ -61,7 +61,7 @@ def test_cayley_graph_multipartite():
 def test_cayley_graph_rejects_bad_connection():
     spec = GroupSpec.cyclic(7)
     with pytest.raises(ValueError):
-        CayleyGraph(spec, frozenset({spec.codes.encode(spec.identity)}))
+        CayleyGraph(spec, frozenset({0}))
     with pytest.raises(ValueError):
         # not closed under negation
         CayleyGraph(spec, frozenset({spec.codes.encode(spec.element(1))}))
@@ -70,12 +70,12 @@ def test_cayley_graph_rejects_bad_connection():
 
 
 def test_from_entries_equals_multipartite_for_heffter():
-    assert CayleyGraph.from_entries(h3()) == CayleyGraph.multipartite(21, 3)
+    assert CayleyGraph.from_entries(h3()) == oracle.multipartite(21, 3)
 
 
 def test_cycle_basics():
     c = Cycle((11, 16, 0))  # element codes of Z_21
-    assert len(c.edges()) == 3
+    assert len(oracle.edges(c)) == 3
     with pytest.raises(ValueError):
         Cycle((1, 1))
 
@@ -106,23 +106,23 @@ def test_base_cycles_rejects_non_simple():
 
 def test_develop_and_verify_h3():
     a = h3()
-    graph = CayleyGraph.multipartite(21, 3)
+    graph = oracle.multipartite(21, 3)
     ordering = orientation_to_orderings(a, Orientation((1,) * a.m, (1,) * a.n))
     base = base_cycles(a, ordering, by="col")
     cert = develop_and_verify(base, graph)
-    assert len(cert.cycles) == 63
+    assert len(oracle.cycles(cert)) == 63
     assert cert.cycle_lengths == {3: 63}
     assert 63 * 3 == graph.num_edges
     # the developed cycles are the translates, decoded: base + 5 after base + 0..4
     five = a.spec.element(5)
     for i, cycle in enumerate(base):
         translate = tuple(a.spec.codes.decode(v) + five for v in cycle.vertices)
-        assert cert.cycles[5 * len(base) + i].vertices == translate
+        assert oracle.cycles(cert)[5 * len(base) + i].vertices == translate
 
 
 def test_develop_rejects_wrong_difference_set():
     spec = GroupSpec.cyclic(21)
-    graph = CayleyGraph.multipartite(21, 3)
+    graph = oracle.multipartite(21, 3)
     bad = [Cycle(tuple(spec.codes.encode(spec.element(x)) for x in (0, 1, 2)))]
     with pytest.raises(CertificationError):
         develop_and_verify(bad, graph)
@@ -130,7 +130,7 @@ def test_develop_rejects_wrong_difference_set():
 
 def test_verify_orthogonal():
     a = h3()
-    graph = CayleyGraph.multipartite(21, 3)
+    graph = oracle.multipartite(21, 3)
     ordering = orientation_to_orderings(a, Orientation((1,) * a.m, (1,) * a.n))
     rows = develop_and_verify(base_cycles(a, ordering, by="row"), graph)
     cols = develop_and_verify(base_cycles(a, ordering, by="col"), graph)
@@ -198,8 +198,8 @@ def test_two_color_check_h3():
     ordering = knight_ordering(a)
     report = trace_faces(CayleyGraph.from_entries(a), build_rho0(a, ordering))
     assert two_color_check(report, a, ordering)
-    assert report.color_of_face.count(1) == 63
-    assert report.color_of_face.count(2) == 63
+    assert oracle.color_of_face(report).count(1) == 63
+    assert oracle.color_of_face(report).count(2) == 63
 
 
 def test_two_color_check_fails_on_shuffled_rotation():
@@ -290,7 +290,7 @@ def test_certify_biembedding_matches_stage_by_stage(name, array):
     cert = certify_biembedding(array, o)
     assert cert.to_json() == stage_by_stage(array, o)
     assert cert.ok
-    assert cert.embedding.color_of_face is not None
+    assert oracle.color_of_face(cert.embedding) is not None
 
 
 def outcome(f, array, o):
@@ -309,7 +309,7 @@ def certified(array, o):
 def flips(o):
     """The orientation, its row flip, its column flip and its reversal."""
     return [o, Orientation(tuple(-x for x in o.r), o.c),
-            Orientation(o.r, tuple(-x for x in o.c)), o.reversed()]
+            Orientation(o.r, tuple(-x for x in o.c)), Orientation(tuple(-x for x in o.r), tuple(-x for x in o.c))]
 
 
 def small_arrays():

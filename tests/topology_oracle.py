@@ -7,6 +7,8 @@ darts and every translate of every base cycle. The library certifies on the
 quotient (the connection set and the base cycles) in int element codes; the
 oracle takes the library's graph, rotation and base cycles, decodes them once
 with ``GroupSpec.codes``, and the tests compare the two on the same inputs.
+``multipartite``, ``edges``, ``cycles`` and ``color_of_face`` read the same
+objects off the library's graphs, cycles and certificates.
 """
 
 from __future__ import annotations
@@ -14,17 +16,48 @@ from __future__ import annotations
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 
-from relheffter.group import GroupElement, GroupSpec, neg
+from relheffter.group import GroupElement, GroupSpec, neg, subgroup_step
 from relheffter.orderings import Ordering, orbit
 from relheffter.pfarray import PFArray
 from relheffter.topology import (
     CayleyGraph,
     CertificationError,
     Cycle,
+    DecompositionCertificate,
     DirectedEdge,
-    Edge,
+    EmbeddingReport,
     base_cycles,
 )
+
+Edge = frozenset  # frozenset of two vertices
+
+
+def multipartite(v: int, t: int) -> CayleyGraph:
+    """K_{(v/t) x t} as Cay[Z_v : Z_v minus the order-t subgroup]."""
+    step = subgroup_step(v, t)  # the subgroup is the multiples of v/t
+    return CayleyGraph(GroupSpec.cyclic(v), frozenset(x for x in range(v) if x % step))
+
+
+def edges(cycle: Cycle) -> list[Edge]:
+    vs = cycle.vertices
+    return [frozenset((vs[i], vs[(i + 1) % len(vs)])) for i in range(len(vs))]
+
+
+def cycles(cert: DecompositionCertificate) -> list[Cycle]:
+    """Every translate of the base cycles as GroupElements: base[0] + g,
+    base[1] + g, ... for each g in elements() order."""
+    spec = cert.graph.spec
+    return [translate(decoded(c, spec), g) for g in spec.elements() for c in cert.base]
+
+
+def color_of_face(report: EmbeddingReport) -> list[int] | None:
+    """The class of each face, aligned with report.faces: that of the pi-cycle
+    that holds its first step. None until two_color_check succeeds."""
+    if report.pi_colors is None:
+        return None
+    color = {a: c for cycle, c in zip(report.pi_cycles, report.pi_colors) for a in cycle}
+    encode = report.spec.codes.encode
+    return [color[encode(w - u)] for (u, w), *_ in report.faces]
 
 
 def decoded(cycle: Cycle, spec: GroupSpec) -> Cycle:
@@ -146,7 +179,7 @@ def develop_and_verify(base: list[Cycle], graph: CayleyGraph) -> Decomposition:
         for idx, cycle in enumerate(objects):
             t = translate(cycle, g)
             cert.cycles.append(t)
-            for edge in t.edges():
+            for edge in edges(t):
                 if edge in seen:
                     raise CertificationError(
                         f"edge {sorted(v.coords for v in edge)} covered twice "
@@ -161,16 +194,16 @@ def develop_and_verify(base: list[Cycle], graph: CayleyGraph) -> Decomposition:
 
 
 def verify_orthogonal(d1, d2) -> bool:
-    """Works on anything with ``cycles``: kernel certificates or Decomposition."""
+    """On two Decompositions, which list every cycle."""
     if d1 is d2:
         raise ValueError("orthogonality is defined across two distinct decompositions")
     owner1: dict[Edge, int] = {}
     for i, cycle in enumerate(d1.cycles):
-        for edge in cycle.edges():
+        for edge in edges(cycle):
             owner1[edge] = i
     pair_counts: Counter = Counter()
     for j, cycle in enumerate(d2.cycles):
-        for edge in cycle.edges():
+        for edge in edges(cycle):
             i = owner1.get(edge)
             if i is not None:
                 pair_counts[(i, j)] += 1
@@ -253,5 +286,5 @@ def _developed_edge_sets(array: PFArray, ordering: Ordering, by: str) -> set[fro
     for cycle in base_cycles(array, ordering, by=by):
         cycle = decoded(cycle, array.spec)
         for g in array.spec.elements():
-            out.add(frozenset(translate(cycle, g).edges()))
+            out.add(frozenset(edges(translate(cycle, g))))
     return out
