@@ -1,0 +1,139 @@
+#!/usr/bin/env python3
+"""Cold A/B of two source trees on one relbench workload, in one process.
+
+    python3 scripts/ab_cold.py PARENT CHANGE --workload W [--passes N] [--smoke]
+
+PARENT and CHANGE are the roots of two checkouts. Each tree's src/relheffter
+is imported under its own package name, so both sides run in this process on
+the same inputs. The inputs, each job's argv and the answer checks come from
+relbench/jobs.py of CHANGE, and the cold start of each call (reference_work()
+and gc.collect() before it) from relbench/run.py; both are read, never changed.
+Every pass runs each job once on each side, and the side that goes first
+alternates from job to job and from pass to pass. A job whose exit codes or
+stdout differ between the sides, or whose answer is wrong, fails the run
+(exit 1). The report is each side's sum of per-job median CPU times, their
+difference and how many jobs the change ran faster. Timings are
+time.process_time of this process alone.
+"""
+
+from __future__ import annotations
+
+import argparse
+import gc
+import importlib
+import importlib.util
+import io
+import json
+import statistics
+import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+from time import process_time
+
+
+def load(name: str, path: Path, package: bool = False):
+    """The module (or, with package, the package) at path, imported as name."""
+    spec = importlib.util.spec_from_file_location(
+        name, path / "__init__.py" if package else path,
+        submodule_search_locations=[str(path)] if package else None)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+def side_cli(name: str, root: Path):
+    """The relheffter.cli of the tree at root, its package imported as name."""
+    load(name, root / "src" / "relheffter", package=True)
+    return importlib.import_module(f"{name}.cli")
+
+
+def cold_call(bench, cli, argv: list[str]) -> tuple[int, str, float]:
+    """One cold main(argv), as relbench makes it: its exit code, stdout and CPU seconds."""
+    bench.reference_work()
+    gc.collect()
+    out = io.StringIO()
+    with redirect_stdout(out), redirect_stderr(io.StringIO()):
+        start = process_time()
+        try:
+            rc = cli.main(argv)
+        except SystemExit as exc:  # argparse rejected the argv
+            rc = exc.code
+        cpu = process_time() - start
+    return rc, out.getvalue(), cpu
+
+
+def payload_of(text: str) -> dict | None:
+    try:
+        return json.loads(text)
+    except ValueError:
+        return None
+
+
+def run_pass(bench, jobs, clis, chains, first: int, cpu: list[dict]) -> list[str]:
+    """Run every job once on each side; record each side's CPU per job and
+    return what went wrong. first picks the side that goes first on the first job."""
+    problems = []
+    turn = first
+    for chain in chains:
+        prev: list[dict | None] = [None, None]
+        for job in chain:
+            answers = [None, None]
+            for side in (turn, 1 - turn):
+                rc, out, seconds = cold_call(bench, clis[side], jobs.argv_for(job, prev[side]))
+                cpu[side].setdefault(job.key, []).append(seconds)
+                answers[side], prev[side] = (rc, out), payload_of(out)
+            turn = 1 - turn
+            if answers[0] != answers[1]:
+                problems.append(f"{job.key}: exit codes or stdout differ: {answers}")
+            elif problem := jobs.check(job, answers[0][0], prev[0]):
+                problems.append(f"{job.key}: {problem}")
+    return problems
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("parent", type=Path, help="root of the baseline checkout")
+    parser.add_argument("change", type=Path, help="root of the changed checkout")
+    parser.add_argument("--workload", required=True,
+                        choices=["construct-verify", "embed", "knight"])
+    parser.add_argument("--passes", type=int, default=5)
+    parser.add_argument("--smoke", action="store_true", help="relbench's tiny inputs")
+    args = parser.parse_args()
+    if args.passes < 1:
+        parser.error("--passes must be at least 1")
+    roots = [args.parent.resolve(), args.change.resolve()]
+
+    bench = load("_ab_relbench_run", roots[1] / "relbench" / "run.py")
+    sys.path.insert(0, str(roots[1] / "src"))  # the relheffter that jobs.py imports
+    jobs = load("_ab_relbench_jobs", roots[1] / "relbench" / "jobs.py")
+    clis = [side_cli("_ab_parent", roots[0]), side_cli("_ab_change", roots[1])]
+    conf = bench.SPEC["workloads"][args.workload]
+    if args.smoke:
+        conf = {**conf, **conf["smoke"]}
+
+    cpu: list[dict[str, list[float]]] = [{}, {}]
+    with tempfile.TemporaryDirectory() as work:
+        chains, warmup = jobs.setup(args.workload, conf, conf["default_seed"], Path(work),
+                                    roots[1])
+        problems = run_pass(bench, jobs, clis, [warmup], 0, [{}, {}])
+        for i in range(args.passes):
+            problems += run_pass(bench, jobs, clis, chains, i % 2, cpu)
+    for line in problems[:20]:
+        print(f"FAILED {line}")
+
+    medians = [{key: statistics.median(times) for key, times in side.items()} for side in cpu]
+    totals = [sum(side.values()) for side in medians]
+    faster = sum(medians[1][key] < medians[0][key] for key in medians[0])
+    print(f"workload {args.workload} passes {args.passes} jobs {len(medians[0])} "
+          "(each call cold: reference_work() and gc.collect() before it)")
+    for label, root, total in zip(("parent", "change"), roots, totals):
+        print(f"{label} {total:.5f} s CPU (sum of per-job medians) {root}")
+    print(f"change - parent {100 * (totals[1] / totals[0] - 1):+.2f}%; "
+          f"the change faster on {faster} of {len(medians[0])} jobs")
+    return 1 if problems else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -39,6 +39,7 @@ from .topology import CertificationError, certify_biembedding, heffter_genus_for
 EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_USAGE = 2
+EXIT_SOFTWARE = 70  # sysexits.h EX_SOFTWARE: an unexpected exception
 SWEEP_MAX_N = 199
 
 
@@ -130,16 +131,21 @@ def _orientation(text: str, m: int, n: int) -> Orientation:
 
 def _write(path: str, text: str) -> str:
     """Write the text's bytes through the fd of the file, with the OSError
-    texts of open(path, "w")."""
+    texts of open(path, "w"). An existing file is rewritten in place, which
+    costs less CPU than truncating it first, and then cut to the new size if
+    it is longer; a device or a FIFO (size 0) is never cut."""
     path = _path_text(path)
     try:
-        fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
+        fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
     except ValueError as exc:  # a NUL in the path
         raise UsageError(f"{path}: {exc}") from exc
     try:
         data = memoryview(text.encode())
+        size = len(data)
         while data:
             data = data[os.write(fd, data):]
+        if os.fstat(fd).st_size > size:
+            os.ftruncate(fd, size)
     finally:
         os.close(fd)
     return path
@@ -475,7 +481,9 @@ def main(argv: list[str] | None = None) -> int:
     """Run one command. A well-formed argv that starts with a command name is
     read from that command's tables (_read_argv); any other argv (help, none,
     an unknown command, anything the reader declines) is parsed by the whole
-    tree, which writes every help and error text."""
+    tree, which writes every help and error text. An exception that is no
+    usage error is a crash: its traceback goes to stderr, and the exit code is
+    EXIT_SOFTWARE, never that of a violation."""
     if argv is None:
         argv = sys.argv[1:]
     parser = build_parser()
@@ -488,6 +496,11 @@ def main(argv: list[str] | None = None) -> int:
     except (UsageError, OSError, GroupError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception:  # a crash, never a verdict
+        import traceback  # only here: no command imports it
+
+        traceback.print_exc()
+        return EXIT_SOFTWARE
 
 
 if __name__ == "__main__":

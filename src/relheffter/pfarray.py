@@ -125,8 +125,10 @@ class Skeleton:
         for v, line in enumerate(lines):
             step = row_step if v < self.m else col_step
             forward, backward = step[1], step[-1]
-            for x, y in zip(line, line[1:] + line[:1]):
+            x = line[-1] if line else 0  # cyclically: the last cell steps to the first
+            for y in line:
                 forward[x], backward[y] = y, x
+                x = y
         return row_step, col_step
 
     def to_json(self) -> dict:
@@ -282,15 +284,27 @@ class PFArray:
         return cls._from_codes(_int(data["m"], "m"), _int(data["n"], "n"), spec, codes)
 
     def to_csv(self) -> str:
-        """Grid CSV with symmetric representatives; empty string for empty cells."""
+        """Grid CSV with symmetric representatives; empty string for empty cells.
+        One pass over the index writes each filled field after the run of
+        commas before it, the model that from_csv reads (_CSV_FIELDS), and each
+        row's end after its last field: no empty field is built."""
         if not self.spec.is_cyclic_single:
             raise GroupError("CSV export requires a single-factor group")
         v = self.spec.orders[0]
         half = v // 2  # the symmetric residue of x is x - v above v/2
-        rows = [[""] * self.n for _ in range(self.m)]
-        for (r, c), x in self.entry_codes.items():
-            rows[r - 1][c - 1] = str(x - v if x > half else x)
-        return "".join(",".join(fields) + "\n" for fields in rows)
+        cells, lines = self.index
+        fields = [str(x - v if x > half else x) for x in chain.from_iterable(lines[:self.m])]
+        n, empty = self.n, "," * (self.n - 1) + "\n"
+        out: list[str] = []
+        row, last = 1, 1  # the row being written and its last field's column (1 at its start)
+        for (r, c), field in zip(cells, fields):
+            if r != row:
+                out.append("," * (n - last) + "\n" + empty * (r - row - 1))
+                row, last = r, 1
+            out.append("," * (c - last) + field)
+            last = c
+        out.append("," * (n - last) + "\n" + empty * (self.m - row))
+        return "".join(out)
 
     @classmethod
     def from_csv(cls, text: str, v: int) -> "PFArray":

@@ -4,7 +4,9 @@
 validates it again, and ``fill_chain`` applies it once per procedure, as the
 family builders once did. ``classify_diagonals`` tests every cell of every
 diagonal, O(n^2). ``json_text`` is the stdlib encoder's text, which
-``PFArray.to_json_text`` writes directly. ``direct_sum`` and
+``PFArray.to_json_text`` writes directly, and ``to_csv`` fills an m x n
+grid of empty fields, where ``PFArray.to_csv`` writes only the runs of
+commas between the filled ones. ``direct_sum`` and
 ``cyclic_row_shift`` work on ``GroupElement`` entries, where the library
 works on int codes. ``from_json`` and ``from_csv`` parse one cell at a time,
 where the library checks all cells at once and scans them only to name the
@@ -95,6 +97,14 @@ def strip_widths(report: DiagonalReport, n: int) -> tuple[int, ...]:
 
 def json_text(array: PFArray) -> str:
     return json.dumps(array.to_json(), indent=2, sort_keys=True) + "\n"
+
+
+def to_csv(array: PFArray) -> str:
+    v = array.spec.orders[0]
+    rows = [[""] * array.n for _ in range(array.m)]
+    for (r, c), x in array.entry_codes.items():
+        rows[r - 1][c - 1] = str(x - v if x > v // 2 else x)
+    return "".join(",".join(fields) + "\n" for fields in rows)
 
 
 def direct_sum(a: PFArray, b: PFArray) -> PFArray:

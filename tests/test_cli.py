@@ -5,6 +5,7 @@ import dataclasses
 import io
 import json
 import os
+import traceback
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -917,6 +918,56 @@ def test_write_errors_are_the_texts_of_open(tmp_path, capsys, case):
     assert main(["construct", "h-n-3", "--n", "3", "--out", str(prefix)]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err == f"error: {expected}\n"
+
+
+@pytest.mark.parametrize("before", ["longer-artifacts", "dev-null-links"])
+def test_construct_rewrites_existing_artifacts_in_place(tmp_path, capsys, before):
+    """An artifact is rewritten in place: a longer old file is cut to the new
+    bytes, and a link to a device is written through, neither cut nor replaced."""
+    prefix, paths = tmp_path / "P", [tmp_path / "P.json", tmp_path / "P.csv"]
+    if before == "longer-artifacts":
+        assert main(["construct", "h9", "--n", "15", "--out", str(prefix)]) == 0
+        capsys.readouterr()
+        old_sizes = [path.stat().st_size for path in paths]
+    else:
+        for path in paths:
+            os.symlink(os.devnull, path)
+    code, payload = run(capsys, "construct", "h-n-3", "--n", "3", "--out", str(prefix))
+    assert code == 0 and payload["status"] == "ok"
+    assert payload["artifacts"] == list(map(str, paths))
+    if before == "longer-artifacts":
+        array = build_h_n_3(3)
+        assert [path.read_text() for path in paths] == [array.to_json_text(), array.to_csv()]
+        assert all(path.stat().st_size < old for path, old in zip(paths, old_sizes))
+    else:
+        assert [os.readlink(path) for path in paths] == [os.devnull] * 2
+
+
+@pytest.mark.parametrize("error", [MemoryError(), RuntimeError("boom")],
+                         ids=["MemoryError", "RuntimeError"])
+def test_a_crash_exits_70_with_its_traceback(monkeypatch, capsys, error):
+    """An exception that is no usage error is a crash, never a verdict: exit 70
+    (EX_SOFTWARE), the traceback on stderr, nothing on stdout."""
+    def crash(array):
+        raise error
+
+    monkeypatch.setattr(cli, "is_globally_simple", crash)
+    code = main(["construct", "h-n-3", "--n", "3"])
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_SOFTWARE == 70 and captured.out == ""
+    assert captured.err.startswith("Traceback (most recent call last):\n")
+    assert captured.err.endswith("".join(traceback.format_exception_only(error)))
+    assert "in crash\n" in captured.err
+
+
+def test_an_interrupt_is_not_a_crash(monkeypatch, capsys):
+    def interrupt(array):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "is_globally_simple", interrupt)
+    with pytest.raises(KeyboardInterrupt):
+        main(["construct", "h-n-3", "--n", "3"])
+    assert capsys.readouterr().out == ""
 
 
 @settings(max_examples=300, deadline=None)

@@ -66,6 +66,7 @@ def test_json_round_trips(array):
 @given(arrays(st.integers(1, 40).map(lambda v: (v,))))
 def test_csv_round_trips(array):
     text = array.to_csv()
+    assert text == oracle.to_csv(array)
     grid = [line.split(",") for line in text.splitlines()]
     assert {(i, j): int(f) for i, row in enumerate(grid, 1) for j, f in enumerate(row, 1) if f} \
         == {cell: symmetric_rep(e) for cell, e in array.entries.items()}

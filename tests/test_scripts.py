@@ -1,4 +1,4 @@
-"""The script under scripts/, run in-process at a small size."""
+"""The scripts under scripts/, run in-process at a small size."""
 
 import runpy
 import sys
@@ -23,3 +23,14 @@ def test_knight_window(monkeypatch, capsys):
     assert out.splitlines()[0].startswith("n=5: R=+++++ C=+-+++ (")
     assert out.splitlines()[0].endswith(") -> lifts to n=7")
     assert out.splitlines()[-1] == "window covered: 1 sizes, 0 without solution"
+
+
+def test_ab_cold_smoke(monkeypatch, capsys):
+    root = str(SCRIPTS.parent)
+    code, out = run_script(monkeypatch, capsys, "ab_cold.py", root, root,
+                           "--workload", "construct-verify", "--passes", "2", "--smoke")
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0].startswith("workload construct-verify passes 2 jobs 14 ")
+    assert [line.split()[0] for line in lines[1:3]] == ["parent", "change"]
+    assert lines[3].startswith("change - parent ") and lines[3].endswith(" of 14 jobs")
