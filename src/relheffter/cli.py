@@ -133,13 +133,16 @@ def _write(path: str, text: str) -> str:
     """Write the text's bytes through the fd of the file, with the OSError
     texts of open(path, "w"). An existing file is rewritten in place, which
     costs less CPU than truncating it first, and then cut to the new size if
-    it is longer; a device or a FIFO (size 0) is never cut."""
+    it is longer; a device or a FIFO (size 0) is never cut. The open does
+    not block, so a FIFO with no reader fails at once (ENXIO) rather than
+    waiting for one; the writes block as usual."""
     path = _path_text(path)
     try:
-        fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+        fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_NONBLOCK, 0o666)
     except ValueError as exc:  # a NUL in the path
         raise UsageError(f"{path}: {exc}") from exc
     try:
+        os.set_blocking(fd, True)
         data = memoryview(text.encode())
         size = len(data)
         while data:

@@ -25,7 +25,7 @@ def _build(n: int, v: int, procedures: list[DiagSpec],
     """The n x n array over Z_v filled by the diag procedures and then the ad hoc
     cells, each a diag procedure of length 1, in one pass."""
     cells = [DiagSpec(r, c, x, 0, 0, 1) for (r, c), x in (ad_hoc or {}).items()]
-    return fill_diagonals(PFArray(n, n, GroupSpec.cyclic(v)), procedures + cells)
+    return fill_diagonals(n, v, procedures + cells)
 
 
 def _build_h3(n: int, d: int) -> PFArray:
@@ -144,13 +144,8 @@ def build_B(m: int, n: int, d: int, i1: int, i2: int, j1: int, j2: int) -> PFArr
         raise ValueError(f"need distinct row indices in [1, {m}], got {i1}, {i2}")
     if j1 == j2 or not (1 <= j1 <= n and 1 <= j2 <= n):
         raise ValueError(f"need distinct column indices in [1, {n}], got {j1}, {j2}")
-    spec = GroupSpec.cyclic(d)
-    return PFArray(m, n, spec, {
-        (i1, j1): spec.element(1),
-        (i2, j2): spec.element(1),
-        (i2, j1): spec.element(-1),
-        (i1, j2): spec.element(-1),
-    })
+    return PFArray(m, n, GroupSpec.cyclic(d),
+                   {(i1, j1): 1, (i2, j2): 1, (i2, j1): d - 1, (i1, j2): d - 1})
 
 
 def build_archdeacon_composite(array: PFArray, d: int) -> PFArray:

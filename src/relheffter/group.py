@@ -40,9 +40,6 @@ class GroupSpec:
     def is_cyclic_single(self) -> bool:
         return len(self.orders) == 1
 
-    def element(self, *coords: int) -> "GroupElement":
-        return GroupElement(self, tuple(c % o for c, o in zip(coords, self.orders)))
-
     def elements(self) -> Iterator["GroupElement"]:
         for coords in product(*(range(o) for o in self.orders)):
             yield GroupElement(self, coords)

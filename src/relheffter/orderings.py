@@ -165,7 +165,10 @@ def _least_orientation(
     (start of the path ending at a cell, end of the path starting at a cell,
     length at the start), so each is added in O(1). A branch is pruned when a
     cycle shorter than |skel| closes and accepted when one through every cell
-    does."""
+    does. A skeleton that fails the parity condition has no solution and is
+    not searched."""
+    if not skeleton_parity_ok(skel):
+        return None
     m = skel.m
     cells, lines = skel.index
     row_step, col_step = skel.steps
@@ -227,13 +230,10 @@ def _least_orientation(
 
 def knight_search(array: ArrayLike) -> Orientation | None:
     """The lexicographically least solution (with +1 before -1) over orientations
-    with r_1 = +1, by pruned depth-first search over r_2..r_m, c_1..c_n; or None.
-    A skeleton that fails the parity condition has no solution and is not searched."""
+    with r_1 = +1, by pruned depth-first search over r_2..r_m, c_1..c_n; or None."""
     skel = skeleton_of(array)
     if not skel.cells:
         raise ValueError("empty array")
-    if not skeleton_parity_ok(skel):
-        return None
     return _least_orientation(skel, [0], range(1, skel.m + skel.n))
 
 
@@ -307,8 +307,6 @@ def search_lift_shape(spec: LiftSpec, n: int) -> Orientation | None:
 
 def _search_lift_shape(spec: LiftSpec, skel: Skeleton) -> Orientation | None:
     """search_lift_shape on skel, the skeleton of A_n."""
-    if not skeleton_parity_ok(skel):
-        return None
     n = skel.n
     free = n - spec.diagonal_indices[-1] + 1
     return _least_orientation(skel, [*range(n), *range(n + free, 2 * n)], range(n, n + free))

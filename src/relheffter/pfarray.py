@@ -20,7 +20,7 @@ _encode_str = json.encoder.encode_basestring_ascii  # the str encoder of json.du
 
 
 class ConstructionError(ValueError):
-    """A diag procedure tried to overwrite a filled cell, or targeted cells out of range."""
+    """A diag procedure tried to overwrite a filled cell or repeated one of its own."""
 
 
 def _reduce_index(x: int, n: int) -> int:
@@ -157,13 +157,12 @@ def skeleton_of(array: PFArray | Skeleton) -> Skeleton:
     return array if isinstance(array, Skeleton) else array.skeleton
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class PFArray:
     """An m x n partially filled array over a GroupSpec; empty cells are absent keys.
 
     The one store is ``entry_codes``, a read-only map from each filled cell to
-    its entry's int code (GroupSpec.codes); equality compares it. The
-    constructor takes GroupElements and encodes them once; ``entries``,
+    its entry's int code (GroupSpec.codes); equality compares it. ``entries``,
     ``row`` and ``col`` decode on read."""
 
     m: int
@@ -171,35 +170,18 @@ class PFArray:
     spec: GroupSpec
     entry_codes: Mapping[Cell, int]
 
-    def __init__(self, m: int, n: int, spec: GroupSpec,
-                 entries: Mapping[Cell, GroupElement] = MappingProxyType({})) -> None:
-        encode, codes = spec.codes.encode, {}
-        for cell, e in entries.items():
-            if e.spec is not spec and e.spec != spec:
-                raise GroupError(f"entry at {cell} belongs to a different group")
-            codes[cell] = encode(e)
-        self._fill(m, n, spec, codes)
-
-    @classmethod
-    def _from_codes(cls, m: int, n: int, spec: GroupSpec, codes: Mapping[Cell, int]) -> "PFArray":
-        """The array with the given entry codes, of which it keeps a copy."""
-        array = object.__new__(cls)
-        array._fill(m, n, spec, codes)
-        return array
-
-    def _fill(self, m: int, n: int, spec: GroupSpec, codes: Mapping[Cell, int]) -> None:
+    def __post_init__(self) -> None:
         """Check the dimensions, the cells and the codes, and keep a read-only
-        copy of them: the index built on first use cannot go stale."""
+        copy of the codes: the index built on first use cannot go stale."""
+        m, n, spec = self.m, self.n, self.spec
         _check_dimensions(m, n)
-        codes, size = dict(codes), spec.size
+        codes, size = dict(self.entry_codes), spec.size
         for (r, c), x in codes.items():  # min/max passes over the cells measured slower
             if not (1 <= r <= m and 1 <= c <= n):
                 raise ValueError(f"cell {(r, c)} outside {m}x{n}")
             if not 0 <= x < size:
                 raise GroupError(f"entry code {x} at {(r, c)} is not an element of {spec.orders}")
-        for name, value in (("m", m), ("n", n), ("spec", spec),
-                            ("entry_codes", MappingProxyType(codes))):
-            object.__setattr__(self, name, value)
+        object.__setattr__(self, "entry_codes", MappingProxyType(codes))
 
     @cached_property
     def _row_major(self) -> list[Cell]:
@@ -209,9 +191,9 @@ class PFArray:
 
     @cached_property
     def skeleton(self) -> Skeleton:
-        """The skeleton of the filled cells, without a second range check (_fill
-        made one) and with its index split from this array's row-major cells,
-        without a second sort."""
+        """The skeleton of the filled cells, without a second range check (the
+        constructor made one) and with its index split from this array's
+        row-major cells, without a second sort."""
         cells = self._row_major
         skel = object.__new__(Skeleton)
         for name, value in (("m", self.m), ("n", self.n), ("cells", frozenset(cells))):
@@ -281,7 +263,7 @@ class PFArray:
         codes = _json_cells(cells, spec)
         if codes is None:
             codes = _scan_json_cells(cells, spec)
-        return cls._from_codes(_int(data["m"], "m"), _int(data["n"], "n"), spec, codes)
+        return cls(_int(data["m"], "m"), _int(data["n"], "n"), spec, codes)
 
     def to_csv(self) -> str:
         """Grid CSV with symmetric representatives; empty string for empty cells.
@@ -319,7 +301,7 @@ class PFArray:
         codes = _csv_cells(lines, n, v)
         if codes is None:
             codes = _scan_csv_cells([line.split(",") for line in lines], n, v)
-        return cls._from_codes(len(lines), n, spec, codes)
+        return cls(len(lines), n, spec, codes)
 
 
 def _json_cells(cells: object, spec: GroupSpec) -> dict[Cell, int] | None:
@@ -419,22 +401,17 @@ class DiagSpec:
             raise ValueError("length must be >= 1")
 
 
-def fill_diagonals(array: PFArray, procedures: Iterable[DiagSpec]) -> PFArray:
-    """The array after the diag procedure d for each d in turn, built as one
-    PFArray: d puts the entries s + i*d2 at the cells (r + i*d1, c + i*d1),
-    for i < length, indices wrapping in 1..n.
+def fill_diagonals(n: int, v: int, procedures: Iterable[DiagSpec]) -> PFArray:
+    """The n x n array over Z_v filled by the diag procedure d for each d in
+    turn: d puts the entries s + i*d2 at the cells (r + i*d1, c + i*d1), for
+    i < length, indices wrapping in 1..n.
 
     Each procedure's cells are placed, and checked against each other, before
     they are checked against the cells already filled, so a failure raises the
     ConstructionError that applying the procedures one at a time would raise
     first."""
-    if array.m != array.n:
-        raise ConstructionError("diag requires a square array")
-    if not array.spec.is_cyclic_single:
-        raise ConstructionError("diag requires a single-factor group")
-    n, spec = array.n, array.spec
-    v = spec.orders[0]
-    cells = dict(array.entry_codes)
+    spec = GroupSpec.cyclic(v)
+    cells: dict[Cell, int] = {}
     for d in procedures:
         r, c, s, d1, d2 = d.r - 1, d.c - 1, d.s, d.d1, d.d2
         new: dict[Cell, int] = {}
@@ -447,7 +424,7 @@ def fill_diagonals(array: PFArray, procedures: Iterable[DiagSpec]) -> PFArray:
             cell = next(cell for cell in new if cell in cells)
             raise ConstructionError(f"cell {cell} already filled")
         cells.update(new)
-    return PFArray._from_codes(n, n, spec, cells)
+    return PFArray(n, n, spec, cells)
 
 
 def diagonal_cells(n: int, i: int) -> list[Cell]:
@@ -505,7 +482,7 @@ def direct_sum(a: PFArray, b: PFArray) -> PFArray:
     spec = GroupSpec(a.spec.orders + b.spec.orders)
     size, ca, cb = b.spec.size, a.entry_codes, b.entry_codes
     codes = {cell: ca.get(cell, 0) * size + cb.get(cell, 0) for cell in ca.keys() | cb.keys()}
-    return PFArray._from_codes(a.m, a.n, spec, codes)
+    return PFArray(a.m, a.n, spec, codes)
 
 
 def cyclic_row_shift(array: PFArray, shift: int) -> PFArray:
@@ -514,7 +491,7 @@ def cyclic_row_shift(array: PFArray, shift: int) -> PFArray:
         raise ValueError("cyclic row shift requires a square array")
     n = array.n
     codes = {(_reduce_index(r + shift, n), c): x for (r, c), x in array.entry_codes.items()}
-    return PFArray._from_codes(array.m, array.n, array.spec, codes)
+    return PFArray(array.m, array.n, array.spec, codes)
 
 
 def skeleton_from_diagonals(n: int, indices: Iterable[int]) -> Skeleton:

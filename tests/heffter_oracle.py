@@ -43,7 +43,7 @@ def subgroup_of_order(v: int, t: int) -> frozenset[GroupElement]:
     """The unique subgroup {0, v/t, 2v/t, ...} of order t in Z_v."""
     step = subgroup_step(v, t)
     spec = GroupSpec.cyclic(v)
-    return frozenset(spec.element(i * step) for i in range(t))
+    return frozenset(spec.codes.decode(i * step) for i in range(t))
 
 
 def support(array: PFArray) -> frozenset[int]:

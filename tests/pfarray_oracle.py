@@ -1,12 +1,15 @@
 """Reference implementations of the pfarray fast paths.
 
-``diag`` is the diag procedure as a step that copies the whole array and
-validates it again, and ``fill_chain`` applies it once per procedure, as the
-family builders once did. ``classify_diagonals`` tests every cell of every
-diagonal, O(n^2). ``json_text`` is the stdlib encoder's text, which
-``PFArray.to_json_text`` writes directly, and ``to_csv`` fills an m x n
-grid of empty fields, where ``PFArray.to_csv`` writes only the runs of
-commas between the filled ones. ``direct_sum`` and
+``element`` is the GroupElement with given coordinates, each reduced mod its
+order, and ``from_elements`` the array with given GroupElement entries: the
+library builds arrays from int codes only, so tests that write entries as
+objects build them here. ``diag`` is the diag procedure as a step that
+copies the whole array and validates it again, and ``fill_chain`` applies it
+once per procedure to an empty n x n array over Z_v, as the family builders
+once did. ``classify_diagonals`` tests every cell of every diagonal, O(n^2).
+``json_text`` is the stdlib encoder's text, which ``PFArray.to_json_text``
+writes directly, and ``to_csv`` fills an m x n grid of empty fields, where
+``PFArray.to_csv`` writes only the runs of commas between the filled ones. ``direct_sum`` and
 ``cyclic_row_shift`` work on ``GroupElement`` entries, where the library
 works on int codes. ``from_json`` and ``from_csv`` parse one cell at a time,
 where the library checks all cells at once and scans them only to name the
@@ -39,27 +42,36 @@ from relheffter.pfarray import (
 )
 
 
+def element(spec: GroupSpec, *coords: int) -> GroupElement:
+    return GroupElement(spec, tuple(c % o for c, o in zip(coords, spec.orders)))
+
+
+def from_elements(m: int, n: int, spec: GroupSpec,
+                  entries: Mapping[Cell, GroupElement]) -> PFArray:
+    """The array with these entries, each encoded once; GroupError for an entry
+    of another group."""
+    encode = spec.codes.encode
+    return PFArray(m, n, spec, {cell: encode(e) for cell, e in entries.items()})
+
+
 def diag(array: PFArray, d: DiagSpec) -> PFArray:
-    if array.m != array.n:
-        raise ConstructionError("diag requires a square array")
-    if not array.spec.is_cyclic_single:
-        raise ConstructionError("diag requires a single-factor group")
     n = array.n
     new = {}
     for i in range(d.length):
         cell = ((d.r + i * d.d1 - 1) % n + 1, (d.c + i * d.d1 - 1) % n + 1)
         if cell in new:
             raise ConstructionError(f"diag self-collision at {cell}")
-        new[cell] = array.spec.element(d.s + i * d.d2)
+        new[cell] = element(array.spec, d.s + i * d.d2)
     merged = dict(array.entries)
     for cell, e in new.items():
         if cell in merged:
             raise ConstructionError(f"cell {cell} already filled")
         merged[cell] = e
-    return PFArray(array.m, array.n, array.spec, merged)
+    return from_elements(array.m, array.n, array.spec, merged)
 
 
-def fill_chain(array: PFArray, procedures: list[DiagSpec]) -> PFArray:
+def fill_chain(n: int, v: int, procedures: list[DiagSpec]) -> PFArray:
+    array = PFArray(n, n, GroupSpec.cyclic(v), {})
     for d in procedures:
         array = diag(array, d)
     return array
@@ -110,7 +122,7 @@ def to_csv(array: PFArray) -> str:
 def direct_sum(a: PFArray, b: PFArray) -> PFArray:
     spec = GroupSpec(a.spec.orders + b.spec.orders)
     zero_a, zero_b = a.spec.codes.decode(0), b.spec.codes.decode(0)
-    return PFArray(a.m, a.n, spec, {
+    return from_elements(a.m, a.n, spec, {
         cell: GroupElement(spec, a.entries.get(cell, zero_a).coords
                            + b.entries.get(cell, zero_b).coords)
         for cell in set(a.entries) | set(b.entries)
@@ -119,7 +131,7 @@ def direct_sum(a: PFArray, b: PFArray) -> PFArray:
 
 def cyclic_row_shift(array: PFArray, shift: int) -> PFArray:
     n = array.n
-    return PFArray(array.m, n, array.spec, {
+    return from_elements(array.m, n, array.spec, {
         ((r + shift - 1) % n + 1, c): e for (r, c), e in array.entries.items()
     })
 
@@ -147,7 +159,7 @@ def checked(m: int, n: int, spec: GroupSpec, codes: Mapping) -> PFArray:
             raise ValueError(f"cell {(r, c)} outside {m}x{n}")
         if not 0 <= x < size:
             raise GroupError(f"entry code {x} at {(r, c)} is not an element of {spec.orders}")
-    return PFArray._from_codes(m, n, spec, codes)
+    return PFArray(m, n, spec, codes)
 
 
 def from_json(data: dict) -> PFArray:

@@ -5,6 +5,8 @@ import dataclasses
 import io
 import json
 import os
+import subprocess
+import sys
 import traceback
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -17,6 +19,7 @@ import relheffter.constructions as cons
 import topology_oracle as oracle
 from heffter_oracle import symmetric_rep
 from knight_oracle import nine_diagonal_skeleton
+from pfarray_oracle import element, from_elements
 from relheffter.cli import build_parser, main
 from relheffter.constructions import FAMILIES, build_archdeacon_composite, build_h_n_3
 from relheffter.group import GroupError, GroupSpec
@@ -261,8 +264,8 @@ def _perturbed_h_n_3(n):
     if n != 5:
         return a
     entries = dict(a.entries)
-    entries[(1, 1)] = entries[(1, 1)] + a.spec.element(1)
-    return PFArray(a.m, a.n, a.spec, entries)
+    entries[(1, 1)] = entries[(1, 1)] + element(a.spec, 1)
+    return from_elements(a.m, a.n, a.spec, entries)
 
 
 def _certify_but_not_n_5(array, orientation):
@@ -363,13 +366,14 @@ def test_embed_repeat_in_plus_minus_entries_is_usage_error(tmp_path, capsys):
     gadget = [cell for cell, e in sorted(base.entries.items()) if e.coords[1]]
     inputs = []
     for i, cell in enumerate(gadget):
-        inputs.append({cell: spec.element(0, 2)})
+        inputs.append({cell: element(spec, 0, 2)})
         x = base.entries[cell].coords[0]
-        inputs.append({cell: spec.element(x, 2), gadget[i - 1]: spec.element(-x, 2)})
+        inputs.append({cell: element(spec, x, 2), gadget[i - 1]: element(spec, -x, 2)})
     errors = set()
     for number, changes in enumerate(inputs):
         path = tmp_path / f"{number}.json"
-        path.write_text(PFArray(base.m, base.n, spec, {**base.entries, **changes}).to_json_text())
+        array = from_elements(base.m, base.n, spec, {**base.entries, **changes})
+        path.write_text(array.to_json_text())
         for orientation in ("+++++,+++++", "-+-+-,++-++"):
             code = main(["embed", str(path), f"--orientation={orientation}"])
             captured = capsys.readouterr()
@@ -943,6 +947,20 @@ def test_construct_rewrites_existing_artifacts_in_place(tmp_path, capsys, before
         assert [os.readlink(path) for path in paths] == [os.devnull] * 2
 
 
+def test_construct_onto_a_fifo_with_no_reader_fails_at_once(tmp_path):
+    """An artifact path that is a FIFO with no reader is an error, exit 2, and
+    not a wait for a reader that never comes: run apart, with a timeout."""
+    os.mkfifo(tmp_path / "P.json")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [
+        src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run(
+        [sys.executable, "-m", "relheffter.cli", "construct", "h-n-3", "--n", "3", "--out", "P"],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=10)
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr == "error: [Errno 6] No such device or address: 'P.json'\n"
+
+
 @pytest.mark.parametrize("error", [MemoryError(), RuntimeError("boom")],
                          ids=["MemoryError", "RuntimeError"])
 def test_a_crash_exits_70_with_its_traceback(monkeypatch, capsys, error):
@@ -1025,10 +1043,10 @@ def _spread_h3(orders, delta=0):
     added to the first coordinate of the entry at (4, 4)."""
     spec = GroupSpec(tuple(orders))
     rows, cols = {1: 1, 2: 2, 3: 4}, {1: 1, 2: 3, 3: 4}
-    entries = {(rows[r], cols[c]): spec.element(*[symmetric_rep(x) % o for o in orders])
+    entries = {(rows[r], cols[c]): element(spec, *[symmetric_rep(x) % o for o in orders])
                for (r, c), x in build_h_n_3(3).entries.items()}
-    entries[(4, 4)] = entries[(4, 4)] + spec.element(delta, *[0] * (len(orders) - 1))
-    return PFArray(4, 4, spec, entries)
+    entries[(4, 4)] = entries[(4, 4)] + element(spec, delta, *[0] * (len(orders) - 1))
+    return from_elements(4, 4, spec, entries)
 
 
 def _decomposition(v):

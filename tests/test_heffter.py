@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from heffter_oracle import check_compatibility_parity, check_necessary_conditions, tags
+from pfarray_oracle import element, from_elements
 from relheffter.constructions import build_h_n_3
 from relheffter.group import GroupSpec
 from relheffter.heffter import (
@@ -13,7 +14,6 @@ from relheffter.heffter import (
     verify_integer,
     verify_relative_heffter,
 )
-from relheffter.pfarray import PFArray
 
 
 def small_heffter():
@@ -37,8 +37,8 @@ def check_trivial(p: HeffterParams) -> list[str]:
 
 def perturb(array, cell, value):
     entries = dict(array.entries)
-    entries[cell] = array.spec.element(value)
-    return PFArray(array.m, array.n, array.spec, entries)
+    entries[cell] = element(array.spec, value)
+    return from_elements(array.m, array.n, array.spec, entries)
 
 
 def test_params():
@@ -88,8 +88,8 @@ def test_self_negative_entry_flagged():
     # 14 = -14 in Z_28: |+-E(A)| silently drops below 2nk without a +- pair
     spec = GroupSpec.cyclic(28)
     values = list(range(1, 12)) + [14]
-    a = PFArray(3, 4, spec, {
-        (i, j): spec.element(values[(i - 1) * 4 + (j - 1)])
+    a = from_elements(3, 4, spec, {
+        (i, j): element(spec, values[(i - 1) * 4 + (j - 1)])
         for i in range(1, 4) for j in range(1, 5)
     })
     report = verify_relative_heffter(a, HeffterParams(3, 4, 4, 3, 4))
@@ -101,7 +101,7 @@ def test_fill_count_violations():
     entries = dict(a.entries)
     del entries[min(entries)]
     report = verify_relative_heffter(
-        PFArray(3, 3, a.spec, entries), HeffterParams.square(3, 3, 3)
+        from_elements(3, 3, a.spec, entries), HeffterParams.square(3, 3, 3)
     )
     assert "row-count" in tags(report) and "col-count" in tags(report)
 
@@ -110,8 +110,8 @@ def test_integer_violation_without_modular_violation():
     # scaling by a unit of Z_21 preserves every modular condition but breaks
     # the integer row/column sums
     a = small_heffter()
-    scaled = PFArray(a.m, a.n, a.spec, {
-        cell: a.spec.element(e.coords[0] * 2) for cell, e in a.entries.items()
+    scaled = from_elements(a.m, a.n, a.spec, {
+        cell: element(a.spec, e.coords[0] * 2) for cell, e in a.entries.items()
     })
     report = verify_integer(scaled, HeffterParams.square(3, 3, 3))
     assert tags(report) == {"integer-sum"}
@@ -168,8 +168,8 @@ def archdeacon_example():
     """Zero row/column sums over Z_23, distinct entries, no +- pair."""
     spec = GroupSpec.cyclic(23)
     rows = [[1, 2, 20], [4, 9, 10], [18, 12, 16]]
-    return PFArray(3, 3, spec, {
-        (i, j): spec.element(x)
+    return from_elements(3, 3, spec, {
+        (i, j): element(spec, x)
         for i, row in enumerate(rows, 1) for j, x in enumerate(row, 1)
     })
 
@@ -180,8 +180,8 @@ def test_archdeacon_valid():
 
 def test_archdeacon_zero_entry_has_distinct_tag():
     spec = GroupSpec.cyclic(9)
-    a = PFArray(1, 4, spec, {(1, 1): spec.element(0), (1, 2): spec.element(1),
-                             (1, 3): spec.element(2), (1, 4): spec.element(6)})
+    a = from_elements(1, 4, spec, {(1, 1): element(spec, 0), (1, 2): element(spec, 1),
+                                   (1, 3): element(spec, 2), (1, 4): element(spec, 6)})
     report = verify_archdeacon(a)
     assert "zero-entry" in tags(report)
     assert "antisymmetric" not in tags(report)
@@ -189,17 +189,17 @@ def test_archdeacon_zero_entry_has_distinct_tag():
 
 def test_archdeacon_negative_pair_flagged():
     spec = GroupSpec.cyclic(9)
-    a = PFArray(2, 2, spec, {(1, 1): spec.element(4), (1, 2): spec.element(5),
-                             (2, 1): spec.element(5), (2, 2): spec.element(4)})
+    a = from_elements(2, 2, spec, {(1, 1): element(spec, 4), (1, 2): element(spec, 5),
+                                   (2, 1): element(spec, 5), (2, 2): element(spec, 4)})
     report = verify_archdeacon(a)
     assert "antisymmetric" in tags(report) and "duplicate" in tags(report)
 
 
 def test_archdeacon_empty_rows_vacuous():
     spec = GroupSpec.cyclic(13)
-    a = PFArray(3, 3, spec, {
-        (1, 1): spec.element(1), (1, 2): spec.element(3), (1, 3): spec.element(9),
-        (3, 1): spec.element(2), (3, 2): spec.element(5), (3, 3): spec.element(6),
+    a = from_elements(3, 3, spec, {
+        (1, 1): element(spec, 1), (1, 2): element(spec, 3), (1, 3): element(spec, 9),
+        (3, 1): element(spec, 2), (3, 2): element(spec, 5), (3, 3): element(spec, 6),
     })
     report = verify_archdeacon(a)
     assert tags(report) == {"col-sum"}  # all columns fail; empty row 2 passes vacuously
@@ -220,9 +220,9 @@ def test_compatibility_parity_clauses():
 def test_skeleton_parity():
     assert skeleton_parity_ok(small_heffter())  # 9 filled cells, 3+3-1 odd
     spec = GroupSpec.cyclic(50)
-    a = PFArray(2, 2, spec, {(1, 1): spec.element(1), (2, 2): spec.element(2)})
+    a = from_elements(2, 2, spec, {(1, 1): element(spec, 1), (2, 2): element(spec, 2)})
     assert not skeleton_parity_ok(a)  # 2 filled vs 2+2-1 odd
     # no obstruction when a row or column is empty, for arrays and skeletons
-    empty_row = PFArray(2, 2, spec, {(1, 1): spec.element(1), (1, 2): spec.element(2)})
+    empty_row = from_elements(2, 2, spec, {(1, 1): element(spec, 1), (1, 2): element(spec, 2)})
     assert skeleton_parity_ok(empty_row) and skeleton_parity_ok(empty_row.skeleton)
     assert not skeleton_parity_ok(a.skeleton)

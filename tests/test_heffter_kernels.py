@@ -9,6 +9,7 @@ from pathlib import Path
 from hypothesis import example, given, settings, strategies as st
 
 import heffter_oracle as oracle
+from pfarray_oracle import element, from_elements
 from relheffter.constructions import FAMILIES, build_archdeacon_composite, build_B, build_h_n_3
 from relheffter.group import GroupElement, GroupSpec
 from relheffter.heffter import (
@@ -61,10 +62,6 @@ def assert_agree(array: PFArray, params: HeffterParams | None) -> None:
     assert is_globally_simple(array) == oracle.is_globally_simple(array)
 
 
-def element(array: PFArray, coords) -> GroupElement:
-    return GroupElement(array.spec, tuple(x % o for x, o in zip(coords, array.spec.orders)))
-
-
 def perturb(array: PFArray, params: HeffterParams | None, kind: str,
             rng: random.Random) -> PFArray:
     """One planted defect of the given kind (a no-op where the group has none)."""
@@ -89,8 +86,8 @@ def perturb(array: PFArray, params: HeffterParams | None, kind: str,
     elif kind == "integer-sum":
         # a unit keeps every modular condition and moves the integer sums
         u = next(u for u in (2, 3, 5, 7, 11, 13) if all(gcd(u, o) == 1 for o in orders))
-        return PFArray(array.m, array.n, array.spec, {
-            cell: element(array, [u * x for x in e.coords]) for cell, e in entries.items()
+        return from_elements(array.m, array.n, array.spec, {
+            cell: element(array.spec, *(u * x for x in e.coords)) for cell, e in entries.items()
         })
     elif kind == "non-simple":
         # two adjacent cells after the first of a row cancel: s_{i-1} = s_{i+1}
@@ -100,9 +97,9 @@ def perturb(array: PFArray, params: HeffterParams | None, kind: str,
             a, value = row[i + 1], tuple(-x for x in entries[row[i]].coords)
     elif kind == "count":
         del entries[a]
-        return PFArray(array.m, array.n, array.spec, entries)
-    entries[a] = element(array, value)
-    return PFArray(array.m, array.n, array.spec, entries)
+        return from_elements(array.m, array.n, array.spec, entries)
+    entries[a] = element(array.spec, *value)
+    return from_elements(array.m, array.n, array.spec, entries)
 
 
 @given(case=st.sampled_from(CASES), kinds=st.lists(st.sampled_from(KINDS), max_size=3),
@@ -131,5 +128,6 @@ def test_random_arrays_match_oracle(data):
     cells = data.draw(st.sets(st.tuples(st.integers(1, m), st.integers(1, n))))
     values = [tuple(data.draw(st.integers(0, o - 1)) for o in orders) for _ in cells]
     spec = GroupSpec(orders)
-    array = PFArray(m, n, spec, {c: GroupElement(spec, x) for c, x in zip(sorted(cells), values)})
+    array = from_elements(m, n, spec,
+                          {c: GroupElement(spec, x) for c, x in zip(sorted(cells), values)})
     assert_agree(array, params if len(orders) == 1 else None)

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import knight_oracle as oracle
-from relheffter import orderings
 from relheffter.orderings import (
     LiftSpec,
     Orientation,
@@ -85,7 +84,8 @@ def test_search_lift_shape_skips_sizes_that_fail_parity(monkeypatch):
     def refuse(*args):
         raise AssertionError("searched a size that fails parity")
 
-    monkeypatch.setattr(orderings, "_least_orientation", refuse)
+    # the search reads the skeleton's step tables first, after the parity check
+    monkeypatch.setattr(Skeleton, "steps", property(refuse))
     for n in (6, 8, 10):
         assert search_lift_shape(spec, n) is None
         assert oracle.search_lift_shape(spec, n) is None

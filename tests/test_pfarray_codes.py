@@ -35,16 +35,16 @@ def entry_dicts(draw, orders=ORDERS, m=None, n=None):
 
 
 def arrays(orders=ORDERS):
-    return entry_dicts(orders).map(lambda case: PFArray(*case))
+    return entry_dicts(orders).map(lambda case: oracle.from_elements(*case))
 
 
 @settings(max_examples=200, deadline=None)
 @given(entry_dicts())
 def test_decoded_views_equal_the_given_elements(case):
     m, n, spec, entries = case
-    array = PFArray(m, n, spec, entries)
+    array = oracle.from_elements(m, n, spec, entries)
     assert array.entries == entries
-    assert array == PFArray(m, n, spec, dict(entries))
+    assert array == oracle.from_elements(m, n, spec, dict(entries))
     for i in range(m + 2):
         assert array.row(i) == heffter_oracle.row(array, i)
     for j in range(n + 2):
@@ -82,14 +82,14 @@ def summands(draw):
 @settings(max_examples=200, deadline=None)
 @given(summands())
 def test_direct_sum_matches_object_level(case):
-    a, b = (PFArray(*c) for c in case)
+    a, b = (oracle.from_elements(*c) for c in case)
     assert direct_sum(a, b) == oracle.direct_sum(a, b)
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.integers(1, 5).flatmap(lambda n: entry_dicts(m=n, n=n)), st.integers(-7, 7))
 def test_cyclic_row_shift_matches_object_level(case, shift):
-    array = PFArray(*case)
+    array = oracle.from_elements(*case)
     assert cyclic_row_shift(array, shift) == oracle.cyclic_row_shift(array, shift)
 
 
@@ -128,7 +128,7 @@ def planted_product_arrays(draw):
         entries[a] = -entries[b]
     else:
         entries[a] = entries[a] + draw(elements(spec))
-    return PFArray(m, n, spec, entries)
+    return oracle.from_elements(m, n, spec, entries)
 
 
 @settings(max_examples=300, deadline=None)

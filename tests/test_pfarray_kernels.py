@@ -61,7 +61,7 @@ def test_writer_matches_json_dumps_on_fixtures(name):
 
 def test_writer_matches_json_dumps_on_an_empty_array():
     for spec in (GroupSpec.cyclic(7), GroupSpec((5, 3))):
-        array = PFArray(2, 3, spec)
+        array = PFArray(2, 3, spec, {})
         assert array.to_json_text() == oracle.json_text(array)
 
 
@@ -73,7 +73,7 @@ def product_arrays(draw):
     cells = draw(st.sets(st.tuples(st.integers(1, m), st.integers(1, n))))
     entries = {cell: GroupElement(spec, tuple(draw(st.integers(0, o - 1)) for o in orders))
                for cell in sorted(cells)}
-    return PFArray(m, n, spec, entries)
+    return oracle.from_elements(m, n, spec, entries)
 
 
 @settings(max_examples=200, deadline=None)
@@ -84,33 +84,26 @@ def test_writer_matches_json_dumps_on_random_arrays(array):
 
 @st.composite
 def diag_inputs(draw):
-    """A square array over Z_v, maybe with some cells already filled, and diag
-    procedures that may collide with themselves, each other or those cells;
-    now and then a non-square array or a product group."""
+    """The size n and order v of a square array over Z_v, and diag procedures
+    that may collide with themselves or each other."""
     n = draw(st.integers(1, 7))
-    m = n if draw(st.integers(0, 9)) else n + 1
-    spec = GroupSpec((draw(st.integers(1, 40)),) if draw(st.integers(0, 9)) else (5, 3))
-    cells = draw(st.sets(st.tuples(st.integers(1, m), st.integers(1, n)), max_size=3))
-    array = PFArray(m, n, spec, {cell: spec.codes.decode(0) for cell in cells})
+    v = draw(st.integers(1, 40))
     procedures = draw(st.lists(st.builds(
         DiagSpec, st.integers(-3, n + 3), st.integers(-3, n + 3), st.integers(-50, 50),
         st.integers(-3, 3), st.integers(-9, 9), st.integers(1, n + 2),
     ), min_size=1, max_size=6))
-    return array, procedures
+    return n, v, procedures
 
 
 @settings(max_examples=400, deadline=None)
 @given(diag_inputs())
 # the second procedure meets a filled cell, then repeats a cell of its own:
 # the self-collision is what the chain reports
-@example((PFArray(3, 3, GroupSpec.cyclic(9)),
-          [DiagSpec(1, 1, 0, 1, 1, 1), DiagSpec(2, 2, 0, 1, 1, 4)]))
-@example((PFArray(3, 3, GroupSpec.cyclic(9)),
-          [DiagSpec(1, 1, 0, 1, 1, 3), DiagSpec(2, 2, 0, 0, 1, 2)]))
+@example((3, 9, [DiagSpec(1, 1, 0, 1, 1, 1), DiagSpec(2, 2, 0, 1, 1, 4)]))
+@example((3, 9, [DiagSpec(1, 1, 0, 1, 1, 3), DiagSpec(2, 2, 0, 0, 1, 2)]))
 def test_filler_matches_chained_diag(case):
-    array, procedures = case
-    expected = outcome(oracle.fill_chain, array, procedures)
-    assert outcome(fill_diagonals, array, procedures) == expected
+    expected = outcome(oracle.fill_chain, *case)
+    assert outcome(fill_diagonals, *case) == expected
 
 
 def test_builders_match_chained_diag(monkeypatch):
@@ -139,7 +132,7 @@ def square_skeletons(draw):
 def test_classify_diagonals_matches_reference(skel):
     assert classify_diagonals(skel) == oracle.classify_diagonals(skel)
     spec = GroupSpec.cyclic(11)
-    array = PFArray(skel.m, skel.n, spec, {cell: spec.element(1) for cell in skel.cells})
+    array = PFArray(skel.m, skel.n, spec, dict.fromkeys(skel.cells, 1))
     assert classify_diagonals(array) == oracle.classify_diagonals(array)
 
 

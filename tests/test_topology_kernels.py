@@ -9,6 +9,7 @@ from pathlib import Path
 from hypothesis import example, given, settings, strategies as st
 
 import topology_oracle as oracle
+from pfarray_oracle import element, from_elements
 from relheffter.constructions import FAMILIES, build_archdeacon_composite, build_B, build_h_n_3
 from relheffter.orderings import (
     Ordering,
@@ -232,12 +233,12 @@ def test_rho0_matches_oracle_when_a_digit_is_its_own_negative():
     gadget = [cell for cell, e in sorted(base.entries.items()) if e.coords[1]]
     inputs = []
     for i, cell in enumerate(gadget):
-        inputs.append({cell: spec.element(0, 2)})
+        inputs.append({cell: element(spec, 0, 2)})
         x = base.entries[cell].coords[0]
-        inputs.append({cell: spec.element(x, 2), gadget[i - 1]: spec.element(-x, 2)})
+        inputs.append({cell: element(spec, x, 2), gadget[i - 1]: element(spec, -x, 2)})
     errors = set()
     for changes in inputs:
-        array = PFArray(base.m, base.n, spec, {**base.entries, **changes})
+        array = from_elements(base.m, base.n, spec, {**base.entries, **changes})
         natural = Orientation((1,) * array.m, (1,) * array.n)
         for ordering in (orientation_to_orderings(array, natural),
                          orientation_to_orderings(array, Orientation((-1,) * 5, (1,) * 5))):
