@@ -22,16 +22,14 @@ from .heffter import (
     verify_relative_heffter,
 )
 from .orderings import (
-    _NOT_LIFTABLE,
     LiftSpec,
     Orientation,
-    _lift,
-    _search_lift_shape,
-    has_lift_shape,
     is_globally_simple,
     knight_search,
     knight_walk,
+    lift_walk,
     nine_diagonal_orientation,
+    search_lift_shape_on,
 )
 from .pfarray import PFArray, Skeleton, classify_diagonals, json_text, skeleton_of
 from .topology import CertificationError, certify_biembedding, heffter_genus_formula
@@ -268,7 +266,7 @@ def cmd_knight(args: argparse.Namespace) -> int:
             raise UsageError(f"{args.input} is not the skeleton of diagonals {args.lift}")
 
     if args.search:
-        orientation = _search_lift_shape(spec, skel) if args.lift else knight_search(skel)
+        orientation = search_lift_shape_on(spec, skel) if args.lift else knight_search(skel)
         if orientation is None:
             payload["solution"] = None
             return _finish(payload, False)
@@ -279,12 +277,12 @@ def cmd_knight(args: argparse.Namespace) -> int:
     else:
         orientation = _orientation(args.orientation, skel.m, skel.n)
 
-    if args.lift and not has_lift_shape(spec, skel.n, orientation):
-        raise UsageError(_NOT_LIFTABLE)
-    orbit, ok = knight_walk(skel, orientation)
-    if args.lift and ok:  # skel is spec.skeleton(n)
-        skel, orientation, orbit, ok = _lift(spec, skel.n, orientation)
-        payload["lifted_n"] = skel.n
+    if args.lift:  # skel is spec.skeleton(n)
+        big, orientation, orbit, ok = _usage(lift_walk, spec, skel, orientation)
+        if big is not skel:
+            payload["lifted_n"] = big.n
+    else:
+        orbit, ok = knight_walk(skel, orientation)
     rs, cs = orientation.to_strings()
     payload.update(
         orientation_rows=rs, orientation_cols=cs, orbit_length=len(orbit), is_solution=ok,

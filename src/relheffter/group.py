@@ -49,9 +49,6 @@ class GroupSpec:
         """Int codes of the elements and their arithmetic, built once per spec."""
         return ElementCodes(self)
 
-    def __getstate__(self) -> dict:
-        return {"orders": self.orders}  # not the cached codes: functions do not pickle
-
     def to_json(self) -> dict:
         return {"orders": list(self.orders)}
 

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
 from .group import subgroup_step, symmetric_residue
-from .pfarray import PFArray, Skeleton, skeleton_of
+from .pfarray import PFArray
 
 
 @dataclass(frozen=True)
@@ -159,9 +159,3 @@ def verify_archdeacon(array: PFArray) -> VerificationReport:
                 lambda j, _: f"column {j} does not sum to 0")
     return report
 
-
-def skeleton_parity_ok(array: PFArray | Skeleton) -> bool:
-    """|skel(A)| == m + n - 1 (mod 2): required for compatible orderings when no
-    row or column of A is empty, so True whenever one is."""
-    cells, lines = skeleton_of(array).index
-    return not all(lines) or len(cells) % 2 == (array.m + array.n - 1) % 2

@@ -9,7 +9,6 @@ from operator import add
 from typing import Callable, Mapping, Sequence
 
 from .group import ElementCodes
-from .heffter import skeleton_parity_ok
 from .pfarray import Cell, PFArray, Skeleton, skeleton_from_diagonals, skeleton_of
 
 ArrayLike = PFArray | Skeleton
@@ -151,6 +150,13 @@ def knight_walk(array: ArrayLike, o: Orientation) -> tuple[list[Cell], bool]:
             return orbit, len(orbit) == len(cells)
 
 
+def skeleton_parity_ok(array: ArrayLike) -> bool:
+    """|skel(A)| == m + n - 1 (mod 2): required for compatible orderings when no
+    row or column of A is empty, so True whenever one is."""
+    cells, lines = skeleton_of(array).index
+    return not all(lines) or len(cells) % 2 == (array.m + array.n - 1) % 2
+
+
 def _least_orientation(
     skel: Skeleton, fixed: Sequence[int], free: Sequence[int]
 ) -> Orientation | None:
@@ -274,38 +280,42 @@ def has_lift_shape(spec: LiftSpec, n: int, o: Orientation) -> bool:
     )
 
 
+def lift_walk(spec: LiftSpec, skel: Skeleton, o: Orientation
+              ) -> tuple[Skeleton, Orientation, list[Cell], bool]:
+    """The walk of o on skel, the skeleton of A_n: the skeleton, the orientation,
+    the orbit and whether it is a solution. When the walk is one, these are
+    instead those of the lift of o to A_{n+M}: all rows +1 and the columns of
+    o up to position n - l_k + 1, +1 after. Raises ValueError unless o has the
+    liftable shape."""
+    n = skel.n
+    if not has_lift_shape(spec, n, o):
+        raise ValueError("orientation does not have the liftable shape")
+    orbit, ok = knight_walk(skel, o)
+    if not ok:
+        return skel, o, orbit, ok
+    big = spec.skeleton(n + spec.M)
+    keep = n - spec.diagonal_indices[-1] + 1
+    lifted = Orientation((1,) * big.n, o.c[:keep] + (1,) * (big.n - keep))
+    return big, lifted, *knight_walk(big, lifted)
+
+
 def lift_solution(spec: LiftSpec, n: int, o: Orientation) -> Orientation:
     """Extend a lift-shaped solution of P(A_n) to a verified solution of P(A_{n+M})."""
-    if not has_lift_shape(spec, n, o):
-        raise ValueError(_NOT_LIFTABLE)
-    if not knight_walk(spec.skeleton(n), o)[1]:
+    big, lifted, _, ok = lift_walk(spec, spec.skeleton(n), o)
+    if big.n == n:
         raise ValueError("input orientation is not a solution")
-    _, lifted, _, ok = _lift(spec, n, o)
     if not ok:
         raise ValueError("lifted orientation failed verification")
     return lifted
 
 
-_NOT_LIFTABLE = "orientation does not have the liftable shape"
-
-
-def _lift(spec: LiftSpec, n: int, o: Orientation
-          ) -> tuple[Skeleton, Orientation, list[Cell], bool]:
-    """The skeleton of A_{n+M}, the lift of o (a lift-shaped solution on A_n) to
-    it, and the lift's walk: its orbit and whether it is a solution."""
-    big = spec.skeleton(n + spec.M)
-    lk = spec.diagonal_indices[-1]
-    lifted = Orientation((1,) * big.n, o.c[: n - lk + 1] + (1,) * (big.n - (n - lk + 1)))
-    return big, lifted, *knight_walk(big, lifted)
-
-
 def search_lift_shape(spec: LiftSpec, n: int) -> Orientation | None:
     """Search only orientations of the liftable shape: R all ones, free C prefix
     of length n - l_k + 1, ones after. Returns the lexicographically least."""
-    return _search_lift_shape(spec, spec.skeleton(n))
+    return search_lift_shape_on(spec, spec.skeleton(n))
 
 
-def _search_lift_shape(spec: LiftSpec, skel: Skeleton) -> Orientation | None:
+def search_lift_shape_on(spec: LiftSpec, skel: Skeleton) -> Orientation | None:
     """search_lift_shape on skel, the skeleton of A_n."""
     n = skel.n
     free = n - spec.diagonal_indices[-1] + 1

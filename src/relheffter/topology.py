@@ -67,27 +67,8 @@ class CayleyGraph:
         return cls(array.spec, frozenset(c for e in codes for c in (e, neg(e))))
 
     @property
-    def num_vertices(self) -> int:
-        return self.spec.size
-
-    @property
     def num_edges(self) -> int:
         return self.spec.size * len(self.connection) // 2
-
-
-@dataclass(frozen=True)
-class Cycle:
-    """A cycle as its vertex sequence of element codes; consecutive vertices
-    (cyclically) adjacent."""
-
-    vertices: tuple
-
-    def __post_init__(self) -> None:
-        if len(set(self.vertices)) != len(self.vertices):
-            raise ValueError("cycle vertices must be distinct")
-
-    def __len__(self) -> int:
-        return len(self.vertices)
 
 
 def _code_lines(array: PFArray, *orders: Mapping[int, Sequence[Cell]]) -> list[Lines]:
@@ -96,7 +77,7 @@ def _code_lines(array: PFArray, *orders: Mapping[int, Sequence[Cell]]) -> list[L
     return [{i: tuple(map(code, cells)) for i, cells in lines.items()} for lines in orders]
 
 
-def base_cycles(array: PFArray, ordering: Ordering, by: str = "col") -> list[Cycle]:
+def base_cycles(array: PFArray, ordering: Ordering, by: str = "col") -> list[tuple]:
     """Partial-sum cycles of each row (by='row') or column (by='col') ordering."""
     if by not in ("row", "col"):
         raise ValueError("by must be 'row' or 'col'")
@@ -104,7 +85,7 @@ def base_cycles(array: PFArray, ordering: Ordering, by: str = "col") -> list[Cyc
     return _cycles(array.spec.codes.add, lines, by)
 
 
-def _cycles(add: Callable[[int, int], int], lines: Lines, by: str) -> list[Cycle]:
+def _cycles(add: Callable[[int, int], int], lines: Lines, by: str) -> list[tuple]:
     """The partial-sum cycle of each line, in increasing line index."""
     cycles = []
     for index in sorted(lines):
@@ -113,7 +94,7 @@ def _cycles(add: Callable[[int, int], int], lines: Lines, by: str) -> list[Cycle
             raise CertificationError(f"{by} {index} ordering is not simple")
         if len(sums) < 3:
             raise CertificationError(f"{by} {index} has fewer than 3 filled cells")
-        cycles.append(Cycle(tuple(sums)))
+        cycles.append(tuple(sums))
     return cycles
 
 
@@ -127,7 +108,7 @@ class DecompositionCertificate:
     """
 
     graph: CayleyGraph
-    base: list[Cycle]
+    base: list[tuple]  # each base cycle's vertex codes, cyclically adjacent
     offsets: dict[int, tuple[int, int]] = field(repr=False)
 
     @property
@@ -144,19 +125,21 @@ class DecompositionCertificate:
         }
 
 
-def develop_and_verify(base: list[Cycle], graph: CayleyGraph) -> DecompositionCertificate:
+def develop_and_verify(base: list[tuple], graph: CayleyGraph) -> DecompositionCertificate:
     """Certify that the translates of the base cycles partition the edges of the graph.
 
     They do iff the differences of the base cycles list every element of the
     connection set exactly once: the edge {x, x + d} then lies on exactly one
     translate, and the translates cover |C|/2 * |G| edges. A failure names the
-    least missing and the least extra difference."""
+    least missing and the least extra difference. A cycle that repeats a
+    vertex is refused with a ValueError."""
     codes = graph.spec.codes
     sub, neg = codes.sub, codes.neg
     diffs: list[int] = []
     offsets: dict[int, tuple[int, int]] = {}
-    for i, cycle in enumerate(base):
-        vs = cycle.vertices
+    for i, vs in enumerate(base):
+        if len(set(vs)) != len(vs):
+            raise ValueError("cycle vertices must be distinct")
         for u, w in zip(vs, vs[1:] + vs[:1]):
             d = sub(w, u)
             nd = neg(d)
@@ -192,14 +175,6 @@ def verify_orthogonal(d1: DecompositionCertificate, d2: DecompositionCertificate
     return 2 * len(pairs) == len(d1.offsets)
 
 
-def _omegas(rows: Lines, cols: Lines) -> tuple[dict[int, int], dict[int, int]]:
-    """The next code of each code along its row and along its column, cyclically."""
-    omega_r, omega_c = cyclic_successors(rows), cyclic_successors(cols)
-    if len(omega_r) != sum(map(len, rows.values())):
-        raise ValueError("entries are not distinct; entry-level orderings undefined")
-    return omega_r, omega_c
-
-
 def build_rho0(array: PFArray, ordering: Ordering) -> dict[int, int]:
     """The vertex-rotation seed, a cyclic permutation of +-E(A) on element
     codes: rho0(a) = -omega_r(a) on E(A) and omega_c(-a) on -E(A)."""
@@ -207,8 +182,12 @@ def build_rho0(array: PFArray, ordering: Ordering) -> dict[int, int]:
 
 
 def _rho0(codes: ElementCodes, rows: Lines, cols: Lines) -> dict[int, int]:
-    """build_rho0 on lines of entry codes; a failing walk starts at the least code."""
-    omega_r, omega_c = _omegas(rows, cols)
+    """build_rho0 on lines of entry codes, omega_r and omega_c being the next
+    code along its row and along its column; a failing walk starts at the
+    least code."""
+    omega_r, omega_c = cyclic_successors(rows), cyclic_successors(cols)
+    if len(omega_r) != sum(map(len, rows.values())):
+        raise ValueError("entries are not distinct; entry-level orderings undefined")
     if not omega_r:
         raise ValueError("rho0 is undefined: the array has no filled cells")
     neg = codes.neg
@@ -313,7 +292,7 @@ def trace_faces(graph: CayleyGraph, rho0: dict[int, int]) -> EmbeddingReport:
             cycles.append(tuple(orbit(pi.__getitem__, a)))
             seen.update(cycles[-1])
     orders = [codes.order(codes.total(cycle)) for cycle in cycles]
-    V = graph.num_vertices
+    V = graph.spec.size
     S = graph.num_edges
     F = sum(V // order for order in orders)
     euler = V - S + F
@@ -333,7 +312,7 @@ def two_color_check(report: EmbeddingReport, array: PFArray, ordering: Ordering)
 
 
 def _bases(add: Callable[[int, int], int], rows: Lines,
-           cols: Lines) -> tuple[list[Cycle], list[Cycle]]:
+           cols: Lines) -> tuple[list[tuple], list[tuple]]:
     """The column base cycles and the base cycles of the reversed rows."""
     # class 2 follows the REVERSED row orderings (omega_r inverse): reversing
     # the ordering negates every partial-sum cycle's edge set
@@ -341,7 +320,7 @@ def _bases(add: Callable[[int, int], int], rows: Lines,
     return _cycles(add, cols, "col"), _cycles(add, reversed_rows, "row")
 
 
-def _two_color(report: EmbeddingReport, col_base: list[Cycle], row_base: list[Cycle]) -> bool:
+def _two_color(report: EmbeddingReport, col_base: list[tuple], row_base: list[tuple]) -> bool:
     """Per pi-cycle: its faces are translates of a base cycle B traversed once iff
     its steps are those of B up to rotation, or those of B reversed and negated
     (steps that sum to 0, so the faces close after one lap; a face of more laps
@@ -353,8 +332,7 @@ def _two_color(report: EmbeddingReport, col_base: list[Cycle], row_base: list[Cy
     class_of_steps: dict[tuple, int] = {}
     # columns go in last, so a face in both classes gets class 1
     for color, base in ((2, row_base), (1, col_base)):
-        for cycle in base:
-            vs = cycle.vertices
+        for vs in base:
             steps = [sub(w, u) for u, w in zip(vs[-1:] + vs[:-1], vs)]
             class_of_steps[_rotation_key(steps)] = color
             class_of_steps[_rotation_key([neg(a) for a in reversed(steps)])] = color

@@ -23,7 +23,6 @@ from itertools import product
 from typing import Callable, Sequence
 
 from relheffter.group import GroupElement
-from relheffter.heffter import skeleton_parity_ok
 from relheffter.orderings import (
     ArrayLike,
     LiftSpec,
@@ -33,6 +32,7 @@ from relheffter.orderings import (
     knight_tour,
     orbit,
     orientation_to_orderings,
+    skeleton_parity_ok,
 )
 from relheffter.pfarray import Cell, PFArray, Skeleton, skeleton_from_diagonals, skeleton_of
 

@@ -170,14 +170,14 @@ def test_knight_lift_that_fails_is_the_violation_payload(tmp_path, capsys, monke
     # a broken lift lemma: the lifted walk's verdict is reported on A_{n+M}
     path = tmp_path / "S.json"
     path.write_text(cons.build_skeleton_cor39(5, 3).to_json_text())
-    lift = cli._lift
+    lift = cli.lift_walk
 
-    def broken_lift(spec, n, o):
-        big, lifted, _, _ = lift(spec, n, o)
+    def broken_lift(spec, skel, o):
+        big, lifted, _, _ = lift(spec, skel, o)
         wrong = Orientation(lifted.r, (-1,) * big.n)
         return big, wrong, *knight_walk(big, wrong)
 
-    monkeypatch.setattr(cli, "_lift", broken_lift)
+    monkeypatch.setattr(cli, "lift_walk", broken_lift)
     code, out, err = outcome(main, ["knight", str(path), "--search", "--lift", "2,3,4"], capsys)
     assert code == 1 and err == ""
     payload = json.loads(out)

@@ -1,7 +1,5 @@
 """Group arithmetic: exact values plus algebraic laws."""
 
-import pickle
-
 import pytest
 from hypothesis import given, strategies as st
 
@@ -140,13 +138,6 @@ def test_element_codes_match_object_arithmetic(orders):
         codes.decode(spec.size)
     with pytest.raises(GroupError):
         codes.encode(element(GroupSpec.cyclic(5), 1))
-
-
-def test_spec_pickles_after_building_its_codes():
-    spec = GroupSpec((51, 3))
-    assert spec.codes.add(3, 1) == 4  # (1, 0) + (0, 1)
-    copy = pickle.loads(pickle.dumps(spec))
-    assert copy == spec and copy.codes.neg(1) == spec.codes.neg(1)
 
 
 # factors of order 1 have the one coordinate 0

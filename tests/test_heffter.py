@@ -9,11 +9,11 @@ from relheffter.constructions import build_h_n_3
 from relheffter.group import GroupSpec
 from relheffter.heffter import (
     HeffterParams,
-    skeleton_parity_ok,
     verify_archdeacon,
     verify_integer,
     verify_relative_heffter,
 )
+from relheffter.orderings import skeleton_parity_ok
 
 
 def small_heffter():

@@ -6,7 +6,8 @@ read as an attribute in src/, scripts/ or relbench/ outside its own definition.
 A name or member that only the tests read belongs in their oracles, not in
 src/. Names are matched as the hot-path guard matches them: by identifier.
 __init__.py holds the package docstring and imports nothing, so every name has
-one import path, its module."""
+one import path, its module. No module imports an underscore-prefixed name of
+another: what another module needs has a public name."""
 
 import ast
 from collections import Counter
@@ -93,3 +94,16 @@ def test_every_class_member_is_read_outside_the_tests():
 def test_the_package_imports_nothing():
     tree = parse(SRC / "__init__.py")
     assert not [node for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))]
+
+
+def test_no_module_imports_a_private_name_of_another():
+    imports = [(module, node.module, alias.name)
+               for module, tree in modules() for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom)
+               and (node.level or (node.module or "").split(".")[0] == "relheffter")
+               for alias in node.names]
+    # the check sees the package's own imports where there are some
+    assert ("cli", "orderings", "knight_search") in imports
+    offenders = [f"{module} imports {source}.{name}"
+                 for module, source, name in imports if name.startswith("_")]
+    assert not offenders, "private names imported across modules: " + ", ".join(offenders)

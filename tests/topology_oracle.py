@@ -22,7 +22,6 @@ from relheffter.pfarray import PFArray
 from relheffter.topology import (
     CayleyGraph,
     CertificationError,
-    Cycle,
     DecompositionCertificate,
     DirectedEdge,
     EmbeddingReport,
@@ -38,12 +37,11 @@ def multipartite(v: int, t: int) -> CayleyGraph:
     return CayleyGraph(GroupSpec.cyclic(v), frozenset(x for x in range(v) if x % step))
 
 
-def edges(cycle: Cycle) -> list[Edge]:
-    vs = cycle.vertices
+def edges(vs: tuple) -> list[Edge]:
     return [frozenset((vs[i], vs[(i + 1) % len(vs)])) for i in range(len(vs))]
 
 
-def cycles(cert: DecompositionCertificate) -> list[Cycle]:
+def cycles(cert: DecompositionCertificate) -> list[tuple[GroupElement, ...]]:
     """Every translate of the base cycles as GroupElements: base[0] + g,
     base[1] + g, ... for each g in elements() order."""
     spec = cert.graph.spec
@@ -60,19 +58,19 @@ def color_of_face(report: EmbeddingReport) -> list[int] | None:
     return [color[encode(w - u)] for (u, w), *_ in report.faces]
 
 
-def decoded(cycle: Cycle, spec: GroupSpec) -> Cycle:
+def decoded(cycle: tuple[int, ...], spec: GroupSpec) -> tuple[GroupElement, ...]:
     """A cycle of element codes as a cycle of GroupElements."""
-    return Cycle(tuple(spec.codes.decode(v) for v in cycle.vertices))
+    return tuple(spec.codes.decode(v) for v in cycle)
 
 
-def translate(cycle: Cycle, g: GroupElement) -> Cycle:
-    return Cycle(tuple(v + g for v in cycle.vertices))
+def translate(cycle: tuple[GroupElement, ...], g: GroupElement) -> tuple[GroupElement, ...]:
+    return tuple(v + g for v in cycle)
 
 
-def differences(cycle: Cycle, spec: GroupSpec) -> list[GroupElement]:
+def differences(cycle: tuple[int, ...], spec: GroupSpec) -> list[GroupElement]:
     """Both signed differences of each edge of a cycle of element codes; the
     list has 2 * len entries."""
-    vs = decoded(cycle, spec).vertices
+    vs = decoded(cycle, spec)
     out = []
     for i in range(len(vs)):
         d = vs[(i + 1) % len(vs)] - vs[i]
@@ -139,8 +137,8 @@ class Decomposition:
     """Every translate of the base cycles, stored explicitly."""
 
     graph: CayleyGraph
-    base: list[Cycle]  # as given: element codes
-    cycles: list[Cycle] = field(default_factory=list)
+    base: list[tuple[int, ...]]  # as given: element codes
+    cycles: list[tuple[GroupElement, ...]] = field(default_factory=list)
 
     @property
     def cycle_lengths(self) -> Counter:
@@ -155,9 +153,11 @@ class Decomposition:
         }
 
 
-def develop_and_verify(base: list[Cycle], graph: CayleyGraph) -> Decomposition:
+def develop_and_verify(base: list[tuple[int, ...]], graph: CayleyGraph) -> Decomposition:
     diffs: list[GroupElement] = []
     for cycle in base:
+        if len(set(cycle)) != len(cycle):
+            raise ValueError("cycle vertices must be distinct")
         diffs.extend(differences(cycle, graph.spec))
     counts = Counter(diffs)
     for d, c in counts.items():
