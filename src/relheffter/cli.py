@@ -260,13 +260,14 @@ def cmd_knight(args: argparse.Namespace) -> int:
     if not skel.cells:
         raise UsageError(f"{args.input} has no filled cells")
     payload: dict = {"input": args.input, "filled_cells": len(skel.cells)}
-    if args.lift:
+    lift = args.lift is not None  # an empty --lift is a bad one, not none
+    if lift:
         spec = _usage(lambda: LiftSpec(tuple(int(x) for x in args.lift.split(","))))
         if skel != _usage(spec.skeleton, skel.n):
             raise UsageError(f"{args.input} is not the skeleton of diagonals {args.lift}")
 
     if args.search:
-        orientation = search_lift_shape_on(spec, skel) if args.lift else knight_search(skel)
+        orientation = search_lift_shape_on(spec, skel) if lift else knight_search(skel)
         if orientation is None:
             payload["solution"] = None
             return _finish(payload, False)
@@ -277,7 +278,7 @@ def cmd_knight(args: argparse.Namespace) -> int:
     else:
         orientation = _orientation(args.orientation, skel.m, skel.n)
 
-    if args.lift:  # skel is spec.skeleton(n)
+    if lift:  # skel is spec.skeleton(n)
         big, orientation, orbit, ok = _usage(lift_walk, spec, skel, orientation)
         if big is not skel:
             payload["lifted_n"] = big.n
@@ -316,7 +317,7 @@ def cmd_embed(args: argparse.Namespace) -> int:
     cert.embedding.formula_genus = genus
     payload = {"input": args.input, **cert.to_json()}
     if args.emit_faces:
-        payload["faces"] = [[[list(x.coords) for x in dart] for dart in face]
+        payload["faces"] = [[[list(x) for x in dart] for dart in face]
                             for face in cert.embedding.faces]
     return _finish(payload, cert.ok)
 

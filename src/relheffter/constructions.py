@@ -12,9 +12,7 @@ from .pfarray import (
     PFArray,
     Skeleton,
     classify_diagonals,
-    cyclic_row_shift,
     cyclic_runs,
-    direct_sum,
     fill_diagonals,
     skeleton_from_diagonals,
 )
@@ -136,33 +134,26 @@ FAMILIES = {f.name: f for f in (
 )}
 
 
-def build_B(m: int, n: int, d: int, i1: int, i2: int, j1: int, j2: int) -> PFArray:
-    """The four-cell gadget B_{m,n,d}(i1, i2; j1, j2) over Z_d with entries +-1."""
-    if d <= 2:
-        raise ValueError(f"d must be > 2, got {d}")
-    if i1 == i2 or not (1 <= i1 <= m and 1 <= i2 <= m):
-        raise ValueError(f"need distinct row indices in [1, {m}], got {i1}, {i2}")
-    if j1 == j2 or not (1 <= j1 <= n and 1 <= j2 <= n):
-        raise ValueError(f"need distinct column indices in [1, {n}], got {j1}, {j2}")
-    return PFArray(m, n, GroupSpec.cyclic(d),
-                   {(i1, j1): 1, (i2, j2): 1, (i2, j1): d - 1, (i1, j2): d - 1})
-
-
 def build_archdeacon_composite(array: PFArray, d: int) -> PFArray:
-    """A (+) B_{n,n,d}(1,2;1,2) for a globally simple cyclically k-diagonal
-    H_t(n; k) with k < n, relabeled so the filled diagonals are D_1..D_k."""
+    """A (+) B_{n,n,d}(1,2;1,2) over G x Z_d for a globally simple cyclically
+    k-diagonal H_t(n; k) over G with k < n, its rows shifted so that the filled
+    diagonals are D_1..D_k. The code of (x, y) in G x Z_d is x * d + y, so one
+    pass shifts the rows and multiplies each code by d, and B's cells add their
+    entries: 1 at (1, 1) and (2, 2), -1 at (1, 2) and (2, 1)."""
     if d <= 2:
         raise ValueError(f"d must be > 2, got {d}")
     report = classify_diagonals(array)
     if not report.is_cyclically_k_diagonal:
         raise ValueError("input is not cyclically k-diagonal")
-    if len(report.filled_diagonal_indices) >= array.n:
+    n = array.n
+    if len(report.filled_diagonal_indices) >= n:
         raise ValueError("need k < n")
-    # shift the rows so that the one run of filled diagonals becomes D_1..D_k
-    (run,) = cyclic_runs(report.filled_diagonal_indices, array.n)
-    base = cyclic_row_shift(array, 1 - run[0])
-    gadget = build_B(base.m, base.n, d, 1, 2, 1, 2)
-    return direct_sum(base, gadget)
+    # row r moves to row r + 1 - run[0]: the one run of filled diagonals becomes D_1..D_k
+    (run,) = cyclic_runs(report.filled_diagonal_indices, n)
+    codes = {((r - run[0]) % n + 1, c): x * d for (r, c), x in array.entry_codes.items()}
+    for cell, y in (((1, 1), 1), ((2, 2), 1), ((1, 2), d - 1), ((2, 1), d - 1)):
+        codes[cell] = codes.get(cell, 0) + y
+    return PFArray(n, n, GroupSpec(array.spec.orders + (d,)), codes)
 
 
 def build_skeleton_cor39(n: int, k: int) -> Skeleton:

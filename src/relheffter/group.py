@@ -1,12 +1,13 @@
-"""Exact arithmetic in finite abelian groups given as direct sums of cyclic groups."""
+"""Exact arithmetic in finite abelian groups given as direct sums of cyclic
+groups, on int element codes: the library's one element type."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate, chain, product
+from itertools import accumulate, chain
 from math import gcd, lcm
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Sequence
 
 
 class GroupError(ValueError):
@@ -40,10 +41,6 @@ class GroupSpec:
     def is_cyclic_single(self) -> bool:
         return len(self.orders) == 1
 
-    def elements(self) -> Iterator["GroupElement"]:
-        for coords in product(*(range(o) for o in self.orders)):
-            yield GroupElement(self, coords)
-
     @cached_property
     def codes(self) -> "ElementCodes":
         """Int codes of the elements and their arithmetic, built once per spec."""
@@ -58,51 +55,6 @@ class GroupSpec:
         if not isinstance(orders, list) or not all(type(o) is int for o in orders):
             raise GroupError(f"orders {orders!r} are not a list of integers")
         return cls(tuple(orders))
-
-
-@dataclass(frozen=True)
-class GroupElement:
-    """An element stored in canonical residues [0, order-1] per factor."""
-
-    spec: GroupSpec
-    coords: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        _check_canonical(self.coords, self.spec.orders)
-
-    def __add__(self, other: "GroupElement") -> "GroupElement":
-        return add(self, other)
-
-    def __neg__(self) -> "GroupElement":
-        return neg(self)
-
-    def __sub__(self, other: "GroupElement") -> "GroupElement":
-        return add(self, neg(other))
-
-    def __repr__(self) -> str:
-        if len(self.coords) == 1:
-            return f"g{self.coords[0]}"
-        return "g" + repr(self.coords)
-
-
-def _check_canonical(coords: Sequence[int], orders: tuple[int, ...]) -> None:
-    if len(coords) != len(orders):
-        raise GroupError(f"coordinate count {len(coords)} != factor count {len(orders)}")
-    for c, o in zip(coords, orders):
-        if not 0 <= c < o:
-            raise GroupError(f"coordinate {c} not canonical for order {o}")
-
-
-def add(a: GroupElement, b: GroupElement) -> GroupElement:
-    if a.spec != b.spec:
-        raise GroupError(f"group mismatch: {a.spec} vs {b.spec}")
-    return GroupElement(
-        a.spec, tuple((x + y) % o for x, y, o in zip(a.coords, b.coords, a.spec.orders))
-    )
-
-
-def neg(a: GroupElement) -> GroupElement:
-    return GroupElement(a.spec, tuple((-x) % o for x, o in zip(a.coords, a.spec.orders)))
 
 
 def subgroup_step(v: int, t: int) -> int:
@@ -121,9 +73,9 @@ def symmetric_residue(x: int, v: int) -> int:
     return x if x <= v // 2 else x - v
 
 
-def sum_elements(spec: GroupSpec, elems: Sequence[GroupElement]) -> GroupElement:
-    codes = spec.codes
-    return codes.decode(codes.total(map(codes.encode, elems)))
+def sum_elements(spec: GroupSpec, codes: Iterable[int]) -> int:
+    """The code of the sum of the elements with these codes."""
+    return spec.codes.total(codes)
 
 
 class ElementCodes:
@@ -131,12 +83,12 @@ class ElementCodes:
 
     The code of (c_1, ..., c_r) is the mixed-radix number with c_1 most
     significant: the sum of c_i * p_i, where p_i is the product of the orders
-    after factor i. So codes sort as coordinate tuples do, elements() lists
-    them in increasing order, the identity is 0, and in Z_v the code is the
-    residue. ``add``, ``neg``, ``sub``, ``total`` (the sum of an iterable of
-    codes), ``order`` and ``coords`` (the coordinates of a code in range) are
-    plain functions on one element; ``columns`` and ``from_columns`` convert
-    whole lists of codes, for hot loops.
+    after factor i. So codes sort as coordinate tuples do, the identity is 0,
+    and in Z_v the code is the residue. ``add``, ``neg``, ``sub``, ``total``
+    (the sum of an iterable of codes), ``order`` and ``coords`` (the
+    coordinates of a code in range) are plain functions on one element;
+    ``columns`` and ``from_columns`` convert whole lists of codes, for hot
+    loops.
     """
 
     def __init__(self, spec: GroupSpec) -> None:
@@ -169,18 +121,17 @@ class ElementCodes:
         self.order = lambda a: lcm(*(o // gcd(a // p % o, o) for p, o in factors))
         self.coords = lambda a: tuple(a // p % o for p, o in factors)
 
-    def encode(self, g: GroupElement) -> int:
-        if g.spec is not self.spec and g.spec != self.spec:
-            raise GroupError(f"group mismatch: {self.spec} vs {g.spec}")
-        return self.code(g.coords)
-
     def code(self, coords: Sequence[int]) -> int:
         """The code of the element with these coordinates; GroupError unless
-        they are canonical residues, one per factor, as for a GroupElement."""
+        they are canonical residues, one per factor."""
         orders = self.spec.orders
         if len(coords) == 1 == len(orders) and 0 <= coords[0] < orders[0]:
             return coords[0]
-        _check_canonical(coords, orders)
+        if len(coords) != len(orders):
+            raise GroupError(f"coordinate count {len(coords)} != factor count {len(orders)}")
+        for c, o in zip(coords, orders):
+            if not 0 <= c < o:
+                raise GroupError(f"coordinate {c} not canonical for order {o}")
         return sum(c * p for c, p in zip(coords, self.places))
 
     def columns(self, codes: Iterable[int]) -> list[list[int]]:
@@ -215,8 +166,3 @@ class ElementCodes:
         for col, o in zip(columns[1:], self.spec.orders[1:]):
             codes = [x * o + c for x, c in zip(codes, col)]
         return codes
-
-    def decode(self, code: int) -> GroupElement:
-        if not 0 <= code < self.spec.size:
-            raise GroupError(f"code {code} is not an element of {self.spec.orders}")
-        return GroupElement(self.spec, self.coords(code))

@@ -1,4 +1,4 @@
-"""Partially filled arrays: skeletons, diagonals, the diag filling procedure, direct sums."""
+"""Partially filled arrays: skeletons, diagonals, the diag filling procedure."""
 
 from __future__ import annotations
 
@@ -12,7 +12,7 @@ from operator import itemgetter
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
-from .group import GroupElement, GroupError, GroupSpec
+from .group import GroupError, GroupSpec
 
 Cell = tuple[int, int]  # 1-based (row, col)
 _CSV_FIELDS = re.compile(r"(,*)([^,]+)")  # a nonempty CSV field and the commas before it
@@ -32,6 +32,13 @@ def _int(value: object, name: str) -> int:
     """A JSON integer field, taken as is: floats, strings and booleans are rejected."""
     if type(value) is not int:
         raise ValueError(f"{name} {value!r} is not an integer")
+    return value
+
+
+def _list(value: object, name: str) -> list:
+    """A JSON array field, taken as is: objects and strings are rejected."""
+    if type(value) is not list:
+        raise ValueError(f"{name} {value!r} is not a list")
     return value
 
 
@@ -144,7 +151,7 @@ class Skeleton:
         size of a Knight skeleton (tens of cells) it measured faster than set
         and min/max passes, cold and warm."""
         cells: dict[Cell, None] = {}
-        for r, c in data["cells"]:
+        for r, c in _list(data["cells"], "cells"):
             cell = (_int(r, "r"), _int(c, "c"))
             if cell in cells:
                 raise ValueError(f"cell {cell} listed twice")
@@ -162,8 +169,9 @@ class PFArray:
     """An m x n partially filled array over a GroupSpec; empty cells are absent keys.
 
     The one store is ``entry_codes``, a read-only map from each filled cell to
-    its entry's int code (GroupSpec.codes); equality compares it. ``entries``,
-    ``row`` and ``col`` decode on read."""
+    its entry's int code (GroupSpec.codes); equality compares it. ``entries``
+    (the same map), ``row`` and ``col`` are views of the codes that the
+    benchmark's probes read."""
 
     m: int
     n: int
@@ -201,11 +209,10 @@ class PFArray:
         skel.__dict__["index"] = cells, _lines(self.m, self.n, cells, range(len(cells)))
         return skel
 
-    @cached_property
-    def entries(self) -> Mapping[Cell, GroupElement]:
-        """Each filled cell's entry as a GroupElement, decoded on first read."""
-        decode = self.spec.codes.decode
-        return MappingProxyType({cell: decode(x) for cell, x in self.entry_codes.items()})
+    @property
+    def entries(self) -> Mapping[Cell, int]:
+        """The entry codes, as ``entry_codes``."""
+        return self.entry_codes
 
     @cached_property
     def index(self) -> tuple[list[Cell], list[tuple[int, ...]]]:
@@ -215,15 +222,13 @@ class PFArray:
         return cells, list(map(tuple, _lines(self.m, self.n, cells,
                                              map(self.entry_codes.__getitem__, cells))))
 
-    def row(self, i: int) -> list[GroupElement]:
-        """Entries of row i in the natural (left to right) order; none outside 1..m."""
-        line = self.index[1][i - 1] if 1 <= i <= self.m else ()
-        return list(map(self.spec.codes.decode, line))
+    def row(self, i: int) -> list[int]:
+        """The entry codes of row i, left to right; none outside 1..m."""
+        return list(self.index[1][i - 1]) if 1 <= i <= self.m else []
 
-    def col(self, j: int) -> list[GroupElement]:
-        """Entries of column j in the natural (top to bottom) order; none outside 1..n."""
-        line = self.index[1][self.m + j - 1] if 1 <= j <= self.n else ()
-        return list(map(self.spec.codes.decode, line))
+    def col(self, j: int) -> list[int]:
+        """The entry codes of column j, top to bottom; none outside 1..n."""
+        return list(self.index[1][self.m + j - 1]) if 1 <= j <= self.n else []
 
     # -- serialization --------------------------------------------------
 
@@ -333,7 +338,7 @@ def _scan_json_cells(cells: Iterable, spec: GroupSpec) -> dict[Cell, int]:
     raises the error of the first bad cell."""
     code = spec.codes.code
     codes: dict[Cell, int] = {}
-    for cell in cells:
+    for cell in _list(cells, "cells"):
         key = (_int(cell["r"], "r"), _int(cell["c"], "c"))
         coords = cell["v"]
         if not isinstance(coords, list) or not all(type(x) is int for x in coords):
@@ -471,27 +476,6 @@ def cyclic_runs(indices: Iterable[int], n: int) -> list[list[int]]:
     if len(runs) >= 2 and runs[0][0] == 1 and runs[-1][-1] == n:
         runs[0] = runs.pop() + runs[0]
     return runs
-
-
-def direct_sum(a: PFArray, b: PFArray) -> PFArray:
-    """The direct sum over G1 + G2: union skeleton, zero-padded coordinates.
-
-    The mixed-radix code of (x, y) in G1 + G2 is code(x) * |G2| + code(y)."""
-    if (a.m, a.n) != (b.m, b.n):
-        raise ValueError(f"dimension mismatch: {a.m}x{a.n} vs {b.m}x{b.n}")
-    spec = GroupSpec(a.spec.orders + b.spec.orders)
-    size, ca, cb = b.spec.size, a.entry_codes, b.entry_codes
-    codes = {cell: ca.get(cell, 0) * size + cb.get(cell, 0) for cell in ca.keys() | cb.keys()}
-    return PFArray(a.m, a.n, spec, codes)
-
-
-def cyclic_row_shift(array: PFArray, shift: int) -> PFArray:
-    """Move row r to row r+shift (mod n); maps diagonal D_i to D_{i+shift}."""
-    if array.m != array.n:
-        raise ValueError("cyclic row shift requires a square array")
-    n = array.n
-    codes = {(_reduce_index(r + shift, n), c): x for (r, c), x in array.entry_codes.items()}
-    return PFArray(array.m, array.n, array.spec, codes)
 
 
 def skeleton_from_diagonals(n: int, indices: Iterable[int]) -> Skeleton:

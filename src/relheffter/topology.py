@@ -21,10 +21,10 @@ DirectedEdge = tuple  # (tail, head)
 # Graph Theory, 1987).
 #
 # Group elements are int codes (GroupSpec.codes) throughout, as the array
-# stores them (PFArray.entry_codes); GroupElements appear only in the faces
-# and cycles developed when read, and in witness messages. Orderings are
-# lines of codes: certify_biembedding reads them off PFArray.index, and the
-# functions that take an Ordering of cells translate it first.
+# stores them (PFArray.entry_codes); coordinates appear only in the faces
+# developed when read and in witness messages. Orderings are lines of codes:
+# certify_biembedding reads them off PFArray.index, and the functions that
+# take an Ordering of cells translate it first.
 
 Lines = Mapping[int, Sequence[int]]  # line index -> its entry codes in order
 
@@ -151,12 +151,21 @@ def develop_and_verify(base: list[tuple], graph: CayleyGraph) -> DecompositionCe
             raise CertificationError(
                 f"difference {codes.coords(d)} appears {c} times in the base cycles")
     if counts.keys() != graph.connection:
-        missing, extra = (codes.decode(min(s)) if s else None for s in
+        missing, extra = (_least(codes, s) for s in
                           (graph.connection - counts.keys(), counts.keys() - graph.connection))
         raise CertificationError(
             f"difference list != connection set (missing={missing}, extra={extra})"
         )
     return DecompositionCertificate(graph, base, offsets)
+
+
+def _least(codes: ElementCodes, found: set[int]) -> str:
+    """The least of a set of codes as a witness names an element: g11 in Z_v,
+    g(8, 2) in a product group, and None for an empty set."""
+    if not found:
+        return "None"
+    coords = codes.coords(min(found))
+    return f"g{coords[0]}" if len(coords) == 1 else f"g{coords}"
 
 
 def verify_orthogonal(d1: DecompositionCertificate, d2: DecompositionCertificate) -> bool:
@@ -232,13 +241,14 @@ class EmbeddingReport:
     @cached_property
     def faces(self) -> list[tuple[DirectedEdge, ...]]:
         """Every face, rotated to start at its least directed edge, in sorted
-        order, as GroupElement darts."""
-        add = self.spec.codes.add
-        element = list(self.spec.elements())  # indexed by code
+        order, as darts of coordinate tuples."""
+        codes = self.spec.codes
+        add, size = codes.add, self.spec.size
+        coords = list(map(codes.coords, range(size)))  # indexed by code
         lifted = []
         for cycle, order in zip(self.pi_cycles, self.orders):
             covered: set[int] = set()  # tails of the a_0 darts already walked
-            for x in range(len(element)):
+            for x in range(size):
                 if x in covered:
                     continue
                 darts, y = [], x
@@ -251,7 +261,7 @@ class EmbeddingReport:
                 least = darts.index(min(darts))
                 lifted.append(darts[least:] + darts[:least])
         lifted.sort()  # faces share no dart, so their first darts decide
-        return [tuple((element[u], element[w]) for u, w in face) for face in lifted]
+        return [tuple((coords[u], coords[w]) for u, w in face) for face in lifted]
 
     def to_json(self) -> dict:
         data = {"V": self.V, "S": self.S, "F": self.F, "genus": self.genus}

@@ -19,15 +19,10 @@ from __future__ import annotations
 
 from collections import Counter
 
+from group_oracle import GroupElement, decode, neg, zero
 from knight_oracle import partial_sums
-from relheffter.group import (
-    GroupElement,
-    GroupError,
-    GroupSpec,
-    neg,
-    subgroup_step,
-    symmetric_residue,
-)
+from pfarray_oracle import entries
+from relheffter.group import GroupError, GroupSpec, subgroup_step, symmetric_residue
 from relheffter.heffter import HeffterParams, VerificationReport
 from relheffter.pfarray import PFArray
 
@@ -43,7 +38,7 @@ def subgroup_of_order(v: int, t: int) -> frozenset[GroupElement]:
     """The unique subgroup {0, v/t, 2v/t, ...} of order t in Z_v."""
     step = subgroup_step(v, t)
     spec = GroupSpec.cyclic(v)
-    return frozenset(spec.codes.decode(i * step) for i in range(t))
+    return frozenset(decode(spec, i * step) for i in range(t))
 
 
 def support(array: PFArray) -> frozenset[int]:
@@ -61,7 +56,8 @@ def tags(report: VerificationReport) -> set[str]:
 
 def entry_list(array: PFArray) -> list[GroupElement]:
     """E(A): the entries in row-major cell order."""
-    return [array.entries[c] for c in sorted(array.entries)]
+    es = entries(array)
+    return [es[c] for c in sorted(es)]
 
 
 def is_identity(e: GroupElement) -> bool:
@@ -69,16 +65,17 @@ def is_identity(e: GroupElement) -> bool:
 
 
 def row(array: PFArray, i: int) -> list[GroupElement]:
-    return [array.entries[c] for c in sorted(array.entries) if c[0] == i]
+    es = entries(array)
+    return [es[c] for c in sorted(es) if c[0] == i]
 
 
 def col(array: PFArray, j: int) -> list[GroupElement]:
-    return [array.entries[c] for c in sorted(array.entries, key=lambda c: (c[1], c[0]))
-            if c[1] == j]
+    es = entries(array)
+    return [es[c] for c in sorted(es, key=lambda c: (c[1], c[0])) if c[1] == j]
 
 
 def is_zero_sum(line: list[GroupElement]) -> bool:
-    total = line[0].spec.codes.decode(0)
+    total = zero(line[0].spec)
     for e in line:
         total = total + e
     return is_identity(total)

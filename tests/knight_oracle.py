@@ -22,7 +22,7 @@ from __future__ import annotations
 from itertools import product
 from typing import Callable, Sequence
 
-from relheffter.group import GroupElement
+from group_oracle import GroupElement, zero
 from relheffter.orderings import (
     ArrayLike,
     LiftSpec,
@@ -142,7 +142,7 @@ def partial_sums(seq: Sequence[GroupElement]) -> list[GroupElement]:
     if not seq:
         raise ValueError("partial sums of an empty sequence")
     sums = []
-    total = seq[0].spec.codes.decode(0)
+    total = zero(seq[0].spec)
     for e in seq:
         total = total + e
         sums.append(total)

@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import pfarray_oracle
 import relheffter.cli as cli
 import relheffter.constructions as cons
 import topology_oracle as oracle
@@ -192,6 +193,9 @@ def test_knight_lift_of_another_shape_is_usage_error(tmp_path, capsys):
         main, ["knight", str(path), f"--orientation={'+' * 9},{'-' * 9}", "--lift", "2,3,4"],
         capsys)
     assert (code, out, err) == (2, "", "error: orientation does not have the liftable shape\n")
+    # an empty --lift is a bad one, not none: it is refused, not ignored
+    code, out, err = outcome(main, ["knight", str(path), "--search", "--lift", ""], capsys)
+    assert (code, out, err) == (2, "", "error: invalid literal for int() with base 10: ''\n")
 
 
 @pytest.mark.parametrize("modes", [
@@ -255,7 +259,7 @@ def test_embed_emit_faces_equals_the_traced_faces(tmp_path, capsys, family, n):
     traced = oracle.trace_faces(CayleyGraph.from_entries(array),
                                 build_rho0(array, orientation_to_orderings(array, solution)))
     assert payload.pop("faces") == [
-        [[list(x.coords) for x in dart] for dart in face] for face in traced.faces]
+        [list(map(list, dart)) for dart in face] for face in oracle.coordinate_faces(traced.faces)]
     assert json.dumps(payload, indent=2, sort_keys=True) + "\n" == plain
 
 
@@ -263,9 +267,9 @@ def _perturbed_h_n_3(n):
     a = build_h_n_3(n)
     if n != 5:
         return a
-    entries = dict(a.entries)
-    entries[(1, 1)] = entries[(1, 1)] + element(a.spec, 1)
-    return from_elements(a.m, a.n, a.spec, entries)
+    elements = pfarray_oracle.entries(a)
+    elements[(1, 1)] = elements[(1, 1)] + element(a.spec, 1)
+    return from_elements(a.m, a.n, a.spec, elements)
 
 
 def _certify_but_not_n_5(array, orientation):
@@ -363,16 +367,17 @@ def test_embed_repeat_in_plus_minus_entries_is_usage_error(tmp_path, capsys):
     # embed rejects it as bad input before any stage runs.
     base = build_archdeacon_composite(build_h_n_3(5), 4)
     spec = base.spec
-    gadget = [cell for cell, e in sorted(base.entries.items()) if e.coords[1]]
+    elements = pfarray_oracle.entries(base)
+    gadget = [cell for cell, e in sorted(elements.items()) if e.coords[1]]
     inputs = []
     for i, cell in enumerate(gadget):
         inputs.append({cell: element(spec, 0, 2)})
-        x = base.entries[cell].coords[0]
+        x = elements[cell].coords[0]
         inputs.append({cell: element(spec, x, 2), gadget[i - 1]: element(spec, -x, 2)})
     errors = set()
     for number, changes in enumerate(inputs):
         path = tmp_path / f"{number}.json"
-        array = from_elements(base.m, base.n, spec, {**base.entries, **changes})
+        array = from_elements(base.m, base.n, spec, {**elements, **changes})
         path.write_text(array.to_json_text())
         for orientation in ("+++++,+++++", "-+-+-,++-++"):
             code = main(["embed", str(path), f"--orientation={orientation}"])
@@ -448,6 +453,10 @@ MALFORMED = {
                    ["--archdeacon", "--globally-simple"]),
     "zero-n": ("a.json", {"m": 1, "n": 0, "group": {"orders": [5]}, "cells": []},
                ["--archdeacon", "--globally-simple"]),
+    "object-cells": ("a.json", {"m": 1, "n": 2, "group": {"orders": [5]}, "cells": {}},
+                     ["--archdeacon"]),
+    "string-cells": ("a.json", {"m": 1, "n": 2, "group": {"orders": [5]}, "cells": ""},
+                     ["--archdeacon"]),
 }
 
 
@@ -494,8 +503,11 @@ def test_product_group_coordinates_are_strict(tmp_path, capsys, case):
     {"m": 2, "n": 2, "cells": [[1, 1], [2, True]]},
     {"m": 2, "n": 2, "cells": [[1, 1], [1, 1], [2, 2], [1, 2], [2, 1]]},
     {"m": -1, "n": 2, "cells": []},
+    {"m": 2, "n": 2, "cells": {}},
+    {"m": 2, "n": 2, "cells": ""},
     {"m": 2, "n": 0, "cells": []},
-], ids=["float-m", "string-n", "float-r", "bool-c", "repeated-cell", "negative-m", "zero-n"])
+], ids=["float-m", "string-n", "float-r", "bool-c", "repeated-cell", "negative-m",
+        "object-cells", "string-cells", "zero-n"])
 def test_malformed_skeleton_is_usage_error(tmp_path, capsys, skeleton):
     path = tmp_path / "skel.json"
     path.write_text(json.dumps(skeleton))
@@ -1044,7 +1056,7 @@ def _spread_h3(orders, delta=0):
     spec = GroupSpec(tuple(orders))
     rows, cols = {1: 1, 2: 2, 3: 4}, {1: 1, 2: 3, 3: 4}
     entries = {(rows[r], cols[c]): element(spec, *[symmetric_rep(x) % o for o in orders])
-               for (r, c), x in build_h_n_3(3).entries.items()}
+               for (r, c), x in pfarray_oracle.entries(build_h_n_3(3)).items()}
     entries[(4, 4)] = entries[(4, 4)] + element(spec, delta, *[0] * (len(orders) - 1))
     return from_elements(4, 4, spec, entries)
 

@@ -1,5 +1,6 @@
 """Direct constructions: fixture agreement, verification, diagonal structure, composites."""
 
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -7,10 +8,10 @@ import pytest
 import heffter_oracle
 import pfarray_oracle
 from heffter_oracle import support, symmetric_rep
+from pfarray_oracle import build_B
 from relheffter.constructions import (
     build_archdeacon_composite,
     FAMILIES,
-    build_B,
     build_h7,
     build_h9,
     build_h_2n_3,
@@ -129,7 +130,7 @@ def test_h9_15_diagonal_indices():
 
 
 def test_h7_11_first_row():
-    row = [symmetric_rep(e) for e in build_h7(11).row(1)]
+    row = [symmetric_rep(e) for e in heffter_oracle.row(build_h7(11), 1)]
     assert row == [11, -65, 20, 77, 40, -31, -52]
 
 
@@ -146,7 +147,7 @@ def test_domain_validation():
 
 def test_build_B():
     b = build_B(5, 5, 4, 1, 3, 2, 4)
-    assert {cell: symmetric_rep(e) for cell, e in b.entries.items()} == {
+    assert {cell: symmetric_rep(e) for cell, e in pfarray_oracle.entries(b).items()} == {
         (1, 2): 1, (3, 4): 1, (3, 2): -1, (1, 4): -1,
     }
     assert heffter_oracle.tags(verify_archdeacon(b)) == {"duplicate", "antisymmetric"}  # rows/cols still sum to 0
@@ -178,7 +179,7 @@ def test_archdeacon_composite():
         for i in (1, 2, 3):
             from relheffter.pfarray import diagonal_cells
             base_cells.update(diagonal_cells(5, i))
-        assert set(comp.entries) == base_cells | {(1, 2)}
+        assert set(comp.entry_codes) == base_cells | {(1, 2)}
 
 
 def test_composite_rejects_bad_inputs():
@@ -187,6 +188,34 @@ def test_composite_rejects_bad_inputs():
     full = build_h_n_3(3)  # 3x3 fully filled: k = n
     with pytest.raises(ValueError):
         build_archdeacon_composite(full, 3)
+
+
+def test_composite_matches_the_oracle_chain():
+    # every admissible family member with n < 60, as built and with its rows
+    # shifted by 3: the one-pass composite is the shift, the gadget and the
+    # direct sum, and where it refuses a base the chain refuses it with the
+    # same text
+    def outcome(build, base, d):
+        try:
+            return build(base, d)
+        except ValueError as exc:
+            return str(exc)
+
+    built, refused = 0, Counter()
+    for family in FAMILIES.values():
+        for n in filter(family.admissible, range(1, 60)):
+            array = family.builder(n)
+            for base in (array, pfarray_oracle.cyclic_row_shift(array, 3)):
+                for d in (3, 4, 5):
+                    got = outcome(build_archdeacon_composite, base, d)
+                    assert got == outcome(pfarray_oracle.archdeacon_composite, base, d)
+                    if isinstance(got, str):
+                        refused[got] += 1
+                    else:
+                        built += 1
+    # h9 is not cyclically 9-diagonal, and h-n-3, h-2n-3 (n = 3) and h7 (n = 7) have k = n
+    assert built == 414
+    assert refused == {"input is not cyclically k-diagonal": 13 * 6, "need k < n": 3 * 6}
 
 
 def test_skeleton_cor39():

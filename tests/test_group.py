@@ -3,9 +3,10 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from group_oracle import GroupElement, decode, elements, encode, neg, total, zero
 from heffter_oracle import subgroup_of_order, symmetric_rep
 from pfarray_oracle import element
-from relheffter.group import GroupElement, GroupError, GroupSpec, neg, sum_elements
+from relheffter.group import GroupError, GroupSpec, sum_elements
 
 
 def test_cyclic_arithmetic_z21():
@@ -14,15 +15,16 @@ def test_cyclic_arithmetic_z21():
     assert (a + b).coords == (5,)
     assert (a - b).coords == (8,)
     assert (-a).coords == (4,)
-    assert spec.codes.decode(0).coords == (0,)
-    assert sum_elements(spec, [a, b, -a, -b]) == spec.codes.decode(0)
+    assert zero(spec).coords == (0,)
+    assert total(spec, [a, b, -a, -b]) == zero(spec)
+    assert sum_elements(spec, [encode(spec, x) for x in (a, b, -a, -b)]) == 0
 
 
 def test_direct_sum_arithmetic():
     spec = GroupSpec((51, 3))
     a = element(spec, -9, 1)
     assert a.coords == (42, 1)
-    assert a + element(spec, 9, -1) == spec.codes.decode(0)
+    assert a + element(spec, 9, -1) == zero(spec)
     assert (-a).coords == (9, 2)
 
 
@@ -47,7 +49,7 @@ def test_cross_group_operations_rejected():
 def test_subgroup_of_order():
     sub = subgroup_of_order(161, 7)
     assert {e.coords[0] for e in sub} == {0, 23, 46, 69, 92, 115, 138}
-    assert subgroup_of_order(21, 1) == frozenset({GroupSpec.cyclic(21).codes.decode(0)})
+    assert subgroup_of_order(21, 1) == frozenset({zero(GroupSpec.cyclic(21))})
     with pytest.raises(GroupError):
         subgroup_of_order(10, 3)
 
@@ -92,8 +94,8 @@ def test_group_laws(data):
     spec, (a, b, c) = data
     assert (a + b) == (b + a)
     assert ((a + b) + c) == (a + (b + c))
-    assert (a + spec.codes.decode(0)) == a
-    assert a + (-a) == spec.codes.decode(0)
+    assert (a + zero(spec)) == a
+    assert a + (-a) == zero(spec)
     assert neg(neg(a)) == a
 
 
@@ -119,25 +121,28 @@ def test_symmetric_rep_antisymmetry(v, x):
 def test_element_codes_match_object_arithmetic(orders):
     spec = GroupSpec(orders)
     codes = spec.codes
-    elements = list(spec.elements())
+    elems = list(elements(spec))
     # mixed radix, first coordinate most significant: codes sort as coordinates
-    assert [codes.encode(g) for g in elements] == list(range(spec.size))
-    assert [codes.decode(x) for x in range(spec.size)] == elements
+    assert [encode(spec, g) for g in elems] == list(range(spec.size))
+    assert [decode(spec, x) for x in range(spec.size)] == elems
+    assert [codes.code(g.coords) for g in elems] == list(range(spec.size))
+    assert [codes.coords(x) for x in range(spec.size)] == [g.coords for g in elems]
     step = max(1, spec.size // 40)
     sample = range(0, spec.size, step)
     for a in sample:
-        g = elements[a]
-        assert codes.decode(codes.neg(a)) == -g
+        g = elems[a]
+        assert decode(spec, codes.neg(a)) == -g
         assert codes.order(a) == next(n for n in range(1, spec.size + 1)
-                                      if sum_elements(spec, [g] * n) == spec.codes.decode(0))
+                                      if total(spec, [g] * n) == zero(spec))
         for b in sample:
-            assert codes.decode(codes.add(a, b)) == g + elements[b]
-            assert codes.decode(codes.sub(a, b)) == g - elements[b]
-        assert codes.decode(codes.total([a, b, a])) == sum_elements(spec, [g, elements[b], g])
+            assert decode(spec, codes.add(a, b)) == g + elems[b]
+            assert decode(spec, codes.sub(a, b)) == g - elems[b]
+        assert decode(spec, codes.total([a, b, a])) == total(spec, [g, elems[b], g])
+        assert sum_elements(spec, [a, b, a]) == encode(spec, total(spec, [g, elems[b], g]))
     with pytest.raises(GroupError):
-        codes.decode(spec.size)
+        codes.code((orders[0],) + (0,) * (len(orders) - 1))
     with pytest.raises(GroupError):
-        codes.encode(element(GroupSpec.cyclic(5), 1))
+        codes.code((0,) * (len(orders) + 1))
 
 
 # factors of order 1 have the one coordinate 0

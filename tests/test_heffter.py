@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
+import pfarray_oracle
 from heffter_oracle import check_compatibility_parity, check_necessary_conditions, tags
 from pfarray_oracle import element, from_elements
 from relheffter.constructions import build_h_n_3
@@ -36,7 +37,7 @@ def check_trivial(p: HeffterParams) -> list[str]:
 
 
 def perturb(array, cell, value):
-    entries = dict(array.entries)
+    entries = pfarray_oracle.entries(array)
     entries[cell] = element(array.spec, value)
     return from_elements(array.m, array.n, array.spec, entries)
 
@@ -58,8 +59,8 @@ def test_valid_array_passes():
 
 def test_row_sum_violation_flagged():
     a = small_heffter()
-    cell = min(a.entries)
-    bad = perturb(a, cell, a.entries[cell].coords[0] + 1)
+    cell = min(a.entry_codes)
+    bad = perturb(a, cell, a.entry_codes[cell] + 1)  # codes of Z_21: the residues
     report = verify_relative_heffter(bad, HeffterParams.square(3, 3, 3))
     assert "row-sum" in tags(report) and "col-sum" in tags(report)
 
@@ -67,19 +68,19 @@ def test_row_sum_violation_flagged():
 def test_subgroup_hit_flagged():
     a = small_heffter()
     # 7 generates the order-3 subgroup of Z_21
-    bad = perturb(a, min(a.entries), 7)
+    bad = perturb(a, min(a.entry_codes), 7)
     report = verify_relative_heffter(bad, HeffterParams.square(3, 3, 3))
     assert "subgroup-hit" in tags(report)
 
 
 def test_coverage_violation_flagged():
     a = small_heffter()
-    cells = sorted(a.entries)
+    cells = sorted(a.entry_codes)
     # duplicate an existing entry and plant a +-pair
-    bad = perturb(a, cells[0], a.entries[cells[1]].coords[0])
+    bad = perturb(a, cells[0], a.entry_codes[cells[1]])
     report = verify_relative_heffter(bad, HeffterParams.square(3, 3, 3))
     assert "duplicate" in tags(report)
-    bad = perturb(a, cells[0], -a.entries[cells[1]].coords[0])
+    bad = perturb(a, cells[0], -a.entry_codes[cells[1]])
     report = verify_relative_heffter(bad, HeffterParams.square(3, 3, 3))
     assert "coverage" in tags(report)
 
@@ -98,7 +99,7 @@ def test_self_negative_entry_flagged():
 
 def test_fill_count_violations():
     a = small_heffter()
-    entries = dict(a.entries)
+    entries = pfarray_oracle.entries(a)
     del entries[min(entries)]
     report = verify_relative_heffter(
         from_elements(3, 3, a.spec, entries), HeffterParams.square(3, 3, 3)
@@ -111,7 +112,7 @@ def test_integer_violation_without_modular_violation():
     # the integer row/column sums
     a = small_heffter()
     scaled = from_elements(a.m, a.n, a.spec, {
-        cell: element(a.spec, e.coords[0] * 2) for cell, e in a.entries.items()
+        cell: element(a.spec, x * 2) for cell, x in a.entry_codes.items()
     })
     report = verify_integer(scaled, HeffterParams.square(3, 3, 3))
     assert tags(report) == {"integer-sum"}

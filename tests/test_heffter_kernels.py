@@ -9,9 +9,10 @@ from pathlib import Path
 from hypothesis import example, given, settings, strategies as st
 
 import heffter_oracle as oracle
-from pfarray_oracle import element, from_elements
-from relheffter.constructions import FAMILIES, build_archdeacon_composite, build_B, build_h_n_3
-from relheffter.group import GroupElement, GroupSpec
+from group_oracle import GroupElement
+from pfarray_oracle import build_B, element, entries, from_elements
+from relheffter.constructions import FAMILIES, build_archdeacon_composite, build_h_n_3
+from relheffter.group import GroupSpec
 from relheffter.heffter import (
     HeffterParams,
     verify_archdeacon,
@@ -66,14 +67,14 @@ def perturb(array: PFArray, params: HeffterParams | None, kind: str,
             rng: random.Random) -> PFArray:
     """One planted defect of the given kind (a no-op where the group has none)."""
     orders = array.spec.orders
-    entries = dict(array.entries)
-    cells = sorted(entries)
+    elements = entries(array)
+    cells = sorted(elements)
     a, b = rng.sample(cells, 2)
-    value = entries[a].coords
+    value = elements[a].coords
     if kind == "duplicate":
-        value = entries[b].coords
+        value = elements[b].coords
     elif kind == "pm-pair":
-        value = tuple(-x for x in entries[b].coords)
+        value = tuple(-x for x in elements[b].coords)
     elif kind == "subgroup":
         if params is None:
             value = (0,) * len(orders)
@@ -87,19 +88,19 @@ def perturb(array: PFArray, params: HeffterParams | None, kind: str,
         # a unit keeps every modular condition and moves the integer sums
         u = next(u for u in (2, 3, 5, 7, 11, 13) if all(gcd(u, o) == 1 for o in orders))
         return from_elements(array.m, array.n, array.spec, {
-            cell: element(array.spec, *(u * x for x in e.coords)) for cell, e in entries.items()
+            cell: element(array.spec, *(u * x for x in e.coords)) for cell, e in elements.items()
         })
     elif kind == "non-simple":
         # two adjacent cells after the first of a row cancel: s_{i-1} = s_{i+1}
         row = [cell for cell in cells if cell[0] == a[0]]
         if len(row) > 2:
             i = min(max(row.index(a), 1), len(row) - 2)
-            a, value = row[i + 1], tuple(-x for x in entries[row[i]].coords)
+            a, value = row[i + 1], tuple(-x for x in elements[row[i]].coords)
     elif kind == "count":
-        del entries[a]
-        return from_elements(array.m, array.n, array.spec, entries)
-    entries[a] = element(array.spec, *value)
-    return from_elements(array.m, array.n, array.spec, entries)
+        del elements[a]
+        return from_elements(array.m, array.n, array.spec, elements)
+    elements[a] = element(array.spec, *value)
+    return from_elements(array.m, array.n, array.spec, elements)
 
 
 @given(case=st.sampled_from(CASES), kinds=st.lists(st.sampled_from(KINDS), max_size=3),

@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import heffter_oracle
 from heffter_oracle import symmetric_rep
 from knight_oracle import (
     compose_orderings,
@@ -32,7 +33,7 @@ from relheffter.pfarray import Skeleton
 
 def test_partial_sums_frozen_values():
     # first row of the 11x11 7-per-row construction, natural order
-    sums = partial_sums([e for e in build_h7(11).row(1)])
+    sums = partial_sums(heffter_oracle.row(build_h7(11), 1))
     # integer running sums are 11, -54, -34, 43, 83, 52, 0; 83 = -78 mod 161
     assert [symmetric_rep(s) for s in sums] == [11, -54, -34, 43, -78, 52, 0]
 
@@ -55,7 +56,7 @@ def test_natural_ordering_and_validate():
     a = build_h_n_3(3)
     ordering = orientation_to_orderings(a, Orientation((1,) * a.m, (1,) * a.n))
     validate(ordering, a)
-    assert ordering.row_orders[1] == tuple(sorted(c for c in a.entries if c[0] == 1))
+    assert ordering.row_orders[1] == tuple(sorted(c for c in a.entry_codes if c[0] == 1))
 
 
 def test_orientation_strings_round_trip():

@@ -8,9 +8,10 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import pfarray_oracle as oracle
+from group_oracle import GroupElement
 from relheffter import constructions
 from relheffter.constructions import FAMILIES, build_archdeacon_composite
-from relheffter.group import GroupElement, GroupSpec
+from relheffter.group import GroupSpec
 from relheffter.pfarray import (
     ConstructionError,
     DiagSpec,

@@ -9,10 +9,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import topology_oracle as oracle
+from group_oracle import decode, encode, neg
 from heffter_oracle import subgroup_of_order
-from pfarray_oracle import element, from_elements
+from pfarray_oracle import element, entries, from_elements
 from relheffter.constructions import FAMILIES, build_h_n_3
-from relheffter.group import GroupSpec, neg
+from relheffter.group import GroupSpec
 from relheffter.orderings import (
     Orientation,
     knight_search,
@@ -55,7 +56,7 @@ def test_cayley_graph_multipartite():
         for y in range(x + 1, 21):
             diff = element(spec, x) - element(spec, y)
             edge_expected = diff not in j
-            assert (spec.codes.encode(diff) in g.connection) == edge_expected
+            assert (encode(spec, diff) in g.connection) == edge_expected
 
 
 def test_cayley_graph_rejects_bad_connection():
@@ -64,7 +65,7 @@ def test_cayley_graph_rejects_bad_connection():
         CayleyGraph(spec, frozenset({0}))
     with pytest.raises(ValueError):
         # not closed under negation
-        CayleyGraph(spec, frozenset({spec.codes.encode(element(spec, 1))}))
+        CayleyGraph(spec, frozenset({encode(spec, element(spec, 1))}))
     with pytest.raises(ValueError, match="not an element"):
         CayleyGraph(spec, frozenset({1, 6, 7}))  # 7 is no code of Z_7
 
@@ -87,9 +88,8 @@ def test_base_cycles_telescope():
     for by in ("row", "col"):
         for idx, cycle in enumerate(base_cycles(a, ordering, by=by), start=1):
             cells = (ordering.row_orders if by == "row" else ordering.col_orders)[idx]
-            entries = [a.entries[c] for c in cells]
             expected = []
-            for e in entries:
+            for e in map(entries(a).__getitem__, cells):
                 expected.extend([e, neg(e)])
             assert sorted(d.coords for d in oracle.differences(cycle, a.spec)) == sorted(
                 e.coords for e in expected
@@ -117,14 +117,14 @@ def test_develop_and_verify_h3():
     # the developed cycles are the translates, decoded: base + 5 after base + 0..4
     five = element(a.spec, 5)
     for i, cycle in enumerate(base):
-        translate = tuple(a.spec.codes.decode(v) + five for v in cycle)
+        translate = tuple(decode(a.spec, v) + five for v in cycle)
         assert oracle.cycles(cert)[5 * len(base) + i] == translate
 
 
 def test_develop_rejects_wrong_difference_set():
     spec = GroupSpec.cyclic(21)
     graph = oracle.multipartite(21, 3)
-    bad = [tuple(spec.codes.encode(element(spec, x)) for x in (0, 1, 2))]
+    bad = [tuple(encode(spec, element(spec, x)) for x in (0, 1, 2))]
     with pytest.raises(CertificationError):
         develop_and_verify(bad, graph)
 
@@ -159,11 +159,11 @@ def test_rho0_rejects_an_entry_and_its_negative():
     # +-E(A) has a repeat, so rho0 is no permutation and its walk from the
     # first entry never returns: it must raise, not hang
     a = h3()
-    entries = dict(a.entries)
-    first, second = sorted(entries)[:2]
-    entries[second] = neg(entries[first])
+    elements = entries(a)
+    first, second = sorted(elements)[:2]
+    elements[second] = neg(elements[first])
     with pytest.raises(ValueError, match="no permutation"):
-        build_rho0(from_elements(a.m, a.n, a.spec, entries), knight_ordering(a))
+        build_rho0(from_elements(a.m, a.n, a.spec, elements), knight_ordering(a))
 
 
 def test_rho0_rejects_an_array_with_no_filled_cells():
@@ -401,9 +401,9 @@ def test_certificate_failures_name_the_object_level_witnesses():
     o = knight_search(a)
     flipped = Orientation(tuple(-x for x in o.r), o.c)
     for cell, witnesses in WITNESSES.items():
-        entries = dict(a.entries)
-        entries[cell] = entries[cell] + element(a.spec, 1, 0)
-        b = from_elements(a.m, a.n, a.spec, entries)
+        elements = entries(a)
+        elements[cell] = elements[cell] + element(a.spec, 1, 0)
+        b = from_elements(a.m, a.n, a.spec, elements)
         with pytest.raises(CertificationError) as exc:
             certify_biembedding(b, o)
         assert str(exc.value) == f"difference list != connection set ({witnesses})"

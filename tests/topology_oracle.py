@@ -6,9 +6,11 @@ developed graph: ``GroupElement`` vertices, frozenset edges, ``(tail, head)``
 darts and every translate of every base cycle. The library certifies on the
 quotient (the connection set and the base cycles) in int element codes; the
 oracle takes the library's graph, rotation and base cycles, decodes them once
-with ``GroupSpec.codes``, and the tests compare the two on the same inputs.
+with ``group_oracle.decode``, and the tests compare the two on the same inputs.
 ``multipartite``, ``edges``, ``cycles`` and ``color_of_face`` read the same
-objects off the library's graphs, cycles and certificates.
+objects off the library's graphs, cycles and certificates, and
+``coordinate_faces`` writes a Report's faces as the library's coordinate
+darts.
 """
 
 from __future__ import annotations
@@ -16,7 +18,9 @@ from __future__ import annotations
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 
-from relheffter.group import GroupElement, GroupSpec, neg, subgroup_step
+from group_oracle import GroupElement, decode, elements, encode, neg
+from pfarray_oracle import entries
+from relheffter.group import GroupSpec, subgroup_step
 from relheffter.orderings import Ordering, orbit
 from relheffter.pfarray import PFArray
 from relheffter.topology import (
@@ -45,7 +49,7 @@ def cycles(cert: DecompositionCertificate) -> list[tuple[GroupElement, ...]]:
     """Every translate of the base cycles as GroupElements: base[0] + g,
     base[1] + g, ... for each g in elements() order."""
     spec = cert.graph.spec
-    return [translate(decoded(c, spec), g) for g in spec.elements() for c in cert.base]
+    return [translate(decoded(c, spec), g) for g in elements(spec) for c in cert.base]
 
 
 def color_of_face(report: EmbeddingReport) -> list[int] | None:
@@ -54,13 +58,19 @@ def color_of_face(report: EmbeddingReport) -> list[int] | None:
     if report.pi_colors is None:
         return None
     color = {a: c for cycle, c in zip(report.pi_cycles, report.pi_colors) for a in cycle}
-    encode = report.spec.codes.encode
-    return [color[encode(w - u)] for (u, w), *_ in report.faces]
+    spec = report.spec
+    return [color[encode(spec, GroupElement(spec, w) - GroupElement(spec, u))]
+            for (u, w), *_ in report.faces]
+
+
+def coordinate_faces(faces: list[tuple[DirectedEdge, ...]]) -> list[tuple[DirectedEdge, ...]]:
+    """Faces of GroupElement darts as darts of coordinate tuples."""
+    return [tuple((u.coords, w.coords) for u, w in face) for face in faces]
 
 
 def decoded(cycle: tuple[int, ...], spec: GroupSpec) -> tuple[GroupElement, ...]:
     """A cycle of element codes as a cycle of GroupElements."""
-    return tuple(spec.codes.decode(v) for v in cycle)
+    return tuple(decode(spec, v) for v in cycle)
 
 
 def translate(cycle: tuple[GroupElement, ...], g: GroupElement) -> tuple[GroupElement, ...]:
@@ -79,7 +89,7 @@ def differences(cycle: tuple[int, ...], spec: GroupSpec) -> list[GroupElement]:
 
 
 def connection(graph: CayleyGraph) -> frozenset[GroupElement]:
-    return frozenset(graph.spec.codes.decode(a) for a in graph.connection)
+    return frozenset(decode(graph.spec, a) for a in graph.connection)
 
 
 def entry_successor_maps(
@@ -95,10 +105,11 @@ def entry_successor_maps(
 def build_rho0(array: PFArray, ordering: Ordering) -> dict[GroupElement, GroupElement]:
     """rho0 on GroupElements, walked from the least key."""
     row_next, col_next = ordering.successors()
-    omega_r = {array.entries[a]: array.entries[b] for a, b in row_next.items()}
+    es = entries(array)
+    omega_r = {es[a]: es[b] for a, b in row_next.items()}
     if len(omega_r) != len(row_next):
         raise ValueError("entries are not distinct; entry-level orderings undefined")
-    omega_c = {array.entries[a]: array.entries[b] for a, b in col_next.items()}
+    omega_c = {es[a]: es[b] for a, b in col_next.items()}
     rho0: dict[GroupElement, GroupElement] = {}
     for a in set(omega_r):
         rho0[a] = neg(omega_r[a])
@@ -175,7 +186,7 @@ def develop_and_verify(base: list[tuple[int, ...]], graph: CayleyGraph) -> Decom
     cert = Decomposition(graph, base)
     objects = [decoded(cycle, graph.spec) for cycle in base]
     seen: dict[Edge, tuple[int, GroupElement]] = {}
-    for g in graph.spec.elements():
+    for g in elements(graph.spec):
         for idx, cycle in enumerate(objects):
             t = translate(cycle, g)
             cert.cycles.append(t)
@@ -215,12 +226,12 @@ def verify_orthogonal(d1, d2) -> bool:
 def trace_faces(graph: CayleyGraph, rho0: dict[int, int]) -> Report:
     """Loops forever when rho0 does not permute the connection set; callers
     pass only bijective rotations."""
-    decode = graph.spec.codes.decode
+    spec = graph.spec
     conn = connection(graph)
-    rotation = {decode(a): decode(b) for a, b in rho0.items()}
+    rotation = {decode(spec, a): decode(spec, b) for a, b in rho0.items()}
     if set(rotation) != conn:
         raise ValueError("rotation domain must equal the connection set")
-    vertices = list(graph.spec.elements())
+    vertices = list(elements(spec))
     directed = [(x, x + a) for x in vertices for a in conn]
     unvisited = set(directed)
     faces: list[tuple[DirectedEdge, ...]] = []
@@ -285,6 +296,6 @@ def _developed_edge_sets(array: PFArray, ordering: Ordering, by: str) -> set[fro
     out: set[frozenset[Edge]] = set()
     for cycle in base_cycles(array, ordering, by=by):
         cycle = decoded(cycle, array.spec)
-        for g in array.spec.elements():
+        for g in elements(array.spec):
             out.add(frozenset(edges(translate(cycle, g))))
     return out
