@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import argparse
 import errno
-import hashlib
 import json
 import os
 import stat
@@ -75,7 +74,8 @@ def _load(path: str, v: int | None = None, skeletons: bool = False) -> PFArray |
     suffix, or a .csv file without v, is a usage error before the file is
     opened. A path that cannot name a file (it holds a NUL), one that names no
     regular file, and a malformed file, undecodable bytes included, are usage
-    errors that name the path."""
+    errors that name the path: a JSON document that is no object among them,
+    and an array file whose cells are no list."""
     path = _path_text(path)
     suffix = os.path.splitext(path)[1]
     if suffix not in (".json", ".csv"):
@@ -87,9 +87,12 @@ def _load(path: str, v: int | None = None, skeletons: bool = False) -> PFArray |
         if suffix == ".csv":
             return PFArray.from_csv(data.decode(), v)
         doc = json.loads(data.decode())
+        if type(doc) is not dict:
+            raise UsageError(f"{path}: not a JSON object")
         if skeletons and "group" not in doc:
             return Skeleton.from_json(doc)
-        if not skeletons and "cells" in doc and doc["cells"] and "v" not in doc["cells"][0]:
+        cells = doc.get("cells")
+        if not skeletons and type(cells) is list and cells and "v" not in cells[0]:
             raise UsageError(f"{path} looks like a skeleton file, not an array")
         return PFArray.from_json(doc)
     except KeyError as exc:
@@ -328,6 +331,8 @@ def cmd_embed(args: argparse.Namespace) -> int:
 def _sweep_row(family: cons.Family, n: int) -> dict:
     """Build one family member and run the chain on it; the verdict names the
     first stage that fails."""
+    import hashlib  # only here: no other command hashes
+
     k, t = family.k, family.t(n)
     array = family.builder(n)
     row = {"family": family.name, "n": n, "v": array.spec.size, "t": t, "k": k,

@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .group import GroupSpec
 from .pfarray import (
@@ -115,8 +114,7 @@ def build_h9(n: int) -> PFArray:
     })
 
 
-@dataclass(frozen=True)
-class Family:
+class Family(NamedTuple):
     """A direct family of integer globally simple H_t(n; k) over Z_{2nk+t}."""
 
     name: str

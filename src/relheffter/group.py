@@ -3,7 +3,7 @@ groups, on int element codes: the library's one element type."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property
 from itertools import accumulate, chain
 from math import gcd, lcm
@@ -14,17 +14,15 @@ class GroupError(ValueError):
     """Structural misuse of group arithmetic (spec mismatch, bad factor count)."""
 
 
-@dataclass(frozen=True)
-class GroupSpec:
+class GroupSpec(namedtuple("GroupSpec", "orders")):
     """A finite abelian group Z_{o1} x ... x Z_{or}, given by its cyclic orders."""
 
-    orders: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if not self.orders:
+    def __new__(cls, orders: tuple[int, ...]) -> "GroupSpec":
+        if not orders:
             raise GroupError("at least one cyclic factor required")
-        if any(o < 1 for o in self.orders):
-            raise GroupError(f"every order must be >= 1, got {self.orders}")
+        if any(o < 1 for o in orders):
+            raise GroupError(f"every order must be >= 1, got {orders}")
+        return tuple.__new__(cls, (orders,))
 
     @classmethod
     def cyclic(cls, v: int) -> "GroupSpec":

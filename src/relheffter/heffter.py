@@ -3,15 +3,13 @@
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .group import subgroup_step, symmetric_residue
 from .pfarray import PFArray
 
 
-@dataclass(frozen=True)
-class HeffterParams:
+class HeffterParams(NamedTuple):
     """The parameters (m, n, s, k, t) of a putative H_t(m, n; s, k); v = 2nk + t."""
 
     m: int
@@ -29,11 +27,11 @@ class HeffterParams:
         return 2 * self.n * self.k + self.t
 
 
-@dataclass
 class VerificationReport:
     """Outcome of a verifier: valid iff no violations were recorded."""
 
-    violations: list[tuple[str, str]] = field(default_factory=list)
+    def __init__(self, violations: list[tuple[str, str]] | None = None) -> None:
+        self.violations = [] if violations is None else violations
 
     @property
     def valid(self) -> bool:

@@ -2,11 +2,11 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import accumulate, chain, repeat
 from math import lcm
 from operator import add
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 from .group import ElementCodes
 from .pfarray import Cell, PFArray, Skeleton, skeleton_from_diagonals, skeleton_of
@@ -67,8 +67,7 @@ def cyclic_successors(lines: Mapping[int, Sequence]) -> dict:
     return {a: b for line in lines.values() for a, b in zip(line, line[1:] + line[:1])}
 
 
-@dataclass(frozen=True)
-class Ordering:
+class Ordering(NamedTuple):
     """A chosen ordering of the filled cells of each nonempty row and column."""
 
     row_orders: dict[int, tuple[Cell, ...]]
@@ -80,16 +79,15 @@ class Ordering:
         return cyclic_successors(self.row_orders), cyclic_successors(self.col_orders)
 
 
-@dataclass(frozen=True)
-class Orientation:
+class Orientation(namedtuple("Orientation", "r c")):
     """Direction of travel per row (+1 left-to-right) and per column (+1 top-to-bottom)."""
 
-    r: tuple[int, ...]
-    c: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if any(x not in (1, -1) for x in self.r + self.c):
+    def __new__(cls, r: tuple[int, ...], c: tuple[int, ...]) -> "Orientation":
+        if any(x not in (1, -1) for x in r + c):
             raise ValueError("orientation entries must be +-1")
+        return tuple.__new__(cls, (r, c))
 
     def to_strings(self) -> tuple[str, str]:
         return (
@@ -246,16 +244,16 @@ def knight_search(array: ArrayLike) -> Orientation | None:
 # -- lifting (enlarging a diagonal-family solution) ---------------------
 
 
-@dataclass(frozen=True)
-class LiftSpec:
+class LiftSpec(namedtuple("LiftSpec", "diagonal_indices")):
     """The diagonal indices l_1 < ... < l_k of the family A_n(l_1, ..., l_k)."""
 
-    diagonal_indices: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        ls = self.diagonal_indices
+    def __new__(cls, diagonal_indices: tuple[int, ...]) -> "LiftSpec":
+        ls = diagonal_indices
         if len(ls) < 2 or list(ls) != sorted(set(ls)) or ls[0] < 1:
             raise ValueError("diagonal indices must be strictly increasing positive integers")
+        return tuple.__new__(cls, (ls,))
 
     @property
     def M(self) -> int:

@@ -4,13 +4,12 @@ from __future__ import annotations
 
 import json
 import re
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from functools import cached_property
 from itertools import accumulate, chain, repeat
 from operator import itemgetter
 from types import MappingProxyType
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from .group import GroupError, GroupSpec
 
@@ -97,21 +96,19 @@ def _lines(m: int, n: int, cells: list[Cell], values: Iterable[int]) -> list[lis
     return lines
 
 
-@dataclass(frozen=True)
-class Skeleton:
+# A record whose constructor checks its fields is a namedtuple with a
+# validating __new__; one with a cached_property keeps an instance dict for it
+# (no __slots__).
+class Skeleton(namedtuple("Skeleton", "m n cells")):
     """The set of filled positions of an m x n partially filled array."""
 
-    m: int
-    n: int
-    cells: frozenset[Cell]
-
-    def __post_init__(self) -> None:
+    def __new__(cls, m: int, n: int, cells: Iterable[Cell]) -> "Skeleton":
         """Check the cells, an iterable, in the order given, then freeze them."""
-        _check_dimensions(self.m, self.n)
-        for r, c in self.cells:
-            if not (1 <= r <= self.m and 1 <= c <= self.n):
-                raise ValueError(f"cell {(r, c)} outside {self.m}x{self.n}")
-        object.__setattr__(self, "cells", frozenset(self.cells))
+        _check_dimensions(m, n)
+        for r, c in cells:
+            if not (1 <= r <= m and 1 <= c <= n):
+                raise ValueError(f"cell {(r, c)} outside {m}x{n}")
+        return tuple.__new__(cls, (m, n, frozenset(cells)))
 
     @cached_property
     def index(self) -> tuple[list[Cell], list[list[int]]]:
@@ -164,8 +161,7 @@ def skeleton_of(array: PFArray | Skeleton) -> Skeleton:
     return array if isinstance(array, Skeleton) else array.skeleton
 
 
-@dataclass(frozen=True)
-class PFArray:
+class PFArray(namedtuple("PFArray", "m n spec entry_codes")):
     """An m x n partially filled array over a GroupSpec; empty cells are absent keys.
 
     The one store is ``entry_codes``, a read-only map from each filled cell to
@@ -173,23 +169,18 @@ class PFArray:
     (the same map), ``row`` and ``col`` are views of the codes that the
     benchmark's probes read."""
 
-    m: int
-    n: int
-    spec: GroupSpec
-    entry_codes: Mapping[Cell, int]
-
-    def __post_init__(self) -> None:
+    def __new__(cls, m: int, n: int, spec: GroupSpec,
+                entry_codes: Mapping[Cell, int]) -> "PFArray":
         """Check the dimensions, the cells and the codes, and keep a read-only
         copy of the codes: the index built on first use cannot go stale."""
-        m, n, spec = self.m, self.n, self.spec
         _check_dimensions(m, n)
-        codes, size = dict(self.entry_codes), spec.size
+        codes, size = dict(entry_codes), spec.size
         for (r, c), x in codes.items():  # min/max passes over the cells measured slower
             if not (1 <= r <= m and 1 <= c <= n):
                 raise ValueError(f"cell {(r, c)} outside {m}x{n}")
             if not 0 <= x < size:
                 raise GroupError(f"entry code {x} at {(r, c)} is not an element of {spec.orders}")
-        object.__setattr__(self, "entry_codes", MappingProxyType(codes))
+        return tuple.__new__(cls, (m, n, spec, MappingProxyType(codes)))
 
     @cached_property
     def _row_major(self) -> list[Cell]:
@@ -203,9 +194,7 @@ class PFArray:
         constructor made one) and with its index split from this array's
         row-major cells, without a second sort."""
         cells = self._row_major
-        skel = object.__new__(Skeleton)
-        for name, value in (("m", self.m), ("n", self.n), ("cells", frozenset(cells))):
-            object.__setattr__(skel, name, value)
+        skel = tuple.__new__(Skeleton, (self.m, self.n, frozenset(cells)))
         skel.__dict__["index"] = cells, _lines(self.m, self.n, cells, range(len(cells)))
         return skel
 
@@ -390,20 +379,15 @@ def _scan_csv_cells(rows: list[list[str]], n: int, v: int) -> dict[Cell, int]:
     return codes
 
 
-@dataclass(frozen=True)
-class DiagSpec:
+class DiagSpec(namedtuple("DiagSpec", "r c s d1 d2 length")):
     """Parameters of the diagonal filling procedure diag(r, c, s, d1, d2, length)."""
 
-    r: int
-    c: int
-    s: int
-    d1: int
-    d2: int
-    length: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.length < 1:
+    def __new__(cls, r: int, c: int, s: int, d1: int, d2: int, length: int) -> "DiagSpec":
+        if length < 1:
             raise ValueError("length must be >= 1")
+        return tuple.__new__(cls, (r, c, s, d1, d2, length))
 
 
 def fill_diagonals(n: int, v: int, procedures: Iterable[DiagSpec]) -> PFArray:
@@ -439,8 +423,7 @@ def diagonal_cells(n: int, i: int) -> list[Cell]:
     return [(_reduce_index(i + j, n), j + 1) for j in range(n)]
 
 
-@dataclass(frozen=True)
-class DiagonalReport:
+class DiagonalReport(NamedTuple):
     filled_diagonal_indices: frozenset[int]
     is_k_diagonal: bool
     is_cyclically_k_diagonal: bool
@@ -450,13 +433,13 @@ def classify_diagonals(array: PFArray | Skeleton) -> DiagonalReport:
     """Diagonal structure of a square array: which D_i are full, and whether
     they are all the filled cells and consecutive mod n.
 
-    One pass counts the cells on each diagonal: D_i is full iff it holds n
-    cells, and the filled diagonals cover the skeleton iff it has n cells for
-    each of them."""
+    One pass over the filled cells counts the cells on each diagonal: D_i is
+    full iff it holds n cells, and the filled diagonals cover the filled cells
+    iff there are n for each of them. An array's skeleton is not built."""
     if array.m != array.n:
         raise ValueError("diagonal classification requires a square array")
     n = array.n
-    cells = skeleton_of(array).cells
+    cells = array.cells if isinstance(array, Skeleton) else array.entry_codes
     on_diagonal = Counter((r - c) % n + 1 for r, c in cells)
     filled = frozenset(i for i, count in on_diagonal.items() if count == n)
     is_k_diagonal = bool(filled) and len(cells) == n * len(filled)

@@ -2,11 +2,10 @@
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass, field
+from collections import Counter, namedtuple
 from functools import cached_property
 from itertools import accumulate
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 from .group import ElementCodes, GroupSpec
 from .orderings import Ordering, Orientation, cyclic_successors, orbit, oriented_lines
@@ -41,24 +40,23 @@ class CertificationError(ValueError):
     """A decomposition or embedding certificate failed, with a witness."""
 
 
-@dataclass(frozen=True)
-class CayleyGraph:
+class CayleyGraph(namedtuple("CayleyGraph", "spec connection")):
     """Cay[G : connection]: vertices G, x ~ y iff x - y in the connection set,
     a set of element codes."""
 
-    spec: GroupSpec
-    connection: frozenset[int]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        codes = self.spec.codes
-        for a in self.connection:
-            if not 0 <= a < self.spec.size:
-                raise ValueError(f"connection code {a} is not an element of {self.spec.orders}")
+    def __new__(cls, spec: GroupSpec, connection: frozenset[int]) -> "CayleyGraph":
+        codes = spec.codes
+        for a in connection:
+            if not 0 <= a < spec.size:
+                raise ValueError(f"connection code {a} is not an element of {spec.orders}")
             if a == 0:
                 raise ValueError("connection set must not contain the identity")
-            if codes.neg(a) not in self.connection:
+            if codes.neg(a) not in connection:
                 raise ValueError(
                     f"connection set not closed under negation at {codes.coords(a)}")
+        return tuple.__new__(cls, (spec, connection))
 
     @classmethod
     def from_entries(cls, array: PFArray) -> "CayleyGraph":
@@ -98,8 +96,7 @@ def _cycles(add: Callable[[int, int], int], lines: Lines, by: str) -> list[tuple
     return cycles
 
 
-@dataclass
-class DecompositionCertificate:
+class DecompositionCertificate(NamedTuple):
     """A verified G-regular cycle decomposition: all translates of the base cycles.
 
     ``offsets[d]`` is (i, u) for the one edge (u, u + d) of difference d in the
@@ -109,7 +106,7 @@ class DecompositionCertificate:
 
     graph: CayleyGraph
     base: list[tuple]  # each base cycle's vertex codes, cyclically adjacent
-    offsets: dict[int, tuple[int, int]] = field(repr=False)
+    offsets: dict[int, tuple[int, int]]
 
     @property
     def cycle_lengths(self) -> Counter:
@@ -217,7 +214,6 @@ def _rho0(codes: ElementCodes, rows: Lines, cols: Lines) -> dict[int, int]:
     return rho0
 
 
-@dataclass
 class EmbeddingReport:
     """The embedding induced by rho0, with Euler-characteristic genus.
 
@@ -225,18 +221,17 @@ class EmbeddingReport:
     pi-cycle (a_0, ..., a_{L-1}) with net voltage s = a_0 + ... + a_{L-1} lifts
     to |G| / ord(s) faces of length L * ord(s): the face through the dart
     (x, x + a_0) runs x, x + a_0, x + a_0 + a_1, ... and closes after ord(s)
-    laps. ``faces`` are developed from them when read.
+    laps. ``faces`` are developed from them when read. ``orders`` holds
+    ord(net voltage) of each pi-cycle and ``pi_colors`` the class of each,
+    set by two_color_check.
     """
 
-    V: int
-    S: int
-    F: int
-    genus: int
-    spec: GroupSpec = field(repr=False)
-    pi_cycles: list[tuple[int, ...]] = field(repr=False)
-    orders: list[int] = field(repr=False)  # ord(net voltage) of each pi-cycle
-    pi_colors: list[int] | None = None  # the class of each pi-cycle; set by two_color_check
-    formula_genus: int | None = None
+    def __init__(self, V: int, S: int, F: int, genus: int, spec: GroupSpec,
+                 pi_cycles: list[tuple[int, ...]], orders: list[int],
+                 pi_colors: list[int] | None = None, formula_genus: int | None = None) -> None:
+        self.V, self.S, self.F, self.genus, self.spec = V, S, F, genus, spec
+        self.pi_cycles, self.orders, self.pi_colors = pi_cycles, orders, pi_colors
+        self.formula_genus = formula_genus
 
     @cached_property
     def faces(self) -> list[tuple[DirectedEdge, ...]]:
@@ -359,8 +354,7 @@ def _two_color(report: EmbeddingReport, col_base: list[tuple], row_base: list[tu
     return True
 
 
-@dataclass
-class BiembeddingCertificate:
+class BiembeddingCertificate(NamedTuple):
     """The certified biembedding of one array under one orientation."""
 
     embedding: EmbeddingReport

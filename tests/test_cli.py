@@ -1,7 +1,6 @@
 """Command-line interface: subcommands, exit codes, determinism, round trips."""
 
 import argparse
-import dataclasses
 import io
 import json
 import os
@@ -291,9 +290,9 @@ SWEEP_FAULTS = [
 
 @pytest.mark.parametrize("verdict, name, fault", SWEEP_FAULTS, ids=[f[1] for f in SWEEP_FAULTS])
 def test_sweep_names_the_first_failed_stage(monkeypatch, capsys, verdict, name, fault):
-    family = dataclasses.replace(FAMILIES["h-n-3"], admissible=lambda n: n in (3, 5, 7))
+    family = FAMILIES["h-n-3"]._replace(admissible=lambda n: n in (3, 5, 7))
     if name == "builder":
-        family = dataclasses.replace(family, builder=fault)
+        family = family._replace(builder=fault)
     else:
         monkeypatch.setattr(cli, name, fault)
     monkeypatch.setattr(cons, "FAMILIES", {"h-n-3": family})
@@ -457,6 +456,22 @@ MALFORMED = {
                      ["--archdeacon"]),
     "string-cells": ("a.json", {"m": 1, "n": 2, "group": {"orders": [5]}, "cells": ""},
                      ["--archdeacon"]),
+    "keyed-object-cells": ("a.json", {"m": 1, "n": 2, "group": {"orders": [5]},
+                                      "cells": {"a": 1}}, ["--archdeacon"]),
+    "nonempty-string-cells": ("a.json", {"m": 1, "n": 2, "group": {"orders": [5]},
+                                         "cells": "abc"}, ["--archdeacon"]),
+    "int-cells": ("a.json", {"m": 1, "n": 2, "group": {"orders": [5]}, "cells": 5},
+                  ["--archdeacon"]),
+    "list-document": ("a.json", [{"m": 1}], ["--archdeacon"]),
+    "string-document": ("a.json", '"group cells"', ["--archdeacon"]),
+}
+# the text of each case whose usage error once named no cause
+MALFORMED_TEXTS = {
+    "keyed-object-cells": "cells {'a': 1} is not a list",
+    "nonempty-string-cells": "cells 'abc' is not a list",
+    "int-cells": "cells 5 is not a list",
+    "list-document": "not a JSON object",
+    "string-document": "not a JSON object",
 }
 
 
@@ -470,6 +485,8 @@ def test_malformed_input_is_usage_error(tmp_path, capsys, case):
     assert code == 2 and captured.out == ""
     assert captured.err.startswith(f"error: {path}")
     assert len(captured.err.strip().splitlines()) == 1
+    if case in MALFORMED_TEXTS:
+        assert captured.err == f"error: {path}: {MALFORMED_TEXTS[case]}\n"
 
 
 # a product-group array whose second cell is bad, with the parser's message
@@ -506,8 +523,9 @@ def test_product_group_coordinates_are_strict(tmp_path, capsys, case):
     {"m": 2, "n": 2, "cells": {}},
     {"m": 2, "n": 2, "cells": ""},
     {"m": 2, "n": 0, "cells": []},
+    [[1, 1], [2, 2]],
 ], ids=["float-m", "string-n", "float-r", "bool-c", "repeated-cell", "negative-m",
-        "object-cells", "string-cells", "zero-n"])
+        "object-cells", "string-cells", "zero-n", "list-document"])
 def test_malformed_skeleton_is_usage_error(tmp_path, capsys, skeleton):
     path = tmp_path / "skel.json"
     path.write_text(json.dumps(skeleton))

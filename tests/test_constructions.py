@@ -170,7 +170,9 @@ def test_relabel_to_leading_diagonals():
 
 def test_archdeacon_composite():
     for d in (3, 4, 5):
-        comp = build_archdeacon_composite(build_h_n_3(5), d)
+        base = build_h_n_3(5)
+        comp = build_archdeacon_composite(base, d)
+        assert "skeleton" not in vars(base)  # its diagonals are counted off its cells
         assert comp.spec.orders == (35, d)
         assert verify_archdeacon(comp).valid
         assert is_globally_simple(comp)

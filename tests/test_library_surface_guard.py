@@ -3,6 +3,8 @@ and assignment at the top of a module in src/relheffter is referenced from
 another top-level statement of the library, or from scripts/ or relbench/, and
 each member of a library class but the dunders (method, property, field) is
 read as an attribute in src/, scripts/ or relbench/ outside its own definition.
+A field is one of the class body, one named in the field string of a
+namedtuple("X", "a b") base, or an attribute that __init__ sets on self.
 A name or member that only the tests read belongs in their oracles, not in
 src/. Names are matched as the hot-path guard matches them: by identifier.
 __init__.py holds the package docstring and imports nothing, so every name has
@@ -30,6 +32,21 @@ def defined(stmt: ast.stmt) -> list[str]:
         return []
     return [node.id for target in targets for node in ast.walk(target)
             if isinstance(node, ast.Name)]
+
+
+def class_members(cls: ast.ClassDef) -> list[tuple[str, ast.AST]]:
+    """The names a class defines, each with the node that defines it."""
+    found = [(name, stmt) for stmt in cls.body for name in defined(stmt)]
+    for base in cls.bases:
+        if (isinstance(base, ast.Call) and getattr(base.func, "id", None) == "namedtuple"
+                and isinstance(base.args[1], ast.Constant)):
+            found += [(name, base) for name in base.args[1].value.split()]
+    for stmt in cls.body:
+        if isinstance(stmt, ast.FunctionDef) and stmt.name == "__init__":
+            found += [(node.attr, stmt) for node in ast.walk(stmt)
+                      if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+                      and getattr(node.value, "id", None) == "self"]
+    return found
 
 
 def referenced(node: ast.AST) -> set[str]:
@@ -81,7 +98,7 @@ def test_every_class_member_is_read_outside_the_tests():
         reads += attributes_read(tree)
     members = [(f"{module}.{cls.name}", name, stmt)
                for module, tree in trees for cls in tree.body if isinstance(cls, ast.ClassDef)
-               for stmt in cls.body for name in defined(stmt)
+               for name, stmt in class_members(cls)
                if not (name.startswith("__") and name.endswith("__"))]
     # the check sees the members where there are some
     assert {("group.GroupSpec", "codes"), ("topology.EmbeddingReport", "faces"),

@@ -99,6 +99,14 @@ def test_classify_diagonals_partial_fill_is_not_k_diagonal():
     assert not rep.is_k_diagonal
 
 
+@pytest.mark.parametrize("family, n", [("h-n-3", 9), ("h9", 15)])
+def test_classify_diagonals_counts_an_arrays_cells_without_its_skeleton(family, n):
+    a = FAMILIES[family].builder(n)
+    rep = classify_diagonals(a)
+    assert "skeleton" not in vars(a) and "_row_major" not in vars(a)
+    assert rep == classify_diagonals(a.skeleton) == pfarray_oracle.classify_diagonals(a)
+
+
 def test_cyclic_row_shift_moves_diagonals():
     skel = skeleton_from_diagonals(6, [3, 4, 5])
     spec = GroupSpec.cyclic(99)
@@ -228,7 +236,7 @@ def test_array_skeleton_is_split_from_the_array_index(monkeypatch, family, n):
         raise AssertionError("sorted or range-checked again")
 
     monkeypatch.setattr(pfarray, "sorted", fail, raising=False)
-    monkeypatch.setattr(Skeleton, "__post_init__", fail)
+    monkeypatch.setattr(Skeleton, "__new__", fail)
     skel = a.skeleton
     monkeypatch.undo()
     assert skel == fresh and skel.index[0] is cells
