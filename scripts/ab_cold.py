@@ -12,8 +12,8 @@ Every pass runs each job once on each side, and the side that goes first
 alternates from job to job and from pass to pass. A job whose exit codes or
 stdout differ between the sides, or whose answer is wrong, fails the run
 (exit 1). The report is each side's sum of per-job median CPU times, their
-difference and how many jobs the change ran faster. Timings are
-time.process_time of this process alone.
+difference and how many jobs the change ran faster, then each job's two
+medians, in job order. Timings are time.process_time of this process alone.
 """
 
 from __future__ import annotations
@@ -132,6 +132,10 @@ def main() -> int:
         print(f"{label} {total:.5f} s CPU (sum of per-job medians) {root}")
     print(f"change - parent {100 * (totals[1] / totals[0] - 1):+.2f}%; "
           f"the change faster on {faster} of {len(medians[0])} jobs")
+    for key, before in medians[0].items():
+        after = medians[1][key]
+        print(f"  {key}: {1e3 * before:.3f} -> {1e3 * after:.3f} ms "
+              f"({100 * (after / before - 1):+.1f}%)")
     return 1 if problems else 0
 
 

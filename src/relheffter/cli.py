@@ -55,15 +55,16 @@ def _read(path: str) -> bytes:
     """The bytes of a regular file, read through its fd, with the OSError texts
     of open(path, "rb"). Any other file is refused before it is opened: a
     directory with the text of its failing read, and a device or FIFO, which
-    may never end, as a usage error."""
-    mode = os.stat(path).st_mode
-    if stat.S_ISDIR(mode):
+    may never end, as a usage error. Reads of one byte more than its size, one
+    buffer each, go on until one comes back empty."""
+    st = os.stat(path)
+    if stat.S_ISDIR(st.st_mode):
         raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
-    if not stat.S_ISREG(mode):
+    if not stat.S_ISREG(st.st_mode):
         raise UsageError(f"not a regular file: {path}")
     fd = os.open(path, os.O_RDONLY)
     try:
-        return b"".join(iter(partial(os.read, fd, 1 << 20), b""))
+        return b"".join(iter(partial(os.read, fd, st.st_size + 1), b""))
     finally:
         os.close(fd)
 
@@ -92,7 +93,8 @@ def _load(path: str, v: int | None = None, skeletons: bool = False) -> PFArray |
         if skeletons and "group" not in doc:
             return Skeleton.from_json(doc)
         cells = doc.get("cells")
-        if not skeletons and type(cells) is list and cells and "v" not in cells[0]:
+        if (not skeletons and type(cells) is list and cells and type(cells[0]) in (dict, list)
+                and "v" not in cells[0]):
             raise UsageError(f"{path} looks like a skeleton file, not an array")
         return PFArray.from_json(doc)
     except KeyError as exc:

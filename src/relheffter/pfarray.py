@@ -105,6 +105,7 @@ class Skeleton(namedtuple("Skeleton", "m n cells")):
     def __new__(cls, m: int, n: int, cells: Iterable[Cell]) -> "Skeleton":
         """Check the cells, an iterable, in the order given, then freeze them."""
         _check_dimensions(m, n)
+        cells = cells if type(cells) is frozenset else tuple(cells)  # iterated twice
         for r, c in cells:
             if not (1 <= r <= m and 1 <= c <= n):
                 raise ValueError(f"cell {(r, c)} outside {m}x{n}")
@@ -143,13 +144,15 @@ class Skeleton(namedtuple("Skeleton", "m n cells")):
 
     @classmethod
     def from_json(cls, data: dict) -> "Skeleton":
-        """Parse the JSON skeleton format; no cell may be listed twice, and a
-        cell outside is named in file order. One loop over the cells: at the
-        size of a Knight skeleton (tens of cells) it measured faster than set
-        and min/max passes, cold and warm."""
+        """Parse the JSON skeleton format; each cell is an [r, c] pair, no cell
+        may be listed twice, and a cell outside is named in file order. One
+        loop over the cells: at the size of a Knight skeleton (tens of cells)
+        it measured faster than set and min/max passes, cold and warm."""
         cells: dict[Cell, None] = {}
-        for r, c in _list(data["cells"], "cells"):
-            cell = (_int(r, "r"), _int(c, "c"))
+        for cell in _list(data["cells"], "cells"):
+            if type(cell) is not list or len(cell) != 2:
+                raise ValueError(f"cell {cell!r} is not an [r, c] pair")
+            cell = (_int(cell[0], "r"), _int(cell[1], "c"))
             if cell in cells:
                 raise ValueError(f"cell {cell} listed twice")
             cells[cell] = None
@@ -328,6 +331,8 @@ def _scan_json_cells(cells: Iterable, spec: GroupSpec) -> dict[Cell, int]:
     code = spec.codes.code
     codes: dict[Cell, int] = {}
     for cell in _list(cells, "cells"):
+        if type(cell) is not dict:
+            raise ValueError(f"cell {cell!r} is not an object")
         key = (_int(cell["r"], "r"), _int(cell["c"], "c"))
         coords = cell["v"]
         if not isinstance(coords, list) or not all(type(x) is int for x in coords):

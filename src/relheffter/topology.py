@@ -5,7 +5,7 @@ from __future__ import annotations
 from collections import Counter, namedtuple
 from functools import cached_property
 from itertools import accumulate
-from typing import Callable, Mapping, NamedTuple, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .group import ElementCodes, GroupSpec
 from .orderings import Ordering, Orientation, cyclic_successors, orbit, oriented_lines
@@ -26,6 +26,7 @@ DirectedEdge = tuple  # (tail, head)
 # take an Ordering of cells translate it first.
 
 Lines = Mapping[int, Sequence[int]]  # line index -> its entry codes in order
+Base = tuple[tuple, list[int], list[int]]  # a cycle's vertices, steps and their negatives
 
 
 def _rotation_key(seq: Sequence[int]) -> tuple[int, ...]:
@@ -80,20 +81,25 @@ def base_cycles(array: PFArray, ordering: Ordering, by: str = "col") -> list[tup
     if by not in ("row", "col"):
         raise ValueError("by must be 'row' or 'col'")
     lines = _code_lines(array, ordering.row_orders if by == "row" else ordering.col_orders)[0]
-    return _cycles(array.spec.codes.add, lines, by)
+    return [vs for vs, _, _ in _cycles(array.spec.codes, lines, by)]
 
 
-def _cycles(add: Callable[[int, int], int], lines: Lines, by: str) -> list[tuple]:
-    """The partial-sum cycle of each line, in increasing line index."""
-    cycles = []
+def _cycles(codes: ElementCodes, lines: Lines, by: str) -> list[Base]:
+    """The partial-sum cycle of each line, in increasing line index, with its
+    steps and their negatives; step j runs from vertex j to the next, so a line
+    a_1..a_k of total T steps by a_2, ..., a_k, a_1 - T."""
+    add, sub, neg = codes.add, codes.sub, codes.neg
+    bases = []
     for index in sorted(lines):
-        sums = list(accumulate(lines[index], add))
+        line = lines[index]
+        sums = list(accumulate(line, add))
         if len(set(sums)) != len(sums):
             raise CertificationError(f"{by} {index} ordering is not simple")
         if len(sums) < 3:
             raise CertificationError(f"{by} {index} has fewer than 3 filled cells")
-        cycles.append(tuple(sums))
-    return cycles
+        steps = [*line[1:], sub(line[0], sums[-1])]
+        bases.append((tuple(sums), steps, [neg(d) for d in steps]))
+    return bases
 
 
 class DecompositionCertificate(NamedTuple):
@@ -130,30 +136,34 @@ def develop_and_verify(base: list[tuple], graph: CayleyGraph) -> DecompositionCe
     translate, and the translates cover |C|/2 * |G| edges. A failure names the
     least missing and the least extra difference. A cycle that repeats a
     vertex is refused with a ValueError."""
-    codes = graph.spec.codes
-    sub, neg = codes.sub, codes.neg
-    diffs: list[int] = []
+    sub, neg = graph.spec.codes.sub, graph.spec.codes.neg
+    if any(len(set(vs)) != len(vs) for vs in base):
+        raise ValueError("cycle vertices must be distinct")
+    steps = [[sub(w, u) for u, w in zip(vs, vs[1:] + vs[:1])] for vs in base]
+    return _develop([(vs, ds, [neg(d) for d in ds]) for vs, ds in zip(base, steps)], graph)
+
+
+def _develop(bases: list[Base], graph: CayleyGraph) -> DecompositionCertificate:
+    """develop_and_verify on cycles of distinct vertices with their steps; a
+    repeated difference is named in the order of the steps, d before -d."""
     offsets: dict[int, tuple[int, int]] = {}
-    for i, vs in enumerate(base):
-        if len(set(vs)) != len(vs):
-            raise ValueError("cycle vertices must be distinct")
-        for u, w in zip(vs, vs[1:] + vs[:1]):
-            d = sub(w, u)
-            nd = neg(d)
-            diffs += (d, nd)
+    for i, (vs, steps, negs) in enumerate(bases):
+        for u, w, d, nd in zip(vs, vs[1:] + vs[:1], steps, negs):
             offsets[d], offsets[nd] = (i, u), (i, w)
-    counts = Counter(diffs)
+    base = [vs for vs, _, _ in bases]
+    if len(offsets) == 2 * sum(map(len, base)) and offsets.keys() == graph.connection:
+        return DecompositionCertificate(graph, base, offsets)
+    codes = graph.spec.codes
+    counts = Counter(x for _, steps, negs in bases for pair in zip(steps, negs) for x in pair)
     for d, c in counts.items():
         if c > 1:
             raise CertificationError(
                 f"difference {codes.coords(d)} appears {c} times in the base cycles")
-    if counts.keys() != graph.connection:
-        missing, extra = (_least(codes, s) for s in
-                          (graph.connection - counts.keys(), counts.keys() - graph.connection))
-        raise CertificationError(
-            f"difference list != connection set (missing={missing}, extra={extra})"
-        )
-    return DecompositionCertificate(graph, base, offsets)
+    missing, extra = (_least(codes, s) for s in
+                      (graph.connection - counts.keys(), counts.keys() - graph.connection))
+    raise CertificationError(
+        f"difference list != connection set (missing={missing}, extra={extra})"
+    )
 
 
 def _least(codes: ElementCodes, found: set[int]) -> str:
@@ -184,23 +194,25 @@ def verify_orthogonal(d1: DecompositionCertificate, d2: DecompositionCertificate
 def build_rho0(array: PFArray, ordering: Ordering) -> dict[int, int]:
     """The vertex-rotation seed, a cyclic permutation of +-E(A) on element
     codes: rho0(a) = -omega_r(a) on E(A) and omega_c(-a) on -E(A)."""
-    return _rho0(array.spec.codes, *_code_lines(array, ordering.row_orders, ordering.col_orders))
+    lines = _code_lines(array, ordering.row_orders, ordering.col_orders)
+    return _rho0(array.spec.codes, *lines)[0]
 
 
-def _rho0(codes: ElementCodes, rows: Lines, cols: Lines) -> dict[int, int]:
-    """build_rho0 on lines of entry codes, omega_r and omega_c being the next
-    code along its row and along its column; a failing walk starts at the
-    least code."""
+def _rho0(codes: ElementCodes, rows: Lines, cols: Lines) -> tuple[dict[int, int], dict[int, int]]:
+    """build_rho0 on lines of entry codes (omega_r and omega_c: the next code
+    along its row and its column), and pi(a) = rho0(-a), which is omega_c(a) on
+    E(A) and -omega_r(a) on -E(A). A failing walk starts at the least code."""
     omega_r, omega_c = cyclic_successors(rows), cyclic_successors(cols)
     if len(omega_r) != sum(map(len, rows.values())):
         raise ValueError("entries are not distinct; entry-level orderings undefined")
     if not omega_r:
         raise ValueError("rho0 is undefined: the array has no filled cells")
     neg = codes.neg
-    rho0 = {}
+    rho0, pi = {}, {}
     for a, b in omega_r.items():
-        rho0[a] = neg(b)
-        rho0[neg(a)] = omega_c[a]
+        na = neg(a)
+        rho0[a] = pi[na] = neg(b)
+        rho0[na] = pi[a] = omega_c[a]
     # with 2|E(A)| distinct keys rho0 is a permutation, and the walk from any
     # key shows whether it is one cycle
     if len(rho0) != 2 * len(omega_r):
@@ -211,7 +223,7 @@ def _rho0(codes: ElementCodes, rows: Lines, cols: Lines) -> dict[int, int]:
             f"rho0 is not cyclic on +-E(A): orbit {length} of {len(rho0)} "
             "(the orderings are not compatible)"
         )
-    return rho0
+    return rho0, pi
 
 
 class EmbeddingReport:
@@ -288,14 +300,20 @@ def trace_faces(graph: CayleyGraph, rho0: dict[int, int]) -> EmbeddingReport:
         raise ValueError("rotation domain must equal the connection set")
     if set(rho0.values()) != connection:
         raise ValueError("rotation must permute the connection set")
+    neg = graph.spec.codes.neg
+    return _faces(graph, {a: rho0[neg(a)] for a in connection})
+
+
+def _faces(graph: CayleyGraph, pi: dict[int, int]) -> EmbeddingReport:
+    """trace_faces on pi, a permutation of C that its cycles use up, each from its least code."""
     codes = graph.spec.codes
-    pi = {a: rho0[codes.neg(a)] for a in connection}
     cycles: list[tuple[int, ...]] = []
-    seen: set[int] = set()
-    for a in sorted(connection):
-        if a not in seen:
-            cycles.append(tuple(orbit(pi.__getitem__, a)))
-            seen.update(cycles[-1])
+    for a in sorted(pi):
+        if a in pi:
+            cycle = [a]
+            while (b := pi.pop(cycle[-1])) != a:
+                cycle.append(b)
+            cycles.append(tuple(cycle))
     orders = [codes.order(codes.total(cycle)) for cycle in cycles]
     V = graph.spec.size
     S = graph.num_edges
@@ -313,44 +331,37 @@ def two_color_check(report: EmbeddingReport, array: PFArray, ordering: Ordering)
     Stores the coloring into the report on success.
     """
     lines = _code_lines(array, ordering.row_orders, ordering.col_orders)
-    return _two_color(report, *_bases(array.spec.codes.add, *lines))
+    return _two_color(report, *_bases(array.spec.codes, *lines))
 
 
-def _bases(add: Callable[[int, int], int], rows: Lines,
-           cols: Lines) -> tuple[list[tuple], list[tuple]]:
+def _bases(codes: ElementCodes, rows: Lines, cols: Lines) -> tuple[list[Base], list[Base]]:
     """The column base cycles and the base cycles of the reversed rows."""
     # class 2 follows the REVERSED row orderings (omega_r inverse): reversing
     # the ordering negates every partial-sum cycle's edge set
     reversed_rows = {i: line[::-1] for i, line in rows.items()}
-    return _cycles(add, cols, "col"), _cycles(add, reversed_rows, "row")
+    return _cycles(codes, cols, "col"), _cycles(codes, reversed_rows, "row")
 
 
-def _two_color(report: EmbeddingReport, col_base: list[tuple], row_base: list[tuple]) -> bool:
+def _two_color(report: EmbeddingReport, col_bases: list[Base], row_bases: list[Base]) -> bool:
     """Per pi-cycle: its faces are translates of a base cycle B traversed once iff
     its steps are those of B up to rotation, or those of B reversed and negated
     (steps that sum to 0, so the faces close after one lap; a face of more laps
     repeats its steps, which a cycle of distinct entries never does). The edge
     {x, x + a} has one side on a face of a's pi-cycle and the other on a face of
-    -a's."""
-    codes = report.spec.codes
-    sub, neg = codes.sub, codes.neg
-    class_of_steps: dict[tuple, int] = {}
+    -a's, and the negatives of a pi-cycle's codes are the other step list of B."""
+    class_of_steps: dict[tuple, tuple[int, list[int]]] = {}
     # columns go in last, so a face in both classes gets class 1
-    for color, base in ((2, row_base), (1, col_base)):
-        for vs in base:
-            steps = [sub(w, u) for u, w in zip(vs[-1:] + vs[:-1], vs)]
-            class_of_steps[_rotation_key(steps)] = color
-            class_of_steps[_rotation_key([neg(a) for a in reversed(steps)])] = color
-    colors = []
-    for cycle in report.pi_cycles:
-        color = class_of_steps.get(_rotation_key(cycle))
-        if color is None:
-            return False
-        colors.append(color)
-    class_of = {a: color for cycle, color in zip(report.pi_cycles, colors) for a in cycle}
-    if any(class_of[a] == class_of[neg(a)] for a in class_of):
+    for color, bases in ((2, row_bases), (1, col_bases)):
+        for _, steps, negs in bases:
+            class_of_steps[_rotation_key(steps)] = color, negs
+            class_of_steps[_rotation_key(negs[::-1])] = color, steps
+    matches = [class_of_steps.get(_rotation_key(cycle)) for cycle in report.pi_cycles]
+    if None in matches:
         return False
-    report.pi_colors = colors
+    class_of = {a: color for cycle, (color, _) in zip(report.pi_cycles, matches) for a in cycle}
+    if any(class_of[a] == color for color, negs in matches for a in negs):
+        return False
+    report.pi_colors = [color for color, _ in matches]
     return True
 
 
@@ -392,11 +403,12 @@ def certify_biembedding(array: PFArray, orientation: Orientation) -> Biembedding
     No rotation of +-E(A) exists then, whatever the orderings."""
     m, lines = array.m, array.index[1]
     rows, cols = oriented_lines(lines[:m], orientation.r), oriented_lines(lines[m:], orientation.c)
-    rho0 = _rho0(array.spec.codes, rows, cols)
-    graph = CayleyGraph.from_entries(array)
-    report = trace_faces(graph, rho0)
-    col_base, row_base = _bases(array.spec.codes.add, rows, cols)
-    two_colorable = _two_color(report, col_base, row_base)
-    col_dec, row_dec = develop_and_verify(col_base, graph), develop_and_verify(row_base, graph)
+    rho0, pi = _rho0(array.spec.codes, rows, cols)
+    # rho0 proved its keys C = +-E(A) distinct: no second check of C or of pi
+    graph = tuple.__new__(CayleyGraph, (array.spec, frozenset(rho0)))
+    report = _faces(graph, pi)
+    col_bases, row_bases = _bases(array.spec.codes, rows, cols)
+    two_colorable = _two_color(report, col_bases, row_bases)
+    col_dec, row_dec = _develop(col_bases, graph), _develop(row_bases, graph)
     return BiembeddingCertificate(report, two_colorable, row_dec, col_dec,
                                   verify_orthogonal(row_dec, col_dec))

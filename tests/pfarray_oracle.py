@@ -217,6 +217,8 @@ def from_json(data: dict) -> PFArray:
     code = spec.codes.code
     codes: dict = {}
     for cell in _list(data["cells"], "cells"):
+        if type(cell) is not dict:
+            raise ValueError(f"cell {cell!r} is not an object")
         key = (_int(cell["r"], "r"), _int(cell["c"], "c"))
         coords = cell["v"]
         if not isinstance(coords, list) or not all(type(x) is int for x in coords):
@@ -251,8 +253,10 @@ def from_csv(text: str, v: int) -> PFArray:
 def skeleton_from_json(data: dict) -> tuple[int, int, frozenset]:
     """The skeleton's m, n and cells; the first cell outside is named in file order."""
     cells: list = []
-    for r, c in _list(data["cells"], "cells"):
-        cell = (_int(r, "r"), _int(c, "c"))
+    for cell in _list(data["cells"], "cells"):
+        if type(cell) is not list or len(cell) != 2:
+            raise ValueError(f"cell {cell!r} is not an [r, c] pair")
+        cell = (_int(cell[0], "r"), _int(cell[1], "c"))
         if cell in cells:
             raise ValueError(f"cell {cell} listed twice")
         cells.append(cell)

@@ -464,6 +464,10 @@ MALFORMED = {
                   ["--archdeacon"]),
     "list-document": ("a.json", [{"m": 1}], ["--archdeacon"]),
     "string-document": ("a.json", '"group cells"', ["--archdeacon"]),
+    "int-cell": ("a.json", {"m": 1, "n": 2, "group": {"orders": [5]}, "cells": [5]},
+                 ["--archdeacon"]),
+    "string-cell": ("a.json", {"m": 1, "n": 2, "group": {"orders": [5]}, "cells": ["abc"]},
+                    ["--archdeacon"]),
 }
 # the text of each case whose usage error once named no cause
 MALFORMED_TEXTS = {
@@ -472,6 +476,8 @@ MALFORMED_TEXTS = {
     "int-cells": "cells 5 is not a list",
     "list-document": "not a JSON object",
     "string-document": "not a JSON object",
+    "int-cell": "cell 5 is not an object",
+    "string-cell": "cell 'abc' is not an object",
 }
 
 
@@ -524,9 +530,10 @@ def test_product_group_coordinates_are_strict(tmp_path, capsys, case):
     {"m": 2, "n": 2, "cells": ""},
     {"m": 2, "n": 0, "cells": []},
     [[1, 1], [2, 2]],
+    {"m": 2, "n": 2, "cells": [5]},
 ], ids=["float-m", "string-n", "float-r", "bool-c", "repeated-cell", "negative-m",
-        "object-cells", "string-cells", "zero-n", "list-document"])
-def test_malformed_skeleton_is_usage_error(tmp_path, capsys, skeleton):
+        "object-cells", "string-cells", "zero-n", "list-document", "int-cell"])
+def test_malformed_skeleton_is_usage_error(tmp_path, capsys, request, skeleton):
     path = tmp_path / "skel.json"
     path.write_text(json.dumps(skeleton))
     code = main(["knight", str(path), "--search"])
@@ -534,6 +541,8 @@ def test_malformed_skeleton_is_usage_error(tmp_path, capsys, skeleton):
     assert code == 2 and captured.out == ""
     assert captured.err.startswith(f"error: {path}: ")
     assert len(captured.err.strip().splitlines()) == 1
+    if request.node.callspec.id == "int-cell":  # once a text that named no cell
+        assert captured.err == f"error: {path}: cell 5 is not an [r, c] pair\n"
 
 
 def test_knight_empty_skeleton_is_usage_error(tmp_path, capsys):

@@ -2,7 +2,10 @@
 cell-level orderings (orientation_to_orderings, Ordering.successors) and the
 cell walk knight_tour stay the slow references that tests compare with (with
 knight_step, which tests/knight_oracle.py holds), and no call from those three
-paths reaches them."""
+paths reaches them. The certificate derives each fact once: it reaches none of
+the public stages that re-check what rho0 proved (the graph from the entries,
+the faces from a rotation, a development from bare cycles), and those stages
+wrap the kernels that it calls."""
 
 import ast
 from pathlib import Path
@@ -10,6 +13,7 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parent.parent / "src" / "relheffter"
 HOT = ("certify_biembedding", "cmd_knight", "lift_solution")
 SLOW = {"orientation_to_orderings", "knight_tour", "knight_step", "successors"}
+STAGES = {"from_entries", "trace_faces", "develop_and_verify"}
 
 
 def definitions() -> dict[str, list[ast.FunctionDef]]:
@@ -46,3 +50,16 @@ def test_hot_paths_never_reach_the_cell_level_references():
     for name in HOT:
         assert name in defs
         assert reachable(name, defs) & SLOW == set(), name
+
+
+def test_certificate_never_reaches_the_checking_stages():
+    defs = definitions()
+    # the check sees a stage where one is called, by name or as an attribute
+    wired = ast.parse("def wired(a, b):\n"
+                      "    trace_faces(CayleyGraph.from_entries(a), develop_and_verify(b, a))")
+    assert reachable("wired", {**defs, "wired": wired.body}) >= STAGES
+    assert STAGES <= defs.keys()
+    assert reachable("certify_biembedding", defs) & STAGES == set()
+    assert reachable("certify_biembedding", defs) >= {"_rho0", "_faces", "_develop"}
+    assert "_faces" in reachable("trace_faces", defs)
+    assert "_develop" in reachable("develop_and_verify", defs)

@@ -34,6 +34,8 @@ CHECKS = [
     (lambda: GroupSpec((3, 0)), GroupError, "every order must be >= 1, got (3, 0)"),
     (lambda: Skeleton(0, 2, [(9, 9)]), ValueError, "dimensions 0x2 are not positive"),
     (lambda: Skeleton(2, 2, [(1, 1), (3, 1), (1, 3)]), ValueError, "cell (3, 1) outside 2x2"),
+    (lambda: Skeleton(2, 2, iter([(1, 1), (1, 3), (3, 1)])), ValueError,
+     "cell (1, 3) outside 2x2"),
     (lambda: PFArray(2, -1, Z5, {(9, 9): 7}), ValueError, "dimensions 2x-1 are not positive"),
     (lambda: PFArray(2, 2, Z5, {(1, 1): 1, (2, 3): 9}), ValueError, "cell (2, 3) outside 2x2"),
     (lambda: PFArray(2, 2, Z5, {(1, 1): 5}), GroupError,
@@ -81,6 +83,12 @@ def test_records_keep_their_fields_and_keyword_constructors():
     assert VerificationReport().violations == [] and VerificationReport([("t", "m")]).valid is False
     report = EmbeddingReport(5, 10, 7, 0, Z5, [(1, 2)], [5])
     assert (report.pi_colors, report.formula_genus) == (None, None)
+
+
+def test_skeleton_freezes_every_cell_of_a_one_shot_iterator():
+    # the range check once used the iterator up, and the skeleton froze nothing
+    assert Skeleton(2, 2, iter([(1, 2)])).cells == frozenset({(1, 2)})
+    assert Skeleton(2, 2, (cell for cell in [(2, 1), (1, 1)])).cells == {(1, 1), (2, 1)}
 
 
 def test_no_module_imports_dataclasses():

@@ -337,6 +337,17 @@ def test_certify_biembedding_matches_stage_by_stage_under_flips():
     assert failures == {CertificationError}  # not every flip is compatible
 
 
+def test_certificate_graph_is_the_graph_of_the_entries():
+    # certify_biembedding takes C from rho0's keys, without CayleyGraph's checks
+    names = []
+    for name, array in small_arrays():
+        cert = certify_biembedding(array, knight_search(array))
+        assert cert.row_decomposition.graph == CayleyGraph.from_entries(array), name
+        assert cert.col_decomposition.graph is cert.row_decomposition.graph
+        names.append(name)
+    assert {"archdeacon_7x7_z60xz3.json", "archdeacon_8x8_z51xz3.json"} <= set(names)
+
+
 def test_certify_biembedding_matches_stage_by_stage_on_failing_arrays():
     # each entry swapped with the next in row-major order, moved by one, set
     # to 0, to the next entry and to its negative, under all four flips; and
