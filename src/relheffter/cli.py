@@ -4,12 +4,13 @@ from __future__ import annotations
 
 import argparse
 import errno
+import gc
 import json
 import os
 import stat
 import sys
 from collections import Counter
-from functools import cache, partial
+from functools import cache
 
 from . import constructions as cons
 from .group import GroupError
@@ -55,8 +56,9 @@ def _read(path: str) -> bytes:
     """The bytes of a regular file, read through its fd, with the OSError texts
     of open(path, "rb"). Any other file is refused before it is opened: a
     directory with the text of its failing read, and a device or FIFO, which
-    may never end, as a usage error. Reads of one byte more than its size, one
-    buffer each, go on until one comes back empty."""
+    may never end, as a usage error. Reads of one byte more than its size go
+    on until one comes back short, which is the end of a regular file: one
+    read when the file has not grown since its stat."""
     st = os.stat(path)
     if stat.S_ISDIR(st.st_mode):
         raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
@@ -64,7 +66,11 @@ def _read(path: str) -> bytes:
         raise UsageError(f"not a regular file: {path}")
     fd = os.open(path, os.O_RDONLY)
     try:
-        return b"".join(iter(partial(os.read, fd, st.st_size + 1), b""))
+        size = st.st_size + 1
+        chunks = [os.read(fd, size)]
+        while len(chunks[-1]) == size:
+            chunks.append(os.read(fd, size))
+        return b"".join(chunks)
     finally:
         os.close(fd)
 
@@ -73,10 +79,11 @@ def _load(path: str, v: int | None = None, skeletons: bool = False) -> PFArray |
     """The array in a .json or .csv file or, given skeletons, the skeleton in a
     .json file without a group. The format comes from the suffix, and another
     suffix, or a .csv file without v, is a usage error before the file is
-    opened. A path that cannot name a file (it holds a NUL), one that names no
-    regular file, and a malformed file, undecodable bytes included, are usage
-    errors that name the path: a JSON document that is no object among them,
-    and an array file whose cells are no list."""
+    opened. A JSON document is an array file iff it has a group key. A path
+    that cannot name a file (it holds a NUL), one that names no regular file,
+    and a malformed file, undecodable bytes included, are usage errors that
+    name the path: a JSON document that is no object among them, and one
+    without a group where an array is read."""
     path = _path_text(path)
     suffix = os.path.splitext(path)[1]
     if suffix not in (".json", ".csv"):
@@ -90,13 +97,11 @@ def _load(path: str, v: int | None = None, skeletons: bool = False) -> PFArray |
         doc = json.loads(data.decode())
         if type(doc) is not dict:
             raise UsageError(f"{path}: not a JSON object")
-        if skeletons and "group" not in doc:
+        if "group" in doc:
+            return PFArray.from_json(doc)
+        if skeletons:
             return Skeleton.from_json(doc)
-        cells = doc.get("cells")
-        if (not skeletons and type(cells) is list and cells and type(cells[0]) in (dict, list)
-                and "v" not in cells[0]):
-            raise UsageError(f"{path} looks like a skeleton file, not an array")
-        return PFArray.from_json(doc)
+        raise UsageError(f"{path} looks like a skeleton file, not an array")
     except KeyError as exc:
         raise UsageError(f"{path}: missing key {exc}") from exc
     except (TypeError, ValueError) as exc:
@@ -136,21 +141,25 @@ def _write(path: str, text: str) -> str:
     """Write the text's bytes through the fd of the file, with the OSError
     texts of open(path, "w"). An existing file is rewritten in place, which
     costs less CPU than truncating it first, and then cut to the new size if
-    it is longer; a device or a FIFO (size 0) is never cut. The open does
+    it was longer; a device or a FIFO (size 0) is never cut. The open does
     not block, so a FIFO with no reader fails at once (ENXIO) rather than
-    waiting for one; the writes block as usual."""
+    waiting for one; the writes block as usual, and only a file that is not
+    regular is switched back to blocking (O_NONBLOCK does not change writes
+    to a regular file)."""
     path = _path_text(path)
     try:
         fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_NONBLOCK, 0o666)
     except ValueError as exc:  # a NUL in the path
         raise UsageError(f"{path}: {exc}") from exc
     try:
-        os.set_blocking(fd, True)
+        st = os.fstat(fd)
+        if not stat.S_ISREG(st.st_mode):
+            os.set_blocking(fd, True)
         data = memoryview(text.encode())
         size = len(data)
         while data:
             data = data[os.write(fd, data):]
-        if os.fstat(fd).st_size > size:
+        if st.st_size > size:  # the writes from offset 0 left its old tail
             os.ftruncate(fd, size)
     finally:
         os.close(fd)
@@ -492,7 +501,11 @@ def main(argv: list[str] | None = None) -> int:
     an unknown command, anything the reader declines) is parsed by the whole
     tree, which writes every help and error text. An exception that is no
     usage error is a crash: its traceback goes to stderr, and the exit code is
-    EXIT_SOFTWARE, never that of a violation."""
+    EXIT_SOFTWARE, never that of a violation. The cyclic garbage collector is
+    paused while the command runs, as Mercurial's nogc pauses it around its
+    parsers: a command allocates many containers and leaves few cycles, and
+    the collections it would trigger find next to nothing. It is switched
+    back on at every exit if it was on when main was called."""
     if argv is None:
         argv = sys.argv[1:]
     parser = build_parser()
@@ -500,6 +513,8 @@ def main(argv: list[str] | None = None) -> int:
     args = None if command is None else _read_argv(command, argv[1:])
     if args is None:
         args = parser.parse_args(argv)
+    gc_enabled = gc.isenabled()
+    gc.disable()
     try:
         return args.func(args)
     except (UsageError, OSError, GroupError) as exc:
@@ -510,6 +525,9 @@ def main(argv: list[str] | None = None) -> int:
 
         traceback.print_exc()
         return EXIT_SOFTWARE
+    finally:
+        if gc_enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":

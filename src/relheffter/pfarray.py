@@ -175,7 +175,9 @@ class PFArray(namedtuple("PFArray", "m n spec entry_codes")):
     def __new__(cls, m: int, n: int, spec: GroupSpec,
                 entry_codes: Mapping[Cell, int]) -> "PFArray":
         """Check the dimensions, the cells and the codes, and keep a read-only
-        copy of the codes: the index built on first use cannot go stale."""
+        copy of the codes: the index built on first use cannot go stale. The
+        one public constructor: the parsers and fill_diagonals, whose own
+        checks cover every cell, make their arrays with _checked_array."""
         _check_dimensions(m, n)
         codes, size = dict(entry_codes), spec.size
         for (r, c), x in codes.items():  # min/max passes over the cells measured slower
@@ -194,7 +196,7 @@ class PFArray(namedtuple("PFArray", "m n spec entry_codes")):
     @cached_property
     def skeleton(self) -> Skeleton:
         """The skeleton of the filled cells, without a second range check (the
-        constructor made one) and with its index split from this array's
+        array's maker made one) and with its index split from this array's
         row-major cells, without a second sort."""
         cells = self._row_major
         skel = tuple.__new__(Skeleton, (self.m, self.n, frozenset(cells)))
@@ -254,13 +256,17 @@ class PFArray(namedtuple("PFArray", "m n spec entry_codes")):
     def from_json(cls, data: dict) -> "PFArray":
         """Parse the JSON array format; coordinates must be canonical residues,
         one per factor, and no cell may be listed twice. The cells are checked
-        in bulk; they are scanned in file order only to name the first bad one."""
+        in bulk, their rows and columns against m x n included, and the array
+        is made without the constructor's second pass; they are scanned in
+        file order only to name the first bad one."""
         spec = GroupSpec.from_json(data["group"])
         cells = data["cells"]
-        codes = _json_cells(cells, spec)
-        if codes is None:
-            codes = _scan_json_cells(cells, spec)
-        return cls(_int(data["m"], "m"), _int(data["n"], "n"), spec, codes)
+        bulk = _json_cells(cells, spec)
+        codes, rows, cols = bulk or (_scan_json_cells(cells, spec), None, None)
+        m, n = _int(data["m"], "m"), _int(data["n"], "n")
+        if rows is None or not _inside(m, n, rows, cols):
+            return cls(m, n, spec, codes)  # which names the first cell outside
+        return _checked_array(m, n, spec, codes)
 
     def to_csv(self) -> str:
         """Grid CSV with symmetric representatives; empty string for empty cells.
@@ -298,21 +304,40 @@ class PFArray(namedtuple("PFArray", "m n spec entry_codes")):
         codes = _csv_cells(lines, n, v)
         if codes is None:
             codes = _scan_csv_cells([line.split(",") for line in lines], n, v)
-        return cls(len(lines), n, spec, codes)
+        # every cell is in a row of the text and a column of its n fields
+        return _checked_array(len(lines), n, spec, codes)
 
 
-def _json_cells(cells: object, spec: GroupSpec) -> dict[Cell, int] | None:
+def _checked_array(m: int, n: int, spec: GroupSpec, codes: dict[Cell, int]) -> PFArray:
+    """The array with these codes, kept read-only as they are: the caller has
+    checked the dimensions, the cells and the codes, and hands over a dict
+    that nothing else holds."""
+    return tuple.__new__(PFArray, (m, n, spec, MappingProxyType(codes)))
+
+
+def _inside(m: int, n: int, rows: list[int], cols: list[int]) -> bool:
+    """Whether m and n are positive and the cells with these rows and columns
+    lie in the m x n grid: one min and one max of each list, which on lists
+    of ints cost less than one loop over the cells."""
+    return m >= 1 and n >= 1 and (not rows or 1 <= min(rows) and max(rows) <= m
+                                  and 1 <= min(cols) and max(cols) <= n)
+
+
+def _json_cells(cells: object, spec: GroupSpec
+                ) -> tuple[dict[Cell, int], list[int], list[int]] | None:
     """The codes of a list of well-formed JSON cells, checked field by field over
-    all cells at once; None when a check fails, which _scan_json_cells names."""
+    all cells at once, with the cells' rows and columns in file order; None
+    when a check fails, which _scan_json_cells names."""
     if type(cells) is not list:
         return None
     if not cells:
-        return {}
+        return {}, [], []
     try:
-        keys, vs = list(map(itemgetter("r", "c"), cells)), list(map(itemgetter("v"), cells))
+        rows, cols = list(map(itemgetter("r"), cells)), list(map(itemgetter("c"), cells))
+        vs = list(map(itemgetter("v"), cells))
     except (LookupError, TypeError):
         return None
-    if set(map(type, chain.from_iterable(keys))) != {int} or set(map(type, vs)) != {list}:
+    if set(map(type, rows)) | set(map(type, cols)) != {int} or set(map(type, vs)) != {list}:
         return None
     orders = spec.orders
     if set(map(len, vs)) != {len(orders)}:
@@ -321,8 +346,8 @@ def _json_cells(cells: object, spec: GroupSpec) -> dict[Cell, int] | None:
     if (set(map(type, chain.from_iterable(columns))) != {int}
             or not all(0 <= min(col) and max(col) < o for col, o in zip(columns, orders))):
         return None
-    codes = dict(zip(keys, spec.codes.from_columns(columns)))
-    return codes if len(codes) == len(cells) else None
+    codes = dict(zip(zip(rows, cols), spec.codes.from_columns(columns)))
+    return (codes, rows, cols) if len(codes) == len(cells) else None
 
 
 def _scan_json_cells(cells: Iterable, spec: GroupSpec) -> dict[Cell, int]:
@@ -418,7 +443,9 @@ def fill_diagonals(n: int, v: int, procedures: Iterable[DiagSpec]) -> PFArray:
             cell = next(cell for cell in new if cell in cells)
             raise ConstructionError(f"cell {cell} already filled")
         cells.update(new)
-    return PFArray(n, n, spec, cells)
+    if n < 1:  # the constructor names the dimensions
+        return PFArray(n, n, spec, cells)
+    return _checked_array(n, n, spec, cells)  # cells wrap into 1..n, codes reduce mod v
 
 
 def diagonal_cells(n: int, i: int) -> list[Cell]:

@@ -4,11 +4,11 @@ from __future__ import annotations
 
 from collections import Counter, namedtuple
 from functools import cached_property
-from itertools import accumulate
+from itertools import accumulate, islice
 from typing import Mapping, NamedTuple, Sequence
 
 from .group import ElementCodes, GroupSpec
-from .orderings import Ordering, Orientation, cyclic_successors, orbit, oriented_lines
+from .orderings import Ordering, Orientation, cyclic_successors, oriented_lines
 from .pfarray import Cell, PFArray
 
 DirectedEdge = tuple  # (tail, head)
@@ -107,7 +107,9 @@ class DecompositionCertificate(NamedTuple):
 
     ``offsets[d]`` is (i, u) for the one edge (u, u + d) of difference d in the
     base cycles, which lies on base[i]; so the edge {x, x + d} lies on
-    base[i] + (x - u). Differences and offsets are element codes.
+    base[i] + (x - u). Differences and offsets are element codes. The keys
+    come in pairs, the difference of each base-cycle edge and then its
+    negative.
     """
 
     graph: CayleyGraph
@@ -180,12 +182,13 @@ def verify_orthogonal(d1: DecompositionCertificate, d2: DecompositionCertificate
 
     The edge {x, x + d} lies on base1[i] + (x - u1) and base2[j] + (x - u2), so
     two edges lie on the same two cycles iff their differences give the same
-    (i, j, u2 - u1). Both signs of one difference give the same triple."""
+    (i, j, u2 - u1). Both signs of one difference give the same triple, so
+    only the first of each pair of d1's offsets is taken."""
     if d1 is d2:
         raise ValueError("orthogonality is defined across two distinct decompositions")
     sub = d1.graph.spec.codes.sub
     pairs = set()
-    for d, (i, u1) in d1.offsets.items():
+    for d, (i, u1) in islice(d1.offsets.items(), 0, None, 2):
         j, u2 = d2.offsets[d]
         pairs.add((i, j, sub(u2, u1)))
     return 2 * len(pairs) == len(d1.offsets)
@@ -201,23 +204,33 @@ def build_rho0(array: PFArray, ordering: Ordering) -> dict[int, int]:
 def _rho0(codes: ElementCodes, rows: Lines, cols: Lines) -> tuple[dict[int, int], dict[int, int]]:
     """build_rho0 on lines of entry codes (omega_r and omega_c: the next code
     along its row and its column), and pi(a) = rho0(-a), which is omega_c(a) on
-    E(A) and -omega_r(a) on -E(A). A failing walk starts at the least code."""
+    E(A) and -omega_r(a) on -E(A). Each entry is negated once. The walk that
+    tells whether rho0 is one cycle starts at the least code and counts its
+    steps, at most |rho0|: within them it is back at its start unless the
+    orderings do not list each entry once in the rows and once in the columns."""
     omega_r, omega_c = cyclic_successors(rows), cyclic_successors(cols)
     if len(omega_r) != sum(map(len, rows.values())):
         raise ValueError("entries are not distinct; entry-level orderings undefined")
     if not omega_r:
         raise ValueError("rho0 is undefined: the array has no filled cells")
     neg = codes.neg
+    negs = {a: neg(a) for a in omega_r}
     rho0, pi = {}, {}
     for a, b in omega_r.items():
-        na = neg(a)
-        rho0[a] = pi[na] = neg(b)
+        na = negs[a]
+        rho0[a] = pi[na] = negs[b]
         rho0[na] = pi[a] = omega_c[a]
     # with 2|E(A)| distinct keys rho0 is a permutation, and the walk from any
     # key shows whether it is one cycle
     if len(rho0) != 2 * len(omega_r):
         raise ValueError("rho0 is no permutation: an entry is 0 or the negative of an entry")
-    length = len(orbit(rho0.__getitem__, min(rho0)))
+    start = a = min(rho0)
+    for length in range(1, len(rho0) + 1):
+        a = rho0[a]
+        if a == start:
+            break
+    else:
+        raise ValueError(f"{start!r} lies on no cycle: the map is not a permutation")
     if length != len(rho0):
         raise CertificationError(
             f"rho0 is not cyclic on +-E(A): orbit {length} of {len(rho0)} "

@@ -202,7 +202,10 @@ def _list(value: object, name: str) -> list:
 
 
 def checked(m: int, n: int, spec: GroupSpec, codes: Mapping) -> PFArray:
-    """The array with these entry codes, after the cell and code range checks."""
+    """The array with these entry codes, after the dimension check and the
+    cell and code range checks, in the constructor's order."""
+    if m < 1 or n < 1:
+        raise ValueError(f"dimensions {m}x{n} are not positive")
     size = spec.size
     for (r, c), x in codes.items():
         if not (1 <= r <= m and 1 <= c <= n):

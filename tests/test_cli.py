@@ -1,11 +1,14 @@
 """Command-line interface: subcommands, exit codes, determinism, round trips."""
 
 import argparse
+import gc
+import inspect
 import io
 import json
 import os
 import subprocess
 import sys
+import textwrap
 import traceback
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -24,7 +27,13 @@ from relheffter.cli import build_parser, main
 from relheffter.constructions import FAMILIES, build_archdeacon_composite, build_h_n_3
 from relheffter.group import GroupError, GroupSpec
 from relheffter.heffter import HeffterParams, verify_relative_heffter
-from relheffter.orderings import Orientation, knight_search, knight_walk, orientation_to_orderings
+from relheffter.orderings import (
+    Orientation,
+    is_globally_simple,
+    knight_search,
+    knight_walk,
+    orientation_to_orderings,
+)
 from relheffter.pfarray import PFArray, skeleton_from_diagonals
 from relheffter.topology import (
     CayleyGraph,
@@ -468,6 +477,11 @@ MALFORMED = {
                  ["--archdeacon"]),
     "string-cell": ("a.json", {"m": 1, "n": 2, "group": {"orders": [5]}, "cells": ["abc"]},
                     ["--archdeacon"]),
+    "skeleton-document": ("a.json", {"m": 1, "n": 2, "cells": [[1, 1], [1, 2]]},
+                          ["--archdeacon"]),
+    "cell-without-v": ("a.json", {"m": 1, "n": 2, "group": {"orders": [5]},
+                                  "cells": [{"r": 1, "c": 1}, {"r": 1, "c": 2}]},
+                       ["--archdeacon"]),
 }
 # the text of each case whose usage error once named no cause
 MALFORMED_TEXTS = {
@@ -478,7 +492,10 @@ MALFORMED_TEXTS = {
     "string-document": "not a JSON object",
     "int-cell": "cell 5 is not an object",
     "string-cell": "cell 'abc' is not an object",
+    "cell-without-v": "missing key 'v'",
 }
+# an array file is a document with a group key: one without is taken for a skeleton file
+NO_GROUP = {"missing-group", "skeleton-document"}
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED))
@@ -493,6 +510,26 @@ def test_malformed_input_is_usage_error(tmp_path, capsys, case):
     assert len(captured.err.strip().splitlines()) == 1
     if case in MALFORMED_TEXTS:
         assert captured.err == f"error: {path}: {MALFORMED_TEXTS[case]}\n"
+    if case in NO_GROUP:
+        assert captured.err == f"error: {path} looks like a skeleton file, not an array\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "{}", "--archdeacon"],
+    ["knight", "{}", "--search"],
+    ["embed", "{}", "--orientation", "+,++"],
+    ["construct", "archdeacon-composite", "--base", "{}", "--d", "3"],
+], ids=["verify", "knight", "embed", "construct-base"])
+def test_an_object_cell_without_v_has_one_text(tmp_path, capsys, argv):
+    """A document with a group is an array file for every command, so a cell
+    without "v" is a missing key, never a skeleton file."""
+    path = tmp_path / "a.json"
+    _, content, _ = MALFORMED["cell-without-v"]
+    path.write_text(json.dumps(content))
+    code = main([x.format(path) for x in argv])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == f"error: {path}: missing key 'v'\n"
 
 
 # a product-group array whose second cell is bad, with the parser's message
@@ -949,6 +986,43 @@ def test_read_returns_every_byte(tmp_path, size):
     assert cli._read(str(path)) == path.read_bytes()
 
 
+@pytest.mark.parametrize("size", [0, 1, 1 << 16])
+def test_read_stops_at_the_first_short_read(monkeypatch, tmp_path, size):
+    """A file that has not grown since its stat is read with one os.read."""
+    path = tmp_path / "a.json"
+    path.write_bytes(b"x" * size)
+    reads, real_read = [], os.read
+
+    def counted(fd, n):
+        reads.append(n)
+        return real_read(fd, n)
+
+    monkeypatch.setattr(os, "read", counted)
+    assert cli._read(str(path)) == path.read_bytes()
+    assert reads == [size + 1]
+
+
+@pytest.mark.parametrize("target", ["new", "regular", "device"])
+def test_write_makes_a_file_blocking_only_when_it_is_not_regular(monkeypatch, tmp_path,
+                                                                target):
+    path = tmp_path / "a.json"
+    if target == "regular":
+        path.write_text("x" * 100)
+    elif target == "device":
+        os.symlink(os.devnull, path)
+    calls, real = [], os.set_blocking
+
+    def set_blocking(fd, blocking):
+        calls.append(blocking)
+        real(fd, blocking)
+
+    monkeypatch.setattr(os, "set_blocking", set_blocking)
+    assert cli._write(str(path), "{}\n") == str(path)
+    assert calls == ([True] if target == "device" else [])
+    if target != "device":
+        assert path.read_text() == "{}\n"
+
+
 @pytest.mark.parametrize("case", ["missing-directory", "directory"])
 def test_write_errors_are_the_texts_of_open(tmp_path, capsys, case):
     prefix = tmp_path / ("missing/a" if case == "missing-directory" else "a")
@@ -1015,6 +1089,66 @@ def test_a_crash_exits_70_with_its_traceback(monkeypatch, capsys, error):
     assert captured.err.startswith("Traceback (most recent call last):\n")
     assert captured.err.endswith("".join(traceback.format_exception_only(error)))
     assert "in crash\n" in captured.err
+
+
+def gc_left_by(run_main, exits, capsys) -> dict:
+    """For each exit (a name, its code and argv) and each state of the cyclic
+    GC on entry, enabled or disabled: the state run_main left it in."""
+    left, was = {}, gc.isenabled()
+    try:
+        for enabled in (True, False):
+            for name, (code, argv) in exits.items():
+                (gc.enable if enabled else gc.disable)()
+                try:
+                    got = run_main(argv)
+                except SystemExit as exc:  # argparse's exit 2, before the command
+                    got = exc.code
+                assert got == code, name
+                left[name, enabled] = gc.isenabled()
+    finally:
+        (gc.enable if was else gc.disable)()
+    capsys.readouterr()
+    return left
+
+
+def test_main_leaves_the_gc_as_it_found_it(monkeypatch, tmp_path, capsys):
+    """The GC is paused while a command runs and left enabled or disabled, as
+    it was found, after exits 0, 1, 2 and 70; a copy of main that forgets to
+    switch it back on fails the same check."""
+    paused = []
+
+    def globally_simple(array):
+        paused.append(not gc.isenabled())
+        return is_globally_simple(array)
+
+    def crash(array):
+        paused.append(not gc.isenabled())
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "is_globally_simple", globally_simple)
+    monkeypatch.setattr(cli, "verify_archdeacon", crash)
+    grid = tmp_path / "full2.json"
+    grid.write_text(json.dumps({"m": 2, "n": 2, "cells": [[1, 1], [1, 2], [2, 1], [2, 2]]}))
+    exits = {
+        "ok": (0, ["construct", "h-n-3", "--n", "3"]),
+        "violation": (1, ["knight", str(grid), "--search"]),
+        "usage": (2, ["verify", str(tmp_path / "missing.json"), "--archdeacon"]),
+        "argparse": (2, ["verify"]),
+        "crash": (70, ["verify", H3, "--v", "63", "--archdeacon"]),
+    }
+    expected = {(name, enabled): enabled for name in exits for enabled in (True, False)}
+    assert gc_left_by(main, exits, capsys) == expected
+    assert paused == [True] * 4  # construct and the crash, with the GC on and off
+
+    source = textwrap.dedent(inspect.getsource(cli.main))
+    forgetful = source.replace("gc.enable()", "pass")
+    assert forgetful != source
+    namespace = dict(vars(cli))
+    exec(compile(forgetful, cli.__file__, "exec"), namespace)
+    left = gc_left_by(namespace["main"], exits, capsys)
+    assert left != expected
+    assert {key for key, on in left.items() if on != expected[key]} == {
+        (name, True) for name in ("ok", "violation", "usage", "crash")}
 
 
 def test_an_interrupt_is_not_a_crash(monkeypatch, capsys):

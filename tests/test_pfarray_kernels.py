@@ -3,6 +3,7 @@ and bulk parsers against json.dumps and the references in pfarray_oracle."""
 
 import json
 from pathlib import Path
+from types import MappingProxyType
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -224,6 +225,74 @@ def test_csv_parser_matches_cell_by_cell_reference(case):
     text, v = case
     assert outcome(PFArray.from_csv, text, v, errors=ValueError) == outcome(
         oracle.from_csv, text, v, errors=ValueError)
+
+
+# -- the makers that skip the constructor's second check ----------------
+
+
+def assert_constructed(array: PFArray) -> None:
+    """The array is the one the validating constructor makes from its fields,
+    and its codes are kept read-only."""
+    assert type(array) is PFArray and type(array.entry_codes) is MappingProxyType
+    assert array == PFArray(array.m, array.n, array.spec, dict(array.entry_codes))
+
+
+def test_family_members_are_what_the_constructor_makes():
+    for name, n in MEMBERS:
+        assert_constructed(FAMILIES[name].builder(n))
+    for name in sorted(FIXTURES.glob("*.json")):
+        data = json.loads(name.read_text())
+        if "group" in data:
+            assert_constructed(PFArray.from_json(data))
+    for name in sorted(FIXTURES.glob("*.csv")):  # any v: every field is reduced mod v
+        assert_constructed(PFArray.from_csv(name.read_text(), 97))
+
+
+@pytest.mark.parametrize("n, procedures", [
+    (0, []), (-2, [DiagSpec(1, 1, 1, 0, 0, 1)]), (-3, [DiagSpec(1, 1, 1, 1, 1, 3)]),
+])
+def test_filler_refuses_dimensions_below_1(n, procedures):
+    with pytest.raises(ValueError, match=f"^dimensions {n}x{n} are not positive$"):
+        fill_diagonals(n, 7, procedures)
+
+
+@st.composite
+def placed_json(draw):
+    """Well-formed array JSON whose dimensions may be below 1 and whose cells
+    may lie outside, anywhere in file order."""
+    orders = draw(st.lists(st.integers(1, 9), min_size=1, max_size=3))
+    m, n = draw(st.integers(-1, 4)), draw(st.integers(-1, 4))
+    coords = st.tuples(*(st.integers(0, o - 1) for o in orders)).map(list)
+    positions = draw(st.lists(st.tuples(st.integers(-1, max(m, 1) + 2),
+                                        st.integers(-1, max(n, 1) + 2)),
+                              unique=True, max_size=10))
+    cells = [{"r": r, "c": c, "v": draw(coords)} for r, c in positions]
+    return {"m": m, "n": n, "group": {"orders": orders}, "cells": cells}
+
+
+@settings(max_examples=400, deadline=None)
+@given(placed_json(), json_inputs(), csv_inputs(), diag_inputs())
+@example({"m": 0, "n": 2, "group": {"orders": [5]}, "cells": [{"r": 1, "c": 1, "v": [1]}]},
+         {"m": 2, "n": 2, "group": {"orders": [5]}, "cells": []}, ("", 3),
+         (1, 1, [DiagSpec(1, 1, 0, 0, 0, 1)]))
+@example({"m": 2, "n": 2, "group": {"orders": [5, 3]},
+          "cells": [{"r": 1, "c": 1, "v": [1, 0]}, {"r": 2, "c": 3, "v": [4, 2]},
+                    {"r": 0, "c": 1, "v": [0, 0]}]},
+         {"m": 1, "n": 1, "group": {"orders": [1]}, "cells": [{"r": 1, "c": 1, "v": [0]}]},
+         ("\n,\n", 1), (3, 9, [DiagSpec(-3, 5, -50, -3, 9, 5)]))
+def test_fast_makers_make_what_the_constructor_makes(placed, data, csv_case, diag_case):
+    """from_json, from_csv and fill_diagonals make their arrays without the
+    constructor's second pass over the cells: each array is the one the
+    constructor makes of its fields, and a cell outside or a dimension below 1
+    raises the constructor's error, with its text, as the cell-by-cell
+    reference does."""
+    got = outcome(PFArray.from_json, placed, errors=PARSE_ERRORS)
+    assert got == outcome(oracle.from_json, placed, errors=PARSE_ERRORS)
+    for got in (got, outcome(PFArray.from_json, data, errors=PARSE_ERRORS),
+                outcome(PFArray.from_csv, *csv_case, errors=ValueError),
+                outcome(fill_diagonals, *diag_case)):
+        if isinstance(got, PFArray):
+            assert_constructed(got)
 
 
 # -- the payload writer -------------------------------------------------

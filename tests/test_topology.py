@@ -14,6 +14,7 @@ from pfarray_oracle import element, entries, from_elements
 from relheffter.constructions import FAMILIES, build_h_n_3
 from relheffter.group import GroupSpec
 from relheffter.orderings import (
+    Ordering,
     Orientation,
     knight_search,
     orientation_to_orderings,
@@ -163,6 +164,32 @@ def test_rho0_rejects_an_entry_and_its_negative():
     elements[second] = neg(elements[first])
     with pytest.raises(ValueError, match="no permutation"):
         build_rho0(from_elements(a.m, a.n, a.spec, elements), knight_ordering(a))
+
+
+def test_rho0_walk_ends_when_a_column_lists_a_cell_twice():
+    """An ordering whose column lists a cell twice gives rho0 distinct keys
+    but no permutation: the counted walk from the least code ends within
+    |rho0| steps and fails as the oracle's walk does, or finds the cycle."""
+    a, ordering = h3(), knight_ordering(h3())
+
+    def verdict(build, bad):
+        try:
+            build(a, bad)
+            return "rotation"
+        except ValueError as exc:  # the start's text differs: a code, an element
+            return type(exc), str(exc).split(" ", 1)[1]
+
+    verdicts = set()
+    for j, line in ordering.col_orders.items():
+        for cell in line:
+            for i in range(len(line) + 1):
+                bad = Ordering(ordering.row_orders,
+                               {**ordering.col_orders, j: line[:i] + (cell,) + line[i:]})
+                got = verdict(build_rho0, bad)
+                assert got == verdict(oracle.build_rho0, bad)
+                verdicts.add(got)
+    # the check sees a walk that never returns where there is one
+    assert (ValueError, "lies on no cycle: the map is not a permutation") in verdicts
 
 
 def test_rho0_rejects_an_array_with_no_filled_cells():
