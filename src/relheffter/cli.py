@@ -237,6 +237,12 @@ def cmd_construct(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    """Run the checks that the flags name. Flags that check nothing, and
+    --integer without --t, are refused before the input is read."""
+    if args.integer and args.t is None:
+        raise UsageError("--integer requires --t")
+    if not (args.archdeacon or args.t is not None or args.globally_simple):
+        raise UsageError("nothing to verify: pass --t, --archdeacon, or --globally-simple")
     array = _load(args.input, args.v)
     payload: dict = {"input": args.input}
     ok = True
@@ -251,13 +257,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
         key = "integer" if args.integer else "relative"
         payload[key] = report.to_json()
         ok = ok and report.valid
-    elif args.integer:
-        raise UsageError("--integer requires --t")
     if args.globally_simple:
         payload["globally_simple"] = is_globally_simple(array)
         ok = ok and payload["globally_simple"]
-    if not (args.archdeacon or args.t is not None or args.globally_simple):
-        raise UsageError("nothing to verify: pass --t, --archdeacon, or --globally-simple")
 
     return _finish(payload, ok)
 
@@ -269,16 +271,17 @@ def cmd_knight(args: argparse.Namespace) -> int:
     """Walk the input orientation (searched, closed form or given). With --lift
     the input must be A_n(L1, ..., Lk) and the orientation of the liftable
     shape (else exit 2); only a walk that is a solution is lifted, and the
-    verdict is then that of the walk on A_{n+M}."""
+    verdict is then that of the walk on A_{n+M}. A bad --lift is refused
+    before the input is read."""
+    lift = args.lift is not None  # an empty --lift is a bad one, not none
+    if lift:
+        spec = _usage(lambda: LiftSpec(tuple(int(x) for x in args.lift.split(","))))
     skel = skeleton_of(_load(args.input, args.v, skeletons=True))
     if not skel.cells:
         raise UsageError(f"{args.input} has no filled cells")
     payload: dict = {"input": args.input, "filled_cells": len(skel.cells)}
-    lift = args.lift is not None  # an empty --lift is a bad one, not none
-    if lift:
-        spec = _usage(lambda: LiftSpec(tuple(int(x) for x in args.lift.split(","))))
-        if skel != _usage(spec.skeleton, skel.n):
-            raise UsageError(f"{args.input} is not the skeleton of diagonals {args.lift}")
+    if lift and skel != _usage(spec.skeleton, skel.n):
+        raise UsageError(f"{args.input} is not the skeleton of diagonals {args.lift}")
 
     if args.search:
         orientation = search_lift_shape_on(spec, skel) if lift else knight_search(skel)

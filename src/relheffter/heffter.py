@@ -30,8 +30,8 @@ class HeffterParams(NamedTuple):
 class VerificationReport:
     """Outcome of a verifier: valid iff no violations were recorded."""
 
-    def __init__(self, violations: list[tuple[str, str]] | None = None) -> None:
-        self.violations = [] if violations is None else violations
+    def __init__(self) -> None:
+        self.violations: list[tuple[str, str]] = []
 
     @property
     def valid(self) -> bool:

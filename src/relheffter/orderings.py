@@ -6,7 +6,7 @@ from collections import namedtuple
 from itertools import accumulate, chain, repeat
 from math import lcm
 from operator import add
-from typing import Callable, Mapping, NamedTuple, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .group import ElementCodes
 from .pfarray import Cell, PFArray, Skeleton, skeleton_from_diagonals, skeleton_of
@@ -42,21 +42,19 @@ def is_globally_simple(array: PFArray) -> bool:
     return _simple_lines(array.spec.codes, array.index[1])
 
 
-def orbit(step: Callable, start) -> list:
-    """The cycle of the permutation step through start, beginning at start; the
-    permutation is a single cycle iff this covers its whole domain. Raises
-    ValueError when the walk from start runs into a cycle without start, which
-    only a map that is no permutation does."""
-    out = [start]
-    seen = {start}
-    cur = step(start)
-    while cur != start:
-        if cur in seen:
-            raise ValueError(f"{start!r} lies on no cycle: the map is not a permutation")
+def orbit(succ: Mapping | Sequence, start) -> list:
+    """The cycle of the permutation succ (a mapping, or a list indexed by its
+    domain) through start, beginning at start; the permutation is a single
+    cycle iff this covers its whole domain. The walk takes at most len(succ)
+    steps: within them it is back at start unless succ is no permutation, and
+    then it raises ValueError."""
+    out, cur = [], start
+    for _ in range(len(succ)):
         out.append(cur)
-        seen.add(cur)
-        cur = step(cur)
-    return out
+        cur = succ[cur]
+        if cur == start:
+            return out
+    raise ValueError(f"{start!r} lies on no cycle: the map is not a permutation")
 
 
 # -- orderings ----------------------------------------------------------
@@ -126,7 +124,7 @@ def knight_tour(array: ArrayLike, o: Orientation, start: Cell) -> tuple[list[Cel
     if start not in skel.cells:
         raise ValueError(f"cell {start} is empty")
     row_next, col_next = orientation_to_orderings(skel, o).successors()
-    cells = orbit(lambda cell: col_next[row_next[cell]], start)
+    cells = orbit({cell: col_next[nxt] for cell, nxt in row_next.items()}, start)
     return cells, len(cells) == len(skel.cells)
 
 

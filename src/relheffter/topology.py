@@ -8,7 +8,7 @@ from itertools import accumulate, islice
 from typing import Mapping, NamedTuple, Sequence
 
 from .group import ElementCodes, GroupSpec
-from .orderings import Ordering, Orientation, cyclic_successors, oriented_lines
+from .orderings import Ordering, Orientation, cyclic_successors, orbit, oriented_lines
 from .pfarray import Cell, PFArray
 
 DirectedEdge = tuple  # (tail, head)
@@ -204,10 +204,10 @@ def build_rho0(array: PFArray, ordering: Ordering) -> dict[int, int]:
 def _rho0(codes: ElementCodes, rows: Lines, cols: Lines) -> tuple[dict[int, int], dict[int, int]]:
     """build_rho0 on lines of entry codes (omega_r and omega_c: the next code
     along its row and its column), and pi(a) = rho0(-a), which is omega_c(a) on
-    E(A) and -omega_r(a) on -E(A). Each entry is negated once. The walk that
-    tells whether rho0 is one cycle starts at the least code and counts its
-    steps, at most |rho0|: within them it is back at its start unless the
-    orderings do not list each entry once in the rows and once in the columns."""
+    E(A) and -omega_r(a) on -E(A). Each entry is negated once. Whether rho0 is
+    one cycle is its orbit from the least code; that walk raises ValueError
+    when the orderings do not list each entry once in the rows and once in
+    the columns."""
     omega_r, omega_c = cyclic_successors(rows), cyclic_successors(cols)
     if len(omega_r) != sum(map(len, rows.values())):
         raise ValueError("entries are not distinct; entry-level orderings undefined")
@@ -224,13 +224,7 @@ def _rho0(codes: ElementCodes, rows: Lines, cols: Lines) -> tuple[dict[int, int]
     # key shows whether it is one cycle
     if len(rho0) != 2 * len(omega_r):
         raise ValueError("rho0 is no permutation: an entry is 0 or the negative of an entry")
-    start = a = min(rho0)
-    for length in range(1, len(rho0) + 1):
-        a = rho0[a]
-        if a == start:
-            break
-    else:
-        raise ValueError(f"{start!r} lies on no cycle: the map is not a permutation")
+    length = len(orbit(rho0, min(rho0)))
     if length != len(rho0):
         raise CertificationError(
             f"rho0 is not cyclic on +-E(A): orbit {length} of {len(rho0)} "
@@ -248,15 +242,16 @@ class EmbeddingReport:
     (x, x + a_0) runs x, x + a_0, x + a_0 + a_1, ... and closes after ord(s)
     laps. ``faces`` are developed from them when read. ``orders`` holds
     ord(net voltage) of each pi-cycle and ``pi_colors`` the class of each,
-    set by two_color_check.
+    set by two_color_check; ``formula_genus`` is the genus the caller expects.
+    Both are None until set.
     """
 
     def __init__(self, V: int, S: int, F: int, genus: int, spec: GroupSpec,
-                 pi_cycles: list[tuple[int, ...]], orders: list[int],
-                 pi_colors: list[int] | None = None, formula_genus: int | None = None) -> None:
+                 pi_cycles: list[tuple[int, ...]], orders: list[int]) -> None:
         self.V, self.S, self.F, self.genus, self.spec = V, S, F, genus, spec
-        self.pi_cycles, self.orders, self.pi_colors = pi_cycles, orders, pi_colors
-        self.formula_genus = formula_genus
+        self.pi_cycles, self.orders = pi_cycles, orders
+        self.pi_colors: list[int] | None = None
+        self.formula_genus: int | None = None
 
     @cached_property
     def faces(self) -> list[tuple[DirectedEdge, ...]]:
@@ -278,8 +273,7 @@ class EmbeddingReport:
                         z = add(y, a)
                         darts.append((y, z))
                         y = z
-                least = darts.index(min(darts))
-                lifted.append(darts[least:] + darts[:least])
+                lifted.append(_rotation_key(darts))
         lifted.sort()  # faces share no dart, so their first darts decide
         return [tuple((coords[u], coords[w]) for u, w in face) for face in lifted]
 

@@ -14,7 +14,8 @@ orderings, and ``validate`` checks that an ordering permutes the filled cells
 of each line. ``knight_step`` is one move of the map on cell successor maps,
 ``partial_sums`` the running sums of a line of elements, and
 ``nine_diagonal_skeleton`` the skeleton that the library's closed-form
-``nine_diagonal_orientation`` solves.
+``nine_diagonal_orientation`` solves. ``cycle_of`` is the seen-set walk of a
+map's cycle, independent of the library's counted ``orbit``.
 """
 
 from __future__ import annotations
@@ -30,11 +31,25 @@ from relheffter.orderings import (
     Orientation,
     has_lift_shape,
     knight_tour,
-    orbit,
     orientation_to_orderings,
     skeleton_parity_ok,
 )
 from relheffter.pfarray import Cell, PFArray, Skeleton, skeleton_from_diagonals, skeleton_of
+
+
+def cycle_of(step: Callable, start) -> list:
+    """The cycle of the permutation step through start, beginning at start;
+    ValueError when the walk from start runs into a cycle without start."""
+    out = [start]
+    seen = {start}
+    cur = step(start)
+    while cur != start:
+        if cur in seen:
+            raise ValueError(f"{start!r} lies on no cycle: the map is not a permutation")
+        out.append(cur)
+        seen.add(cur)
+        cur = step(cur)
+    return out
 
 
 def lines(skel: Skeleton) -> tuple[dict[int, list[Cell]], dict[int, list[Cell]]]:
@@ -121,7 +136,7 @@ def compose_orderings(
     validate(ordering, array)  # so the rows' successor map has every filled cell as a key
     row_next, col_next = ordering.successors()
     perm = {cell: col_next[nxt] for cell, nxt in row_next.items()}
-    return perm, bool(perm) and len(orbit(perm.__getitem__, min(perm))) == len(perm)
+    return perm, bool(perm) and len(cycle_of(perm.__getitem__, min(perm))) == len(perm)
 
 
 def validate(ordering: Ordering, array: PFArray | Skeleton) -> None:

@@ -206,6 +206,22 @@ def test_knight_lift_of_another_shape_is_usage_error(tmp_path, capsys):
     assert (code, out, err) == (2, "", "error: invalid literal for int() with base 10: ''\n")
 
 
+@pytest.mark.parametrize("argv, text", [
+    (["verify", "{missing}", "--integer"], "--integer requires --t"),
+    (["verify", "{missing}", "--integer", "--archdeacon"], "--integer requires --t"),
+    (["verify", "{missing}"], "nothing to verify: pass --t, --archdeacon, or --globally-simple"),
+    (["knight", "{missing}", "--search", "--lift", "3,2"],
+     "diagonal indices must be strictly increasing positive integers"),
+    (["knight", "{missing}", "--search", "--lift", ""],
+     "invalid literal for int() with base 10: ''"),
+], ids=["integer", "integer-archdeacon", "nothing", "lift-order", "lift-empty"])
+def test_usage_is_decided_before_the_input_is_read(tmp_path, capsys, argv, text):
+    # the input does not exist, so an error about it would mean it was read first
+    missing = str(tmp_path / "missing.json")
+    argv = [arg.format(missing=missing) for arg in argv]
+    assert outcome(main, argv, capsys) == (2, "", f"error: {text}\n")
+
+
 @pytest.mark.parametrize("modes", [
     ["--search", "--orientation=+++,+++"],
     ["--search", "--lemma410"],

@@ -5,7 +5,8 @@ knight_step, which tests/knight_oracle.py holds), and no call from those three
 paths reaches them. The certificate derives each fact once: it reaches none of
 the public stages that re-check what rho0 proved (the graph from the entries,
 the faces from a rotation, a development from bare cycles), and those stages
-wrap the kernels that it calls."""
+wrap the kernels that it calls. One walk, orderings.orbit, decides whether a
+permutation is a single cycle, for rho0 and for the cell walk knight_tour."""
 
 import ast
 from pathlib import Path
@@ -63,3 +64,10 @@ def test_certificate_never_reaches_the_checking_stages():
     assert reachable("certify_biembedding", defs) >= {"_rho0", "_faces", "_develop"}
     assert "_faces" in reachable("trace_faces", defs)
     assert "_develop" in reachable("develop_and_verify", defs)
+
+
+def test_one_walk_decides_whether_a_permutation_is_one_cycle():
+    defs = definitions()
+    assert "orbit" in reachable("_rho0", defs) and "orbit" in reachable("knight_tour", defs)
+    texts = [path.read_text() for path in sorted(SRC.glob("*.py"))]
+    assert sum(text.count("lies on no cycle") for text in texts) == 1

@@ -7,12 +7,14 @@ import heffter_oracle
 from heffter_oracle import symmetric_rep
 from knight_oracle import (
     compose_orderings,
+    cycle_of,
     knight_step,
     nine_diagonal_skeleton,
     partial_sums,
     validate,
 )
 
+from relheffter import orderings
 from relheffter.constructions import build_h7, build_h9, build_h_n_3, build_skeleton_cor39
 from relheffter.group import GroupSpec
 from relheffter.orderings import (
@@ -66,6 +68,35 @@ def test_orientation_strings_round_trip():
     assert Orientation(tuple(-x for x in o.r), tuple(-x for x in o.c)).to_strings() == ("-+-", "--++")
     with pytest.raises(ValueError):
         Orientation((1, 0), (1,))
+
+
+def test_orbit_walks_a_mapping_or_a_list():
+    assert orderings.orbit({0: 1, 1: 2, 2: 0}, 1) == [1, 2, 0]
+    assert orderings.orbit([1, 0, 3, 2], 2) == [2, 3]
+    assert orderings.orbit([0], 0) == [0]
+
+
+def test_orbit_refuses_a_map_that_is_no_permutation_without_hanging():
+    # 0 leads into the cycle (1 2), which never returns to 0
+    with pytest.raises(ValueError) as exc:
+        orderings.orbit({0: 1, 1: 2, 2: 1}, 0)
+    assert str(exc.value) == "0 lies on no cycle: the map is not a permutation"
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 7), min_size=1, max_size=8), st.data())
+def test_orbit_matches_the_seen_set_walk_on_any_map(images, data):
+    # any map of 0..len-1 into itself, a permutation or not
+    succ = [x % len(images) for x in images]
+    start = data.draw(st.integers(0, len(succ) - 1))
+    try:
+        expected = cycle_of(succ.__getitem__, start)
+    except ValueError as exc:
+        expected = str(exc)
+    try:
+        assert orderings.orbit(succ, start) == expected
+    except ValueError as exc:
+        assert str(exc) == expected
 
 
 def test_compose_orderings_compatibility():

@@ -80,7 +80,10 @@ def test_records_keep_their_fields_and_keyword_constructors():
     assert skel.cells == frozenset({(1, 2)}) and type(skel.cells) is frozenset
     array = PFArray(m=1, n=2, spec=Z5, entry_codes={(1, 1): 4})
     assert dict(array.entry_codes) == {(1, 1): 4} and array == PFArray(1, 2, Z5, {(1, 1): 4})
-    assert VerificationReport().violations == [] and VerificationReport([("t", "m")]).valid is False
+    report = VerificationReport()
+    assert report.violations == [] and report.valid
+    report.flag("t", "m")
+    assert report.violations == [("t", "m")] and report.valid is False
     report = EmbeddingReport(5, 10, 7, 0, Z5, [(1, 2)], [5])
     assert (report.pi_colors, report.formula_genus) == (None, None)
 

@@ -19,9 +19,10 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 
 from group_oracle import GroupElement, decode, elements, encode, neg
+from knight_oracle import cycle_of
 from pfarray_oracle import entries
 from relheffter.group import GroupSpec, subgroup_step
-from relheffter.orderings import Ordering, orbit
+from relheffter.orderings import Ordering
 from relheffter.pfarray import PFArray
 from relheffter.topology import (
     CayleyGraph,
@@ -116,7 +117,7 @@ def build_rho0(array: PFArray, ordering: Ordering) -> dict[GroupElement, GroupEl
         rho0[neg(a)] = omega_c[a]
     if len(rho0) != 2 * len(omega_r):  # +-E(A) has a repeat
         raise ValueError("rho0 is no permutation: an entry is 0 or the negative of an entry")
-    length = len(orbit(rho0.__getitem__, min(rho0, key=lambda e: e.coords)))
+    length = len(cycle_of(rho0.__getitem__, min(rho0, key=lambda e: e.coords)))
     if length != len(rho0):
         raise CertificationError(
             f"rho0 is not cyclic on +-E(A): orbit {length} of {len(rho0)} "
