@@ -13,7 +13,6 @@ from collections import Counter
 from functools import cache
 
 from . import constructions as cons
-from .group import GroupError
 from .heffter import (
     HeffterParams,
     VerificationReport,
@@ -252,8 +251,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
         payload["archdeacon"] = report.to_json()
         ok = report.valid
     if args.t is not None:
-        params = _square_params(array, args.t)
-        report = (verify_integer if args.integer else verify_relative_heffter)(array, params)
+        params = _square_params(array, args.t)  # t < 1, or t not dividing v, is a usage error
+        report = _usage(verify_integer if args.integer else verify_relative_heffter, array, params)
         key = "integer" if args.integer else "relative"
         payload[key] = report.to_json()
         ok = ok and report.valid
@@ -331,12 +330,13 @@ def cmd_embed(args: argparse.Namespace) -> int:
         return _finish({"input": args.input, "error": str(exc)}, False)
     except ValueError as exc:  # e.g. repeated entries: no entry-level orderings
         raise UsageError(str(exc)) from exc
-    cert.embedding.formula_genus = genus
     payload = {"input": args.input, **cert.to_json()}
+    if genus is not None:
+        payload["embedding"]["formula_genus"] = genus
     if args.emit_faces:
         payload["faces"] = [[[list(x) for x in dart] for dart in face]
                             for face in cert.embedding.faces]
-    return _finish(payload, cert.ok)
+    return _finish(payload, cert.ok and genus in (None, cert.embedding.genus))
 
 
 # -- sweep --------------------------------------------------------------
@@ -365,9 +365,9 @@ def _sweep_row(family: cons.Family, n: int) -> dict:
         cert = certify_biembedding(array, orientation)
     except CertificationError:
         return {**row, "verdict": "not-certified"}
-    cert.embedding.formula_genus = heffter_genus_formula(n, n, k, k, t)
-    row.update(F=cert.embedding.F, genus=cert.embedding.genus,
-               verdict="certified" if cert.ok else "not-certified")
+    genus = cert.embedding.genus
+    ok = cert.ok and genus == heffter_genus_formula(n, n, k, k, t)
+    row.update(F=cert.embedding.F, genus=genus, verdict="certified" if ok else "not-certified")
     return row
 
 
@@ -520,7 +520,7 @@ def main(argv: list[str] | None = None) -> int:
     gc.disable()
     try:
         return args.func(args)
-    except (UsageError, OSError, GroupError) as exc:
+    except (UsageError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except Exception:  # a crash, never a verdict

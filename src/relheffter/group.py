@@ -123,8 +123,6 @@ class ElementCodes:
         """The code of the element with these coordinates; GroupError unless
         they are canonical residues, one per factor."""
         orders = self.spec.orders
-        if len(coords) == 1 == len(orders) and 0 <= coords[0] < orders[0]:
-            return coords[0]
         if len(coords) != len(orders):
             raise GroupError(f"coordinate count {len(coords)} != factor count {len(orders)}")
         for c, o in zip(coords, orders):

@@ -255,17 +255,16 @@ class PFArray(namedtuple("PFArray", "m n spec entry_codes")):
     @classmethod
     def from_json(cls, data: dict) -> "PFArray":
         """Parse the JSON array format; coordinates must be canonical residues,
-        one per factor, and no cell may be listed twice. The cells are checked
-        in bulk, their rows and columns against m x n included, and the array
-        is made without the constructor's second pass; they are scanned in
-        file order only to name the first bad one."""
+        one per factor, and no cell may be listed twice. The cells and the
+        dimensions are checked in one bulk pass, and the array is made without
+        the constructor's second pass; when a check fails, the cells are
+        scanned in file order and then the constructor names the first fault."""
         spec = GroupSpec.from_json(data["group"])
-        cells = data["cells"]
-        bulk = _json_cells(cells, spec)
-        codes, rows, cols = bulk or (_scan_json_cells(cells, spec), None, None)
-        m, n = _int(data["m"], "m"), _int(data["n"], "n")
-        if rows is None or not _inside(m, n, rows, cols):
-            return cls(m, n, spec, codes)  # which names the first cell outside
+        cells, m, n = data["cells"], data.get("m"), data.get("n")
+        codes = _json_cells(cells, spec, m, n)
+        if codes is None:
+            codes = _scan_json_cells(cells, spec)
+            return cls(_int(data["m"], "m"), _int(data["n"], "n"), spec, codes)
         return _checked_array(m, n, spec, codes)
 
     def to_csv(self) -> str:
@@ -315,29 +314,23 @@ def _checked_array(m: int, n: int, spec: GroupSpec, codes: dict[Cell, int]) -> P
     return tuple.__new__(PFArray, (m, n, spec, MappingProxyType(codes)))
 
 
-def _inside(m: int, n: int, rows: list[int], cols: list[int]) -> bool:
-    """Whether m and n are positive and the cells with these rows and columns
-    lie in the m x n grid: one min and one max of each list, which on lists
-    of ints cost less than one loop over the cells."""
-    return m >= 1 and n >= 1 and (not rows or 1 <= min(rows) and max(rows) <= m
-                                  and 1 <= min(cols) and max(cols) <= n)
-
-
-def _json_cells(cells: object, spec: GroupSpec
-                ) -> tuple[dict[Cell, int], list[int], list[int]] | None:
-    """The codes of a list of well-formed JSON cells, checked field by field over
-    all cells at once, with the cells' rows and columns in file order; None
-    when a check fails, which _scan_json_cells names."""
-    if type(cells) is not list:
+def _json_cells(cells: object, spec: GroupSpec, m: object, n: object) -> dict[Cell, int] | None:
+    """The codes of a list of well-formed JSON cells inside an m x n grid (m and
+    n ints of at least 1), checked field by field over all cells at once, with
+    one min and one max of the rows and of the columns; None when a check
+    fails, which _scan_json_cells and the constructor name."""
+    if type(cells) is not list or type(m) is not int or type(n) is not int or m < 1 or n < 1:
         return None
     if not cells:
-        return {}, [], []
+        return {}
     try:
         rows, cols = list(map(itemgetter("r"), cells)), list(map(itemgetter("c"), cells))
         vs = list(map(itemgetter("v"), cells))
     except (LookupError, TypeError):
         return None
     if set(map(type, rows)) | set(map(type, cols)) != {int} or set(map(type, vs)) != {list}:
+        return None
+    if not (1 <= min(rows) and max(rows) <= m and 1 <= min(cols) and max(cols) <= n):
         return None
     orders = spec.orders
     if set(map(len, vs)) != {len(orders)}:
@@ -347,7 +340,7 @@ def _json_cells(cells: object, spec: GroupSpec
             or not all(0 <= min(col) and max(col) < o for col, o in zip(columns, orders))):
         return None
     codes = dict(zip(zip(rows, cols), spec.codes.from_columns(columns)))
-    return (codes, rows, cols) if len(codes) == len(cells) else None
+    return codes if len(codes) == len(cells) else None
 
 
 def _scan_json_cells(cells: Iterable, spec: GroupSpec) -> dict[Cell, int]:
@@ -425,10 +418,11 @@ def fill_diagonals(n: int, v: int, procedures: Iterable[DiagSpec]) -> PFArray:
     turn: d puts the entries s + i*d2 at the cells (r + i*d1, c + i*d1), for
     i < length, indices wrapping in 1..n.
 
-    Each procedure's cells are placed, and checked against each other, before
-    they are checked against the cells already filled, so a failure raises the
-    ConstructionError that applying the procedures one at a time would raise
-    first."""
+    The dimensions are checked first. Each procedure's cells are placed, and
+    checked against each other, before they are checked against the cells
+    already filled, so a failure raises the ConstructionError that applying
+    the procedures one at a time would raise first."""
+    _check_dimensions(n, n)
     spec = GroupSpec.cyclic(v)
     cells: dict[Cell, int] = {}
     for d in procedures:
@@ -443,8 +437,6 @@ def fill_diagonals(n: int, v: int, procedures: Iterable[DiagSpec]) -> PFArray:
             cell = next(cell for cell in new if cell in cells)
             raise ConstructionError(f"cell {cell} already filled")
         cells.update(new)
-    if n < 1:  # the constructor names the dimensions
-        return PFArray(n, n, spec, cells)
     return _checked_array(n, n, spec, cells)  # cells wrap into 1..n, codes reduce mod v
 
 

@@ -242,16 +242,17 @@ class EmbeddingReport:
     (x, x + a_0) runs x, x + a_0, x + a_0 + a_1, ... and closes after ord(s)
     laps. ``faces`` are developed from them when read. ``orders`` holds
     ord(net voltage) of each pi-cycle and ``pi_colors`` the class of each,
-    set by two_color_check; ``formula_genus`` is the genus the caller expects.
-    Both are None until set.
+    set by two_color_check, None until set. The caller compares the genus
+    with a closed form.
     """
+
+    formula_genus: int | None = None  # set, and read also unset, by relbench's replay only
 
     def __init__(self, V: int, S: int, F: int, genus: int, spec: GroupSpec,
                  pi_cycles: list[tuple[int, ...]], orders: list[int]) -> None:
         self.V, self.S, self.F, self.genus, self.spec = V, S, F, genus, spec
         self.pi_cycles, self.orders = pi_cycles, orders
         self.pi_colors: list[int] | None = None
-        self.formula_genus: int | None = None
 
     @cached_property
     def faces(self) -> list[tuple[DirectedEdge, ...]]:
@@ -279,8 +280,6 @@ class EmbeddingReport:
 
     def to_json(self) -> dict:
         data = {"V": self.V, "S": self.S, "F": self.F, "genus": self.genus}
-        if self.formula_genus is not None:
-            data["formula_genus"] = self.formula_genus
         if self.pi_colors is not None:
             # a coloured pi-cycle has voltage 0, so it lifts to |G| faces
             data["color_class_sizes"] = {c: k * self.V
@@ -383,10 +382,8 @@ class BiembeddingCertificate(NamedTuple):
 
     @property
     def ok(self) -> bool:
-        """Two-colourable, orthogonal, and of the formula genus when one is set."""
-        formula = self.embedding.formula_genus
-        return (self.two_colorable and self.orthogonal
-                and (formula is None or formula == self.embedding.genus))
+        """Two-colourable and orthogonal."""
+        return self.two_colorable and self.orthogonal
 
     def to_json(self) -> dict:
         return {

@@ -254,6 +254,18 @@ def test_embed_pipeline(tmp_path, capsys):
     assert payload["row_decomposition"]["cycle_lengths"] == {"3": 63}
 
 
+def test_embed_off_the_formula_genus_is_a_violation(monkeypatch, tmp_path, capsys):
+    # the CLI, not the certificate, compares the genus with the closed form
+    array, path = build_h_n_3(3), tmp_path / "h3.json"
+    path.write_text(array.to_json_text())
+    monkeypatch.setattr(cli, "heffter_genus_formula", lambda *params: 23)
+    code, payload = run(capsys, "embed", str(path), "--t", "3",
+                        "--orientation", ",".join(knight_search(array).to_strings()))
+    assert code == 1 and payload["status"] == "violation"
+    assert payload["two_colorable"] and payload["orthogonal"]
+    assert (payload["embedding"]["genus"], payload["embedding"]["formula_genus"]) == (22, 23)
+
+
 def test_embed_incompatible_orientation_exit_1(tmp_path, capsys):
     out = tmp_path / "h3"
     main(["construct", "h-n-3", "--n", "3", "--out", str(out)])
@@ -1105,6 +1117,22 @@ def test_a_crash_exits_70_with_its_traceback(monkeypatch, capsys, error):
     assert captured.err.startswith("Traceback (most recent call last):\n")
     assert captured.err.endswith("".join(traceback.format_exception_only(error)))
     assert "in crash\n" in captured.err
+
+
+def test_a_group_error_of_the_library_is_a_crash(monkeypatch, capsys):
+    """A GroupError that no command turned into a usage error is a library
+    bug: exit 70 with its traceback, not the usage exit 2."""
+    error = GroupError("boom")
+
+    def crash(array):
+        raise error
+
+    monkeypatch.setattr(cli, "verify_archdeacon", crash)
+    code = main(["verify", H3, "--v", "63", "--archdeacon"])
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_SOFTWARE and captured.out == ""
+    assert captured.err.startswith("Traceback (most recent call last):\n")
+    assert captured.err.endswith("".join(traceback.format_exception_only(error)))
 
 
 def gc_left_by(run_main, exits, capsys) -> dict:

@@ -9,10 +9,11 @@ A name or member that only the tests read belongs in their oracles, not in
 src/. Names are matched as the hot-path guard matches them: by identifier.
 __init__.py holds the package docstring and imports nothing, so every name has
 one import path, its module. No module imports an underscore-prefixed name of
-another: what another module needs has a public name."""
+another: what another module needs has a public name. The names that no call
+chain from cli.main reaches are exactly those listed as benchmark-only."""
 
 import ast
-from collections import Counter
+from collections import Counter, defaultdict
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -106,6 +107,55 @@ def test_every_class_member_is_read_outside_the_tests():
     offenders = [f"{owner}.{name}" for owner, name, stmt in members
                  if reads[name] <= attributes_read(stmt)[name]]
     assert not offenders, "read only by the tests: " + ", ".join(offenders)
+
+
+# The library names that no call chain from cli.main reaches: relbench's traced
+# replay times the stages of the commands one call at a time through them.
+# Ordering's fields go with it, and formula_genus is the report attribute that
+# the replay sets and reads. PFArray.row and PFArray.col are not listed: they
+# match local names of the library, which matching by identifier cannot tell
+# from the members. The list shrinks as the replay moves onto the commands'
+# own calls; a name that joins it has no caller in the program.
+BENCHMARK_ONLY = {
+    "Ordering", "row_orders", "col_orders", "successors", "orientation_to_orderings",
+    "knight_tour", "lift_solution", "search_lift_shape",
+    "_code_lines", "base_cycles", "build_rho0", "trace_faces", "two_color_check",
+    "develop_and_verify", "from_entries", "formula_genus",
+    "entries", "sum_elements",
+}
+
+
+def reads_of_names() -> dict[str, set[str]]:
+    """The identifiers that each library name's definitions read, top-level
+    names and class members alike. A class reads its bases, its decorators and
+    its dunder members, which run wherever it is used; its other members are
+    names of their own."""
+    reads: dict[str, set[str]] = defaultdict(set)
+    for _, tree in modules():
+        for stmt in tree.body:
+            for name in defined(stmt):
+                if not isinstance(stmt, ast.ClassDef):
+                    reads[name] |= referenced(stmt)
+                    continue
+                for node in (*stmt.bases, *stmt.keywords, *stmt.decorator_list):
+                    reads[name] |= referenced(node)
+                for member, node in class_members(stmt):
+                    dunder = member.startswith("__") and member.endswith("__")
+                    reads[name if dunder else member] |= referenced(node)
+    return reads
+
+
+def test_only_the_benchmark_only_names_are_unreached_from_main():
+    reads = reads_of_names()
+    reached, todo = set(), ["main"]
+    while todo:
+        name = todo.pop()
+        if name in reads and name not in reached:
+            reached.add(name)
+            todo += reads[name]
+    # the walk follows the commands into the library
+    assert {"cmd_embed", "certify_biembedding", "knight_search", "orbit"} <= reached
+    assert set(reads) - reached == BENCHMARK_ONLY
 
 
 def test_the_package_imports_nothing():

@@ -198,6 +198,12 @@ PARSE_ERRORS = (KeyError, TypeError, ValueError)  # GroupError is a ValueError
 @example({"m": 2, "n": 2, "group": {"orders": [5, 1]},
           "cells": [{"r": 1, "c": 1, "v": [1, 0]}, {"r": 2, "c": 1},
                     {"r": True, "c": 1, "v": [1]}]})
+# the order of the faults that the bulk pass folds into one check: the cells
+# first, then the dimensions as read, then the cells against them
+@example({"n": 2, "group": {"orders": [5]}, "cells": [{"r": 1, "c": 1, "v": [7]}]})
+@example({"n": 2, "group": {"orders": [5]}, "cells": [{"r": 1, "c": 1, "v": [1]}]})
+@example({"m": 0, "n": 2, "group": {"orders": [5]}, "cells": [{"r": 3, "c": 1, "v": [1]}]})
+@example({"m": 2, "n": True, "group": {"orders": [5]}, "cells": [{"r": 1, "c": 1, "v": [1]}]})
 def test_json_parser_matches_cell_by_cell_reference(data):
     expected = outcome(oracle.from_json, data, errors=PARSE_ERRORS)
     assert outcome(PFArray.from_json, data, errors=PARSE_ERRORS) == expected
@@ -250,6 +256,7 @@ def test_family_members_are_what_the_constructor_makes():
 
 @pytest.mark.parametrize("n, procedures", [
     (0, []), (-2, [DiagSpec(1, 1, 1, 0, 0, 1)]), (-3, [DiagSpec(1, 1, 1, 1, 1, 3)]),
+    (0, [DiagSpec(1, 1, 1, 1, 1, 1)]),  # checked before a cell is reduced mod n
 ])
 def test_filler_refuses_dimensions_below_1(n, procedures):
     with pytest.raises(ValueError, match=f"^dimensions {n}x{n} are not positive$"):
