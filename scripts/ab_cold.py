@@ -12,8 +12,11 @@ Every pass runs each job once on each side, and the side that goes first
 alternates from job to job and from pass to pass. A job whose exit codes or
 stdout differ between the sides, or whose answer is wrong, fails the run
 (exit 1). The report is each side's sum of per-job median CPU times, their
-difference and how many jobs the change ran faster, then each job's two
-medians, in job order. Timings are time.process_time of this process alone.
+difference and how many jobs the change ran faster, then in how many passes
+the change's total over all jobs was lower than the parent's (the in-process
+analogue of counting the pairs of whole runs that a change wins), then each
+job's two medians, in job order. Timings are time.process_time of this process
+alone.
 """
 
 from __future__ import annotations
@@ -126,12 +129,15 @@ def main() -> int:
     medians = [{key: statistics.median(times) for key, times in side.items()} for side in cpu]
     totals = [sum(side.values()) for side in medians]
     faster = sum(medians[1][key] < medians[0][key] for key in medians[0])
+    pass_totals = [[sum(col) for col in zip(*side.values())] for side in cpu]
+    won = sum(after < before for before, after in zip(*pass_totals))
     print(f"workload {args.workload} passes {args.passes} jobs {len(medians[0])} "
           "(each call cold: reference_work() and gc.collect() before it)")
     for label, root, total in zip(("parent", "change"), roots, totals):
         print(f"{label} {total:.5f} s CPU (sum of per-job medians) {root}")
     print(f"change - parent {100 * (totals[1] / totals[0] - 1):+.2f}%; "
           f"the change faster on {faster} of {len(medians[0])} jobs")
+    print(f"the change's pass total lower in {won} of {args.passes} passes")
     for key, before in medians[0].items():
         after = medians[1][key]
         print(f"  {key}: {1e3 * before:.3f} -> {1e3 * after:.3f} ms "

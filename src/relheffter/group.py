@@ -73,7 +73,7 @@ def symmetric_residue(x: int, v: int) -> int:
 
 def sum_elements(spec: GroupSpec, codes: Iterable[int]) -> int:
     """The code of the sum of the elements with these codes."""
-    return spec.codes.total(codes)
+    return spec.codes.totals([tuple(codes)])[0]
 
 
 class ElementCodes:
@@ -82,11 +82,10 @@ class ElementCodes:
     The code of (c_1, ..., c_r) is the mixed-radix number with c_1 most
     significant: the sum of c_i * p_i, where p_i is the product of the orders
     after factor i. So codes sort as coordinate tuples do, the identity is 0,
-    and in Z_v the code is the residue. ``add``, ``neg``, ``sub``, ``total``
-    (the sum of an iterable of codes), ``order`` and ``coords`` (the
-    coordinates of a code in range) are plain functions on one element;
-    ``columns`` and ``from_columns`` convert whole lists of codes, for hot
-    loops.
+    and in Z_v the code is the residue. ``add``, ``neg``, ``sub``, ``order``
+    and ``coords`` (the coordinates of a code in range) are plain functions on
+    one element; ``totals`` (the sum of each line of codes), ``columns`` and
+    ``from_columns`` work on whole lists of codes, for hot loops.
     """
 
     def __init__(self, spec: GroupSpec) -> None:
@@ -100,22 +99,15 @@ class ElementCodes:
             self.add: Callable[[int, int], int] = lambda a, b: (a + b) % v
             self.neg: Callable[[int], int] = lambda a: -a % v
             self.sub: Callable[[int, int], int] = lambda a, b: (a - b) % v
-            self.total: Callable[[Iterable[int]], int] = lambda codes: sum(codes) % v
             self.order: Callable[[int], int] = lambda a: v // gcd(a, v)
             self.coords: Callable[[int], tuple[int, ...]] = lambda a: (a,)
             return
         # factor i of x is (x // p_i) % o_i, and the higher factors add only
         # multiples of o_i to x // p_i: sums reduce factor by factor from x // p_i
         factors = tuple(zip(self.places, spec.orders))
-
-        def total(codes: Iterable[int]) -> int:
-            codes = list(codes)
-            return sum(sum(x // p for x in codes) % o * p for p, o in factors)
-
         self.add = lambda a, b: sum((a // p + b // p) % o * p for p, o in factors)
         self.neg = lambda a: sum(-(a // p) % o * p for p, o in factors)
         self.sub = lambda a, b: sum((a // p - b // p) % o * p for p, o in factors)
-        self.total = total
         self.order = lambda a: lcm(*(o // gcd(a // p % o, o) for p, o in factors))
         self.coords = lambda a: tuple(a // p % o for p, o in factors)
 

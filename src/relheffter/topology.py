@@ -4,8 +4,8 @@ from __future__ import annotations
 
 from collections import Counter, namedtuple
 from functools import cached_property
-from itertools import accumulate, islice
-from typing import Mapping, NamedTuple, Sequence
+from itertools import accumulate, chain, islice
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 from .group import ElementCodes, GroupSpec
 from .orderings import Ordering, Orientation, cyclic_successors, orbit, oriented_lines
@@ -81,14 +81,14 @@ def base_cycles(array: PFArray, ordering: Ordering, by: str = "col") -> list[tup
     if by not in ("row", "col"):
         raise ValueError("by must be 'row' or 'col'")
     lines = _code_lines(array, ordering.row_orders if by == "row" else ordering.col_orders)[0]
-    return [vs for vs, _, _ in _cycles(array.spec.codes, lines, by)]
+    return [vs for vs, _, _ in _cycles(array.spec.codes, lines, by, array.spec.codes.neg)]
 
 
-def _cycles(codes: ElementCodes, lines: Lines, by: str) -> list[Base]:
+def _cycles(codes: ElementCodes, lines: Lines, by: str, neg: Callable[[int], int]) -> list[Base]:
     """The partial-sum cycle of each line, in increasing line index, with its
-    steps and their negatives; step j runs from vertex j to the next, so a line
-    a_1..a_k of total T steps by a_2, ..., a_k, a_1 - T."""
-    add, sub, neg = codes.add, codes.sub, codes.neg
+    steps and their negatives (neg negates an entry); step j runs from vertex j
+    to the next, so a line a_1..a_k of total T steps by a_2, ..., a_k, a_1 - T."""
+    add, sub = codes.add, codes.sub
     bases = []
     for index in sorted(lines):
         line = lines[index]
@@ -97,8 +97,8 @@ def _cycles(codes: ElementCodes, lines: Lines, by: str) -> list[Base]:
             raise CertificationError(f"{by} {index} ordering is not simple")
         if len(sums) < 3:
             raise CertificationError(f"{by} {index} has fewer than 3 filled cells")
-        steps = [*line[1:], sub(line[0], sums[-1])]
-        bases.append((tuple(sums), steps, [neg(d) for d in steps]))
+        a, rest, total = line[0], line[1:], sums[-1]
+        bases.append((tuple(sums), [*rest, sub(a, total)], [*map(neg, rest), sub(total, a)]))
     return bases
 
 
@@ -203,23 +203,19 @@ def build_rho0(array: PFArray, ordering: Ordering) -> dict[int, int]:
 
 def _rho0(codes: ElementCodes, rows: Lines, cols: Lines) -> tuple[dict[int, int], dict[int, int]]:
     """build_rho0 on lines of entry codes (omega_r and omega_c: the next code
-    along its row and its column), and pi(a) = rho0(-a), which is omega_c(a) on
-    E(A) and -omega_r(a) on -E(A). Each entry is negated once. Whether rho0 is
-    one cycle is its orbit from the least code; that walk raises ValueError
-    when the orderings do not list each entry once in the rows and once in
-    the columns."""
+    along its row and its column), with the map from each entry to its
+    negative, each entry negated once. Returning proves the entries distinct,
+    non-zero and disjoint from their negatives. Whether rho0 is one cycle is its
+    orbit from the least code; that walk raises ValueError when the orderings
+    do not list each entry once in the rows and once in the columns."""
     omega_r, omega_c = cyclic_successors(rows), cyclic_successors(cols)
     if len(omega_r) != sum(map(len, rows.values())):
         raise ValueError("entries are not distinct; entry-level orderings undefined")
     if not omega_r:
         raise ValueError("rho0 is undefined: the array has no filled cells")
-    neg = codes.neg
-    negs = {a: neg(a) for a in omega_r}
-    rho0, pi = {}, {}
-    for a, b in omega_r.items():
-        na = negs[a]
-        rho0[a] = pi[na] = negs[b]
-        rho0[na] = pi[a] = omega_c[a]
+    negs = dict(zip(omega_r, map(codes.neg, omega_r)))
+    rho0 = {a: negs[b] for a, b in omega_r.items()}
+    rho0.update(zip(negs.values(), map(omega_c.__getitem__, negs)))
     # with 2|E(A)| distinct keys rho0 is a permutation, and the walk from any
     # key shows whether it is one cycle
     if len(rho0) != 2 * len(omega_r):
@@ -230,7 +226,7 @@ def _rho0(codes: ElementCodes, rows: Lines, cols: Lines) -> tuple[dict[int, int]
             f"rho0 is not cyclic on +-E(A): orbit {length} of {len(rho0)} "
             "(the orderings are not compatible)"
         )
-    return rho0, pi
+    return rho0, negs
 
 
 class EmbeddingReport:
@@ -242,8 +238,8 @@ class EmbeddingReport:
     (x, x + a_0) runs x, x + a_0, x + a_0 + a_1, ... and closes after ord(s)
     laps. ``faces`` are developed from them when read. ``orders`` holds
     ord(net voltage) of each pi-cycle and ``pi_colors`` the class of each,
-    set by two_color_check, None until set. The caller compares the genus
-    with a closed form.
+    set by certify_biembedding or two_color_check, None until set. The caller
+    compares the genus with a closed form.
     """
 
     formula_genus: int | None = None  # set, and read also unset, by relbench's replay only
@@ -307,22 +303,21 @@ def trace_faces(graph: CayleyGraph, rho0: dict[int, int]) -> EmbeddingReport:
     if set(rho0.values()) != connection:
         raise ValueError("rotation must permute the connection set")
     neg = graph.spec.codes.neg
-    return _faces(graph, {a: rho0[neg(a)] for a in connection})
-
-
-def _faces(graph: CayleyGraph, pi: dict[int, int]) -> EmbeddingReport:
-    """trace_faces on pi, a permutation of C that its cycles use up, each from its least code."""
-    codes = graph.spec.codes
-    cycles: list[tuple[int, ...]] = []
+    pi = {a: rho0[neg(a)] for a in connection}
+    cycles: list[tuple[int, ...]] = []  # each from its least code, which pops the cycle
     for a in sorted(pi):
         if a in pi:
             cycle = [a]
             while (b := pi.pop(cycle[-1])) != a:
                 cycle.append(b)
             cycles.append(tuple(cycle))
-    orders = [codes.order(codes.total(cycle)) for cycle in cycles]
-    V = graph.spec.size
-    S = graph.num_edges
+    return _count_faces(graph, cycles)
+
+
+def _count_faces(graph: CayleyGraph, cycles: list[tuple[int, ...]]) -> EmbeddingReport:
+    """The embedding that lifts these pi-cycles (each from its least code, sorted)."""
+    orders = list(map(graph.spec.codes.order, graph.spec.codes.totals(cycles)))
+    V, S = graph.spec.size, graph.num_edges
     F = sum(V // order for order in orders)
     euler = V - S + F
     if (2 - euler) % 2 != 0:
@@ -332,29 +327,18 @@ def _faces(graph: CayleyGraph, pi: dict[int, int]) -> EmbeddingReport:
 
 def two_color_check(report: EmbeddingReport, array: PFArray, ordering: Ordering) -> bool:
     """Classify every face as a translate of a column base cycle (class 1) or of a
-    row base cycle (class 2); check each undirected edge sees one of each.
+    row base cycle (class 2); check each undirected edge sees one of each, and
+    store the colouring into the report on success.
 
-    Stores the coloring into the report on success.
-    """
-    lines = _code_lines(array, ordering.row_orders, ordering.col_orders)
-    return _two_color(report, *_bases(array.spec.codes, *lines))
-
-
-def _bases(codes: ElementCodes, rows: Lines, cols: Lines) -> tuple[list[Base], list[Base]]:
-    """The column base cycles and the base cycles of the reversed rows."""
-    # class 2 follows the REVERSED row orderings (omega_r inverse): reversing
-    # the ordering negates every partial-sum cycle's edge set
-    reversed_rows = {i: line[::-1] for i, line in rows.items()}
-    return _cycles(codes, cols, "col"), _cycles(codes, reversed_rows, "row")
-
-
-def _two_color(report: EmbeddingReport, col_bases: list[Base], row_bases: list[Base]) -> bool:
-    """Per pi-cycle: its faces are translates of a base cycle B traversed once iff
+    Per pi-cycle: its faces are translates of a base cycle B traversed once iff
     its steps are those of B up to rotation, or those of B reversed and negated
     (steps that sum to 0, so the faces close after one lap; a face of more laps
     repeats its steps, which a cycle of distinct entries never does). The edge
     {x, x + a} has one side on a face of a's pi-cycle and the other on a face of
-    -a's, and the negatives of a pi-cycle's codes are the other step list of B."""
+    -a's, and the negatives of a pi-cycle's codes are the other step list of B.
+    """
+    lines = _code_lines(array, ordering.row_orders, ordering.col_orders)
+    col_bases, row_bases = _bases(array.spec.codes, *lines, array.spec.codes.neg)
     class_of_steps: dict[tuple, tuple[int, list[int]]] = {}
     # columns go in last, so a face in both classes gets class 1
     for color, bases in ((2, row_bases), (1, col_bases)):
@@ -369,6 +353,35 @@ def _two_color(report: EmbeddingReport, col_bases: list[Base], row_bases: list[B
         return False
     report.pi_colors = [color for color, _ in matches]
     return True
+
+
+def _bases(codes: ElementCodes, rows: Lines, cols: Lines,
+           neg: Callable[[int], int]) -> tuple[list[Base], list[Base]]:
+    """The column base cycles and the base cycles of the reversed rows."""
+    # class 2 follows the REVERSED row orderings (omega_r inverse): reversing
+    # the ordering negates every partial-sum cycle's edge set
+    reversed_rows = {i: line[::-1] for i, line in rows.items()}
+    return _cycles(codes, cols, "col", neg), _cycles(codes, reversed_rows, "row", neg)
+
+
+def _line_faces(graph: CayleyGraph, rows: Lines, cols: Lines,
+                negs: dict[int, int]) -> EmbeddingReport:
+    """trace_faces and two_color_check on the lines of a cyclic rho0, whose pi
+    is omega_c on E(A) and -omega_r on -E(A): the pi-cycles are the columns and
+    the rows negated by negs, coloured 1 and 2 iff every line sums to 0. Proof,
+    given k >= 3 cells a line (_cycles) and entries distinct, non-zero and
+    apart from their negatives (_rho0): a column a_1..a_k of total T steps by
+    a_2, ..., a_k, a_1 - T, its pi-cycle up to rotation iff T = 0, and a
+    reversed row's negated steps reversed are T - b_k, -b_1, ..., -b_{k-1}, its
+    pi-cycle iff T = 0; the other step lists hold the negatives of these. Any
+    other step list is +-(its line's entries but one) plus one code, so it
+    shares at most two codes with a pi-cycle (a row and a column share at most
+    one cell)."""
+    negated_rows = ([negs[a] for a in row] for row in rows.values())
+    report = _count_faces(graph, sorted(map(_rotation_key, chain(cols.values(), negated_rows))))
+    if all(order == 1 for order in report.orders):
+        report.pi_colors = [1 if cycle[0] in negs else 2 for cycle in report.pi_cycles]
+    return report
 
 
 class BiembeddingCertificate(NamedTuple):
@@ -398,8 +411,9 @@ class BiembeddingCertificate(NamedTuple):
 def certify_biembedding(array: PFArray, orientation: Orientation) -> BiembeddingCertificate:
     """The whole chain: the orientation's orderings (the rows and columns of
     entry codes, line i reversed where its sign is -1), rho0 as one cycle on
-    +-E(A), the traced faces, their two-colouring, the exact development of the
-    column and reversed-row decompositions, and their orthogonality.
+    +-E(A), the faces and their two-colouring read off those lines (as
+    _line_faces proves), the exact development of the column and reversed-row
+    decompositions, and their orthogonality.
 
     Raises CertificationError with a witness when a stage cannot be certified,
     and ValueError from rho0, the first stage, when +-E(A) has a repeat: the
@@ -407,12 +421,11 @@ def certify_biembedding(array: PFArray, orientation: Orientation) -> Biembedding
     No rotation of +-E(A) exists then, whatever the orderings."""
     m, lines = array.m, array.index[1]
     rows, cols = oriented_lines(lines[:m], orientation.r), oriented_lines(lines[m:], orientation.c)
-    rho0, pi = _rho0(array.spec.codes, rows, cols)
-    # rho0 proved its keys C = +-E(A) distinct: no second check of C or of pi
+    rho0, negs = _rho0(array.spec.codes, rows, cols)
+    # rho0 proved its keys C = +-E(A) distinct: no second check of C
     graph = tuple.__new__(CayleyGraph, (array.spec, frozenset(rho0)))
-    report = _faces(graph, pi)
-    col_bases, row_bases = _bases(array.spec.codes, rows, cols)
-    two_colorable = _two_color(report, col_bases, row_bases)
+    report = _line_faces(graph, rows, cols, negs)
+    col_bases, row_bases = _bases(array.spec.codes, rows, cols, negs.__getitem__)
     col_dec, row_dec = _develop(col_bases, graph), _develop(row_bases, graph)
-    return BiembeddingCertificate(report, two_colorable, row_dec, col_dec,
+    return BiembeddingCertificate(report, report.pi_colors is not None, row_dec, col_dec,
                                   verify_orthogonal(row_dec, col_dec))

@@ -137,7 +137,7 @@ def test_element_codes_match_object_arithmetic(orders):
         for b in sample:
             assert decode(spec, codes.add(a, b)) == g + elems[b]
             assert decode(spec, codes.sub(a, b)) == g - elems[b]
-        assert decode(spec, codes.total([a, b, a])) == total(spec, [g, elems[b], g])
+        assert decode(spec, codes.totals([[a, b, a]])[0]) == total(spec, [g, elems[b], g])
         assert sum_elements(spec, [a, b, a]) == encode(spec, total(spec, [g, elems[b], g]))
     with pytest.raises(GroupError):
         codes.code((orders[0],) + (0,) * (len(orders) - 1))
@@ -166,4 +166,6 @@ def test_totals_match_the_total_of_each_line(orders, data):
     codes = GroupSpec(orders).codes
     lines = data.draw(st.lists(st.lists(st.integers(0, codes.spec.size - 1), max_size=6),
                                max_size=8))
-    assert codes.totals(lines) == [codes.total(line) for line in lines]
+    spec = codes.spec
+    assert codes.totals(lines) == [encode(spec, total(spec, [decode(spec, x) for x in line]))
+                                   for line in lines]

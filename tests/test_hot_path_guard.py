@@ -3,10 +3,11 @@ cell-level orderings (orientation_to_orderings, Ordering.successors) and the
 cell walk knight_tour stay the slow references that tests compare with (with
 knight_step, which tests/knight_oracle.py holds), and no call from those three
 paths reaches them. The certificate derives each fact once: it reaches none of
-the public stages that re-check what rho0 proved (the graph from the entries,
-the faces from a rotation, a development from bare cycles), and those stages
-wrap the kernels that it calls. One walk, orderings.orbit, decides whether a
-permutation is a single cycle, for rho0 and for the cell walk knight_tour."""
+the public stages that re-check what rho0 proved or what its lines give (the
+graph from the entries, the faces from a rotation, the colouring by rotation
+keys, a development from bare cycles), and those stages share the kernels that
+it calls. One walk, orderings.orbit, decides whether a permutation is a single
+cycle, for rho0 and for the cell walk knight_tour."""
 
 import ast
 from pathlib import Path
@@ -14,7 +15,7 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parent.parent / "src" / "relheffter"
 HOT = ("certify_biembedding", "cmd_knight", "lift_solution")
 SLOW = {"orientation_to_orderings", "knight_tour", "knight_step", "successors"}
-STAGES = {"from_entries", "trace_faces", "develop_and_verify"}
+STAGES = {"from_entries", "trace_faces", "two_color_check", "develop_and_verify"}
 
 
 def definitions() -> dict[str, list[ast.FunctionDef]]:
@@ -57,12 +58,13 @@ def test_certificate_never_reaches_the_checking_stages():
     defs = definitions()
     # the check sees a stage where one is called, by name or as an attribute
     wired = ast.parse("def wired(a, b):\n"
-                      "    trace_faces(CayleyGraph.from_entries(a), develop_and_verify(b, a))")
+                      "    trace_faces(CayleyGraph.from_entries(a), develop_and_verify(b, a))\n"
+                      "    two_color_check(a, b, a)")
     assert reachable("wired", {**defs, "wired": wired.body}) >= STAGES
     assert STAGES <= defs.keys()
     assert reachable("certify_biembedding", defs) & STAGES == set()
-    assert reachable("certify_biembedding", defs) >= {"_rho0", "_faces", "_develop"}
-    assert "_faces" in reachable("trace_faces", defs)
+    assert reachable("certify_biembedding", defs) >= {"_rho0", "_count_faces", "_develop"}
+    assert "_count_faces" in reachable("trace_faces", defs)
     assert "_develop" in reachable("develop_and_verify", defs)
 
 

@@ -34,5 +34,7 @@ def test_ab_cold_smoke(monkeypatch, capsys):
     assert lines[0].startswith("workload construct-verify passes 2 jobs 14 ")
     assert [line.split()[0] for line in lines[1:3]] == ["parent", "change"]
     assert lines[3].startswith("change - parent ") and lines[3].endswith(" of 14 jobs")
-    assert len(lines) == 4 + 14 and all(line.startswith("  ") for line in lines[4:])
-    assert lines[4].startswith("  construct ") and lines[4].endswith("%)")
+    won = lines[4].removeprefix("the change's pass total lower in ").split()
+    assert won[0] in ("0", "1", "2") and won[1:] == ["of", "2", "passes"]
+    assert len(lines) == 5 + 14 and all(line.startswith("  ") for line in lines[5:])
+    assert lines[5].startswith("  construct ") and lines[5].endswith("%)")
