@@ -6,8 +6,10 @@
 PARENT and CHANGE are the roots of two checkouts. Each tree's src/relheffter
 is imported under its own package name, so both sides run in this process on
 the same inputs. The inputs, each job's argv and the answer checks come from
-relbench/jobs.py of CHANGE, and the cold start of each call (reference_work()
-and gc.collect() before it) from relbench/run.py; both are read, never changed.
+relbench/jobs.py of CHANGE, and the cold start of each call from
+relbench/run.py; both are read, never changed. As relbench's timed passes do,
+each call follows ceil(REFERENCES_PER_PASS / jobs) runs of reference_work()
+and a gc.collect(): 3 on embed, 1 on knight and construct-verify.
 Every pass runs each job once on each side, and the side that goes first
 alternates from job to job and from pass to pass. A job whose exit codes or
 stdout differ between the sides, or whose answer is wrong, fails the run
@@ -52,9 +54,11 @@ def side_cli(name: str, root: Path):
     return importlib.import_module(f"{name}.cli")
 
 
-def cold_call(bench, cli, argv: list[str]) -> tuple[int, str, float]:
-    """One cold main(argv), as relbench makes it: its exit code, stdout and CPU seconds."""
-    bench.reference_work()
+def cold_call(bench, cli, argv: list[str], reps: int) -> tuple[int, str, float]:
+    """One cold main(argv), as relbench makes it after reps runs of its
+    reference work: its exit code, stdout and CPU seconds."""
+    for _ in range(reps):
+        bench.reference_work()
     gc.collect()
     out = io.StringIO()
     with redirect_stdout(out), redirect_stderr(io.StringIO()):
@@ -74,9 +78,10 @@ def payload_of(text: str) -> dict | None:
         return None
 
 
-def run_pass(bench, jobs, clis, chains, first: int, cpu: list[dict]) -> list[str]:
+def run_pass(bench, jobs, clis, chains, first: int, cpu: list[dict], reps: int) -> list[str]:
     """Run every job once on each side; record each side's CPU per job and
-    return what went wrong. first picks the side that goes first on the first job."""
+    return what went wrong. first picks the side that goes first on the first
+    job; reps is the number of reference_work() runs before each call."""
     problems = []
     turn = first
     for chain in chains:
@@ -84,7 +89,8 @@ def run_pass(bench, jobs, clis, chains, first: int, cpu: list[dict]) -> list[str
         for job in chain:
             answers = [None, None]
             for side in (turn, 1 - turn):
-                rc, out, seconds = cold_call(bench, clis[side], jobs.argv_for(job, prev[side]))
+                rc, out, seconds = cold_call(bench, clis[side], jobs.argv_for(job, prev[side]),
+                                             reps)
                 cpu[side].setdefault(job.key, []).append(seconds)
                 answers[side], prev[side] = (rc, out), payload_of(out)
             turn = 1 - turn
@@ -120,9 +126,10 @@ def main() -> int:
     with tempfile.TemporaryDirectory() as work:
         chains, warmup = jobs.setup(args.workload, conf, conf["default_seed"], Path(work),
                                     roots[1])
-        problems = run_pass(bench, jobs, clis, [warmup], 0, [{}, {}])
+        reps = -(-bench.REFERENCES_PER_PASS // sum(map(len, chains)))
+        problems = run_pass(bench, jobs, clis, [warmup], 0, [{}, {}], reps)
         for i in range(args.passes):
-            problems += run_pass(bench, jobs, clis, chains, i % 2, cpu)
+            problems += run_pass(bench, jobs, clis, chains, i % 2, cpu, reps)
     for line in problems[:20]:
         print(f"FAILED {line}")
 
@@ -132,7 +139,7 @@ def main() -> int:
     pass_totals = [[sum(col) for col in zip(*side.values())] for side in cpu]
     won = sum(after < before for before, after in zip(*pass_totals))
     print(f"workload {args.workload} passes {args.passes} jobs {len(medians[0])} "
-          "(each call cold: reference_work() and gc.collect() before it)")
+          f"(each call cold: reference_work() x{reps} and gc.collect() before it)")
     for label, root, total in zip(("parent", "change"), roots, totals):
         print(f"{label} {total:.5f} s CPU (sum of per-job medians) {root}")
     print(f"change - parent {100 * (totals[1] / totals[0] - 1):+.2f}%; "

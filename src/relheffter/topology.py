@@ -4,8 +4,8 @@ from __future__ import annotations
 
 from collections import Counter, namedtuple
 from functools import cached_property
-from itertools import accumulate, chain, islice
-from typing import Callable, Mapping, NamedTuple, Sequence
+from itertools import accumulate, chain
+from typing import Iterator, Mapping, NamedTuple, Sequence
 
 from .group import ElementCodes, GroupSpec
 from .orderings import Ordering, Orientation, cyclic_successors, orbit, oriented_lines
@@ -26,7 +26,6 @@ DirectedEdge = tuple  # (tail, head)
 # take an Ordering of cells translate it first.
 
 Lines = Mapping[int, Sequence[int]]  # line index -> its entry codes in order
-Base = tuple[tuple, list[int], list[int]]  # a cycle's vertices, steps and their negatives
 
 
 def _rotation_key(seq: Sequence[int]) -> tuple[int, ...]:
@@ -81,40 +80,38 @@ def base_cycles(array: PFArray, ordering: Ordering, by: str = "col") -> list[tup
     if by not in ("row", "col"):
         raise ValueError("by must be 'row' or 'col'")
     lines = _code_lines(array, ordering.row_orders if by == "row" else ordering.col_orders)[0]
-    return [vs for vs, _, _ in _cycles(array.spec.codes, lines, by, array.spec.codes.neg)]
+    return _cycles(array.spec.codes, lines, by)
 
 
-def _cycles(codes: ElementCodes, lines: Lines, by: str, neg: Callable[[int], int]) -> list[Base]:
-    """The partial-sum cycle of each line, in increasing line index, with its
-    steps and their negatives (neg negates an entry); step j runs from vertex j
-    to the next, so a line a_1..a_k of total T steps by a_2, ..., a_k, a_1 - T."""
-    add, sub = codes.add, codes.sub
+def _cycles(codes: ElementCodes, lines: Lines, by: str) -> list[tuple]:
+    """The partial-sum cycle of each line, in increasing line index."""
+    add = codes.add
     bases = []
     for index in sorted(lines):
-        line = lines[index]
-        sums = list(accumulate(line, add))
+        sums = tuple(accumulate(lines[index], add))
         if len(set(sums)) != len(sums):
             raise CertificationError(f"{by} {index} ordering is not simple")
         if len(sums) < 3:
             raise CertificationError(f"{by} {index} has fewer than 3 filled cells")
-        a, rest, total = line[0], line[1:], sums[-1]
-        bases.append((tuple(sums), [*rest, sub(a, total)], [*map(neg, rest), sub(total, a)]))
+        bases.append(sums)
     return bases
 
 
-class DecompositionCertificate(NamedTuple):
-    """A verified G-regular cycle decomposition: all translates of the base cycles.
+def _darts(codes: ElementCodes, base: list[tuple]) -> Iterator[tuple[int, int, int]]:
+    """(d, i, u) for each dart (u, u + d) of each base cycle base[i]: each
+    edge's step, then its negative."""
+    for i, vs in enumerate(base):
+        for u, w in zip(vs, vs[1:] + vs[:1]):
+            yield codes.sub(w, u), i, u
+            yield codes.sub(u, w), i, w
 
-    ``offsets[d]`` is (i, u) for the one edge (u, u + d) of difference d in the
-    base cycles, which lies on base[i]; so the edge {x, x + d} lies on
-    base[i] + (x - u). Differences and offsets are element codes. The keys
-    come in pairs, the difference of each base-cycle edge and then its
-    negative.
-    """
+
+class DecompositionCertificate(NamedTuple):
+    """A verified G-regular cycle decomposition: all translates of the base
+    cycles, whose differences list the connection set once each."""
 
     graph: CayleyGraph
     base: list[tuple]  # each base cycle's vertex codes, cyclically adjacent
-    offsets: dict[int, tuple[int, int]]
 
     @property
     def cycle_lengths(self) -> Counter:
@@ -138,25 +135,19 @@ def develop_and_verify(base: list[tuple], graph: CayleyGraph) -> DecompositionCe
     translate, and the translates cover |C|/2 * |G| edges. A failure names the
     least missing and the least extra difference. A cycle that repeats a
     vertex is refused with a ValueError."""
-    sub, neg = graph.spec.codes.sub, graph.spec.codes.neg
     if any(len(set(vs)) != len(vs) for vs in base):
         raise ValueError("cycle vertices must be distinct")
-    steps = [[sub(w, u) for u, w in zip(vs, vs[1:] + vs[:1])] for vs in base]
-    return _develop([(vs, ds, [neg(d) for d in ds]) for vs, ds in zip(base, steps)], graph)
+    return _develop(base, graph)
 
 
-def _develop(bases: list[Base], graph: CayleyGraph) -> DecompositionCertificate:
-    """develop_and_verify on cycles of distinct vertices with their steps; a
-    repeated difference is named in the order of the steps, d before -d."""
-    offsets: dict[int, tuple[int, int]] = {}
-    for i, (vs, steps, negs) in enumerate(bases):
-        for u, w, d, nd in zip(vs, vs[1:] + vs[:1], steps, negs):
-            offsets[d], offsets[nd] = (i, u), (i, w)
-    base = [vs for vs, _, _ in bases]
-    if len(offsets) == 2 * sum(map(len, base)) and offsets.keys() == graph.connection:
-        return DecompositionCertificate(graph, base, offsets)
+def _develop(base: list[tuple], graph: CayleyGraph) -> DecompositionCertificate:
+    """develop_and_verify on cycles of distinct vertices; a repeated
+    difference is named in the order of the steps, d before -d."""
     codes = graph.spec.codes
-    counts = Counter(x for _, steps, negs in bases for pair in zip(steps, negs) for x in pair)
+    differences = [d for d, _, _ in _darts(codes, base)]
+    counts = Counter(differences)
+    if len(counts) == len(differences) and counts.keys() == graph.connection:
+        return DecompositionCertificate(graph, base)
     for d, c in counts.items():
         if c > 1:
             raise CertificationError(
@@ -180,18 +171,20 @@ def _least(codes: ElementCodes, found: set[int]) -> str:
 def verify_orthogonal(d1: DecompositionCertificate, d2: DecompositionCertificate) -> bool:
     """True iff every cycle of d1 shares at most one edge with every cycle of d2.
 
-    The edge {x, x + d} lies on base1[i] + (x - u1) and base2[j] + (x - u2), so
-    two edges lie on the same two cycles iff their differences give the same
-    (i, j, u2 - u1). Both signs of one difference give the same triple, so
-    only the first of each pair of d1's offsets is taken."""
+    The edge {x, x + d} lies on base1[i] + (x - u1) and base2[j] + (x - u2),
+    where (u1, u1 + d) lies on base1[i] and (u2, u2 + d) on base2[j], read off
+    the bases once per call. So two edges lie on the same two cycles iff their
+    differences give the same (i, j, u2 - u1); both signs of one difference
+    give the same triple."""
     if d1 is d2:
         raise ValueError("orthogonality is defined across two distinct decompositions")
-    sub = d1.graph.spec.codes.sub
+    codes = d1.graph.spec.codes
+    first, second = ({d: (i, u) for d, i, u in _darts(codes, dec.base)} for dec in (d1, d2))
     pairs = set()
-    for d, (i, u1) in islice(d1.offsets.items(), 0, None, 2):
-        j, u2 = d2.offsets[d]
-        pairs.add((i, j, sub(u2, u1)))
-    return 2 * len(pairs) == len(d1.offsets)
+    for d, (i, u1) in first.items():
+        j, u2 = second[d]
+        pairs.add((i, j, codes.sub(u2, u1)))
+    return 2 * len(pairs) == len(first)
 
 
 def build_rho0(array: PFArray, ordering: Ordering) -> dict[int, int]:
@@ -337,12 +330,15 @@ def two_color_check(report: EmbeddingReport, array: PFArray, ordering: Ordering)
     {x, x + a} has one side on a face of a's pi-cycle and the other on a face of
     -a's, and the negatives of a pi-cycle's codes are the other step list of B.
     """
+    codes = array.spec.codes
     lines = _code_lines(array, ordering.row_orders, ordering.col_orders)
-    col_bases, row_bases = _bases(array.spec.codes, *lines, array.spec.codes.neg)
+    col_bases, row_bases = _bases(codes, *lines)
     class_of_steps: dict[tuple, tuple[int, list[int]]] = {}
     # columns go in last, so a face in both classes gets class 1
     for color, bases in ((2, row_bases), (1, col_bases)):
-        for _, steps, negs in bases:
+        for vs in bases:
+            darts = [d for d, _, _ in _darts(codes, [vs])]
+            steps, negs = darts[::2], darts[1::2]
             class_of_steps[_rotation_key(steps)] = color, negs
             class_of_steps[_rotation_key(negs[::-1])] = color, steps
     matches = [class_of_steps.get(_rotation_key(cycle)) for cycle in report.pi_cycles]
@@ -355,13 +351,12 @@ def two_color_check(report: EmbeddingReport, array: PFArray, ordering: Ordering)
     return True
 
 
-def _bases(codes: ElementCodes, rows: Lines, cols: Lines,
-           neg: Callable[[int], int]) -> tuple[list[Base], list[Base]]:
+def _bases(codes: ElementCodes, rows: Lines, cols: Lines) -> tuple[list[tuple], list[tuple]]:
     """The column base cycles and the base cycles of the reversed rows."""
     # class 2 follows the REVERSED row orderings (omega_r inverse): reversing
     # the ordering negates every partial-sum cycle's edge set
     reversed_rows = {i: line[::-1] for i, line in rows.items()}
-    return _cycles(codes, cols, "col", neg), _cycles(codes, reversed_rows, "row", neg)
+    return _cycles(codes, cols, "col"), _cycles(codes, reversed_rows, "row")
 
 
 def _line_faces(graph: CayleyGraph, rows: Lines, cols: Lines,
@@ -415,6 +410,16 @@ def certify_biembedding(array: PFArray, orientation: Orientation) -> Biembedding
     _line_faces proves), the exact development of the column and reversed-row
     decompositions, and their orthogonality.
 
+    When every line sums to 0 (the faces two-colour), nothing is developed:
+    a column a_1..a_k then steps by a_2, ..., a_k, a_1 and a reversed row
+    b_k..b_1 by b_{k-1}, ..., b_1, b_k, their own entries. Each entry lies in
+    one row and one column, so each decomposition's differences are
+    E(A) u -E(A), which _rho0 proved to be C, 2|E(A)| distinct codes: both
+    developments are exact. The difference +-a lies on the cycles of a's row
+    and a's column, and two distinct cells never share both, so no (row
+    cycle, column cycle, offset) triple repeats: the two are orthogonal.
+    Otherwise _develop and verify_orthogonal decide.
+
     Raises CertificationError with a witness when a stage cannot be certified,
     and ValueError from rho0, the first stage, when +-E(A) has a repeat: the
     entries are not distinct, or an entry is 0 or the negative of an entry.
@@ -425,7 +430,10 @@ def certify_biembedding(array: PFArray, orientation: Orientation) -> Biembedding
     # rho0 proved its keys C = +-E(A) distinct: no second check of C
     graph = tuple.__new__(CayleyGraph, (array.spec, frozenset(rho0)))
     report = _line_faces(graph, rows, cols, negs)
-    col_bases, row_bases = _bases(array.spec.codes, rows, cols, negs.__getitem__)
-    col_dec, row_dec = _develop(col_bases, graph), _develop(row_bases, graph)
-    return BiembeddingCertificate(report, report.pi_colors is not None, row_dec, col_dec,
+    col_base, row_base = _bases(array.spec.codes, rows, cols)
+    if report.pi_colors is not None:  # every line sums to 0: exact and orthogonal, as above
+        return BiembeddingCertificate(report, True, DecompositionCertificate(graph, row_base),
+                                      DecompositionCertificate(graph, col_base), True)
+    col_dec, row_dec = _develop(col_base, graph), _develop(row_base, graph)
+    return BiembeddingCertificate(report, False, row_dec, col_dec,
                                   verify_orthogonal(row_dec, col_dec))

@@ -1,5 +1,6 @@
 """The certificate's faces and two-colouring read off the oriented lines,
-against the validating stages that trace rho0 and match rotation keys.
+against the validating stages that trace rho0 and match rotation keys, and
+its decompositions and orthogonality against the stages that develop them.
 
 The arrays are seeded random fillings of Knight-solvable k-diagonal skeletons
 (k >= 3, so every line has at least 3 cells) over Z_v and Z_a x Z_b, with
@@ -13,6 +14,7 @@ from functools import lru_cache
 
 import pytest
 
+from topology_oracle import certified, outcome, stage_by_stage
 from relheffter import topology
 from relheffter.group import GroupSpec
 from relheffter.orderings import (
@@ -22,7 +24,13 @@ from relheffter.orderings import (
     oriented_lines,
 )
 from relheffter.pfarray import PFArray, Skeleton, skeleton_from_diagonals
-from relheffter.topology import CayleyGraph, build_rho0, trace_faces, two_color_check
+from relheffter.topology import (
+    CayleyGraph,
+    CertificationError,
+    build_rho0,
+    trace_faces,
+    two_color_check,
+)
 
 GROUPS = (GroupSpec.cyclic(10007), GroupSpec((1009, 9)))
 MODES = ("none", "cols", "rows", "both")
@@ -138,3 +146,25 @@ def test_the_arrays_tell_one_kind_of_line_from_both():
     for kind in ("cols", "rows"):
         assert any(one_kind(seed, kind) != verdict for seed, verdict in zip(SEEDS, verdicts))
     assert {case(seed)[0].spec for seed in SEEDS} == set(GROUPS)
+
+
+def test_zero_sum_lines_develop_exactly_and_orthogonally():
+    """The theorem behind the certificate's zero-sum path, on arrays that no
+    construction made: when rho0 is one cycle (a Knight solution), the lines
+    are simple and every line sums to 0, develop_and_verify certifies both
+    decompositions and verify_orthogonal holds. In every class, the
+    certificate equals the stage chain, refusals included."""
+    held = []
+    for seed in SEEDS:
+        array, solution, mode = case(seed)
+        expected = outcome(stage_by_stage, array, solution)
+        assert outcome(certified, array, solution) == expected, seed
+        zero = all(x == 0 for x in array.spec.codes.totals(array.index[1]))
+        assert zero == (mode == "both")
+        simple = not (isinstance(expected, tuple) and expected[0] is CertificationError
+                      and expected[1].endswith("ordering is not simple"))
+        if zero and simple:
+            assert not isinstance(expected, tuple), (seed, expected)
+            assert expected["orthogonal"] is True
+            held.append(seed)
+    assert held == [seed for seed in SEEDS if MODES[seed % 4] == "both"]

@@ -68,7 +68,7 @@ FIELDS = {
     CayleyGraph: "spec connection", HeffterParams: "m n s k t",
     DiagonalReport: "filled_diagonal_indices is_k_diagonal is_cyclically_k_diagonal",
     Family: "name builder k t admissible", Ordering: "row_orders col_orders",
-    DecompositionCertificate: "graph base offsets",
+    DecompositionCertificate: "graph base",
     BiembeddingCertificate: "embedding two_colorable row_decomposition col_decomposition "
                             "orthogonal",
 }

@@ -31,7 +31,11 @@ def test_ab_cold_smoke(monkeypatch, capsys):
                            "--workload", "construct-verify", "--passes", "2", "--smoke")
     assert code == 0
     lines = out.splitlines()
-    assert lines[0].startswith("workload construct-verify passes 2 jobs 14 ")
+    # the reference work before each call is relbench's: its share of the
+    # pass's REFERENCES_PER_PASS over the 14 jobs, rounded up
+    reps = -(-sys.modules["_ab_relbench_run"].REFERENCES_PER_PASS // 14)
+    assert lines[0] == (f"workload construct-verify passes 2 jobs 14 (each call cold: "
+                        f"reference_work() x{reps} and gc.collect() before it)")
     assert [line.split()[0] for line in lines[1:3]] == ["parent", "change"]
     assert lines[3].startswith("change - parent ") and lines[3].endswith(" of 14 jobs")
     won = lines[4].removeprefix("the change's pass total lower in ").split()

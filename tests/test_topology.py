@@ -2,15 +2,19 @@
 
 import json
 import signal
+from itertools import chain
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import certified_oracle
 import topology_oracle as oracle
 from group_oracle import decode, encode, neg
 from heffter_oracle import subgroup_of_order
 from pfarray_oracle import element, entries, from_elements
+from topology_oracle import certified, outcome, stage_by_stage
+from relheffter import topology
 from relheffter.constructions import FAMILIES, build_h_n_3
 from relheffter.group import GroupSpec
 from relheffter.orderings import (
@@ -283,25 +287,6 @@ def test_euler_integrality_on_h_n_3(n):
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
-def stage_by_stage(a, o):
-    """The biembedding chain wired by hand from the public stage functions."""
-    ordering = orientation_to_orderings(a, o)
-    rho0 = build_rho0(a, ordering)  # first, as in certify_biembedding
-    graph = CayleyGraph.from_entries(a)
-    report = trace_faces(graph, rho0)
-    two_colorable = two_color_check(report, a, ordering)
-    cols = develop_and_verify(base_cycles(a, ordering, by="col"), graph)
-    reversed_rows = orientation_to_orderings(a, Orientation(tuple(-x for x in o.r), o.c))
-    rows = develop_and_verify(base_cycles(a, reversed_rows, by="row"), graph)
-    return {
-        "embedding": report.to_json(),
-        "two_colorable": two_colorable,
-        "row_decomposition": rows.to_json(),
-        "col_decomposition": cols.to_json(),
-        "orthogonal": verify_orthogonal(rows, cols),
-    }
-
-
 def certify_cases():
     for family in FAMILIES.values():
         n = next(n for n in range(3, 20) if family.admissible(n))
@@ -314,23 +299,10 @@ def certify_cases():
 def test_certify_biembedding_matches_stage_by_stage(name, array):
     o = knight_search(array)
     assert o is not None
+    assert certified(array, o) == stage_by_stage(array, o)
     cert = certify_biembedding(array, o)
-    assert cert.to_json() == stage_by_stage(array, o)
     assert cert.ok
     assert oracle.color_of_face(cert.embedding) is not None
-
-
-def outcome(f, array, o):
-    """f(array, o), or the type and text of the ValueError (CertificationError
-    included) that it raised."""
-    try:
-        return f(array, o)
-    except ValueError as exc:
-        return type(exc), str(exc)
-
-
-def certified(array, o):
-    return certify_biembedding(array, o).to_json()
 
 
 def flips(o):
@@ -351,7 +323,7 @@ def small_arrays():
 
 def test_certify_biembedding_matches_stage_by_stage_under_flips():
     # certify_biembedding reads its orderings off the code lines; the stages
-    # take cell orderings: the same payload or the same error
+    # take cell orderings: the same payload and base cycles, or the same error
     names, failures = [], set()
     for name, array in small_arrays():
         names.append(name)
@@ -375,10 +347,37 @@ def test_certificate_graph_is_the_graph_of_the_entries():
     assert {"archdeacon_7x7_z60xz3.json", "archdeacon_8x8_z51xz3.json"} <= set(names)
 
 
+class Developed(Exception):
+    """A development or an orthogonality check that the certificate made."""
+
+
+def test_zero_sum_lines_are_certified_without_developing(monkeypatch):
+    # every line of these arrays sums to 0, so both decompositions are exact
+    # and orthogonal by proof: the certificate develops nothing
+    def developed(*args):
+        raise Developed
+
+    monkeypatch.setattr(topology, "_develop", developed)
+    monkeypatch.setattr(topology, "verify_orthogonal", developed)
+    instances = ((i["file"], PFArray.from_json(json.loads((FIXTURES / i["file"]).read_text())))
+                 for i in certified_oracle.instances())
+    names = []
+    for name, array in chain(small_arrays(), instances):
+        assert certify_biembedding(array, knight_search(array)).ok, name
+        names.append(name)
+    assert {"archdeacon_7x7_z60xz3.json", "h3_83_3.json", "h5_7_5.json", "h9 n=23"} <= set(names)
+    # the positive control: a line that does not sum to 0 is developed
+    a = PFArray.from_json(json.loads((FIXTURES / "archdeacon_8x8_z51xz3.json").read_text()))
+    elements = entries(a)
+    elements[1, 1] = elements[1, 1] + element(a.spec, 1, 0)
+    with pytest.raises(Developed):
+        certify_biembedding(from_elements(a.m, a.n, a.spec, elements), knight_search(a))
+
+
 def test_certify_biembedding_matches_stage_by_stage_on_failing_arrays():
     # each entry swapped with the next in row-major order, moved by one, set
     # to 0, to the next entry and to its negative, under all four flips; and
-    # the empty array
+    # the empty array: the same payload and base cycles, or the same error
     empty = PFArray(2, 2, GroupSpec.cyclic(7), {})
     o = Orientation((1, 1), (1, 1))
     assert outcome(certified, empty, o) == outcome(stage_by_stage, empty, o) == (

@@ -11,6 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 import topology_oracle as oracle
 from group_oracle import decode
 from pfarray_oracle import build_B, direct_sum, element, entries, from_elements
+from topology_oracle import outcome
 from relheffter.constructions import FAMILIES, build_archdeacon_composite, build_h_n_3
 from relheffter.orderings import (
     Ordering,
@@ -81,14 +82,6 @@ def knight_bases(case):
     twin = oracle.develop_and_verify(col.base, graph)
     return {"row": row, "col": col}, oracle.verify_orthogonal(row, col), oracle.verify_orthogonal(
         col, twin)
-
-
-def outcome(f, *args):
-    """f(*args), or the type and message of the ValueError it raised."""
-    try:
-        return f(*args)
-    except ValueError as exc:
-        return type(exc), str(exc)
 
 
 def random_ordering(rng: random.Random, array: PFArray) -> Ordering:

@@ -10,7 +10,9 @@ with ``group_oracle.decode``, and the tests compare the two on the same inputs.
 ``multipartite``, ``edges``, ``cycles`` and ``color_of_face`` read the same
 objects off the library's graphs, cycles and certificates, and
 ``coordinate_faces`` writes a Report's faces as the library's coordinate
-darts.
+darts. ``stage_by_stage`` wires the library's public stage functions by hand
+into the certificate's chain, and ``certified`` reads the same facts off
+``certify_biembedding``; ``outcome`` turns a refusal into a comparable value.
 """
 
 from __future__ import annotations
@@ -22,7 +24,8 @@ from group_oracle import GroupElement, decode, elements, encode, neg
 from knight_oracle import cycle_of
 from pfarray_oracle import entries
 from relheffter.group import GroupSpec, subgroup_step
-from relheffter.orderings import Ordering
+from relheffter import topology as library
+from relheffter.orderings import Ordering, Orientation, orientation_to_orderings
 from relheffter.pfarray import PFArray
 from relheffter.topology import (
     CayleyGraph,
@@ -300,3 +303,43 @@ def _developed_edge_sets(array: PFArray, ordering: Ordering, by: str) -> set[fro
         for g in elements(array.spec):
             out.add(frozenset(edges(translate(cycle, g))))
     return out
+
+
+def outcome(f, *args):
+    """f(*args), or the type and text of the ValueError (CertificationError
+    included) that it raised."""
+    try:
+        return f(*args)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def stage_by_stage(array: PFArray, o: Orientation) -> dict:
+    """The biembedding chain wired by hand from the library's public stage
+    functions: the payload, and the base cycles of the row and the column
+    decomposition."""
+    ordering = orientation_to_orderings(array, o)
+    rho0 = library.build_rho0(array, ordering)  # first, as in certify_biembedding
+    graph = CayleyGraph.from_entries(array)
+    report = library.trace_faces(graph, rho0)
+    two_colorable = library.two_color_check(report, array, ordering)
+    cols = library.develop_and_verify(base_cycles(array, ordering, by="col"), graph)
+    reversed_rows = orientation_to_orderings(array, Orientation(tuple(-x for x in o.r), o.c))
+    rows = library.develop_and_verify(base_cycles(array, reversed_rows, by="row"), graph)
+    return {
+        "embedding": report.to_json(),
+        "two_colorable": two_colorable,
+        "row_decomposition": rows.to_json(),
+        "col_decomposition": cols.to_json(),
+        "orthogonal": library.verify_orthogonal(rows, cols),
+        "bases": (rows.base, cols.base),
+    }
+
+
+def certified(array: PFArray, o: Orientation) -> dict:
+    """certify_biembedding's payload, and the base cycles of its row and its
+    column decomposition, whose graphs must be one object."""
+    cert = library.certify_biembedding(array, o)
+    assert cert.row_decomposition.graph is cert.col_decomposition.graph
+    return {**cert.to_json(),
+            "bases": (cert.row_decomposition.base, cert.col_decomposition.base)}
