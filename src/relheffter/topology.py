@@ -5,7 +5,7 @@ from __future__ import annotations
 from collections import Counter, namedtuple
 from functools import cached_property
 from itertools import accumulate, chain
-from typing import Iterator, Mapping, NamedTuple, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .group import ElementCodes, GroupSpec
 from .orderings import Ordering, Orientation, cyclic_successors, orbit, oriented_lines
@@ -97,13 +97,9 @@ def _cycles(codes: ElementCodes, lines: Lines, by: str) -> list[tuple]:
     return bases
 
 
-def _darts(codes: ElementCodes, base: list[tuple]) -> Iterator[tuple[int, int, int]]:
-    """(d, i, u) for each dart (u, u + d) of each base cycle base[i]: each
-    edge's step, then its negative."""
-    for i, vs in enumerate(base):
-        for u, w in zip(vs, vs[1:] + vs[:1]):
-            yield codes.sub(w, u), i, u
-            yield codes.sub(u, w), i, w
+def _steps(codes: ElementCodes, vs: tuple) -> list[int]:
+    """The steps of a cycle: step j runs from vertex j to the next."""
+    return list(map(codes.sub, vs[1:] + vs[:1], vs))
 
 
 class DecompositionCertificate(NamedTuple):
@@ -144,7 +140,7 @@ def _develop(base: list[tuple], graph: CayleyGraph) -> DecompositionCertificate:
     """develop_and_verify on cycles of distinct vertices; a repeated
     difference is named in the order of the steps, d before -d."""
     codes = graph.spec.codes
-    differences = [d for d, _, _ in _darts(codes, base)]
+    differences = [x for vs in base for d in _steps(codes, vs) for x in (d, codes.neg(d))]
     counts = Counter(differences)
     if len(counts) == len(differences) and counts.keys() == graph.connection:
         return DecompositionCertificate(graph, base)
@@ -175,16 +171,20 @@ def verify_orthogonal(d1: DecompositionCertificate, d2: DecompositionCertificate
     where (u1, u1 + d) lies on base1[i] and (u2, u2 + d) on base2[j], read off
     the bases once per call. So two edges lie on the same two cycles iff their
     differences give the same (i, j, u2 - u1); both signs of one difference
-    give the same triple."""
+    give the same triple, so each edge of d1 is taken once, by its step."""
     if d1 is d2:
         raise ValueError("orthogonality is defined across two distinct decompositions")
     codes = d1.graph.spec.codes
-    first, second = ({d: (i, u) for d, i, u in _darts(codes, dec.base)} for dec in (d1, d2))
+    tail: dict[int, tuple[int, int]] = {}  # d -> (j, u2)
+    for j, vs in enumerate(d2.base):
+        for u, w, d in zip(vs, vs[1:] + vs[:1], _steps(codes, vs)):
+            tail[d], tail[codes.neg(d)] = (j, u), (j, w)
     pairs = set()
-    for d, (i, u1) in first.items():
-        j, u2 = second[d]
-        pairs.add((i, j, codes.sub(u2, u1)))
-    return 2 * len(pairs) == len(first)
+    for i, vs in enumerate(d1.base):
+        for u1, d in zip(vs, _steps(codes, vs)):
+            j, u2 = tail[d]
+            pairs.add((i, j, codes.sub(u2, u1)))
+    return len(pairs) == sum(map(len, d1.base))
 
 
 def build_rho0(array: PFArray, ordering: Ordering) -> dict[int, int]:
@@ -337,8 +337,8 @@ def two_color_check(report: EmbeddingReport, array: PFArray, ordering: Ordering)
     # columns go in last, so a face in both classes gets class 1
     for color, bases in ((2, row_bases), (1, col_bases)):
         for vs in bases:
-            darts = [d for d, _, _ in _darts(codes, [vs])]
-            steps, negs = darts[::2], darts[1::2]
+            steps = _steps(codes, vs)
+            negs = list(map(codes.neg, steps))
             class_of_steps[_rotation_key(steps)] = color, negs
             class_of_steps[_rotation_key(negs[::-1])] = color, steps
     matches = [class_of_steps.get(_rotation_key(cycle)) for cycle in report.pi_cycles]
