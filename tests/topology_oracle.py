@@ -23,8 +23,8 @@ from dataclasses import dataclass, field
 from group_oracle import GroupElement, decode, elements, encode, neg
 from knight_oracle import cycle_of
 from pfarray_oracle import entries
-from relheffter.group import GroupSpec, subgroup_step
 from relheffter import topology as library
+from relheffter.group import GroupSpec, subgroup_step
 from relheffter.orderings import Ordering, Orientation, orientation_to_orderings
 from relheffter.pfarray import PFArray
 from relheffter.topology import (
