@@ -6,19 +6,21 @@
 PARENT and CHANGE are the roots of two checkouts. Each tree's src/relheffter
 is imported under its own package name, so both sides run in this process on
 the same inputs. The inputs, each job's argv and the answer checks come from
-relbench/jobs.py of CHANGE, and the cold start of each call from
-relbench/run.py; both are read, never changed. As relbench's timed passes do,
-each call follows ceil(REFERENCES_PER_PASS / jobs) runs of reference_work()
-and a gc.collect(): 3 on embed, 1 on knight and construct-verify.
+relbench/jobs.py of CHANGE, and every timed call is run_cli of CHANGE's
+relbench/run.py, pointed at one side's package; both files are read, never
+changed. As relbench's timed passes do, each call follows
+ceil(REFERENCES_PER_PASS / jobs) runs of reference_work() and a gc.collect():
+3 on embed, 1 on knight and construct-verify.
 Every pass runs each job once on each side, and the side that goes first
 alternates from job to job and from pass to pass. A job whose exit codes or
-stdout differ between the sides, or whose answer is wrong, fails the run
-(exit 1). The report is each side's sum of per-job median CPU times, their
-difference and how many jobs the change ran faster, then in how many passes
-the change's total over all jobs was lower than the parent's (the in-process
-analogue of counting the pairs of whole runs that a change wins), then each
-job's two medians, in job order. Timings are time.process_time of this process
-alone.
+payloads differ between the sides (compared as relbench's digest compares
+them: the exit code and json.dumps(payload, sort_keys=True)), or whose answer
+is wrong, fails the run (exit 1). The report is each side's sum of per-job
+median CPU times, their difference and how many jobs the change ran faster,
+then in how many passes the change's total over all jobs was lower than the
+parent's (the in-process analogue of counting the pairs of whole runs that a
+change wins), then each job's two medians, in job order. Timings are
+run_cli's time.process_time of this process alone.
 """
 
 from __future__ import annotations
@@ -27,14 +29,11 @@ import argparse
 import gc
 import importlib
 import importlib.util
-import io
 import json
 import statistics
 import sys
 import tempfile
-from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
-from time import process_time
 
 
 def load(name: str, path: Path, package: bool = False):
@@ -54,34 +53,11 @@ def side_cli(name: str, root: Path):
     return importlib.import_module(f"{name}.cli")
 
 
-def cold_call(bench, cli, argv: list[str], reps: int) -> tuple[int, str, float]:
-    """One cold main(argv), as relbench makes it after reps runs of its
-    reference work: its exit code, stdout and CPU seconds."""
-    for _ in range(reps):
-        bench.reference_work()
-    gc.collect()
-    out = io.StringIO()
-    with redirect_stdout(out), redirect_stderr(io.StringIO()):
-        start = process_time()
-        try:
-            rc = cli.main(argv)
-        except SystemExit as exc:  # argparse rejected the argv
-            rc = exc.code
-        cpu = process_time() - start
-    return rc, out.getvalue(), cpu
-
-
-def payload_of(text: str) -> dict | None:
-    try:
-        return json.loads(text)
-    except ValueError:
-        return None
-
-
-def run_pass(bench, jobs, clis, chains, first: int, cpu: list[dict], reps: int) -> list[str]:
-    """Run every job once on each side; record each side's CPU per job and
-    return what went wrong. first picks the side that goes first on the first
-    job; reps is the number of reference_work() runs before each call."""
+def run_pass(bench, clis, chains, first: int, cpu: list[dict], reps: int) -> list[str]:
+    """Run every job once on each side through bench.run_cli; record each
+    side's CPU per job and return what went wrong. first picks the side that
+    goes first on the first job; reps is the number of reference_work() runs
+    before each call."""
     problems = []
     turn = first
     for chain in chains:
@@ -89,14 +65,17 @@ def run_pass(bench, jobs, clis, chains, first: int, cpu: list[dict], reps: int) 
         for job in chain:
             answers = [None, None]
             for side in (turn, 1 - turn):
-                rc, out, seconds = cold_call(bench, clis[side], jobs.argv_for(job, prev[side]),
-                                             reps)
+                for _ in range(reps):
+                    bench.reference_work()
+                gc.collect()
+                bench.cli = clis[side]
+                rc, prev[side], (_, seconds) = bench.run_cli(job, prev[side])
                 cpu[side].setdefault(job.key, []).append(seconds)
-                answers[side], prev[side] = (rc, out), payload_of(out)
+                answers[side] = (rc, json.dumps(prev[side], sort_keys=True))
             turn = 1 - turn
             if answers[0] != answers[1]:
-                problems.append(f"{job.key}: exit codes or stdout differ: {answers}")
-            elif problem := jobs.check(job, answers[0][0], prev[0]):
+                problems.append(f"{job.key}: exit codes or payloads differ: {answers}")
+            elif problem := bench.jobs.check(job, answers[0][0], prev[0]):
                 problems.append(f"{job.key}: {problem}")
     return problems
 
@@ -116,7 +95,7 @@ def main() -> int:
 
     bench = load("_ab_relbench_run", roots[1] / "relbench" / "run.py")
     sys.path.insert(0, str(roots[1] / "src"))  # the relheffter that jobs.py imports
-    jobs = load("_ab_relbench_jobs", roots[1] / "relbench" / "jobs.py")
+    bench.jobs = load("_ab_relbench_jobs", roots[1] / "relbench" / "jobs.py")
     clis = [side_cli("_ab_parent", roots[0]), side_cli("_ab_change", roots[1])]
     conf = bench.SPEC["workloads"][args.workload]
     if args.smoke:
@@ -124,12 +103,12 @@ def main() -> int:
 
     cpu: list[dict[str, list[float]]] = [{}, {}]
     with tempfile.TemporaryDirectory() as work:
-        chains, warmup = jobs.setup(args.workload, conf, conf["default_seed"], Path(work),
-                                    roots[1])
+        chains, warmup = bench.jobs.setup(args.workload, conf, conf["default_seed"],
+                                          Path(work), roots[1])
         reps = -(-bench.REFERENCES_PER_PASS // sum(map(len, chains)))
-        problems = run_pass(bench, jobs, clis, [warmup], 0, [{}, {}], reps)
+        problems = run_pass(bench, clis, [warmup], 0, [{}, {}], reps)
         for i in range(args.passes):
-            problems += run_pass(bench, jobs, clis, chains, i % 2, cpu, reps)
+            problems += run_pass(bench, clis, chains, i % 2, cpu, reps)
     for line in problems[:20]:
         print(f"FAILED {line}")
 

@@ -1,13 +1,14 @@
 #!/usr/bin/env python3
 """Search the base window of a k-diagonal family for liftable Knight's Tour
-solutions: all rows forward, free column prefix, then lift once to confirm.
-The time printed for each size is the CPU time of its search."""
+solutions: all rows forward, free column prefix, then lift once to confirm,
+as `relheffter knight --search --lift` does. The time printed for each size
+is the CPU time of building its skeleton and searching it."""
 
 import argparse
 import sys
 import time
 
-from relheffter.orderings import LiftSpec, lift_solution, search_lift_shape
+from relheffter.orderings import LiftSpec, lift_walk, search_lift_shape_on
 
 
 def run(spec: LiftSpec, start: int, all_sizes: bool) -> dict:
@@ -17,13 +18,16 @@ def run(spec: LiftSpec, start: int, all_sizes: bool) -> dict:
         if not all_sizes and n % 4 != 1:
             continue
         t0 = time.process_time()
-        sol = search_lift_shape(spec, n)
+        skel = spec.skeleton(n)
+        sol = search_lift_shape_on(spec, skel)
         elapsed = time.process_time() - t0
         results[n] = sol
         if sol is None:
             print(f"n={n}: no liftable solution ({elapsed:.2f}s)")
             continue
-        lift_solution(spec, n, sol)  # raises if the enlarged solution fails
+        *_, lifted_ok = lift_walk(spec, skel, sol)  # sol is a solution: this walks its lift
+        if not lifted_ok:
+            raise ValueError(f"n={n}: the lift to n={n + spec.M} is not a solution")
         rows, cols = sol.to_strings()
         print(f"n={n}: R={rows} C={cols} ({elapsed:.2f}s) -> lifts to n={n + spec.M}")
     return results

@@ -7,6 +7,7 @@ import errno
 import gc
 import json
 import os
+import re
 import stat
 import sys
 from collections import Counter
@@ -502,19 +503,24 @@ def main(argv: list[str] | None = None) -> int:
     """Run one command. A well-formed argv that starts with a command name is
     read from that command's tables (_read_argv); any other argv (help, none,
     an unknown command, anything the reader declines) is parsed by the whole
-    tree, which writes every help and error text. An exception that is no
-    usage error is a crash: its traceback goes to stderr, and the exit code is
-    EXIT_SOFTWARE, never that of a violation. The cyclic garbage collector is
-    paused while the command runs, as Mercurial's nogc pauses it around its
-    parsers: a command allocates many containers and leaves few cycles, and
-    the collections it would trigger find next to nothing. It is switched
-    back on at every exit if it was on when main was called."""
+    tree, which writes every help and error text; there, an --orientation
+    followed by an orientation that starts with '-' is read as
+    --orientation=VALUE, which argparse would otherwise refuse. An exception
+    that is no usage error is a crash: its traceback goes to stderr, and the
+    exit code is EXIT_SOFTWARE, never that of a violation. The cyclic garbage
+    collector is paused while the command runs, as Mercurial's nogc pauses it
+    around its parsers: a command allocates many containers and leaves few
+    cycles, and the collections it would trigger find next to nothing. It is
+    switched back on at every exit if it was on when main was called."""
     if argv is None:
         argv = sys.argv[1:]
     parser = build_parser()
     command = parser.commands.get(argv[0]) if argv else None
     args = None if command is None else _read_argv(command, argv[1:])
     if args is None:
+        for i in reversed(range(len(argv) - 1)):  # argparse takes '-++,+' for an option
+            if argv[i] == "--orientation" and re.fullmatch(r"-[+-]*,[+-]+", argv[i + 1]):
+                argv = [*argv[:i], f"--orientation={argv[i + 1]}", *argv[i + 2:]]
         args = parser.parse_args(argv)
     gc_enabled = gc.isenabled()
     gc.disable()

@@ -34,7 +34,7 @@ from relheffter.orderings import (
     knight_walk,
     orientation_to_orderings,
 )
-from relheffter.pfarray import PFArray, skeleton_from_diagonals
+from relheffter.pfarray import PFArray, Skeleton, skeleton_from_diagonals
 from relheffter.topology import (
     CayleyGraph,
     CertificationError,
@@ -619,6 +619,52 @@ def test_knight_empty_skeleton_is_usage_error(tmp_path, capsys):
     assert captured.err == f"error: {path} has no filled cells\n"
 
 
+@pytest.mark.parametrize("argv, text", [
+    (["construct", "h7"], "--n is required"),
+    (["construct", "archdeacon-composite", "--d", "3"],
+     "archdeacon-composite requires --base and --d"),
+    (["construct", "skeleton-cor39", "--n", "5"], "skeleton-cor39 requires --n and --k"),
+], ids=["family-without-n", "composite-without-base", "cor39-without-k"])
+def test_construct_refuses_a_missing_option(capsys, argv, text):
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {text}\n")
+
+
+@pytest.mark.parametrize("skeleton, text", [
+    (Skeleton(3, 4, frozenset({(1, 1), (2, 2), (3, 3)})), "--lemma410 requires a square input"),
+    (skeleton_from_diagonals(9, [1, 2, 3]), "n must be 7 (mod 14) and >= 21, got 9"),
+], ids=["3x4", "9x9"])
+def test_knight_lemma410_refuses_another_size(tmp_path, capsys, skeleton, text):
+    path = tmp_path / "s.json"
+    path.write_text(skeleton.to_json_text())
+    assert main(["knight", str(path), "--lemma410"]) == 2
+    assert capsys.readouterr() == ("", f"error: {text}\n")
+
+
+@pytest.mark.parametrize("command", ["knight", "embed"])
+@pytest.mark.parametrize("orientation", ["+x+++,+++++", "+++++"])
+def test_a_malformed_orientation_is_usage_error(tmp_path, capsys, command, orientation):
+    path = tmp_path / "h5.json"
+    path.write_text(build_h_n_3(5).to_json_text())
+    assert main([command, str(path), f"--orientation={orientation}"]) == 2
+    assert capsys.readouterr() == (
+        "", f"error: bad orientation {orientation!r}: expected e.g. '+++,++-'\n")
+
+
+@pytest.mark.parametrize("command", ["knight", "embed"])
+def test_a_dash_leading_orientation_reads_in_both_forms(tmp_path, capsys, command):
+    path = tmp_path / "h5.json"
+    path.write_text(build_h_n_3(5).to_json_text())
+    extra = ["--t", "5"] if command == "embed" else []
+    separate = [command, str(path), *extra, "--orientation", "-----,----+"]
+    given = list(separate)
+    got = outcome(main, separate, capsys)
+    assert separate == given  # main joins the two tokens in its own copy
+    assert got == outcome(main, [command, str(path), *extra, "--orientation=-----,----+"],
+                          capsys)
+    assert got[0] == 0 and json.loads(got[1])["status"] == "ok"
+
+
 def test_embed_empty_array_is_usage_error(tmp_path, capsys):
     path = tmp_path / "empty.json"
     path.write_text(json.dumps({"m": 2, "n": 2, "group": {"orders": [7]}, "cells": []}))
@@ -765,6 +811,11 @@ FRONT_END = {
                        "--orientation", "+++++++++,++-++-++-"],
     "extra-positional": ["verify", H3, H3, "--v", "63", "--archdeacon"],
     "missing-value": ["knight", H3, "--v", "63", "--orientation"],
+    # a dash-leading value that is no orientation is not joined to its option
+    "option-value": ["knight", H3, "--v", "63", "--orientation", "--search"],
+    "option-value-embed": ["embed", H3, "--v", "63", "--orientation", "--search"],
+    "dash-value": ["knight", H3, "--v", "63", "--orientation", "-"],
+    "dash-value-embed": ["embed", H3, "--v", "63", "--orientation", "-"],
     "missing-mode": ["knight", H3, "--v", "63"],
     "equals-int": ["construct", "h-n-3", "--n=5"],
 }
@@ -1028,6 +1079,27 @@ def test_read_stops_at_the_first_short_read(monkeypatch, tmp_path, size):
     monkeypatch.setattr(os, "read", counted)
     assert cli._read(str(path)) == path.read_bytes()
     assert reads == [size + 1]
+
+
+def test_read_of_a_file_that_grew_since_its_stat_returns_every_byte(monkeypatch, tmp_path):
+    path = tmp_path / "a.json"
+    path.write_bytes(b"x" * 10)
+    reads, real_read, real_stat = [], os.read, os.stat
+
+    def counted(fd, n):
+        reads.append(n)
+        return real_read(fd, n)
+
+    def stat_then_grow(p):
+        st = real_stat(p)
+        with open(p, "ab") as f:
+            f.write(b"y" * 5)
+        return st
+
+    monkeypatch.setattr(os, "read", counted)
+    monkeypatch.setattr(os, "stat", stat_then_grow)
+    assert cli._read(str(path)) == b"x" * 10 + b"y" * 5
+    assert reads == [11, 11]  # the first read filled its 11 bytes, the second came back short
 
 
 @pytest.mark.parametrize("target", ["new", "regular", "device"])

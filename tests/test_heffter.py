@@ -15,6 +15,7 @@ from relheffter.heffter import (
     verify_relative_heffter,
 )
 from relheffter.orderings import skeleton_parity_ok
+from relheffter.pfarray import PFArray
 
 
 def small_heffter():
@@ -121,6 +122,13 @@ def test_integer_violation_without_modular_violation():
 def test_dimension_mismatch_raises():
     with pytest.raises(ValueError):
         verify_relative_heffter(small_heffter(), HeffterParams.square(4, 3, 3))
+
+
+def test_a_product_group_is_refused():
+    array = PFArray(3, 3, GroupSpec((3, 7)), {})
+    with pytest.raises(ValueError) as exc:
+        verify_relative_heffter(array, HeffterParams.square(3, 3, 3))
+    assert str(exc.value) == "array group (3, 7) != Z_21"
 
 
 # -- necessary conditions ------------------------------------------------

@@ -27,6 +27,12 @@ UNSOLVABLE_9X9 = Skeleton(9, 9, frozenset({
 }))
 
 
+def test_knight_search_refuses_an_empty_skeleton():
+    with pytest.raises(ValueError) as exc:
+        knight_search(Skeleton(2, 2, frozenset()))
+    assert str(exc.value) == "empty array"
+
+
 def strings(o):
     return None if o is None else o.to_strings()
 

@@ -110,7 +110,8 @@ def test_every_class_member_is_read_outside_the_tests():
 
 
 # The library names that no call chain from cli.main reaches: relbench's traced
-# replay times the stages of the commands one call at a time through them.
+# replay times the stages of the commands one call at a time through them, and
+# relbench and the tests are their only callers (no script reads one).
 # Ordering's fields go with it, and formula_genus is the report attribute that
 # the replay sets and reads. PFArray.row and PFArray.col are not listed: they
 # match local names of the library, which matching by identifier cannot tell
@@ -156,6 +157,16 @@ def test_only_the_benchmark_only_names_are_unreached_from_main():
     # the walk follows the commands into the library
     assert {"cmd_embed", "certify_biembedding", "knight_search", "orbit"} <= reached
     assert set(reads) - reached == BENCHMARK_ONLY
+
+
+def test_scripts_call_no_benchmark_only_name():
+    read = set()
+    for path in sorted((ROOT / "scripts").rglob("*.py")):
+        read |= referenced(parse(path))
+    # the check sees the scripts' library calls where there are some
+    assert {"LiftSpec", "reference_work"} <= read
+    assert not read & BENCHMARK_ONLY, "benchmark-only names in scripts/: " + ", ".join(
+        sorted(read & BENCHMARK_ONLY))
 
 
 def test_the_package_imports_nothing():

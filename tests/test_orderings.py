@@ -170,6 +170,19 @@ def test_search_and_lift_k3():
         lift_solution(spec, 5, Orientation((1,) * 5, (-1,) * 5))
 
 
+def test_lift_solution_refuses_a_lift_that_is_no_solution(monkeypatch):
+    spec = LiftSpec((2, 3, 4))
+    sol = search_lift_shape(spec, 5)
+
+    def failing(spec, skel, o):  # a lift whose walk is no solution
+        return spec.skeleton(skel.n + spec.M), o, [], False
+
+    monkeypatch.setattr(orderings, "lift_walk", failing)
+    with pytest.raises(ValueError) as exc:
+        lift_solution(spec, 5, sol)
+    assert str(exc.value) == "lifted orientation failed verification"
+
+
 def test_leading_diagonal_family_search_k3_n5():
     skel = build_skeleton_cor39(5, 3)
     sol = knight_search(skel)

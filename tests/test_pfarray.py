@@ -76,6 +76,12 @@ def test_diagonal_cells_example():
     assert diagonal_cells(4, 3) == [(3, 1), (4, 2), (1, 3), (2, 4)]
 
 
+def test_diagonal_cells_refuses_an_index_out_of_range():
+    with pytest.raises(ValueError) as exc:
+        diagonal_cells(5, 0)
+    assert str(exc.value) == "diagonal index 0 out of range 1..5"
+
+
 def test_classify_diagonals_cyclic():
     skel = skeleton_from_diagonals(7, [6, 7, 1])  # consecutive across the wrap
     rep = classify_diagonals(skel)
@@ -151,6 +157,13 @@ def test_csv_round_trip():
     text = a.to_csv()
     assert text == "-3,,\n,,10\n"
     assert PFArray.from_csv(text, 21) == a
+
+
+def test_csv_export_refuses_a_product_group():
+    a = PFArray(1, 2, GroupSpec((3, 7)), {(1, 1): 1})
+    with pytest.raises(GroupError) as exc:
+        a.to_csv()
+    assert str(exc.value) == "CSV export requires a single-factor group"
 
 
 def test_skeleton_json_round_trip():

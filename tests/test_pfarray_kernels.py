@@ -323,6 +323,11 @@ def test_json_text_is_the_text_of_json_dumps(obj):
     assert outcome(json_text, obj, errors=TypeError) == outcome(dumps, obj, errors=TypeError)
 
 
+def test_json_text_writes_other_leaves_as_json_dumps():
+    obj = {"a": 1.5, "b": {}, "c": [0.1, None]}
+    assert json_text(obj) == dumps(obj)
+
+
 # -- the skeleton parser ------------------------------------------------
 
 

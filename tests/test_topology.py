@@ -109,6 +109,14 @@ def test_base_cycles_rejects_non_simple():
         base_cycles(a, ordering, by="row")
 
 
+def test_base_cycles_refuses_another_line_kind():
+    a = h3()
+    ordering = orientation_to_orderings(a, Orientation((1,) * a.m, (1,) * a.n))
+    with pytest.raises(ValueError) as exc:
+        base_cycles(a, ordering, by="diag")
+    assert str(exc.value) == "by must be 'row' or 'col'"
+
+
 def test_develop_and_verify_h3():
     a = h3()
     graph = oracle.multipartite(21, 3)
@@ -131,6 +139,13 @@ def test_develop_rejects_wrong_difference_set():
     bad = [tuple(encode(spec, element(spec, x)) for x in (0, 1, 2))]
     with pytest.raises(CertificationError):
         develop_and_verify(bad, graph)
+
+
+def test_develop_names_the_least_missing_difference():
+    graph = CayleyGraph(GroupSpec.cyclic(13), frozenset(range(1, 13)))
+    with pytest.raises(CertificationError) as exc:
+        develop_and_verify([(0, 1, 3)], graph)  # differences +-1, +-2, +-3
+    assert str(exc.value) == "difference list != connection set (missing=g4, extra=None)"
 
 
 def test_verify_orthogonal():
@@ -243,6 +258,14 @@ def test_two_color_check_fails_on_shuffled_rotation():
     rotated = {keys[i]: keys[(i + 1) % len(keys)] for i in range(len(keys))}
     report = trace_faces(CayleyGraph.from_entries(a), rotated)
     assert not two_color_check(report, a, ordering)
+
+
+def test_trace_faces_refuses_a_rotation_of_another_domain():
+    graph = CayleyGraph.from_entries(h3())
+    conn = sorted(graph.connection)
+    with pytest.raises(ValueError) as exc:
+        trace_faces(graph, {x: x for x in conn[1:]})
+    assert str(exc.value) == "rotation domain must equal the connection set"
 
 
 def test_trace_faces_rejects_non_bijective_rotation():
