@@ -8,7 +8,7 @@ import argparse
 import sys
 import time
 
-from relheffter.orderings import LiftSpec, lift_walk, search_lift_shape_on
+from relheffter.orderings import LiftSpec, knight_walk, search_lift_shape_on
 
 
 def run(spec: LiftSpec, start: int, all_sizes: bool) -> dict:
@@ -18,18 +18,16 @@ def run(spec: LiftSpec, start: int, all_sizes: bool) -> dict:
         if not all_sizes and n % 4 != 1:
             continue
         t0 = time.process_time()
-        skel = spec.skeleton(n)
-        sol = search_lift_shape_on(spec, skel)
-        elapsed = time.process_time() - t0
+        sol = search_lift_shape_on(spec, spec.skeleton(n))
+        ms = (time.process_time() - t0) * 1000
         results[n] = sol
         if sol is None:
-            print(f"n={n}: no liftable solution ({elapsed:.2f}s)")
+            print(f"n={n}: no liftable solution ({ms:.1f} ms)")
             continue
-        *_, lifted_ok = lift_walk(spec, skel, sol)  # sol is a solution: this walks its lift
-        if not lifted_ok:
+        if not knight_walk(spec.skeleton(n + spec.M), spec.lift(n, sol))[1]:
             raise ValueError(f"n={n}: the lift to n={n + spec.M} is not a solution")
         rows, cols = sol.to_strings()
-        print(f"n={n}: R={rows} C={cols} ({elapsed:.2f}s) -> lifts to n={n + spec.M}")
+        print(f"n={n}: R={rows} C={cols} ({ms:.1f} ms) -> lifts to n={n + spec.M}")
     return results
 
 

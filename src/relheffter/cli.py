@@ -27,7 +27,6 @@ from .orderings import (
     is_globally_simple,
     knight_search,
     knight_walk,
-    lift_walk,
     nine_diagonal_orientation,
     search_lift_shape_on,
 )
@@ -296,17 +295,18 @@ def cmd_knight(args: argparse.Namespace) -> int:
         orientation = _orientation(args.orientation, skel.m, skel.n)
 
     if lift:  # skel is spec.skeleton(n)
-        big, orientation, orbit, ok = _usage(lift_walk, spec, skel, orientation)
-        if big is not skel:
-            payload["lifted_n"] = big.n
-    else:
-        orbit, ok = knight_walk(skel, orientation)
+        lifted = _usage(spec.lift, skel.n, orientation)
+    orbit, ok = knight_walk(skel, orientation)
+    if lift and ok:  # only a solution is lifted
+        payload["lifted_n"] = n = skel.n + spec.M
+        orientation = lifted
+        orbit, ok = knight_walk(spec.skeleton(n), lifted)
     rs, cs = orientation.to_strings()
     payload.update(
         orientation_rows=rs, orientation_cols=cs, orbit_length=len(orbit), is_solution=ok,
     )
     if args.emit_orbit:
-        payload["orbit"] = [[r, c] for r, c in orbit]
+        payload["orbit"] = orbit
     return _finish(payload, ok)
 
 
@@ -335,8 +335,7 @@ def cmd_embed(args: argparse.Namespace) -> int:
     if genus is not None:
         payload["embedding"]["formula_genus"] = genus
     if args.emit_faces:
-        payload["faces"] = [[[list(x) for x in dart] for dart in face]
-                            for face in cert.embedding.faces]
+        payload["faces"] = cert.embedding.faces
     return _finish(payload, cert.ok and genus in (None, cert.embedding.genus))
 
 

@@ -264,43 +264,25 @@ class LiftSpec(namedtuple("LiftSpec", "diagonal_indices")):
             raise ValueError(f"need n > l_k = {self.diagonal_indices[-1]}")
         return skeleton_from_diagonals(n, self.diagonal_indices)
 
-
-def has_lift_shape(spec: LiftSpec, n: int, o: Orientation) -> bool:
-    """R all ones and C constantly one from position n - l_k + 2 on."""
-    lk = spec.diagonal_indices[-1]
-    return (
-        len(o.r) == n
-        and len(o.c) == n
-        and all(x == 1 for x in o.r)
-        and all(x == 1 for x in o.c[n - lk + 1:])
-    )
-
-
-def lift_walk(spec: LiftSpec, skel: Skeleton, o: Orientation
-              ) -> tuple[Skeleton, Orientation, list[Cell], bool]:
-    """The walk of o on skel, the skeleton of A_n: the skeleton, the orientation,
-    the orbit and whether it is a solution. When the walk is one, these are
-    instead those of the lift of o to A_{n+M}: all rows +1 and the columns of
-    o up to position n - l_k + 1, +1 after. Raises ValueError unless o has the
-    liftable shape."""
-    n = skel.n
-    if not has_lift_shape(spec, n, o):
-        raise ValueError("orientation does not have the liftable shape")
-    orbit, ok = knight_walk(skel, o)
-    if not ok:
-        return skel, o, orbit, ok
-    big = spec.skeleton(n + spec.M)
-    keep = n - spec.diagonal_indices[-1] + 1
-    lifted = Orientation((1,) * big.n, o.c[:keep] + (1,) * (big.n - keep))
-    return big, lifted, *knight_walk(big, lifted)
+    def lift(self, n: int, o: Orientation) -> Orientation:
+        """The lift of o, an orientation of A_n, to A_{n+M}: all rows +1, the
+        columns of o up to position n - l_k + 1, +1 after. Raises ValueError
+        unless o has the liftable shape: of size n, all rows and the columns
+        after that position +1."""
+        keep = n - self.diagonal_indices[-1] + 1
+        if len(o.r) != n or len(o.c) != n or -1 in o.r or -1 in o.c[keep:]:
+            raise ValueError("orientation does not have the liftable shape")
+        big = n + self.M
+        return Orientation((1,) * big, o.c[:keep] + (1,) * (big - keep))
 
 
 def lift_solution(spec: LiftSpec, n: int, o: Orientation) -> Orientation:
     """Extend a lift-shaped solution of P(A_n) to a verified solution of P(A_{n+M})."""
-    big, lifted, _, ok = lift_walk(spec, spec.skeleton(n), o)
-    if big.n == n:
+    skel = spec.skeleton(n)
+    lifted = spec.lift(n, o)
+    if not knight_walk(skel, o)[1]:
         raise ValueError("input orientation is not a solution")
-    if not ok:
+    if not knight_walk(spec.skeleton(n + spec.M), lifted)[1]:
         raise ValueError("lifted orientation failed verification")
     return lifted
 

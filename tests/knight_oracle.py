@@ -29,7 +29,6 @@ from relheffter.orderings import (
     LiftSpec,
     Ordering,
     Orientation,
-    has_lift_shape,
     knight_tour,
     orientation_to_orderings,
     skeleton_parity_ok,
@@ -114,13 +113,13 @@ def search_lift_shape(spec: LiftSpec, n: int) -> Orientation | None:
 
 def lift_solution(spec: LiftSpec, n: int, o: Orientation) -> Orientation:
     """The lifted orientation, each of the two orientations walked with knight_tour."""
-    if not has_lift_shape(spec, n, o):
-        raise ValueError("orientation does not have the liftable shape")
     skel = spec.skeleton(n)
+    keep = n - spec.diagonal_indices[-1] + 1
+    if o.r != (1,) * n or len(o.c) != n or any(x != 1 for x in o.c[keep:]):
+        raise ValueError("orientation does not have the liftable shape")
     if not knight_tour(skel, o, min(skel.cells))[1]:
         raise ValueError("input orientation is not a solution")
     big = n + spec.M
-    keep = n - spec.diagonal_indices[-1] + 1
     lifted = Orientation((1,) * big, o.c[:keep] + (1,) * (big - keep))
     big_skel = spec.skeleton(big)
     if not knight_tour(big_skel, lifted, min(big_skel.cells))[1]:

@@ -28,6 +28,7 @@ from relheffter.constructions import FAMILIES, build_archdeacon_composite, build
 from relheffter.group import GroupError, GroupSpec
 from relheffter.heffter import HeffterParams, verify_relative_heffter
 from relheffter.orderings import (
+    LiftSpec,
     Orientation,
     is_globally_simple,
     knight_search,
@@ -179,14 +180,13 @@ def test_knight_lift_that_fails_is_the_violation_payload(tmp_path, capsys, monke
     # a broken lift lemma: the lifted walk's verdict is reported on A_{n+M}
     path = tmp_path / "S.json"
     path.write_text(cons.build_skeleton_cor39(5, 3).to_json_text())
-    lift = cli.lift_walk
+    lift = LiftSpec.lift
 
-    def broken_lift(spec, skel, o):
-        big, lifted, _, _ = lift(spec, skel, o)
-        wrong = Orientation(lifted.r, (-1,) * big.n)
-        return big, wrong, *knight_walk(big, wrong)
+    def broken_lift(spec, n, o):
+        lifted = lift(spec, n, o)
+        return Orientation(lifted.r, (-1,) * len(lifted.c))
 
-    monkeypatch.setattr(cli, "lift_walk", broken_lift)
+    monkeypatch.setattr(LiftSpec, "lift", broken_lift)
     code, out, err = outcome(main, ["knight", str(path), "--search", "--lift", "2,3,4"], capsys)
     assert code == 1 and err == ""
     payload = json.loads(out)
@@ -297,6 +297,18 @@ def test_embed_emit_faces_equals_the_traced_faces(tmp_path, capsys, family, n):
     assert payload.pop("faces") == [
         [list(map(list, dart)) for dart in face] for face in oracle.coordinate_faces(traced.faces)]
     assert json.dumps(payload, indent=2, sort_keys=True) + "\n" == plain
+
+
+def test_knight_emit_orbit_is_the_walked_orbit(tmp_path, capsys):
+    array = build_h_n_3(5)
+    path = tmp_path / "a.json"
+    path.write_text(array.to_json_text())
+    assert main(["knight", str(path), "--search", "--emit-orbit"]) == 0
+    out = capsys.readouterr().out
+    payload = json.loads(out)
+    assert out == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    orbit, ok = knight_walk(array, knight_search(array))
+    assert ok and payload["orbit"] == [list(cell) for cell in orbit]
 
 
 def _perturbed_h_n_3(n):

@@ -21,7 +21,6 @@ from relheffter.orderings import (
     LiftSpec,
     Orientation,
     _simple_lines,
-    has_lift_shape,
     is_globally_simple,
     knight_search,
     knight_tour,
@@ -153,9 +152,12 @@ def test_lift_spec_window():
 
 def test_lift_shape_recognition():
     spec = LiftSpec((2, 3, 4))
-    assert has_lift_shape(spec, 5, Orientation((1,) * 5, (1, -1, 1, 1, 1)))
-    assert not has_lift_shape(spec, 5, Orientation((1,) * 5, (1, 1, 1, -1, 1)))
-    assert not has_lift_shape(spec, 5, Orientation((1, -1, 1, 1, 1), (1,) * 5))
+    assert spec.lift(5, Orientation((1,) * 5, (1, -1, 1, 1, 1))) == Orientation(
+        (1,) * 7, (1, -1, 1, 1, 1, 1, 1))
+    for o in (Orientation((1,) * 5, (1, 1, 1, -1, 1)), Orientation((1, -1, 1, 1, 1), (1,) * 5)):
+        with pytest.raises(ValueError) as exc:
+            spec.lift(5, o)
+        assert str(exc.value) == "orientation does not have the liftable shape"
 
 
 def test_search_and_lift_k3():
@@ -174,10 +176,10 @@ def test_lift_solution_refuses_a_lift_that_is_no_solution(monkeypatch):
     spec = LiftSpec((2, 3, 4))
     sol = search_lift_shape(spec, 5)
 
-    def failing(spec, skel, o):  # a lift whose walk is no solution
-        return spec.skeleton(skel.n + spec.M), o, [], False
+    def failing(spec, n, o):  # a lift whose walk is no solution
+        return Orientation((1,) * (n + spec.M), (-1,) * (n + spec.M))
 
-    monkeypatch.setattr(orderings, "lift_walk", failing)
+    monkeypatch.setattr(LiftSpec, "lift", failing)
     with pytest.raises(ValueError) as exc:
         lift_solution(spec, 5, sol)
     assert str(exc.value) == "lifted orientation failed verification"

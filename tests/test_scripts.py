@@ -1,5 +1,6 @@
 """The scripts under scripts/, run in-process at a small size."""
 
+import re
 import runpy
 import sys
 from pathlib import Path
@@ -20,9 +21,25 @@ def test_knight_window(monkeypatch, capsys):
     code, out = run_script(monkeypatch, capsys, "knight_window.py",
                            "--diagonals", "2,3,4", "--start", "5")
     assert code == 0
-    assert out.splitlines()[0].startswith("n=5: R=+++++ C=+-+++ (")
-    assert out.splitlines()[0].endswith(") -> lifts to n=7")
+    assert re.fullmatch(r"n=5: R=\+{5} C=\+-\+{3} \(\d+\.\d ms\) -> lifts to n=7",
+                        out.splitlines()[0])
     assert out.splitlines()[-1] == "window covered: 1 sizes, 0 without solution"
+
+
+def test_knight_window_all_sizes(monkeypatch, capsys):
+    # n = 6 fails the parity condition, so the window has a size without solution
+    code, out = run_script(monkeypatch, capsys, "knight_window.py",
+                           "--diagonals", "2,3,4", "--start", "5", "--all-sizes")
+    assert code == 1
+    patterns = [
+        r"n=5: R=\+{5} C=\+-\+{3} \(\d+\.\d ms\) -> lifts to n=7",
+        r"n=6: no liftable solution \(\d+\.\d ms\)",
+        r"n=7: R=\+{7} C=\+{3}-\+{3} \(\d+\.\d ms\) -> lifts to n=9",
+        r"window covered: 3 sizes, 1 without solution",
+    ]
+    lines = out.splitlines()
+    assert len(lines) == len(patterns)
+    assert all(re.fullmatch(p, line) for p, line in zip(patterns, lines)), lines
 
 
 def test_ab_cold_smoke(monkeypatch, capsys):
